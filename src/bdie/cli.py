@@ -127,6 +127,10 @@ def _validate(config: RunConfig) -> None:
     probes = np.asarray(config.probe_points, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != 3:
         raise ConfigError("probe_points must be a list of 3d points")
+    radii = np.linalg.norm(probes, axis=1)
+    if not np.all((radii > cases.INNER_RADIUS) & (radii < config.truncation_radius)):
+        raise ConfigError("probe_points must lie in the shell "
+                          f"{cases.INNER_RADIUS} < |x| < {config.truncation_radius}")
 
 
 def _coefficient(config: RunConfig) -> co.CoefficientField:

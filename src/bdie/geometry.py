@@ -11,7 +11,7 @@ the unit sphere they point toward the origin.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -528,7 +528,3 @@ def read_off(path) -> SurfaceMesh:
         pos += 1 + cnt
     return SurfaceMesh(vertices=verts, triangles=np.asarray(tris, dtype=np.int64))
 
-
-def relabel(mesh: SurfaceMesh, labels: np.ndarray) -> SurfaceMesh:
-    """Return a copy of the mesh with the given per-triangle labels."""
-    return replace(mesh, part_label=np.asarray(labels, dtype="U1"))

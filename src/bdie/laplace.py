@@ -456,15 +456,13 @@ def single_layer_matrix(
     targets,
     cfg: QuadConfig = DEFAULT_QUAD,
     factor: Optional[Callable] = None,
-    support: Optional[str] = None,
     workers: int = 1,
 ) -> np.ndarray:
     """Dense single-layer matrix mapping density coefficients to target values."""
     colloc = _as_collocation(targets)
     dens = _NodeDensity(mesh, factor=factor)
-    mask = _support_mask(mesh, support) if space_tag == SPACE_TRIANGLE else None
     return _surface_rows(
-        mesh, single_layer_kernel, colloc, dens, cfg, "duffy", mask, space_tag, workers
+        mesh, single_layer_kernel, colloc, dens, cfg, "duffy", None, space_tag, workers
     )
 
 
@@ -474,15 +472,13 @@ def double_layer_matrix(
     targets,
     cfg: QuadConfig = DEFAULT_QUAD,
     factor: Optional[Callable] = None,
-    support: Optional[str] = None,
     workers: int = 1,
 ) -> np.ndarray:
     """Dense double-layer matrix (principal value at registered targets)."""
     colloc = _as_collocation(targets)
     dens = _NodeDensity(mesh, factor=factor)
-    mask = _support_mask(mesh, support) if space_tag == SPACE_TRIANGLE else None
     return _surface_rows(
-        mesh, double_layer_kernel, colloc, dens, cfg, "skip", mask, space_tag, workers
+        mesh, double_layer_kernel, colloc, dens, cfg, "skip", None, space_tag, workers
     )
 
 

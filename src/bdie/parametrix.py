@@ -114,23 +114,20 @@ def dv_W(mesh: SurfaceMesh, field: CoefficientField, density, colloc: Collocatio
 
 
 def op_V_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD,
-                support=None, workers: int = 1) -> np.ndarray:
+                workers: int = 1) -> np.ndarray:
     check_dense_caps(n_triangles=mesh.n_triangles)
     return lp.single_layer_matrix(mesh, space_tag, targets, cfg,
-                                  factor=_inv_a(field), support=support,
-                                  workers=workers)
+                                  factor=_inv_a(field), workers=workers)
 
 
 def op_W_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD,
-                support=None, workers: int = 1) -> np.ndarray:
+                workers: int = 1) -> np.ndarray:
     check_dense_caps(n_triangles=mesh.n_triangles)
-    w = lp.double_layer_matrix(mesh, space_tag, targets, cfg,
-                               support=support, workers=workers)
+    w = lp.double_layer_matrix(mesh, space_tag, targets, cfg, workers=workers)
     if field.is_constant:
         return w
     return w - lp.single_layer_matrix(mesh, space_tag, targets, cfg,
-                                      factor=_dn_ln_a(field), support=support,
-                                      workers=workers)
+                                      factor=_dn_ln_a(field), workers=workers)
 
 
 # --- volume operators ------------------------------------------------------------

@@ -29,13 +29,20 @@ consistent with the assembled operators; with the ideal 1/2 the vertex
 rows carry an O(h) facet defect that dominates the recovered trace error.
 Stored normals point out of the domain (toward the origin).
 
+The layer terms of F0 are the same V and W blocks as the unknown columns,
+on the columns the unknowns leave out: the S_N triangles (Psi0) and the
+vertices off the interior of S_N (Phi0).  Assembly builds each block over
+all columns once and keeps that known-column block on the system, so the
+right-hand side is P f minus the known-column block applied to the
+extensions, and new boundary data costs one matrix product plus P f.
+
 Everything is dense; sizes are guarded by the same caps as the operator
 assembly routines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -139,18 +146,6 @@ def vertex_eval_matrix(mesh: geo.SurfaceMesh, colloc: lp.Collocation) -> np.ndar
     return out
 
 
-@dataclass(frozen=True)
-class F0Data:
-    """Right-hand side field F0 = P f + V Psi0 - W Phi0 of the system.
-
-    cells holds F0 at the volume collocation points; boundary_trace holds
-    the exterior trace of F0 at the registered boundary collocation points.
-    """
-
-    cells: np.ndarray
-    boundary_trace: np.ndarray
-
-
 def _f_density(f):
     if f is None:
         return None
@@ -159,43 +154,34 @@ def _f_density(f):
     raise TypeError("f must be None, a DomainDensity, or a callable on nodes")
 
 
-def assemble_F0(
-    volmesh: geo.VolumeMesh,
-    surfmesh: geo.SurfaceMesh,
-    field: CoefficientField,
-    f,
-    extensions: ExtensionPair,
-    colloc: Optional[lp.Collocation] = None,
-    jump_c: Optional[np.ndarray] = None,
-    workers: int = 1,
-) -> F0Data:
-    """Evaluate F0 at cell centers and its exterior trace on the boundary.
+def _data_masks(mesh: geo.SurfaceMesh):
+    """Triangles and vertices whose columns carry data rather than unknowns:
+    the S_N triangles (Psi0) and the vertices off the interior of S_N (Phi0)."""
+    return mesh.part_label == geo.PART_NEUMANN, mesh.vertex_class != geo.PART_NEUMANN
 
-    The volume term, the single layer, and their traces are continuous, so
-    those direct values serve on both sides; only the double layer needs
-    the jump correction (principal value minus the jump coefficient times
-    the density) on the boundary.
-    """
-    if colloc is None:
-        colloc = boundary_collocation(surfmesh)
+
+def _data_values(mesh: geo.SurfaceMesh, extensions: ExtensionPair) -> np.ndarray:
+    """The extensions in the order of the data columns."""
+    psi_known, phi_known = _data_masks(mesh)
+    if np.any(extensions.psi0.values[~psi_known]) or np.any(extensions.phi0.values[~phi_known]):
+        raise ValueError("extensions must vanish where the unknowns live "
+                         "(Psi0 on S_D, Phi0 at interior-S_N vertices)")
+    return np.concatenate([extensions.psi0.values[psi_known],
+                           extensions.phi0.values[phi_known]])
+
+
+def _data_rhs(system: "M12System", f, extensions: ExtensionPair,
+              workers: int) -> np.ndarray:
+    """F0 rows of the system: P f minus the data columns applied to the data."""
+    vol = system.volmesh
+    rhs = np.zeros(system.matrix.shape[0])
     dens = _f_density(f)
-    cells = np.zeros(volmesh.n_cells)
-    bdry = np.zeros(colloc.n)
     if dens is not None:
-        cells += px.op_P(volmesh, field, dens, volmesh.centers, workers=workers)
-        bdry += px.op_P(volmesh, field, dens, colloc.points, workers=workers)
-    psi0, phi0 = extensions.psi0, extensions.phi0
-    if np.any(psi0.values):
-        cells += px.op_V(surfmesh, field, psi0, volmesh.centers, workers=workers)
-        bdry += px.dv_V(surfmesh, field, psi0, colloc, workers=workers)
-    if np.any(phi0.values):
-        if jump_c is None:
-            jump_c = jump_coefficients(surfmesh, colloc, workers=workers)
-        phi0_at = vertex_eval_matrix(surfmesh, colloc) @ phi0.values
-        cells -= px.op_W(surfmesh, field, phi0, volmesh.centers, workers=workers)
-        bdry -= (px.dv_W(surfmesh, field, phi0, colloc, workers=workers)
-                 - jump_c * phi0_at)
-    return F0Data(cells=cells, boundary_trace=bdry)
+        rhs[:vol.n_cells] = px.op_P(vol, system.field, dens, vol.centers, workers=workers)
+        rhs[vol.n_cells:] = px.op_P(vol, system.field, dens, system.colloc.points,
+                                    workers=workers)
+    rhs -= system.data_columns @ _data_values(system.surfmesh, extensions)
+    return rhs
 
 
 def boundary_collocation(surfmesh: geo.SurfaceMesh) -> lp.Collocation:
@@ -210,9 +196,14 @@ def boundary_collocation(surfmesh: geo.SurfaceMesh) -> lp.Collocation:
 
 @dataclass(frozen=True)
 class M12System:
-    """Square dense system in the unknowns (u | psi on S_D | phi on S_N)."""
+    """Square dense system in the unknowns (u | psi on S_D | phi on S_N).
+
+    data_columns holds the blocks on the columns the unknowns leave out, so
+    that rhs = P f - data_columns @ (Psi0 on S_N | Phi0 off interior S_N).
+    """
 
     matrix: np.ndarray
+    data_columns: np.ndarray
     rhs: np.ndarray
     surfmesh: geo.SurfaceMesh
     volmesh: geo.VolumeMesh
@@ -222,7 +213,6 @@ class M12System:
     colloc: lp.Collocation
     extensions: ExtensionPair
     f: Optional[Union[lp.DomainDensity, Callable]] = None
-    jump_c: Optional[np.ndarray] = None
 
     @property
     def n_cells(self) -> int:
@@ -250,14 +240,12 @@ class M12System:
         return slice(n, n + self.n_phi)
 
     def with_data(self, f, extensions: ExtensionPair, workers: int = 1) -> "M12System":
-        """Same operator blocks with a right-hand side built from new data."""
-        f0 = assemble_F0(self.volmesh, self.surfmesh, self.field, f, extensions,
-                         self.colloc, jump_c=self.jump_c, workers=workers)
-        phi0_at = vertex_eval_matrix(self.surfmesh, self.colloc) @ extensions.phi0.values
-        rhs = np.concatenate([f0.cells, f0.boundary_trace - phi0_at])
-        return M12System(self.matrix, rhs, self.surfmesh, self.volmesh, self.field,
-                         self.psi_triangles, self.phi_vertices, self.colloc,
-                         extensions, f, self.jump_c)
+        """Same operator blocks with a right-hand side built from new data.
+
+        Only P f needs quadrature; the layer terms are one matrix product.
+        """
+        return replace(self, rhs=_data_rhs(self, f, extensions, workers),
+                       extensions=extensions, f=f)
 
 
 def assemble_M12(
@@ -272,51 +260,58 @@ def assemble_M12(
 
     Domain rows are collocated at cell centers, boundary rows at S_D
     centroids plus interior-S_N vertices; with the unknown layout
-    (u | psi | phi) this is square by construction.  Omitting f and
-    extensions leaves a zero right-hand side, which is enough for the
-    block-structure checks and for synthetic consistency studies.
+    (u | psi | phi) this is square by construction.  Each V and W block is
+    built over all columns once and split into the unknown columns of the
+    matrix and the data columns.  Omitting f and extensions leaves a zero
+    right-hand side, which is enough for the block-structure checks and for
+    synthetic consistency studies.
     """
     px.check_dense_caps(n_triangles=surfmesh.n_triangles, n_cells=volmesh.n_cells)
     sd = surfmesh.triangles_with_label(geo.PART_DIRICHLET)
     nin = surfmesh.vertices_with_class(geo.PART_NEUMANN)
+    psi_known, phi_known = _data_masks(surfmesh)
     colloc = boundary_collocation(surfmesh)
     n_c, n_psi, n_phi = volmesh.n_cells, len(sd), len(nin)
     n = n_c + n_psi + n_phi
+    n_psi0 = int(psi_known.sum())
 
     centers = volmesh.centers
     A = np.zeros((n, n))
+    K = np.zeros((n, n_psi0 + int(phi_known.sum())))
     su = slice(0, n_c)
     spsi = slice(n_c, n_c + n_psi)
     sphi = slice(n_c + n_psi, n)
     rows_b = slice(n_c, n)
+    triangle_split = ((spsi, sd), (slice(0, n_psi0), psi_known))
+    vertex_split = ((sphi, nin), (slice(n_psi0, None), phi_known))
+
+    def put(rows, block, split):
+        (cols, unknown), (data_cols, known) = split
+        A[rows, cols] = block[:, unknown]
+        K[rows, data_cols] = block[:, known]
 
     A[su, su] = np.eye(n_c) + px.op_R_matrix(volmesh, field, centers, workers=workers)
     A[rows_b, su] = px.op_R_matrix(volmesh, field, colloc.points, workers=workers)
-    A[su, spsi] = -px.op_V_matrix(surfmesh, field, lp.SPACE_TRIANGLE, centers,
-                                  support=lp.SUPPORT_D, workers=workers)[:, sd]
-    A[rows_b, spsi] = -px.op_V_matrix(surfmesh, field, lp.SPACE_TRIANGLE, colloc,
-                                      support=lp.SUPPORT_D, workers=workers)[:, sd]
-    A[su, sphi] = px.op_W_matrix(surfmesh, field, lp.SPACE_VERTEX, centers,
-                                 workers=workers)[:, nin]
+    put(su, -px.op_V_matrix(surfmesh, field, lp.SPACE_TRIANGLE, centers,
+                            workers=workers), triangle_split)
+    put(rows_b, -px.op_V_matrix(surfmesh, field, lp.SPACE_TRIANGLE, colloc,
+                                workers=workers), triangle_split)
+    put(su, px.op_W_matrix(surfmesh, field, lp.SPACE_VERTEX, centers,
+                           workers=workers), vertex_split)
+    # Exterior trace of W: principal value minus the jump coefficient times
+    # the density, with the boundary row's own "+ phi" folded in.
     jump_c = jump_coefficients(surfmesh, colloc, workers=workers)
-    A[rows_b, sphi] = (
-        px.op_W_matrix(surfmesh, field, lp.SPACE_VERTEX, colloc, workers=workers)[:, nin]
-        + (1.0 - jump_c)[:, None] * vertex_eval_matrix(surfmesh, colloc)[:, nin]
-    )
+    put(rows_b, px.op_W_matrix(surfmesh, field, lp.SPACE_VERTEX, colloc, workers=workers)
+        + (1.0 - jump_c)[:, None] * vertex_eval_matrix(surfmesh, colloc), vertex_split)
 
+    system = M12System(A, K, np.zeros(n), surfmesh, volmesh, field, sd, nin, colloc,
+                       zero_extensions(surfmesh))
     if extensions is None:
         if f is not None:
             raise ValueError("a source term requires explicit extensions")
-        extensions = zero_extensions(surfmesh)
-        rhs = np.zeros(n)
-    else:
-        f0 = assemble_F0(volmesh, surfmesh, field, f, extensions, colloc,
-                         jump_c=jump_c, workers=workers)
-        phi0_at = vertex_eval_matrix(surfmesh, colloc) @ extensions.phi0.values
-        rhs = np.concatenate([f0.cells, f0.boundary_trace - phi0_at])
-
-    return M12System(A, rhs, surfmesh, volmesh, field, sd, nin, colloc,
-                     extensions, f, jump_c)
+        return system
+    return replace(system, rhs=_data_rhs(system, f, extensions, workers),
+                   extensions=extensions, f=f)
 
 
 @dataclass(frozen=True)
@@ -350,8 +345,9 @@ def solve_M12(system: M12System, method: str = "direct") -> M12Solution:
 
     Reports the relative algebraic residual and a 1-norm condition estimate
     from the factorization.  method="iterative" runs restarted GMRES to
-    tolerance 1e-8 and returns its iterate instead (the condition estimate
-    still comes from the factorization).
+    relative tolerance 1e-11, a tenth of the CLI's residual gate, and
+    returns its iterate instead (the condition estimate still comes from
+    the factorization).
     """
     A, b = system.matrix, system.rhs
     if A.shape[0] != A.shape[1]:
@@ -363,7 +359,7 @@ def solve_M12(system: M12System, method: str = "direct") -> M12Solution:
         raise SolverError(f"singular factorization (reciprocal condition {rcond:.3e})")
     x = sla.lu_solve((lu, piv), b)
     if method == "iterative":
-        x_it, info = spla.gmres(spla.aslinearoperator(A), b, rtol=1e-8, atol=0.0,
+        x_it, info = spla.gmres(spla.aslinearoperator(A), b, rtol=1e-11, atol=0.0,
                                 restart=60, maxiter=200)
         if info != 0:
             raise SolverError(f"iterative solve did not converge (info={info})")

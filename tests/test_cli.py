@@ -55,6 +55,8 @@ def test_load_config_rejects_unknown_key(tmp_path):
     ({"workers": 0}, "workers"),
     ({"method": "magic"}, "method"),
     ({"probe_points": ((1.0, 2.0),)}, "probe"),
+    ({"probe_points": ((0.0, 0.0, 0.5),)}, "shell"),
+    ({"probe_points": ((0.0, 0.0, 9.0),)}, "shell"),
 ])
 def test_validation_rejects_bad_settings(overrides, fragment):
     with pytest.raises(cli.ConfigError, match=fragment):
@@ -191,6 +193,15 @@ def test_solve_constant_case_reports_undefined_conormal_as_null(tmp_path):
     assert equivalence["conormal_rel"] is None
     assert equivalence["trace_rel"] == (equivalence["trace_residual"]
                                         / equivalence["trace_scale"])
+    assert body["solution"]["residual_norm"] <= cli.SOLVE_RESIDUAL_GATE
+
+
+def test_solve_iterative_meets_residual_gate(tmp_path):
+    code = run(["solve", "--case", "point-source", "--level", "1",
+                "--method", "iterative", "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    body = reports.read_json_report(tmp_path / "solve_point-source_level1.json")
+    assert body["solution"]["method"] == "iterative"
     assert body["solution"]["residual_norm"] <= cli.SOLVE_RESIDUAL_GATE
 
 

@@ -205,15 +205,6 @@ def test_matrix_workers_bit_identical(sphere3):
     assert np.array_equal(m1, m4)
 
 
-def test_support_restricted_matrix(sphere3):
-    m = geo.partition_boundary(sphere3)
-    cc = lp.Collocation.centroids(m, np.arange(0, m.n_triangles, 101))
-    mat = lp.single_layer_matrix(m, lp.SPACE_TRIANGLE, cc, support=lp.SUPPORT_D)
-    off = m.part_label != lp.SUPPORT_D
-    assert np.all(mat[:, off] == 0.0)
-    assert np.any(mat[:, ~off] != 0.0)
-
-
 # --- newton potential ---------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -133,29 +133,27 @@ def test_extensions_reject_nonfinite(level1):
 # --- right-hand side --------------------------------------------------------
 
 
-def test_f0_zero_data(level1, gauss_field):
-    surf, vol = level1
-    f0 = sy.assemble_F0(vol, surf, gauss_field, f=None,
-                        extensions=sy.zero_extensions(surf),
-                        colloc=sy.boundary_collocation(surf))
-    assert np.all(f0.cells == 0.0)
-    assert np.all(f0.boundary_trace == 0.0)
+def test_f0_zero_data(psrc_gauss_sys1):
+    system = psrc_gauss_sys1
+    swapped = system.with_data(None, sy.zero_extensions(system.surfmesh))
+    assert np.all(swapped.rhs == 0.0)
 
 
-def test_f0_constant_case_reduces_to_double_layer(level1, gauss_field):
-    surf, vol = level1
+def test_f0_constant_case_reduces_to_double_layer(psrc_gauss_sys1, gauss_field):
+    system = psrc_gauss_sys1
+    surf, vol = system.surfmesh, system.volmesh
     case = cs.constant_one_case(gauss_field)
     ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
-    f0 = sy.assemble_F0(vol, surf, gauss_field, f=None, extensions=ext)
+    cells = system.with_data(None, ext).rhs[system.slice_u]
     direct = -px.op_W(surf, gauss_field, ext.phi0, vol.centers)
-    assert np.array_equal(f0.cells, direct)
+    assert np.max(np.abs(cells - direct)) < 1e-14
 
 
-def test_f0_far_cell_matches_fine_quadrature(level2, gauss_field):
-    surf, vol = level2
+def test_f0_far_cell_matches_fine_quadrature(gauss_sys2, gauss_field):
+    surf, vol = gauss_sys2.surfmesh, gauss_sys2.volmesh
     case = cs.point_source_case(gauss_field)
     ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
-    f0 = sy.assemble_F0(vol, surf, gauss_field, f=case.f, extensions=ext)
+    rhs = gauss_sys2.with_data(case.f, ext).rhs
     idx = int(np.argmax(np.linalg.norm(vol.centers, axis=1)))
     target = vol.centers[idx]
     assert np.linalg.norm(target) > 3.5
@@ -166,7 +164,46 @@ def test_f0_far_cell_matches_fine_quadrature(level2, gauss_field):
     fine = (px.op_P(vol_fine, gauss_field, case.f, target)
             + px.op_V(surf, gauss_field, ext.psi0, target, cfg=cfg_fine)
             - px.op_W(surf, gauss_field, ext.phi0, target, cfg=cfg_fine))
-    assert abs(f0.cells[idx] - fine[0]) / abs(fine[0]) < 0.02
+    assert abs(rhs[idx] - fine[0]) / abs(fine[0]) < 0.02
+
+
+@pytest.mark.parametrize("coefficient,partition", [
+    ("gaussian", "equator"),
+    ("constant", "polar-cap"),
+])
+def test_f0_matches_density_path(coefficient, partition):
+    """The data columns applied to the extensions give the F0 that the
+    density path integrates: P f + V Psi0 - W Phi0 at the cells, and its
+    exterior trace minus Phi0 on the boundary rows."""
+    field = co.coefficient_by_name(coefficient)
+    surf, vol = cs.level_meshes(1, partition)
+    case = cs.point_source_case(field)
+    ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
+    system = sy.assemble_M12(vol, surf, field, f=case.f, extensions=ext)
+    colloc = system.colloc
+    phi0_at = sy.vertex_eval_matrix(surf, colloc) @ ext.phi0.values
+    jump = sy.jump_coefficients(surf, colloc)
+    cells = (px.op_V(surf, field, ext.psi0, vol.centers)
+             - px.op_W(surf, field, ext.phi0, vol.centers))
+    bdry = (px.dv_V(surf, field, ext.psi0, colloc)
+            - (px.dv_W(surf, field, ext.phi0, colloc) - jump * phi0_at) - phi0_at)
+    if case.f is not None:
+        cells += px.op_P(vol, field, case.f, vol.centers)
+        bdry += px.op_P(vol, field, case.f, colloc.points)
+    assert np.any(ext.psi0.values) and np.any(ext.phi0.values)
+    assert np.max(np.abs(system.rhs - np.concatenate([cells, bdry]))) < 1e-14
+
+
+def test_extensions_must_vanish_on_the_unknowns(psrc_gauss_sys1):
+    system = psrc_gauss_sys1
+    ext = system.extensions
+    psi0 = ext.psi0.values.copy()
+    psi0[system.psi_triangles[0]] = 1.0
+    bad = sy.ExtensionPair(
+        phi0=ext.phi0,
+        psi0=lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, psi0))
+    with pytest.raises(ValueError, match="vanish"):
+        system.with_data(None, bad)
 
 
 # --- assembly ---------------------------------------------------------------
@@ -241,13 +278,20 @@ def test_data_requires_extensions(level1, gauss_field):
         sy.assemble_M12(vol, surf, gauss_field, f=case.f)
 
 
-def test_with_data_shares_matrix(psrc_gauss_sys1, gauss_field):
+def test_with_data_shares_matrix(psrc_gauss_sys1, gauss_field, monkeypatch):
     system = psrc_gauss_sys1
     surf, vol = system.surfmesh, system.volmesh
     case = cs.point_source_case(gauss_field)
     ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
     rebuilt = sy.assemble_M12(vol, surf, gauss_field, f=case.f,
                               extensions=ext, workers=2)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("with_data ran surface quadrature")
+
+    for name in ("single_layer", "double_layer", "single_layer_matrix",
+                 "double_layer_matrix"):
+        monkeypatch.setattr(lp, name, no_quadrature)
     swapped = system.with_data(case.f, ext, workers=2)
     assert swapped.matrix is system.matrix
     assert np.array_equal(swapped.rhs, rebuilt.rhs)
@@ -290,6 +334,7 @@ def test_iterative_agrees_with_direct(psrc_gauss_sys1):
     num = np.linalg.norm(iterative.u.values - direct.u.values)
     den = np.linalg.norm(direct.u.values)
     assert num / den < 1e-6
+    assert iterative.residual_norm <= 1e-10
     assert iterative.method == "iterative"
 
 
