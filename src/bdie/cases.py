@@ -46,11 +46,14 @@ def partition_rule(name: str) -> Callable:
 
 
 def level_meshes(level: int, partition: str = "equator",
-                 truncation_radius: float = TRUNCATION_RADIUS):
+                 truncation_radius: float = TRUNCATION_RADIUS,
+                 n_radial: Optional[int] = None,
+                 angular_level: Optional[int] = None):
     """Surface/volume mesh pair for a refinement level.
 
     The level-``l`` icosphere is paired with a shell whose angular sectors
-    are one subdivision coarser and whose radial count grows with the level.
+    are one subdivision coarser and whose radial count grows with the level;
+    ``n_radial`` and ``angular_level`` override those two shell counts.
     Per-cell volume rules are one order above the defaults so the volume
     rows at boundary collocation points are quadrature-converged; the
     remaining row error there is the piecewise-constant ansatz.
@@ -59,10 +62,11 @@ def level_meshes(level: int, partition: str = "equator",
         raise ValueError(f"unsupported level {level}; choose from 1, 2, 3")
     surf = geo.partition_boundary(geo.build_icosphere(level),
                                   rule=partition_rule(partition))
-    vol = geo.build_shell_mesh(INNER_RADIUS, truncation_radius,
-                               n_radial=LEVEL_RADIAL[level],
-                               angular_level=level - 1,
-                               radial_order=3, triangle_order=3)
+    vol = geo.build_shell_mesh(
+        INNER_RADIUS, truncation_radius,
+        n_radial=LEVEL_RADIAL[level] if n_radial is None else n_radial,
+        angular_level=level - 1 if angular_level is None else angular_level,
+        radial_order=3, triangle_order=3)
     return surf, vol
 
 

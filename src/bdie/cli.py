@@ -57,13 +57,10 @@ class RunConfig:
     truncation_radius: float = 4.0
     n_radial: Optional[int] = None
     angular_level: Optional[int] = None
-    radial_order: int = 3
-    triangle_order: int = 3
     probe_points: tuple = tuple(map(tuple, cases.PROBE_POINTS.tolist()))
     output_dir: str = "bdie-out"
     workers: int = 1
     method: str = "direct"
-    seed: int = 0
 
     def to_dict(self) -> dict:
         # workers and output_dir are execution knobs, not part of the
@@ -120,6 +117,10 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("levels must be strictly increasing")
     if config.truncation_radius <= 1.0:
         raise ConfigError("truncation radius must exceed the unit sphere")
+    if config.n_radial is not None and config.n_radial < 1:
+        raise ConfigError("n_radial must be at least 1")
+    if config.angular_level is not None and config.angular_level < 0:
+        raise ConfigError("angular_level must be at least 0")
     if config.workers < 1:
         raise ConfigError("workers must be at least 1")
     if config.method not in ("direct", "iterative"):
@@ -137,18 +138,6 @@ def _coefficient(config: RunConfig) -> co.CoefficientField:
     return co.coefficient_by_name(config.coefficient, **config.coefficient_params)
 
 
-def _meshes(config: RunConfig, level: int):
-    surf = geo.partition_boundary(geo.build_icosphere(level),
-                                  rule=cases.partition_rule(config.partition))
-    n_radial = config.n_radial or cases.LEVEL_RADIAL[level]
-    angular = config.angular_level if config.angular_level is not None else level - 1
-    vol = geo.build_shell_mesh(cases.INNER_RADIUS, config.truncation_radius,
-                               n_radial=n_radial, angular_level=angular,
-                               radial_order=config.radial_order,
-                               triangle_order=config.triangle_order)
-    return surf, vol
-
-
 def _probes(config: RunConfig) -> np.ndarray:
     return np.asarray(config.probe_points, dtype=float)
 
@@ -157,7 +146,8 @@ def _probes(config: RunConfig) -> np.ndarray:
 
 
 def cmd_mesh(config: RunConfig) -> int:
-    surf, vol = _meshes(config, config.level)
+    surf, vol = cases.level_meshes(config.level, config.partition, config.truncation_radius,
+                                   config.n_radial, config.angular_level)
     out = reports.resolve_output_dir(config.output_dir)
     off_path = out / f"surface_level{config.level}.off"
     geo.write_off(surf, off_path)
@@ -215,7 +205,8 @@ def cmd_check_coeff(config: RunConfig) -> int:
 def cmd_operators(config: RunConfig) -> int:
     field_obj = _coefficient(config)
     unit = co.constant_coefficient()
-    surf, vol = _meshes(config, config.level)
+    surf, vol = cases.level_meshes(config.level, config.partition, config.truncation_radius,
+                                   config.n_radial, config.angular_level)
     targets = _probes(config)
 
     tdens = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
@@ -264,7 +255,8 @@ def cmd_green_check(config: RunConfig) -> int:
     if case.exact is None:
         raise ConfigError(f"case '{config.case}' has no closed-form field "
                           "to check identities against")
-    surf, vol = _meshes(config, config.level)
+    surf, vol = cases.level_meshes(config.level, config.partition, config.truncation_radius,
+                                   config.n_radial, config.angular_level)
     probes = _probes(config)
 
     third = gr.third_green_residual(field_obj, case.exact, surf, vol, probes,
@@ -318,7 +310,8 @@ def cmd_green_check(config: RunConfig) -> int:
 def _solve_once(config: RunConfig, level: int):
     field_obj = _coefficient(config)
     case = cases.case_by_name(config.case, field_obj)
-    surf, vol = _meshes(config, level)
+    surf, vol = cases.level_meshes(level, config.partition, config.truncation_radius,
+                                   config.n_radial, config.angular_level)
     ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
     system = sy.assemble_M12(vol, surf, field_obj, f=case.f, extensions=ext,
                              workers=config.workers)
@@ -362,7 +355,9 @@ def cmd_solve(config: RunConfig) -> int:
             handle.write(f"{row['x']!r},{row['y']!r},{row['z']!r},"
                          f"{row['value']!r},{exact_txt},{err_txt}\n")
 
-    print(f"n = {system.matrix.shape[0]}, cond ~ {solution.conditioning:.3e}, "
+    cond = ("n/a" if solution.conditioning is None
+            else f"~ {solution.conditioning:.3e}")
+    print(f"n = {system.matrix.shape[0]}, cond {cond}, "
           f"residual {solution.residual_norm:.3e}")
     for row in probe_rows:
         extra = (f" exact {row['exact']:.6e}" if "exact" in row else "")

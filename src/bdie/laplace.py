@@ -18,7 +18,7 @@ rule (single layer) or skip the flat panels through the collocation point
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -111,19 +111,6 @@ class DomainDensity:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-
-
-@dataclass
-class OperatorBlock:
-    """Dense operator matrix with target/basis descriptors."""
-
-    matrix: np.ndarray
-    row_meta: dict
-    col_meta: dict
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
 
 # --- collocation -------------------------------------------------------------
@@ -274,9 +261,8 @@ def _duffy_contribution(mesh, cfg, kernel, dens, panel, target):
     corners = mesh.corners()[panel]
     duffy = quad._duffy_nodes_for_target(corners, target, cfg.duffy_order)
     if duffy is None:
-        # Unregistered on-panel target: fall back to the near rule.
-        pts, wts = quad._cached("subdiv", cfg.near_order, cfg.levels)
-        duffy = quad.map_to_panel(corners, pts, wts)
+        raise ValueError(f"registered target {target} is neither a vertex nor "
+                         f"the centroid of its panel {panel}")
     nodes, w = duffy
     normals = np.broadcast_to(mesh.normals[panel], nodes.shape)
     bary = _barycentric(corners, nodes)
@@ -313,7 +299,9 @@ def _surface_rows(
 
     ``singular_scheme`` is "duffy" for weakly singular kernels or "skip" for
     the principal-value double layer (flat panels through the collocation
-    point contribute zero exactly).
+    point contribute zero exactly).  A target on an active panel that is not
+    one of its registered panels raises ``ValueError``: no rule here is
+    accurate there.
     """
     cache = _panel_cache(mesh, cfg)
     corners = mesh.corners()
@@ -325,6 +313,7 @@ def _surface_rows(
     else:
         out = np.zeros((m, mesh.n_vertices))
     active = np.ones(mesh.n_triangles, dtype=bool) if tri_mask is None else tri_mask
+    on_panel_tol = 1e-12 * mesh.diameters
 
     def do_row(i):
         target = colloc.points[i]
@@ -333,6 +322,12 @@ def _surface_rows(
         regular = active.copy()
         for p in sing:
             regular[p] = False
+        on_panel = regular & (d <= on_panel_tol)
+        if on_panel.any():
+            raise ValueError(
+                f"target {target} lies on panel {int(np.argmax(on_panel))}, which is "
+                "not one of its registered panels; pass it as a Collocation "
+                "centroid or vertex of that panel")
         far = regular & (d >= cfg.near_threshold * mesh.diameters)
         near = regular & ~far
         row_val = 0.0
@@ -509,6 +504,56 @@ def exclusion_radii(volmesh: VolumeMesh, factor: float = 0.5) -> np.ndarray:
     return np.repeat(factor * volmesh.node_spacing(), volmesh.n_nodes_per_cell)
 
 
+def _volume_points(targets) -> np.ndarray:
+    return np.atleast_2d(np.asarray(
+        targets.points if isinstance(targets, Collocation) else targets, dtype=float))
+
+
+def _node_values(volmesh: VolumeMesh, density) -> np.ndarray:
+    """A DomainDensity or a callable density at every volume node."""
+    if isinstance(density, DomainDensity):
+        return np.repeat(density.values, volmesh.n_nodes_per_cell)
+    return np.asarray(density(volmesh.all_nodes()), dtype=float)
+
+
+def _volume_rows(targets, kernel: Callable, weights: np.ndarray, excl: np.ndarray,
+                 per_cell: Optional[int] = None, workers: int = 1) -> np.ndarray:
+    """The one loop over targets behind every production volume integral.
+
+    ``kernel(target)`` returns the kernel values at all nodes and the
+    node-to-target distances r; ``weights`` are the node weights with the
+    coefficient factor (and, for values, the density) folded in.  Nodes with
+    r <= ``excl`` are dropped.  Returns one value per target, or with
+    ``per_cell`` nodes per cell, one dense row of per-cell sums per target.
+    """
+    targets = _volume_points(targets)
+    m = len(targets)
+    out = np.zeros(m) if per_cell is None else np.zeros((m, len(weights) // per_cell))
+
+    def do_row(i):
+        # Dropped nodes may sit on the target; their values are discarded.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals, r = kernel(targets[i])
+        contrib = weights * np.where(r > excl, vals, 0.0)
+        out[i] = contrib.sum() if per_cell is None else contrib.reshape(-1, per_cell).sum(axis=1)
+
+    _run_rows(do_row, m, workers)
+    return out
+
+
+def _newton_kernel(nodes: np.ndarray) -> Callable:
+    def kern(target):
+        d = nodes - target
+        r = np.sqrt((d * d).sum(axis=1))
+        return -1.0 / (FOUR_PI * r), r
+    return kern
+
+
+def _newton_weights(volmesh: VolumeMesh, factor: Optional[Callable]) -> np.ndarray:
+    wts = volmesh.all_weights()
+    return wts if factor is None else wts * factor(volmesh.all_nodes())
+
+
 def newton_potential(
     volmesh: VolumeMesh,
     density: Union[DomainDensity, Callable],
@@ -522,28 +567,9 @@ def newton_potential(
     Nodes within the per-cell exclusion radius of a target are skipped; the
     omitted mass is O(radius^2) for this kernel.
     """
-    targets = np.atleast_2d(np.asarray(
-        targets.points if isinstance(targets, Collocation) else targets, dtype=float
-    ))
-    nodes = volmesh.all_nodes()
-    wts = volmesh.all_weights().copy()
-    if isinstance(density, DomainDensity):
-        dvals = np.repeat(density.values, volmesh.n_nodes_per_cell)
-    else:
-        dvals = np.asarray(density(nodes), dtype=float)
-    if factor is not None:
-        dvals = dvals * factor(nodes)
-    excl = exclusion_radii(volmesh, exclusion_factor)
-    out = np.zeros(len(targets))
-
-    def do_row(i):
-        d = nodes - targets[i]
-        r = np.sqrt((d * d).sum(axis=1))
-        keep = r > excl
-        out[i] = np.dot(wts[keep] * dvals[keep], -1.0 / (FOUR_PI * r[keep]))
-
-    _run_rows(do_row, len(targets), workers)
-    return out
+    weights = _newton_weights(volmesh, factor) * _node_values(volmesh, density)
+    return _volume_rows(targets, _newton_kernel(volmesh.all_nodes()), weights,
+                        exclusion_radii(volmesh, exclusion_factor), workers=workers)
 
 
 def newton_potential_matrix(
@@ -554,35 +580,10 @@ def newton_potential_matrix(
     workers: int = 1,
 ) -> np.ndarray:
     """Dense matrix of the Newton potential on cell-wise constant densities."""
-    return _volume_matrix(volmesh, targets, _newton_nodes_kernel, factor,
-                          exclusion_factor, workers)
-
-
-def _newton_nodes_kernel(nodes, target):
-    d = nodes - target
-    r = np.sqrt((d * d).sum(axis=1))
-    return -1.0 / (FOUR_PI * r), r
-
-
-def _volume_matrix(volmesh, targets, nodes_kernel, factor, exclusion_factor, workers):
-    targets = np.atleast_2d(np.asarray(
-        targets.points if isinstance(targets, Collocation) else targets, dtype=float
-    ))
-    nodes = volmesh.all_nodes()
-    wts = volmesh.all_weights().copy()
-    if factor is not None:
-        wts = wts * factor(nodes)
-    excl = exclusion_radii(volmesh, exclusion_factor)
-    n_cells, n_q = volmesh.n_cells, volmesh.n_nodes_per_cell
-    out = np.zeros((len(targets), n_cells))
-
-    def do_row(i):
-        vals, r = nodes_kernel(nodes, targets[i])
-        vals = np.where(r > excl, vals, 0.0)
-        out[i] = (wts * vals).reshape(n_cells, n_q).sum(axis=1)
-
-    _run_rows(do_row, len(targets), workers)
-    return out
+    return _volume_rows(targets, _newton_kernel(volmesh.all_nodes()),
+                        _newton_weights(volmesh, factor),
+                        exclusion_radii(volmesh, exclusion_factor),
+                        per_cell=volmesh.n_nodes_per_cell, workers=workers)
 
 
 # --- offset normal derivative -----------------------------------------------

@@ -24,14 +24,14 @@ same code path.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
 from . import laplace as lp
 from .coefficients import CoefficientField
 from .geometry import SurfaceMesh, VolumeMesh
-from .laplace import FOUR_PI, BoundaryDensity, Collocation, DomainDensity, QuadConfig
+from .laplace import FOUR_PI, Collocation, QuadConfig
 
 MAX_DENSE_CELLS = 4000
 MAX_DENSE_TRIANGLES = 2500
@@ -147,12 +147,12 @@ def op_P_matrix(volmesh, field, targets, workers: int = 1) -> np.ndarray:
         workers=workers)
 
 
-def _remainder_nodes_kernel(field: CoefficientField, nodes: np.ndarray):
+def _remainder_kernel(field: CoefficientField, nodes: np.ndarray):
     grad_ln = field.eval_grad_ln_a(nodes)
     lap_ln = field.eval_laplacian_ln_a(nodes)
 
-    def kern(nodes_, target):
-        d = nodes_ - target
+    def kern(target):
+        d = nodes - target
         r2 = (d * d).sum(axis=1)
         r = np.sqrt(r2)
         p = -1.0 / (FOUR_PI * r)
@@ -170,40 +170,26 @@ def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets,
     Vanishes identically for constant coefficients.  Uses the same
     exclusion-ball contract as the Newton potential.
     """
-    targets = np.atleast_2d(np.asarray(
-        targets.points if isinstance(targets, Collocation) else targets, dtype=float))
+    targets = lp._volume_points(targets)
     if field.is_constant:
         return np.zeros(len(targets))
-    nodes = volmesh.all_nodes()
-    wts = volmesh.all_weights()
-    if isinstance(density, DomainDensity):
-        dvals = np.repeat(density.values, volmesh.n_nodes_per_cell)
-    else:
-        dvals = np.asarray(density(nodes), dtype=float)
-    kern = _remainder_nodes_kernel(field, nodes)
-    excl = lp.exclusion_radii(volmesh, exclusion_factor)
-    out = np.zeros(len(targets))
-
-    def do_row(i):
-        vals, r = kern(nodes, targets[i])
-        keep = r > excl
-        out[i] = np.dot(wts[keep] * dvals[keep], vals[keep])
-
-    lp._run_rows(do_row, len(targets), workers)
-    return out
+    weights = volmesh.all_weights() * lp._node_values(volmesh, density)
+    return lp._volume_rows(targets, _remainder_kernel(field, volmesh.all_nodes()),
+                           weights, lp.exclusion_radii(volmesh, exclusion_factor),
+                           workers=workers)
 
 
 def op_R_matrix(volmesh: VolumeMesh, field: CoefficientField, targets,
                 exclusion_factor: float = 0.5, workers: int = 1) -> np.ndarray:
     """Dense remainder block on cell-wise constant densities."""
     check_dense_caps(n_cells=volmesh.n_cells)
-    targets = np.atleast_2d(np.asarray(
-        targets.points if isinstance(targets, Collocation) else targets, dtype=float))
+    targets = lp._volume_points(targets)
     if field.is_constant:
         return np.zeros((len(targets), volmesh.n_cells))
-    nodes = volmesh.all_nodes()
-    kern = _remainder_nodes_kernel(field, nodes)
-    return lp._volume_matrix(volmesh, targets, kern, None, exclusion_factor, workers)
+    return lp._volume_rows(targets, _remainder_kernel(field, volmesh.all_nodes()),
+                           volmesh.all_weights(),
+                           lp.exclusion_radii(volmesh, exclusion_factor),
+                           per_cell=volmesh.n_nodes_per_cell, workers=workers)
 
 
 def op_R_divergence_form(volmesh: VolumeMesh, field: CoefficientField, density,
@@ -214,8 +200,7 @@ def op_R_divergence_form(volmesh: VolumeMesh, field: CoefficientField, density,
     central finite differences, minus the Newton potential of u * lap ln a.
     Used only as an oracle against the kernel form of op_R.
     """
-    targets = np.atleast_2d(np.asarray(
-        targets.points if isinstance(targets, Collocation) else targets, dtype=float))
+    targets = lp._volume_points(targets)
     out = -lp.newton_potential(
         volmesh, density, targets,
         factor=lambda nodes: field.eval_laplacian_ln_a(nodes))
@@ -248,14 +233,10 @@ def op_V_by_kernel(mesh: SurfaceMesh, field: CoefficientField, density, targets,
 def op_P_by_kernel(volmesh: VolumeMesh, field: CoefficientField, density, targets,
                    exclusion_factor: float = 0.5) -> np.ndarray:
     """op_P assembled by quadrature of P(x, y) f(x) directly."""
-    targets = np.atleast_2d(np.asarray(
-        targets.points if isinstance(targets, Collocation) else targets, dtype=float))
+    targets = lp._volume_points(targets)
     nodes = volmesh.all_nodes()
     wts = volmesh.all_weights()
-    if isinstance(density, DomainDensity):
-        dvals = np.repeat(density.values, volmesh.n_nodes_per_cell)
-    else:
-        dvals = np.asarray(density(nodes), dtype=float)
+    dvals = lp._node_values(volmesh, density)
     a_vals = field.eval_a(nodes)
     excl = lp.exclusion_radii(volmesh, exclusion_factor)
     out = np.zeros(len(targets))

@@ -5,18 +5,16 @@ x + y <= 1}; weights sum to its measure 1/2.  Three regimes are used when
 integrating a kernel against a panel: a plain symmetric Gauss rule when the
 target is well separated, a uniformly subdivided Gauss rule in the
 near-singular band, and a Duffy (square-to-triangle) transform when the
-target lies on the panel at a registered point.  All rules are deterministic:
-the same inputs produce bit-identical outputs.
+target lies on the panel at a registered point; ``laplace._surface_rows``
+selects among them.  All rules are deterministic: the same inputs produce
+bit-identical outputs.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+import functools
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # Scheme-selection defaults: targets farther than NEAR_THRESHOLD panel
 # diameters use the far rule; closer (but off-panel) targets use a 2-level
@@ -26,18 +24,6 @@ FAR_ORDER = 3
 NEAR_ORDER = 4
 SUBDIVISION_LEVELS = 2
 DUFFY_ORDER = 8
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes (n, 2) on the reference triangle and weights summing to 1/2."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
 
 
 def _orbit3(a: float) -> np.ndarray:
@@ -160,22 +146,12 @@ def subdivided_triangle_rule(order: int, levels: int):
     return np.concatenate(all_pts), np.concatenate(all_wts)
 
 
-# Cached reference rules used by the panel integrators.
-_RULE_CACHE: dict = {}
-
-
-def _cached(kind: str, *args):
-    key = (kind, args)
-    if key not in _RULE_CACHE:
-        if kind == "gauss":
-            _RULE_CACHE[key] = gauss_triangle(*args)
-        elif kind == "subdiv":
-            _RULE_CACHE[key] = subdivided_triangle_rule(*args)
-        elif kind == "duffy":
-            _RULE_CACHE[key] = duffy_triangle(*args)
-        else:
-            raise KeyError(kind)
-    return _RULE_CACHE[key]
+@functools.lru_cache(maxsize=None)
+def _duffy_rule(singular_vertex: int, order: int):
+    """Cached Duffy rule, read-only since every singular pair shares it."""
+    pts, wts = duffy_triangle(singular_vertex, order)
+    pts.flags.writeable = wts.flags.writeable = False
+    return pts, wts
 
 
 def map_to_panel(corners: np.ndarray, pts: np.ndarray, wts: np.ndarray):
@@ -267,11 +243,11 @@ def _duffy_nodes_for_target(corners: np.ndarray, target: np.ndarray, order: int)
     tol = 1e-9 * np.linalg.norm(corners[1] - corners[0])
     for k in range(3):
         if np.linalg.norm(target - corners[k]) <= tol:
-            pts, wts = _cached("duffy", k, order)
+            pts, wts = _duffy_rule(k, order)
             return map_to_panel(corners, pts, wts)
     centroid = corners.mean(axis=0)
     if np.linalg.norm(target - centroid) <= tol:
-        pts, wts = _cached("duffy", 0, order)
+        pts, wts = _duffy_rule(0, order)
         nodes, weights = [], []
         for k in range(3):
             sub = np.stack([centroid, corners[k], corners[(k + 1) % 3]])
@@ -280,97 +256,3 @@ def _duffy_nodes_for_target(corners: np.ndarray, target: np.ndarray, order: int)
             weights.append(w)
         return np.concatenate(nodes), np.concatenate(weights)
     return None
-
-
-def integrate_layer(
-    target,
-    corners,
-    kernel,
-    density=None,
-    near_threshold: float = NEAR_THRESHOLD,
-    far_order: int = FAR_ORDER,
-    near_order: int = NEAR_ORDER,
-    levels: int = SUBDIVISION_LEVELS,
-    duffy_order: int = DUFFY_ORDER,
-) -> float:
-    """Integrate kernel(x, target) * density(x) over one surface panel.
-
-    The scheme is selected by d/h where d is the target-to-panel distance
-    and h the panel diameter: d/h >= near_threshold uses the far Gauss rule,
-    0 < d/h < near_threshold a subdivided Gauss rule, and d = 0 a Duffy rule
-    when the target is a vertex or the centroid of the panel.  An on-panel
-    target at an unregistered position falls back to the subdivided rule and
-    logs a warning.
-
-    Parameters
-    ----------
-    target : (3,) array
-    corners : (3, 3) array of panel vertices
-    kernel : callable(nodes (n, 3), target (3,)) -> (n,)
-    density : optional callable(nodes) -> (n,); defaults to 1
-    """
-    target = np.asarray(target, dtype=float)
-    corners = np.asarray(corners, dtype=float)
-    h = max(
-        np.linalg.norm(corners[1] - corners[0]),
-        np.linalg.norm(corners[2] - corners[1]),
-        np.linalg.norm(corners[0] - corners[2]),
-    )
-    d = point_triangle_distance(target, corners)
-    if d >= near_threshold * h:
-        pts, wts = _cached("gauss", far_order)
-        nodes, w = map_to_panel(corners, pts, wts)
-    elif d > 1e-12 * h:
-        pts, wts = _cached("subdiv", near_order, levels)
-        nodes, w = map_to_panel(corners, pts, wts)
-    else:
-        duffy = _duffy_nodes_for_target(corners, target, duffy_order)
-        if duffy is None:
-            log.warning(
-                "on-panel target %s is neither a vertex nor the centroid; "
-                "falling back to the subdivided rule",
-                target,
-            )
-            pts, wts = _cached("subdiv", near_order, levels)
-            nodes, w = map_to_panel(corners, pts, wts)
-        else:
-            nodes, w = duffy
-    vals = kernel(nodes, target)
-    if density is not None:
-        vals = vals * density(nodes)
-    return float(np.dot(w, vals))
-
-
-def integrate_volume(
-    target,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    kernel,
-    values=None,
-    exclusion_radius: float = 0.0,
-) -> float:
-    """Weighted kernel sum over volume quadrature nodes with an exclusion ball.
-
-    Nodes within ``exclusion_radius`` of the target are skipped; for 1/r
-    kernels the omitted mass is O(exclusion_radius^2).
-
-    Parameters
-    ----------
-    target : (3,) array
-    nodes : (n, 3) array
-    weights : (n,) array
-    kernel : callable(nodes, target) -> (n,)
-    values : optional (n,) density values at the nodes
-    """
-    target = np.asarray(target, dtype=float)
-    nodes = np.asarray(nodes, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if exclusion_radius > 0.0:
-        keep = np.linalg.norm(nodes - target[None, :], axis=1) > exclusion_radius
-        nodes, w = nodes[keep], w[keep]
-        if values is not None:
-            values = np.asarray(values)[keep]
-    vals = kernel(nodes, target)
-    if values is not None:
-        vals = vals * values
-    return float(np.dot(w, vals))

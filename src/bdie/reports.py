@@ -16,7 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+# 2: an iterative solve reports its conditioning as null, and the config
+# echo no longer carries radial_order, triangle_order or seed.
+SCHEMA_VERSION = 2
 ENV_OUTPUT_DIR = "BDIE_OUT"
 
 

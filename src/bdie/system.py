@@ -323,7 +323,7 @@ class M12Solution:
     phi: lp.BoundaryDensity
     recovered_trace: np.ndarray
     recovered_conormal: np.ndarray
-    conditioning: float
+    conditioning: Optional[float]  # None for the iterative solve
     residual_norm: float
     method: str = "direct"
 
@@ -341,30 +341,31 @@ class M12Solution:
 
 
 def solve_M12(system: M12System, method: str = "direct") -> M12Solution:
-    """Solve the assembled system by dense LU, optionally cross-checked GMRES.
+    """Solve the assembled system by dense LU or by GMRES.
 
-    Reports the relative algebraic residual and a 1-norm condition estimate
-    from the factorization.  method="iterative" runs restarted GMRES to
-    relative tolerance 1e-11, a tenth of the CLI's residual gate, and
-    returns its iterate instead (the condition estimate still comes from
-    the factorization).
+    Reports the relative algebraic residual.  method="direct" factors the
+    matrix and also reports a 1-norm condition estimate; method="iterative"
+    runs restarted GMRES to relative tolerance 1e-11, a tenth of the CLI's
+    residual gate, factors nothing and reports no condition estimate.
     """
     A, b = system.matrix, system.rhs
     if A.shape[0] != A.shape[1]:
         raise ValueError("system is not square")
-    anorm = np.linalg.norm(A, 1)
-    lu, piv = sla.lu_factor(A)
-    rcond = sla.lapack.dgecon(lu, anorm)[0]
-    if not np.all(np.isfinite(lu)) or rcond == 0.0:
-        raise SolverError(f"singular factorization (reciprocal condition {rcond:.3e})")
-    x = sla.lu_solve((lu, piv), b)
-    if method == "iterative":
-        x_it, info = spla.gmres(spla.aslinearoperator(A), b, rtol=1e-11, atol=0.0,
-                                restart=60, maxiter=200)
+    if method == "direct":
+        anorm = np.linalg.norm(A, 1)  # before the factor exists: |A| is a copy
+        lu, piv = sla.lu_factor(A)
+        rcond = sla.lapack.dgecon(lu, anorm)[0]
+        if not np.all(np.isfinite(lu)) or rcond == 0.0:
+            raise SolverError(f"singular factorization (reciprocal condition {rcond:.3e})")
+        x = sla.lu_solve((lu, piv), b)
+        conditioning = float(1.0 / rcond)
+    elif method == "iterative":
+        x, info = spla.gmres(spla.aslinearoperator(A), b, rtol=1e-11, atol=0.0,
+                             restart=60, maxiter=200)
         if info != 0:
             raise SolverError(f"iterative solve did not converge (info={info})")
-        x = x_it
-    elif method != "direct":
+        conditioning = None
+    else:
         raise ValueError(f"unknown method {method!r}")
 
     bnorm = np.linalg.norm(b)
@@ -382,7 +383,7 @@ def solve_M12(system: M12System, method: str = "direct") -> M12Solution:
         phi=lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_N, phi_full),
         recovered_trace=system.extensions.phi0.values + phi_full,
         recovered_conormal=system.extensions.psi0.values + psi_full,
-        conditioning=float(1.0 / rcond),
+        conditioning=conditioning,
         residual_norm=residual,
         method=method,
     )

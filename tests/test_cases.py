@@ -69,6 +69,15 @@ def test_level_meshes_refine_in_lockstep(level, n_tri, n_cells):
     assert surf.part_label.size == n_tri
 
 
+def test_level_meshes_shell_overrides():
+    surf, vol = cases.level_meshes(1, truncation_radius=3.0, n_radial=3,
+                                   angular_level=1)
+    assert surf.n_triangles == 80
+    assert vol.n_cells == 3 * 80
+    outer = np.linalg.norm(vol.all_nodes(), axis=1).max()
+    assert 2.5 < outer < 3.0
+
+
 def test_level_meshes_reject_unknown_level():
     with pytest.raises(ValueError, match="level"):
         cases.level_meshes(7)

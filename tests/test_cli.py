@@ -57,6 +57,8 @@ def test_load_config_rejects_unknown_key(tmp_path):
     ({"probe_points": ((1.0, 2.0),)}, "probe"),
     ({"probe_points": ((0.0, 0.0, 0.5),)}, "shell"),
     ({"probe_points": ((0.0, 0.0, 9.0),)}, "shell"),
+    ({"n_radial": 0}, "n_radial"),
+    ({"angular_level": -1}, "angular_level"),
 ])
 def test_validation_rejects_bad_settings(overrides, fragment):
     with pytest.raises(cli.ConfigError, match=fragment):
@@ -196,12 +198,14 @@ def test_solve_constant_case_reports_undefined_conormal_as_null(tmp_path):
     assert body["solution"]["residual_norm"] <= cli.SOLVE_RESIDUAL_GATE
 
 
-def test_solve_iterative_meets_residual_gate(tmp_path):
+def test_solve_iterative_meets_residual_gate(tmp_path, capsys):
     code = run(["solve", "--case", "point-source", "--level", "1",
                 "--method", "iterative", "--out", str(tmp_path)])
     assert code == cli.EXIT_OK
+    assert "cond n/a" in capsys.readouterr().out
     body = reports.read_json_report(tmp_path / "solve_point-source_level1.json")
     assert body["solution"]["method"] == "iterative"
+    assert body["solution"]["conditioning"] is None
     assert body["solution"]["residual_norm"] <= cli.SOLVE_RESIDUAL_GATE
 
 

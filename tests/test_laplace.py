@@ -313,6 +313,26 @@ def test_direct_value_requires_registration(sphere3, ones3):
         lp.single_layer_direct(sphere3, ones3, free)
 
 
+def test_free_target_on_a_panel_is_refused(sphere3, ones3):
+    # A centroid passed as a free point would get the near rule on its own
+    # panel; only the registered centroid gets the Duffy rule.
+    registered = lp.Collocation.centroids(sphere3, [5])
+    assert np.isfinite(lp.single_layer(sphere3, ones3, registered)).all()
+    with pytest.raises(ValueError, match="lies on panel 5"):
+        lp.single_layer(sphere3, ones3, registered.points)
+    with pytest.raises(ValueError, match="lies on panel 5"):
+        lp.double_layer_matrix(sphere3, lp.SPACE_VERTEX, registered.points)
+
+
+def test_collocation_index_must_match_its_point(sphere3, ones3):
+    wrong = lp.Collocation(sphere3.centroids[[5]], [lp.KIND_CENTROID], np.array([3]))
+    with pytest.raises(ValueError, match="lies on panel 5"):
+        lp.single_layer(sphere3, ones3, wrong)
+    vertex = lp.Collocation(sphere3.vertices[[7]], [lp.KIND_VERTEX], np.array([8]))
+    with pytest.raises(ValueError, match="not one of its registered panels"):
+        lp.double_layer(sphere3, ones3, vertex)
+
+
 def test_collocation_concat(sphere3):
     a = lp.Collocation.centroids(sphere3, [0, 1])
     b = lp.Collocation.vertices(sphere3, [5])

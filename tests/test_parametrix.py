@@ -6,6 +6,8 @@ oracles evaluated with the built-in Gaussian coefficient a(x) = 1 + e^{-|x|^2}
 normal pointing toward the origin).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,31 @@ def test_remainder_density_linearity(shell14, gauss_field):
     a = px.op_R(shell14, gauss_field, scaled, target)[0]
     b = px.op_R(shell14, gauss_field, u, target)[0]
     assert a == pytest.approx(1.7 * b, rel=1e-12)
+
+
+@pytest.mark.parametrize("where", ["centers", "boundary"])
+def test_remainder_values_match_matrix(shell14, gauss_field, sphere3, where):
+    rng = np.random.default_rng(26)
+    v = rng.normal(size=shell14.n_cells)
+    targets = (shell14.centers if where == "centers"
+               else lp.Collocation.centroids(sphere3, np.arange(0, sphere3.n_triangles, 5)))
+    values = px.op_R(shell14, gauss_field, lp.DomainDensity(v), targets)
+    matrix = px.op_R_matrix(shell14, gauss_field, targets)
+    assert np.abs(values - matrix @ v).max() <= 1e-12 * np.abs(values).max()
+
+
+def test_volume_values_on_a_node_are_finite(shell14, gauss_field):
+    # The exclusion ball drops the node under the target; its kernel value
+    # (1/0) must neither leak into the sum nor warn.
+    node = shell14.all_nodes()[1234][None]
+    u = lp.DomainDensity(np.ones(shell14.n_cells))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = [px.op_R(shell14, gauss_field, u, node),
+                  px.op_R_matrix(shell14, gauss_field, node),
+                  lp.newton_potential(shell14, u, node),
+                  lp.newton_potential_matrix(shell14, node)]
+    assert all(np.isfinite(v).all() for v in values)
 
 
 def test_remainder_far_target_rows_decay(shell14, gauss_field):

@@ -1,4 +1,5 @@
-"""Reference rules, panel mapping, and singular/near-singular schemes."""
+"""Reference rules, panel mapping, and the far, near and Duffy schemes as the
+surface and volume engines apply them."""
 
 import math
 
@@ -7,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdie import geometry as geo
+from bdie import laplace as lp
 from bdie import quadrature as quad
+
+FOUR_PI = 4.0 * np.pi
 
 # Exact monomial integrals over the reference triangle {x,y >= 0, x+y <= 1}:
 # int x^a y^b = a! b! / (a+b+2)!
@@ -127,15 +132,34 @@ class TestPointTriangleDistance:
         assert quad.point_triangle_distance(targets, tris).shape == (4, 2)
 
 
+# --- scheme selection, through the surface and volume engines -----------------
+#
+# The surface checks integrate 1/|x - y| over one panel: the Laplace single
+# layer of the unit density on a one-triangle mesh, times 4 pi.  Free targets
+# off the panel take the far or the near rule by d/h; registered targets (the
+# panel's vertex or centroid) take the Duffy rule.
+
 def smooth_kernel(nodes, target):
     d = nodes - target
     return 1.0 / np.sqrt((d * d).sum(axis=-1))
 
 
+def one_panel(corners):
+    return geo.SurfaceMesh(vertices=corners, triangles=np.array([[0, 1, 2]]))
+
+
+def panel_integral(corners, targets, density=None):
+    """4 pi times the single layer: the integral of density / r over the panel."""
+    mesh = one_panel(corners)
+    if density is None:
+        density = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, np.ones(1))
+    return FOUR_PI * lp.single_layer(mesh, density, targets)[0]
+
+
 def test_integrate_layer_far_matches_reference():
     corners = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
     target = np.array([1.0, 1.0, 1.0])  # d/h >> 3
-    val = quad.integrate_layer(target, corners, smooth_kernel)
+    val = panel_integral(corners, target[None])
     pts, wts = quad.subdivided_triangle_rule(6, 3)
     nodes, w = quad.map_to_panel(corners, pts, wts)
     ref = np.dot(w, smooth_kernel(nodes, target))
@@ -149,7 +173,7 @@ def test_integrate_layer_near_scheme_accuracy(ratio):
     corners = np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0], [0.0, 0.2, 0.0]])
     h = 0.2 * math.sqrt(2)
     target = np.array([0.05, 0.05, ratio * h])
-    val = quad.integrate_layer(target, corners, smooth_kernel)
+    val = panel_integral(corners, target[None])
     pts, wts = quad.subdivided_triangle_rule(6, 4)
     nodes, w = quad.map_to_panel(corners, pts, wts)
     ref = np.dot(w, smooth_kernel(nodes, target))
@@ -157,10 +181,10 @@ def test_integrate_layer_near_scheme_accuracy(ratio):
 
 
 def test_integrate_layer_duffy_at_vertex():
-    # Singularity on the panel at a corner: scaled analytic oracle.
+    # Singularity on the panel at a registered corner: scaled analytic oracle.
     s = 0.3
     corners = np.array([[0.0, 0.0, 0.0], [s, 0.0, 0.0], [0.0, s, 0.0]])
-    val = quad.integrate_layer(corners[0], corners, smooth_kernel)
+    val = panel_integral(corners, lp.Collocation.vertices(one_panel(corners), [0]))
     exact = s * math.sqrt(2.0) * math.log(1.0 + math.sqrt(2.0))
     assert abs(val - exact) / exact < 1e-5
 
@@ -168,7 +192,7 @@ def test_integrate_layer_duffy_at_vertex():
 def test_integrate_layer_duffy_at_centroid():
     corners = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     centroid = corners.mean(axis=0)
-    val = quad.integrate_layer(centroid, corners, smooth_kernel)
+    val = panel_integral(corners, lp.Collocation.centroids(one_panel(corners), [0]))
     # Reference: 3-way split with deep Duffy.  The default order carries
     # ~1e-3 relative error on the skinny sub-triangles of the split.
     pts, wts = quad.duffy_triangle(0, order=24)
@@ -180,20 +204,25 @@ def test_integrate_layer_duffy_at_centroid():
     assert abs(val - ref) / ref < 2e-3
 
 
-def test_integrate_layer_unregistered_on_panel_point_warns(caplog):
+def test_integrate_layer_unregistered_on_panel_point_raises():
+    # No rule is accurate on the panel away from a registered point, so a
+    # free target there, or a registration that does not match the point,
+    # is refused instead of integrated with the near rule.
     corners = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    odd_point = np.array([0.3, 0.2, 0.0])
-    with caplog.at_level("WARNING"):
-        quad.integrate_layer(odd_point, corners, smooth_kernel)
-    assert any("falling back" in r.getMessage() for r in caplog.records)
+    odd_point = np.array([[0.3, 0.2, 0.0]])
+    with pytest.raises(ValueError, match="lies on panel 0"):
+        panel_integral(corners, odd_point)
+    misregistered = lp.Collocation(odd_point, [lp.KIND_CENTROID], np.array([0]))
+    with pytest.raises(ValueError, match="neither a vertex nor the centroid"):
+        panel_integral(corners, misregistered)
 
 
 def test_integrate_layer_with_density():
     corners = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
-    target = np.array([2.0, 0.0, 1.0])
-    one = quad.integrate_layer(target, corners, smooth_kernel)
-    two = quad.integrate_layer(target, corners, smooth_kernel,
-                               density=lambda nodes: 2.0 * np.ones(len(nodes)))
+    target = np.array([[2.0, 0.0, 1.0]])
+    one = panel_integral(corners, target)
+    two = panel_integral(corners, target,
+                         density=lambda nodes: 2.0 * np.ones(nodes.shape[:-1]))
     assert abs(two - 2.0 * one) < 1e-15
 
 
@@ -201,10 +230,10 @@ def test_integrate_volume_exclusion_ball():
     rng = np.random.default_rng(3)
     nodes = rng.uniform(-1, 1, size=(500, 3))
     weights = np.full(500, 8.0 / 500)
-    target = np.zeros(3)
-    kern = lambda n, t: np.ones(len(n))
-    full = quad.integrate_volume(target, nodes, weights, kern)
-    trimmed = quad.integrate_volume(target, nodes, weights, kern, exclusion_radius=0.5)
+    target = np.zeros((1, 3))
+    kern = lambda t: (np.ones(len(nodes)), np.linalg.norm(nodes - t, axis=1))
+    full = lp._volume_rows(target, kern, weights, np.zeros(500))[0]
+    trimmed = lp._volume_rows(target, kern, weights, np.full(500, 0.5))[0]
     inside = (np.linalg.norm(nodes, axis=1) <= 0.5).sum()
     assert full == pytest.approx(8.0)
     assert trimmed == pytest.approx(8.0 - inside * 8.0 / 500)

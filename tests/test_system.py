@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -328,14 +329,21 @@ def test_solve_residual_within_gate(psrc_a1_sol1):
     assert psrc_a1_sol1.method == "direct"
 
 
-def test_iterative_agrees_with_direct(psrc_gauss_sys1):
+def test_iterative_agrees_with_direct(psrc_gauss_sys1, monkeypatch):
     direct = sy.solve_M12(psrc_gauss_sys1)
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("the iterative solve factored the matrix")
+
+    # GMRES alone must meet the gate: the iterative path factors nothing.
+    monkeypatch.setattr(scipy.linalg, "lu_factor", no_factorization)
     iterative = sy.solve_M12(psrc_gauss_sys1, method="iterative")
     num = np.linalg.norm(iterative.u.values - direct.u.values)
     den = np.linalg.norm(direct.u.values)
     assert num / den < 1e-6
     assert iterative.residual_norm <= 1e-10
     assert iterative.method == "iterative"
+    assert iterative.conditioning is None
 
 
 def test_singular_matrix_raises(psrc_a1_sys1):
