@@ -13,6 +13,11 @@ bounded complement, 0 in the exterior domain, and 1/2 in the principal-value
 sense on the surface.  Direct values on the surface integrate with a Duffy
 rule (single layer) or skip the flat panels through the collocation point
 (double layer, exact for flat panels).
+
+Every surface operator runs through one engine, ``_surface_rows``, which is
+vectorized over blocks of targets; the ``workers`` argument of the surface
+operators is accepted and has no effect there.  The volume operators run
+their targets on ``workers`` threads.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy import sparse
 
 from . import quadrature as quad
 from .geometry import SurfaceMesh, VolumeMesh
@@ -50,16 +56,17 @@ def grad_fundamental_solution(x, y) -> np.ndarray:
     return d / (FOUR_PI * r**3)[..., None]
 
 
-def single_layer_kernel(nodes, normals, target):
-    d = nodes - target[None, :]
-    r = np.sqrt((d * d).sum(axis=-1))
+def single_layer_kernel(nodes, normals, targets):
+    """1/(4 pi |x - y|) at nodes x for targets y; all arguments broadcast."""
+    d = nodes - targets
+    r = np.sqrt(np.einsum("...j,...j->...", d, d))
     return 1.0 / (FOUR_PI * r)
 
 
-def double_layer_kernel(nodes, normals, target):
-    # -n(x) . grad_x fund_solution = -n.(x-y)/(4 pi |x-y|^3)
-    d = nodes - target[None, :]
-    r = np.sqrt((d * d).sum(axis=-1))
+def double_layer_kernel(nodes, normals, targets):
+    """-n(x) . grad_x fund_solution = -n.(x-y)/(4 pi |x-y|^3); broadcasts."""
+    d = nodes - targets
+    r = np.sqrt(np.einsum("...j,...j->...", d, d))
     return -np.einsum("...j,...j->...", normals, d) / (FOUR_PI * r**3)
 
 
@@ -194,6 +201,8 @@ class _PanelCache:
         self.near_nodes, self.near_wts = quad.map_to_panel(corners, npts, nwts)
         self.far_bary = np.stack([1 - fpts[:, 0] - fpts[:, 1], fpts[:, 0], fpts[:, 1]], 1)
         self.near_bary = np.stack([1 - npts[:, 0] - npts[:, 1], npts[:, 0], npts[:, 1]], 1)
+        # Every point of a panel lies within radius of its centroid.
+        self.radius = np.linalg.norm(corners - mesh.centroids[:, None, :], axis=2).max(axis=1)
         # Star panels per vertex, for vertex-registered targets.
         self.vertex_star = [[] for _ in range(mesh.n_vertices)]
         for t, tri in enumerate(mesh.triangles):
@@ -247,38 +256,85 @@ class _NodeDensity:
         return out
 
 
+class _Columns:
+    """Where the quadrature nodes of a panel land in the output: one value
+    per target, the panel's own column (triangle-constant), or its three
+    corner columns weighted by barycentric coordinates (vertex-linear)."""
+
+    def __init__(self, mesh: SurfaceMesh, matrix_space: Optional[str]):
+        self.vertex = matrix_space == SPACE_VERTEX
+        self.triangles = mesh.triangles
+        if matrix_space is None:
+            self.n, self.panel_column = 1, np.zeros(mesh.n_triangles, dtype=int)
+        elif matrix_space == SPACE_TRIANGLE:
+            self.n, self.panel_column = mesh.n_triangles, np.arange(mesh.n_triangles)
+        else:
+            self.n, self.panel_column = mesh.n_vertices, None
+
+    def of(self, panels):
+        """Columns (k, c) of panels (k,)."""
+        return self.triangles[panels] if self.vertex else self.panel_column[panels][:, None]
+
+    def reduce(self, contrib, bary):
+        """Weighted kernel values (k, q) at nodes with barycentric coordinates
+        bary, (q, 3) or (k, q, 3), summed onto the columns (k, c)."""
+        if not self.vertex:
+            return contrib.sum(axis=-1, keepdims=True)
+        return contrib @ bary if bary.ndim == 2 else np.einsum("kq,kqc->kc", contrib, bary)
+
+    def node_map(self, weights, bary):
+        """Sparse (columns x nodes) map of a node table with weights (t, q)."""
+        t, q = weights.shape
+        coef = weights[:, :, None] * (bary[None] if self.vertex else 1.0)
+        nodes = np.broadcast_to(np.arange(t * q).reshape(t, q, 1), coef.shape)
+        cols = np.broadcast_to(self.of(np.arange(t))[:, None, :], coef.shape)
+        return sparse.csr_matrix((coef.ravel(), (cols.ravel(), nodes.ravel())),
+                                 shape=(self.n, t * q))
+
+
+def _scatter_add(out, rows, cols, vals):
+    """out[rows, cols] += vals with repeated entries summed pairwise, as
+    np.sum does.  Added one after another, the tens of near pairs of a row
+    lose digits that the linearity checks of the Green identities see."""
+    key = np.broadcast_to(rows * out.shape[1] + cols, vals.shape).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    np.put(out, key[starts], out.flat[key[starts]] + np.add.reduceat(vals.ravel()[order], starts))
+
+
 # --- the assembly engine -------------------------------------------------------
 
-def _singular_panels(cache: _PanelCache, kind: str, index: int):
-    if kind == KIND_CENTROID:
-        return [int(index)]
-    if kind == KIND_VERTEX:
-        return list(cache.vertex_star[int(index)])
-    return []
+# Target-node pairs per block of far-field kernel values, and target-panel
+# pairs per batch of near-field corrections.  They bound every temporary of
+# the surface engine, whatever the numbers of targets and panels.
+FAR_BLOCK_PAIRS = 1 << 15
+NEAR_BATCH_PAIRS = 256
 
 
-def _duffy_contribution(mesh, cfg, kernel, dens, panel, target):
-    corners = mesh.corners()[panel]
-    duffy = quad._duffy_nodes_for_target(corners, target, cfg.duffy_order)
-    if duffy is None:
-        raise ValueError(f"registered target {target} is neither a vertex nor "
-                         f"the centroid of its panel {panel}")
-    nodes, w = duffy
-    normals = np.broadcast_to(mesh.normals[panel], nodes.shape)
-    bary = _barycentric(corners, nodes)
-    vals = kernel(nodes[None], normals[None], target)[0]
-    g = dens.values(np.array([panel]), nodes[None], bary[None], normals[None])[0]
-    return float(np.dot(w, vals * g)), np.dot(w * vals * g, bary)
+def _singular_pairs(cache: _PanelCache, colloc: Collocation):
+    """(target, panel) pairs of registered targets and their own panels:
+    the panel of a centroid, the star of a vertex; sorted by target."""
+    rows, panels = [], []
+    for i, (kind, index) in enumerate(zip(colloc.kinds, colloc.indices)):
+        own = ([int(index)] if kind == KIND_CENTROID
+               else cache.vertex_star[int(index)] if kind == KIND_VERTEX else [])
+        rows.extend([i] * len(own))
+        panels.extend(own)
+    return np.array(rows, dtype=int), np.array(panels, dtype=int)
 
 
 def _barycentric(corners, nodes):
-    e1 = corners[1] - corners[0]
-    e2 = corners[2] - corners[0]
-    d = nodes - corners[0]
-    d11, d12, d22 = e1 @ e1, e1 @ e2, e2 @ e2
+    """Barycentric coordinates (k, q, 3) of nodes (k, q, 3) in panels (k, 3, 3)."""
+    e1 = corners[:, 1] - corners[:, 0]
+    e2 = corners[:, 2] - corners[:, 0]
+    d = nodes - corners[:, None, 0]
+    d11 = np.einsum("kj,kj->k", e1, e1)[:, None]
+    d12 = np.einsum("kj,kj->k", e1, e2)[:, None]
+    d22 = np.einsum("kj,kj->k", e2, e2)[:, None]
     det = d11 * d22 - d12**2
-    p1 = d @ e1
-    p2 = d @ e2
+    p1 = np.einsum("kqj,kj->kq", d, e1)
+    p2 = np.einsum("kqj,kj->kq", d, e2)
     s = (d22 * p1 - d12 * p2) / det
     t = (d11 * p2 - d12 * p1) / det
     return np.stack([1 - s - t, s, t], axis=-1)
@@ -293,9 +349,19 @@ def _surface_rows(
     singular_scheme: str,
     tri_mask: Optional[np.ndarray],
     matrix_space: Optional[str],
-    workers: int = 1,
 ):
-    """Core target-loop: returns values (m,) or a dense matrix.
+    """The one surface-quadrature engine: returns values (m,) or a dense matrix.
+
+    ``kernel(nodes, normals, targets)`` broadcasts its arguments.  Targets
+    run in blocks of FAR_BLOCK_PAIRS // (far nodes).  In a block, a
+    target-panel pair is far when a centroid bound already puts the panel
+    ``near_threshold`` diameters away; the exact point-triangle distance is
+    computed for the other pairs only.  Far pairs take one block of kernel
+    values at all far nodes, masked to the far pairs and mapped to the
+    output columns by a sparse node-to-column matrix; near pairs (the
+    subdivided rule) and the target's own panels (a Duffy rule) add their
+    sums as corrections.  The density and the coefficient factor are folded
+    into the node weights once per call.
 
     ``singular_scheme`` is "duffy" for weakly singular kernels or "skip" for
     the principal-value double layer (flat panels through the collocation
@@ -305,67 +371,91 @@ def _surface_rows(
     """
     cache = _panel_cache(mesh, cfg)
     corners = mesh.corners()
-    m = colloc.n
-    if matrix_space is None:
-        out = np.zeros(m)
-    elif matrix_space == SPACE_TRIANGLE:
-        out = np.zeros((m, mesh.n_triangles))
-    else:
-        out = np.zeros((m, mesh.n_vertices))
-    active = np.ones(mesh.n_triangles, dtype=bool) if tri_mask is None else tri_mask
+    n_tri = mesh.n_triangles
+    columns = _Columns(mesh, matrix_space)
+    out = np.zeros((colloc.n, columns.n))
+    active = np.ones(n_tri, dtype=bool) if tri_mask is None else tri_mask
     on_panel_tol = 1e-12 * mesh.diameters
+    near_cut = cfg.near_threshold * mesh.diameters
 
-    def do_row(i):
-        target = colloc.points[i]
-        sing = _singular_panels(cache, colloc.kinds[i], colloc.indices[i])
-        d = quad.point_triangle_distance(target, corners)
-        regular = active.copy()
-        for p in sing:
-            regular[p] = False
-        on_panel = regular & (d <= on_panel_tol)
+    def node_weights(nodes, wts, bary):
+        normals = np.broadcast_to(mesh.normals[:, None, :], nodes.shape)
+        return wts * dens.values(np.arange(n_tri), nodes, bary, normals)
+
+    far_w = node_weights(cache.far_nodes, cache.far_wts, cache.far_bary)
+    far_map = None if matrix_space is None else columns.node_map(far_w, cache.far_bary)
+    far_nodes = cache.far_nodes.reshape(-1, 3)
+    far_normals = np.repeat(mesh.normals, far_w.shape[1], axis=0)
+    near_w = node_weights(cache.near_nodes, cache.near_wts, cache.near_bary)
+    sing_rows, sing_panels = _singular_pairs(cache, colloc)
+
+    def add_pairs(rows, panels, nodes, weights, bary):
+        # Target-panel pairs (rows[k], panels[k]); a row may repeat.
+        vals = kernel(nodes, mesh.normals[panels][:, None, :],
+                      colloc.points[rows][:, None, :])
+        _scatter_add(out, rows[:, None], columns.of(panels),
+                     columns.reduce(vals * weights, bary))
+
+    block = max(1, FAR_BLOCK_PAIRS // len(far_nodes))
+    for start in range(0, colloc.n, block):
+        y = colloc.points[start:start + block]
+        lo, hi = np.searchsorted(sing_rows, [start, start + len(y)])
+        rows, panels = sing_rows[lo:hi], sing_panels[lo:hi]
+        regular = np.broadcast_to(active, (len(y), n_tri)).copy()
+        regular[rows - start, panels] = False
+
+        # Classification: the centroid bound, then exact distances where it
+        # cannot decide.  The margin keeps rounding in the bound from calling
+        # a pair far that the exact distance would call near.
+        gap = np.linalg.norm(y[:, None, :] - mesh.centroids, axis=2) - cache.radius
+        cand = regular & (gap < near_cut * (1.0 + 1e-9))
+        d = np.full(cand.shape, np.inf)
+        cand_rows, cand_cols = cand.any(axis=1), cand.any(axis=0)
+        if cand_rows.any():
+            d[np.ix_(cand_rows, cand_cols)] = quad.point_triangle_distance(
+                y[cand_rows], corners[cand_cols])
+        on_panel = cand & (d <= on_panel_tol)
         if on_panel.any():
+            i, p = (int(k[0]) for k in np.nonzero(on_panel))
             raise ValueError(
-                f"target {target} lies on panel {int(np.argmax(on_panel))}, which is "
+                f"target {y[i]} lies on panel {p}, which is "
                 "not one of its registered panels; pass it as a Collocation "
                 "centroid or vertex of that panel")
-        far = regular & (d >= cfg.near_threshold * mesh.diameters)
-        near = regular & ~far
-        row_val = 0.0
-        for sel_mask, nodes_all, wts_all, bary in (
-            (far, cache.far_nodes, cache.far_wts, cache.far_bary),
-            (near, cache.near_nodes, cache.near_wts, cache.near_bary),
-        ):
-            sel = np.nonzero(sel_mask)[0]
-            if sel.size == 0:
-                continue
-            nodes = nodes_all[sel]
-            wts = wts_all[sel]
-            normals = np.broadcast_to(mesh.normals[sel][:, None, :], nodes.shape)
-            vals = kernel(nodes, normals, target)
-            g = dens.values(sel, nodes, bary, normals)
-            contrib = wts * vals * g                     # (n_sel, n_q)
-            if matrix_space is None:
-                row_val += contrib.sum()
-            elif matrix_space == SPACE_TRIANGLE:
-                out[i, sel] += contrib.sum(axis=1)
-            else:
-                per_vertex = contrib @ bary              # (n_sel, 3)
-                np.add.at(out[i], mesh.triangles[sel], per_vertex)
-        for p in sing:
-            if not active[p] or singular_scheme == "skip":
-                continue
-            val, per_vert = _duffy_contribution(mesh, cfg, kernel, dens, p, target)
-            if matrix_space is None:
-                row_val += val
-            elif matrix_space == SPACE_TRIANGLE:
-                out[i, p] += val
-            else:
-                np.add.at(out[i], mesh.triangles[p], per_vert)
-        if matrix_space is None:
-            out[i] = row_val
+        near = cand & (d < near_cut)
 
-    _run_rows(do_row, m, workers)
-    return out
+        # Far pairs: kernel values at every far node, masked to far pairs.
+        # Masked nodes may sit on a target; their values are discarded.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = kernel(far_nodes, far_normals, y[:, None, :]).reshape(len(y), n_tri, -1)
+        vals[~regular | near] = 0.0
+        vals = vals.reshape(len(y), -1)
+        if far_map is None:
+            out[start:start + len(y), 0] += (vals * far_w.reshape(-1)).sum(axis=1)
+        else:
+            out[start:start + len(y)] += (far_map @ vals.T).T
+
+        near_rows, near_panels = np.nonzero(near)
+        for k in range(0, len(near_rows), NEAR_BATCH_PAIRS):
+            r, p = near_rows[k:k + NEAR_BATCH_PAIRS], near_panels[k:k + NEAR_BATCH_PAIRS]
+            add_pairs(r + start, p, cache.near_nodes[p], near_w[p], cache.near_bary)
+
+        # Singular pairs: a Duffy rule per kind of registered point.
+        if singular_scheme == "skip":
+            continue
+        keep = active[panels]
+        rows, panels = rows[keep], panels[keep]
+        kinds = quad.singular_point_kind(corners[panels], colloc.points[rows])
+        if np.any(kinds == quad.UNREGISTERED):
+            k = int(np.argmax(kinds == quad.UNREGISTERED))
+            raise ValueError(f"registered target {colloc.points[rows[k]]} is neither a "
+                             f"vertex nor the centroid of its panel {panels[k]}")
+        for kind in np.unique(kinds):
+            r, p = rows[kinds == kind], panels[kinds == kind]
+            nodes, w = quad.duffy_panel_nodes(corners[p], kind, cfg.duffy_order)
+            bary = _barycentric(corners[p], nodes)
+            normals = np.broadcast_to(mesh.normals[p][:, None, :], nodes.shape)
+            add_pairs(r, p, nodes, w * dens.values(p, nodes, bary, normals), bary)
+    return out[:, 0] if matrix_space is None else out
 
 
 def _run_rows(do_row, m, workers):
@@ -415,7 +505,7 @@ def single_layer(
         if density.space_tag == SPACE_VERTEX:
             mask = None  # vertex support is enforced by zero coefficients
     return _surface_rows(
-        mesh, single_layer_kernel, colloc, dens, cfg, "duffy", mask, None, workers
+        mesh, single_layer_kernel, colloc, dens, cfg, "duffy", mask, None
     )
 
 
@@ -433,7 +523,7 @@ def double_layer(
     colloc = _as_collocation(targets)
     dens = _make_dens(mesh, density, factor)
     return _surface_rows(
-        mesh, double_layer_kernel, colloc, dens, cfg, "skip", None, None, workers
+        mesh, double_layer_kernel, colloc, dens, cfg, "skip", None, None
     )
 
 
@@ -457,7 +547,7 @@ def single_layer_matrix(
     colloc = _as_collocation(targets)
     dens = _NodeDensity(mesh, factor=factor)
     return _surface_rows(
-        mesh, single_layer_kernel, colloc, dens, cfg, "duffy", None, space_tag, workers
+        mesh, single_layer_kernel, colloc, dens, cfg, "duffy", None, space_tag
     )
 
 
@@ -473,7 +563,7 @@ def double_layer_matrix(
     colloc = _as_collocation(targets)
     dens = _NodeDensity(mesh, factor=factor)
     return _surface_rows(
-        mesh, double_layer_kernel, colloc, dens, cfg, "skip", None, space_tag, workers
+        mesh, double_layer_kernel, colloc, dens, cfg, "skip", None, space_tag
     )
 
 

@@ -122,12 +122,22 @@ def op_V_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD,
 
 def op_W_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD,
                 workers: int = 1) -> np.ndarray:
+    return W_matrix_terms(mesh, field, space_tag, targets, cfg, workers)[0]
+
+
+def W_matrix_terms(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD,
+                   workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """op_W_matrix and its Laplace double-layer term W_lap.
+
+    At registered targets the row sums of the vertex-linear W_lap are the
+    unit-density principal values, the jump coefficients of the assembly.
+    """
     check_dense_caps(n_triangles=mesh.n_triangles)
     w = lp.double_layer_matrix(mesh, space_tag, targets, cfg, workers=workers)
     if field.is_constant:
-        return w
+        return w, w
     return w - lp.single_layer_matrix(mesh, space_tag, targets, cfg,
-                                      factor=_dn_ln_a(field), workers=workers)
+                                      factor=_dn_ln_a(field), workers=workers), w
 
 
 # --- volume operators ------------------------------------------------------------
@@ -223,11 +233,11 @@ def op_V_by_kernel(mesh: SurfaceMesh, field: CoefficientField, density, targets,
     Algebraically identical to the relation-based path when evaluated on the
     same nodes; kept as an independent code path for the cross-check.
     """
-    kern = lambda nodes, normals, target: (
-        -lp.fundamental_solution(nodes, target) / field.eval_a(nodes))
+    kern = lambda nodes, normals, ys: (
+        -lp.fundamental_solution(nodes, ys) / field.eval_a(nodes))
     colloc = lp._as_collocation(targets)
     dens = lp._make_dens(mesh, density, None)
-    return lp._surface_rows(mesh, kern, colloc, dens, cfg, "duffy", None, None, 1)
+    return lp._surface_rows(mesh, kern, colloc, dens, cfg, "duffy", None, None)
 
 
 def op_P_by_kernel(volmesh: VolumeMesh, field: CoefficientField, density, targets,
@@ -283,12 +293,12 @@ def op_Wprime_offset(mesh: SurfaceMesh, field: CoefficientField, density,
     dens = lp._make_dens(mesh, density, _inv_a(field))
     for i in range(colloc.n):
         n_y = normals[i]
-        kern = lambda nodes, panel_normals, target: np.einsum(
-            "j,...j->...", n_y, nodes - target) / (
-            FOUR_PI * np.linalg.norm(nodes - target, axis=-1) ** 3)
+        kern = lambda nodes, panel_normals, ys: np.einsum(
+            "j,...j->...", n_y, nodes - ys) / (
+            FOUR_PI * np.linalg.norm(nodes - ys, axis=-1) ** 3)
         pt = Collocation.free((colloc.points[i] - offset * n_y)[None])
         out[i] = a_y[i] * lp._surface_rows(
-            mesh, kern, pt, dens, cfg, "duffy", None, None, 1)[0]
+            mesh, kern, pt, dens, cfg, "duffy", None, None)[0]
     return out
 
 

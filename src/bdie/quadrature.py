@@ -234,25 +234,36 @@ def point_triangle_distance(targets: np.ndarray, corners: np.ndarray) -> np.ndar
     return out
 
 
-def _duffy_nodes_for_target(corners: np.ndarray, target: np.ndarray, order: int):
-    """Duffy nodes/weights on a panel containing the target.
+# Registered point kinds of a panel: corners 0-2, or the centroid.
+AT_CENTROID = 3
+UNREGISTERED = -1
 
-    The target must be (numerically) a vertex or the centroid; a centroid
-    target splits the panel into three sub-triangles around it.
+
+def singular_point_kind(corners: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Which registered point of each panel each target is (numerically).
+
+    ``corners`` (k, 3, 3) and ``targets`` (k, 3) are paired; returns the
+    corner index 0-2, ``AT_CENTROID`` or ``UNREGISTERED`` per pair.  A corner
+    wins over the centroid; the tolerance is 1e-9 of the first edge.
     """
-    tol = 1e-9 * np.linalg.norm(corners[1] - corners[0])
-    for k in range(3):
-        if np.linalg.norm(target - corners[k]) <= tol:
-            pts, wts = _duffy_rule(k, order)
-            return map_to_panel(corners, pts, wts)
-    centroid = corners.mean(axis=0)
-    if np.linalg.norm(target - centroid) <= tol:
-        pts, wts = _duffy_rule(0, order)
-        nodes, weights = [], []
-        for k in range(3):
-            sub = np.stack([centroid, corners[k], corners[(k + 1) % 3]])
-            nd, w = map_to_panel(sub, pts, wts)
-            nodes.append(nd)
-            weights.append(w)
-        return np.concatenate(nodes), np.concatenate(weights)
-    return None
+    tol = 1e-9 * np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
+    at_corner = np.linalg.norm(targets[:, None, :] - corners, axis=2) <= tol[:, None]
+    at_centroid = np.linalg.norm(targets - corners.mean(axis=1), axis=1) <= tol
+    return np.where(at_corner.any(axis=1), np.argmax(at_corner, axis=1),
+                    np.where(at_centroid, AT_CENTROID, UNREGISTERED))
+
+
+def duffy_panel_nodes(corners: np.ndarray, kind: int, order: int):
+    """Duffy nodes (k, q, 3) and weights (k, q) on panels (k, 3, 3) that all
+    contain their target at the same kind of registered point.
+
+    A corner target takes the Duffy rule singular at that corner; a centroid
+    target splits its panel into three sub-triangles around the centroid.
+    """
+    if kind != AT_CENTROID:
+        return map_to_panel(corners, *_duffy_rule(kind, order))
+    centroid = corners.mean(axis=1)
+    subs = np.stack([np.stack([centroid, corners[:, k], corners[:, (k + 1) % 3]], axis=1)
+                     for k in range(3)], axis=1)
+    nodes, weights = map_to_panel(subs.reshape(-1, 3, 3), *_duffy_rule(0, order))
+    return nodes.reshape(len(corners), -1, 3), weights.reshape(len(corners), -1)

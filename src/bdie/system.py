@@ -122,7 +122,9 @@ def jump_coefficients(surfmesh: geo.SurfaceMesh, colloc: lp.Collocation,
     cone at the point divided by 4 pi.  The exterior trace of W rho at a
     collocation point is then the principal value minus this fraction times
     rho; using the measured fraction instead of the smooth-surface 1/2
-    keeps vertex rows consistent with the assembled operators.
+    keeps vertex rows consistent with the assembled operators.  Assembly
+    takes the same values, to rounding, from the row sums of the Laplace
+    double-layer vertex matrix it builds anyway.
     """
     ones = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
                               np.ones(surfmesh.n_vertices))
@@ -299,10 +301,13 @@ def assemble_M12(
     put(su, px.op_W_matrix(surfmesh, field, lp.SPACE_VERTEX, centers,
                            workers=workers), vertex_split)
     # Exterior trace of W: principal value minus the jump coefficient times
-    # the density, with the boundary row's own "+ phi" folded in.
-    jump_c = jump_coefficients(surfmesh, colloc, workers=workers)
-    put(rows_b, px.op_W_matrix(surfmesh, field, lp.SPACE_VERTEX, colloc, workers=workers)
-        + (1.0 - jump_c)[:, None] * vertex_eval_matrix(surfmesh, colloc), vertex_split)
+    # the density, with the boundary row's own "+ phi" folded in.  The jump
+    # coefficients are the row sums of W's Laplace term (see
+    # jump_coefficients), so they cost no quadrature of their own.
+    w_b, w_lap = px.W_matrix_terms(surfmesh, field, lp.SPACE_VERTEX, colloc, workers=workers)
+    jump_c = w_lap.sum(axis=1)
+    put(rows_b, w_b + (1.0 - jump_c)[:, None] * vertex_eval_matrix(surfmesh, colloc),
+        vertex_split)
 
     system = M12System(A, K, np.zeros(n), surfmesh, volmesh, field, sd, nin, colloc,
                        zero_extensions(surfmesh))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bdie import geometry as geo
 from bdie import laplace as lp
+from bdie import quadrature as quad
 
 FOUR_PI = 4.0 * np.pi
 
@@ -339,3 +340,144 @@ def test_collocation_concat(sphere3):
     c = lp.Collocation.concat([a, b])
     assert c.n == 3
     assert c.kinds == [lp.KIND_CENTROID, lp.KIND_CENTROID, lp.KIND_VERTEX]
+
+
+# --- the batched engine against a per-pair reference ---------------------------
+
+def _reference_rows(mesh, layer, colloc, space=None, density=None, factor=None,
+                    support=None):
+    """One target-panel pair at a time, as the engine's rules are defined.
+
+    A target's own panels (its centroid panel, its vertex star) take the
+    Duffy rule, or are skipped by the double layer; every other active panel
+    takes the far rule at distance >= near_threshold diameters and the
+    subdivided near rule below.  ``density`` (value mode) is a
+    BoundaryDensity or a callable on nodes; ``space`` (matrix mode) is the
+    column space.
+    """
+    cfg = lp.DEFAULT_QUAD
+    corners = mesh.corners()
+    rules = {"far": quad.gauss_triangle(cfg.far_order),
+             "near": quad.subdivided_triangle_rule(cfg.near_order, cfg.levels)}
+    n_cols = {None: 1, lp.SPACE_TRIANGLE: mesh.n_triangles,
+              lp.SPACE_VERTEX: mesh.n_vertices}[space]
+    out = np.zeros((colloc.n, n_cols))
+    for i, (y, kind, index) in enumerate(zip(colloc.points, colloc.kinds, colloc.indices)):
+        own = ([index] if kind == lp.KIND_CENTROID
+               else np.nonzero((mesh.triangles == index).any(axis=1))[0]
+               if kind == lp.KIND_VERTEX else [])
+        for p in range(mesh.n_triangles):
+            if support is not None and not support[p]:
+                continue
+            c = corners[p]
+            if p in own:
+                if layer == "double":
+                    continue
+                if kind == lp.KIND_VERTEX:
+                    k = int(np.argmin(np.linalg.norm(c - y, axis=1)))
+                    pts, w = quad.duffy_triangle(k, cfg.duffy_order)
+                    bary = np.stack([1 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], 1)
+                    nodes, w = quad.map_to_panel(c, pts, w)
+                else:
+                    pts, w0 = quad.duffy_triangle(0, cfg.duffy_order)
+                    nodes, w, bary = [], [], []
+                    for k in range(3):
+                        sub = np.stack([c.mean(axis=0), c[k], c[(k + 1) % 3]])
+                        nd, wk = quad.map_to_panel(sub, pts, w0)
+                        b = np.zeros((len(pts), 3))
+                        b += (1 - pts[:, 0] - pts[:, 1])[:, None] / 3.0
+                        b[:, k] += pts[:, 0]
+                        b[:, (k + 1) % 3] += pts[:, 1]
+                        nodes.append(nd), w.append(wk), bary.append(b)
+                    nodes, w, bary = map(np.concatenate, (nodes, w, bary))
+            else:
+                d = quad.point_triangle_distance(y, c)
+                pts, w0 = rules["far" if d >= cfg.near_threshold * mesh.diameters[p]
+                                else "near"]
+                bary = np.stack([1 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], 1)
+                nodes, w = quad.map_to_panel(c, pts, w0)
+            n = mesh.normals[p]
+            r = np.linalg.norm(nodes - y, axis=1)
+            kern = (1.0 / (FOUR_PI * r) if layer == "single"
+                    else -((nodes - y) @ n) / (FOUR_PI * r**3))
+            g = np.ones(len(nodes))
+            if callable(density):
+                g = density(nodes)
+            elif density is not None and density.space_tag == lp.SPACE_TRIANGLE:
+                g = np.full(len(nodes), density.values[p])
+            elif density is not None:
+                g = bary @ density.values[mesh.triangles[p]]
+            if factor is not None:
+                g = g * factor(nodes, np.broadcast_to(n, nodes.shape))
+            wkg = w * kern * g
+            if space == lp.SPACE_VERTEX:
+                out[i, mesh.triangles[p]] += wkg @ bary
+            else:
+                out[i, 0 if space is None else p] += wkg.sum()
+    return out[:, 0] if space is None else out
+
+
+@pytest.fixture(scope="module")
+def level1_targets():
+    """Centroid, vertex and free targets on the level-1 sphere; the free ones
+    inside, near and far from the surface."""
+    mesh = geo.partition_boundary(geo.build_icosphere(1))
+    dirs = np.array([[0.3, -0.5, 0.8], [-0.9, 0.1, 0.2], [0.2, 0.7, -0.6]])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    free = np.concatenate([r * dirs for r in (0.6, 1.05, 1.3, 3.0)])
+    return mesh, {
+        "centroid": lp.Collocation.centroids(mesh, np.arange(0, mesh.n_triangles, 7)),
+        "vertex": lp.Collocation.vertices(mesh, np.arange(0, mesh.n_vertices, 4)),
+        "free": lp.Collocation.free(free),
+    }
+
+
+def _surface_factor(nodes, normals):
+    # A smooth factor that reads both the nodes and their panel normals.
+    return 1.0 + 0.3 * np.einsum("...j,...j->...", normals, nodes) + 0.1 * nodes[..., 0]
+
+
+def _engine_matches(engine, reference):
+    assert engine.shape == reference.shape
+    assert np.max(np.abs(engine - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("factor", [None, _surface_factor], ids=["plain", "factor"])
+@pytest.mark.parametrize("where", ["centroid", "vertex", "free"])
+@pytest.mark.parametrize("space", [None, lp.SPACE_TRIANGLE, lp.SPACE_VERTEX],
+                         ids=["values", "triangle", "vertex"])
+@pytest.mark.parametrize("layer", ["single", "double"])
+def test_engine_matches_per_pair_reference(level1_targets, layer, space, where, factor):
+    mesh, targets = level1_targets
+    colloc = targets[where]
+    if space is None:
+        density = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
+                                     np.cos(3.0 * mesh.vertices[:, 0]) + mesh.vertices[:, 2])
+        call = lp.single_layer if layer == "single" else lp.double_layer
+        engine = call(mesh, density, colloc, factor=factor)
+    else:
+        density = None
+        call = lp.single_layer_matrix if layer == "single" else lp.double_layer_matrix
+        engine = call(mesh, space, colloc, factor=factor)
+    _engine_matches(engine, _reference_rows(mesh, layer, colloc, space, density, factor))
+
+
+@pytest.mark.parametrize("where", ["centroid", "vertex", "free"])
+def test_engine_matches_reference_for_restricted_and_callable_densities(
+        level1_targets, where):
+    mesh, targets = level1_targets
+    colloc = targets[where]
+    on_d = mesh.part_label == geo.PART_DIRICHLET
+    restricted = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_D,
+                                    np.where(on_d, 1.0 + mesh.centroids[:, 1], 0.0))
+    _engine_matches(lp.single_layer(mesh, restricted, colloc),
+                    _reference_rows(mesh, "single", colloc, density=restricted,
+                                    support=on_d))
+
+    def smooth(nodes):
+        return np.exp(0.5 * nodes[..., 2]) * (1.0 + nodes[..., 0] ** 2)
+
+    for layer, call in (("single", lp.single_layer), ("double", lp.double_layer)):
+        _engine_matches(call(mesh, smooth, colloc, factor=_surface_factor),
+                        _reference_rows(mesh, layer, colloc, density=smooth,
+                                        factor=_surface_factor))
