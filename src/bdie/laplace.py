@@ -282,12 +282,13 @@ class _Columns:
             return contrib.sum(axis=-1, keepdims=True)
         return contrib @ bary if bary.ndim == 2 else np.einsum("kq,kqc->kc", contrib, bary)
 
-    def node_map(self, weights, bary):
-        """Sparse (columns x nodes) map of a node table with weights (t, q)."""
+    def node_map(self, panels, weights, bary):
+        """Sparse (columns x nodes) map of the node table of panels (t,) with
+        weights (t, q)."""
         t, q = weights.shape
         coef = weights[:, :, None] * (bary[None] if self.vertex else 1.0)
         nodes = np.broadcast_to(np.arange(t * q).reshape(t, q, 1), coef.shape)
-        cols = np.broadcast_to(self.of(np.arange(t))[:, None, :], coef.shape)
+        cols = np.broadcast_to(self.of(panels)[:, None, :], coef.shape)
         return sparse.csr_matrix((coef.ravel(), (cols.ravel(), nodes.ravel())),
                                  shape=(self.n, t * q))
 
@@ -361,7 +362,9 @@ def _surface_rows(
     output columns by a sparse node-to-column matrix; near pairs (the
     subdivided rule) and the target's own panels (a Duffy rule) add their
     sums as corrections.  The density and the coefficient factor are folded
-    into the node weights once per call.
+    into the node weights once per call: into the far weights of the active
+    panels up front, into the near weights of a panel at its first near
+    pair.
 
     ``singular_scheme`` is "duffy" for weakly singular kernels or "skip" for
     the principal-value double layer (flat panels through the collocation
@@ -378,16 +381,23 @@ def _surface_rows(
     on_panel_tol = 1e-12 * mesh.diameters
     near_cut = cfg.near_threshold * mesh.diameters
 
-    def node_weights(nodes, wts, bary):
-        normals = np.broadcast_to(mesh.normals[:, None, :], nodes.shape)
-        return wts * dens.values(np.arange(n_tri), nodes, bary, normals)
+    def node_weights(panels, nodes, wts, bary):
+        normals = np.broadcast_to(mesh.normals[panels][:, None, :], nodes.shape)
+        return wts * dens.values(panels, nodes, bary, normals)
 
-    far_w = node_weights(cache.far_nodes, cache.far_wts, cache.far_bary)
-    far_map = None if matrix_space is None else columns.node_map(far_w, cache.far_bary)
-    far_nodes = cache.far_nodes.reshape(-1, 3)
-    far_normals = np.repeat(mesh.normals, far_w.shape[1], axis=0)
-    near_w = node_weights(cache.near_nodes, cache.near_wts, cache.near_bary)
+    # The far table covers the active panels only.
+    act = np.flatnonzero(active)
+    n_far = cache.far_wts.shape[1]
+    far_w = node_weights(act, cache.far_nodes[act], cache.far_wts[act], cache.far_bary)
+    far_map = None if matrix_space is None else columns.node_map(act, far_w, cache.far_bary)
+    far_nodes = cache.far_nodes[act].reshape(-1, 3)
+    far_normals = np.repeat(mesh.normals[act], n_far, axis=0)
     sing_rows, sing_panels = _singular_pairs(cache, colloc)
+
+    # Near weights are folded in when a panel first has a near pair: a call
+    # with few targets meets few near panels.
+    near_w = np.empty(cache.near_wts.shape)
+    near_ready = np.zeros(n_tri, dtype=bool)
 
     def add_pairs(rows, panels, nodes, weights, bary):
         # Target-panel pairs (rows[k], panels[k]); a row may repeat.
@@ -396,7 +406,7 @@ def _surface_rows(
         _scatter_add(out, rows[:, None], columns.of(panels),
                      columns.reduce(vals * weights, bary))
 
-    block = max(1, FAR_BLOCK_PAIRS // len(far_nodes))
+    block = max(1, FAR_BLOCK_PAIRS // cache.far_wts.size)
     for start in range(0, colloc.n, block):
         y = colloc.points[start:start + block]
         lo, hi = np.searchsorted(sing_rows, [start, start + len(y)])
@@ -426,14 +436,19 @@ def _surface_rows(
         # Far pairs: kernel values at every far node, masked to far pairs.
         # Masked nodes may sit on a target; their values are discarded.
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = kernel(far_nodes, far_normals, y[:, None, :]).reshape(len(y), n_tri, -1)
-        vals[~regular | near] = 0.0
+            vals = kernel(far_nodes, far_normals, y[:, None, :]).reshape(len(y), len(act), n_far)
+        vals[(~regular | near)[:, act]] = 0.0
         vals = vals.reshape(len(y), -1)
         if far_map is None:
             out[start:start + len(y), 0] += (vals * far_w.reshape(-1)).sum(axis=1)
         else:
             out[start:start + len(y)] += (far_map @ vals.T).T
 
+        new = np.flatnonzero(near.any(axis=0) & ~near_ready)
+        if len(new):
+            near_w[new] = node_weights(new, cache.near_nodes[new], cache.near_wts[new],
+                                       cache.near_bary)
+            near_ready[new] = True
         near_rows, near_panels = np.nonzero(near)
         for k in range(0, len(near_rows), NEAR_BATCH_PAIRS):
             r, p = near_rows[k:k + NEAR_BATCH_PAIRS], near_panels[k:k + NEAR_BATCH_PAIRS]

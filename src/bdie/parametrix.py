@@ -122,22 +122,22 @@ def op_V_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD,
 
 def op_W_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD,
                 workers: int = 1) -> np.ndarray:
-    return W_matrix_terms(mesh, field, space_tag, targets, cfg, workers)[0]
+    return _W_matrix_terms(mesh, field, space_tag, targets, cfg)[0]
 
 
-def W_matrix_terms(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD,
-                   workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _W_matrix_terms(mesh, field, space_tag, targets,
+                    cfg=lp.DEFAULT_QUAD) -> tuple[np.ndarray, np.ndarray]:
     """op_W_matrix and its Laplace double-layer term W_lap.
 
     At registered targets the row sums of the vertex-linear W_lap are the
     unit-density principal values, the jump coefficients of the assembly.
     """
     check_dense_caps(n_triangles=mesh.n_triangles)
-    w = lp.double_layer_matrix(mesh, space_tag, targets, cfg, workers=workers)
+    w = lp.double_layer_matrix(mesh, space_tag, targets, cfg)
     if field.is_constant:
         return w, w
     return w - lp.single_layer_matrix(mesh, space_tag, targets, cfg,
-                                      factor=_dn_ln_a(field), workers=workers), w
+                                      factor=_dn_ln_a(field)), w
 
 
 # --- volume operators ------------------------------------------------------------

@@ -304,7 +304,7 @@ def assemble_M12(
     # the density, with the boundary row's own "+ phi" folded in.  The jump
     # coefficients are the row sums of W's Laplace term (see
     # jump_coefficients), so they cost no quadrature of their own.
-    w_b, w_lap = px.W_matrix_terms(surfmesh, field, lp.SPACE_VERTEX, colloc, workers=workers)
+    w_b, w_lap = px._W_matrix_terms(surfmesh, field, lp.SPACE_VERTEX, colloc)
     jump_c = w_lap.sum(axis=1)
     put(rows_b, w_b + (1.0 - jump_c)[:, None] * vertex_eval_matrix(surfmesh, colloc),
         vertex_split)

@@ -481,3 +481,30 @@ def test_engine_matches_reference_for_restricted_and_callable_densities(
         _engine_matches(call(mesh, smooth, colloc, factor=_surface_factor),
                         _reference_rows(mesh, layer, colloc, density=smooth,
                                         factor=_surface_factor))
+
+
+def test_engine_evaluates_the_factor_at_the_nodes_it_uses():
+    # The factor is folded into the far weights of the active panels, and
+    # into the near weights only of the panels a target comes near.
+    mesh = geo.partition_boundary(geo.build_icosphere(3))
+    n_far = quad.gauss_triangle(lp.DEFAULT_QUAD.far_order)[1].size
+    n_near = quad.subdivided_triangle_rule(lp.DEFAULT_QUAD.near_order,
+                                           lp.DEFAULT_QUAD.levels)[1].size
+    seen = []
+
+    def factor(nodes, normals):
+        seen.append(nodes[..., 0].size)
+        return np.ones(nodes.shape[:-1])
+
+    def points_for(density, target):
+        seen.clear()
+        lp.single_layer(mesh, density, target[None], factor=factor)
+        return sum(seen)
+
+    ones = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, np.ones(mesh.n_triangles))
+    assert points_for(ones, np.array([5.0, 0.0, 0.0])) == mesh.n_triangles * n_far
+    near = points_for(ones, 1.05 * mesh.centroids[0]) - mesh.n_triangles * n_far
+    assert near % n_near == 0 and 0 < near <= mesh.n_triangles // 10 * n_near
+    on_d = mesh.part_label == geo.PART_DIRICHLET
+    restricted = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_D, on_d.astype(float))
+    assert points_for(restricted, np.array([5.0, 0.0, 0.0])) == on_d.sum() * n_far
