@@ -414,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", dest="output_dir", help="output directory "
                        "(BDIE_OUT env var wins)")
-        p.add_argument("--workers", type=int, help="worker thread count")
+        p.add_argument("--workers", type=int, help="accepted; changes no work or output")
         p.add_argument("--partition", help="boundary partition rule name")
         if level:
             p.add_argument("--level", type=int, help="refinement level (1-3)")

@@ -14,15 +14,14 @@ sense on the surface.  Direct values on the surface integrate with a Duffy
 rule (single layer) or skip the flat panels through the collocation point
 (double layer, exact for flat panels).
 
-Every surface operator runs through one engine, ``_surface_rows``, which is
-vectorized over blocks of targets; the ``workers`` argument of the surface
-operators is accepted and has no effect there.  The volume operators run
-their targets on ``workers`` threads.
+Every surface operator runs through one engine, ``_surface_rows``, and every
+volume operator through another, ``_volume_rows``; both are vectorized over
+blocks of targets.  The ``workers`` argument of the operators is accepted
+and changes neither the work done nor the output.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -473,17 +472,6 @@ def _surface_rows(
     return out[:, 0] if matrix_space is None else out
 
 
-def _run_rows(do_row, m, workers):
-    # Rows are independent and written to disjoint slots, so any worker
-    # count yields bit-identical output.
-    if workers <= 1:
-        for i in range(m):
-            do_row(i)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(do_row, range(m)))
-
-
 def _support_mask(mesh: SurfaceMesh, support: Optional[str]):
     if support in (None, SUPPORT_ALL):
         return None
@@ -621,35 +609,50 @@ def _node_values(volmesh: VolumeMesh, density) -> np.ndarray:
     return np.asarray(density(volmesh.all_nodes()), dtype=float)
 
 
-def _volume_rows(targets, kernel: Callable, weights: np.ndarray, excl: np.ndarray,
-                 per_cell: Optional[int] = None, workers: int = 1) -> np.ndarray:
-    """The one loop over targets behind every production volume integral.
+# Target-node pairs per block of volume kernel values (see FAR_BLOCK_PAIRS).
+VOLUME_BLOCK_PAIRS = 1 << 15
 
-    ``kernel(target)`` returns the kernel values at all nodes and the
-    node-to-target distances r; ``weights`` are the node weights with the
-    coefficient factor (and, for values, the density) folded in.  Nodes with
-    r <= ``excl`` are dropped.  Returns one value per target, or with
-    ``per_cell`` nodes per cell, one dense row of per-cell sums per target.
+
+def _volume_rows(targets, kernel: Callable, weights: np.ndarray, excl: np.ndarray,
+                 per_cell: Optional[int] = None) -> np.ndarray:
+    """The one engine behind every production volume integral.
+
+    Targets run in blocks of VOLUME_BLOCK_PAIRS // (nodes); ``kernel(y)``
+    returns new arrays (overwritten here) of the kernel values and distances
+    r, (B, nodes) each, for a (B, 3) block y.  ``weights`` carry the node
+    weights times the coefficient factor (and, for values, the density).
+    Nodes with r <= ``excl`` are dropped.  Returns one value per target, or
+    with ``per_cell`` nodes per cell, one row of per-cell sums per target.
     """
     targets = _volume_points(targets)
-    m = len(targets)
-    out = np.zeros(m) if per_cell is None else np.zeros((m, len(weights) // per_cell))
-
-    def do_row(i):
-        # Dropped nodes may sit on the target; their values are discarded.
+    m, n = len(targets), len(weights)
+    out = np.zeros(m) if per_cell is None else np.zeros((m, n // per_cell))
+    block = max(1, VOLUME_BLOCK_PAIRS // n)
+    for start in range(0, m, block):
+        y = targets[start:start + block]
+        # Dropped nodes may sit on a target; their values are discarded.
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals, r = kernel(targets[i])
-        contrib = weights * np.where(r > excl, vals, 0.0)
-        out[i] = contrib.sum() if per_cell is None else contrib.reshape(-1, per_cell).sum(axis=1)
-
-    _run_rows(do_row, m, workers)
+            vals, r = kernel(y)
+        vals[r <= excl] = 0.0
+        if per_cell is None:
+            out[start:start + len(y)] = vals @ weights
+        else:
+            vals *= weights
+            out[start:start + len(y)] = vals.reshape(len(y), -1, per_cell).sum(axis=2)
     return out
 
 
+def _offsets(comps: np.ndarray, y: np.ndarray):
+    """Node-minus-target components, (B, n) each, and r^2 for targets y (B, 3);
+    comps holds the node coordinates as contiguous component arrays (3, n)."""
+    dx, dy, dz = (comps[k] - y[:, k, None] for k in range(3))
+    return dx, dy, dz, dx * dx + dy * dy + dz * dz
+
+
 def _newton_kernel(nodes: np.ndarray) -> Callable:
-    def kern(target):
-        d = nodes - target
-        r = np.sqrt((d * d).sum(axis=1))
+    comps = np.ascontiguousarray(nodes.T)
+    def kern(y):
+        r = np.sqrt(_offsets(comps, y)[3])
         return -1.0 / (FOUR_PI * r), r
     return kern
 
@@ -674,7 +677,7 @@ def newton_potential(
     """
     weights = _newton_weights(volmesh, factor) * _node_values(volmesh, density)
     return _volume_rows(targets, _newton_kernel(volmesh.all_nodes()), weights,
-                        exclusion_radii(volmesh, exclusion_factor), workers=workers)
+                        exclusion_radii(volmesh, exclusion_factor))
 
 
 def newton_potential_matrix(
@@ -688,7 +691,7 @@ def newton_potential_matrix(
     return _volume_rows(targets, _newton_kernel(volmesh.all_nodes()),
                         _newton_weights(volmesh, factor),
                         exclusion_radii(volmesh, exclusion_factor),
-                        per_cell=volmesh.n_nodes_per_cell, workers=workers)
+                        per_cell=volmesh.n_nodes_per_cell)
 
 
 # --- offset normal derivative -----------------------------------------------

@@ -146,27 +146,25 @@ def op_P(volmesh: VolumeMesh, field: CoefficientField, density, targets,
          workers: int = 1) -> np.ndarray:
     """Weighted Newton potential: N_lap applied to f / a at the nodes."""
     return lp.newton_potential(volmesh, density, targets,
-                               factor=lambda nodes: 1.0 / field.eval_a(nodes),
-                               workers=workers)
+                               factor=lambda nodes: 1.0 / field.eval_a(nodes))
 
 
 def op_P_matrix(volmesh, field, targets, workers: int = 1) -> np.ndarray:
     check_dense_caps(n_cells=volmesh.n_cells)
     return lp.newton_potential_matrix(
-        volmesh, targets, factor=lambda nodes: 1.0 / field.eval_a(nodes),
-        workers=workers)
+        volmesh, targets, factor=lambda nodes: 1.0 / field.eval_a(nodes))
 
 
 def _remainder_kernel(field: CoefficientField, nodes: np.ndarray):
-    grad_ln = field.eval_grad_ln_a(nodes)
+    comps = np.ascontiguousarray(nodes.T)
+    gx, gy, gz = np.ascontiguousarray(field.eval_grad_ln_a(nodes).T)
     lap_ln = field.eval_laplacian_ln_a(nodes)
 
-    def kern(target):
-        d = nodes - target
-        r2 = (d * d).sum(axis=1)
+    def kern(y):
+        dx, dy, dz, r2 = lp._offsets(comps, y)
         r = np.sqrt(r2)
         p = -1.0 / (FOUR_PI * r)
-        dot = np.einsum("ij,ij->i", grad_ln, d)
+        dot = gx * dx + gy * dy + gz * dz
         vals = -(lap_ln * p + dot / (FOUR_PI * r * r2))
         return vals, r
 
@@ -185,8 +183,7 @@ def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets,
         return np.zeros(len(targets))
     weights = volmesh.all_weights() * lp._node_values(volmesh, density)
     return lp._volume_rows(targets, _remainder_kernel(field, volmesh.all_nodes()),
-                           weights, lp.exclusion_radii(volmesh, exclusion_factor),
-                           workers=workers)
+                           weights, lp.exclusion_radii(volmesh, exclusion_factor))
 
 
 def op_R_matrix(volmesh: VolumeMesh, field: CoefficientField, targets,
@@ -199,7 +196,7 @@ def op_R_matrix(volmesh: VolumeMesh, field: CoefficientField, targets,
     return lp._volume_rows(targets, _remainder_kernel(field, volmesh.all_nodes()),
                            volmesh.all_weights(),
                            lp.exclusion_radii(volmesh, exclusion_factor),
-                           per_cell=volmesh.n_nodes_per_cell, workers=workers)
+                           per_cell=volmesh.n_nodes_per_cell)
 
 
 def op_R_divergence_form(volmesh: VolumeMesh, field: CoefficientField, density,

@@ -279,18 +279,72 @@ def test_remainder_values_match_matrix(shell14, gauss_field, sphere3, where):
     assert np.abs(values - matrix @ v).max() <= 1e-12 * np.abs(values).max()
 
 
-def test_volume_values_on_a_node_are_finite(shell14, gauss_field):
+def test_volume_values_on_a_node_are_finite(shell14, gauss_field, monkeypatch):
     # The exclusion ball drops the node under the target; its kernel value
-    # (1/0) must neither leak into the sum nor warn.
+    # (1/0) must neither leak into the sum, nor into the other rows of its
+    # block of targets, nor warn.
     node = shell14.all_nodes()[1234][None]
+    cell = 1234 // shell14.n_nodes_per_cell
+    block = np.concatenate([shell14.centers[cell:cell + 1], node,
+                            shell14.centers[cell + 1:cell + 2]])
+    monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", 3 * shell14.all_weights().size)
     u = lp.DomainDensity(np.ones(shell14.n_cells))
+    ops = [lambda t: px.op_R(shell14, gauss_field, u, t),
+           lambda t: px.op_R_matrix(shell14, gauss_field, t),
+           lambda t: lp.newton_potential(shell14, u, t),
+           lambda t: lp.newton_potential_matrix(shell14, t)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        values = [px.op_R(shell14, gauss_field, u, node),
-                  px.op_R_matrix(shell14, gauss_field, node),
-                  lp.newton_potential(shell14, u, node),
-                  lp.newton_potential_matrix(shell14, node)]
-    assert all(np.isfinite(v).all() for v in values)
+        on_node = [op(node) for op in ops]
+        in_block = [op(block) for op in ops]
+    assert all(np.isfinite(v).all() for v in on_node + in_block)
+    # The free rows match their one-target results to rounding: the BLAS
+    # product of the value path may sum a 3-row block in another order.
+    for op, rows in zip(ops, in_block):
+        for row, alone in ((rows[0], op(block[:1])[0]), (rows[2], op(block[2:])[0])):
+            assert np.abs(row - alone).max() <= 1e-14 * np.abs(alone).max()
+
+
+def _volume_reference(volmesh, field, kind, targets, node_density=None):
+    """A plain loop over targets: the exclusion-ball volume integral of the
+    Newton or remainder kernel, as values of a node density or, without one,
+    as per-cell rows."""
+    nodes, wts = volmesh.all_nodes(), volmesh.all_weights()
+    excl = lp.exclusion_radii(volmesh)
+    cells = np.repeat(np.arange(volmesh.n_cells), volmesh.n_nodes_per_cell)
+    rows = []
+    for t in targets:
+        keep = np.linalg.norm(nodes - t, axis=1) > excl
+        x = nodes[keep]
+        k = lp.fundamental_solution(x, t) if kind == "newton" else px.kernel_R(field, x, t)
+        if node_density is None:
+            rows.append(np.bincount(cells[keep], wts[keep] * k, minlength=volmesh.n_cells))
+        else:
+            rows.append(np.sum(wts[keep] * node_density[keep] * k))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("where", ["centers", "boundary"])
+@pytest.mark.parametrize("output", ["values", "matrix"])
+@pytest.mark.parametrize("kind", ["newton", "remainder"])
+def test_volume_engine_matches_per_target_reference(shell14, gauss_field, sphere3,
+                                                    monkeypatch, kind, output, where):
+    # Blocks of three targets: the 20 centres and 16 centroids end in a
+    # partial block; most centroids have volume nodes inside their balls.
+    monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", 3 * shell14.all_weights().size + 1)
+    targets = shell14.centers[::128] if where == "centers" else sphere3.centroids[::80]
+    v = np.random.default_rng(6).normal(size=shell14.n_cells)
+    u = lp.DomainDensity(v)
+    got = {
+        ("newton", "values"): lambda: lp.newton_potential(shell14, u, targets),
+        ("newton", "matrix"): lambda: lp.newton_potential_matrix(shell14, targets),
+        ("remainder", "values"): lambda: px.op_R(shell14, gauss_field, u, targets),
+        ("remainder", "matrix"): lambda: px.op_R_matrix(shell14, gauss_field, targets),
+    }[kind, output]()
+    node_density = np.repeat(v, shell14.n_nodes_per_cell) if output == "values" else None
+    want = _volume_reference(shell14, gauss_field, kind, targets, node_density)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_remainder_far_target_rows_decay(shell14, gauss_field):

@@ -231,7 +231,8 @@ def test_integrate_volume_exclusion_ball():
     nodes = rng.uniform(-1, 1, size=(500, 3))
     weights = np.full(500, 8.0 / 500)
     target = np.zeros((1, 3))
-    kern = lambda t: (np.ones(len(nodes)), np.linalg.norm(nodes - t, axis=1))
+    kern = lambda y: (np.ones((len(y), len(nodes))),
+                      np.linalg.norm(nodes - y[:, None, :], axis=2))
     full = lp._volume_rows(target, kern, weights, np.zeros(500))[0]
     trimmed = lp._volume_rows(target, kern, weights, np.full(500, 0.5))[0]
     inside = (np.linalg.norm(nodes, axis=1) <= 0.5).sum()

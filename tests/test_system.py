@@ -280,6 +280,22 @@ def test_boundary_W_block_transient_memory(level2, gauss_field):
     assert peak < 8e6
 
 
+def test_remainder_block_transient_memory(level2, gauss_field):
+    """The volume engine keeps its temporaries per block of targets: one
+    level-2 R block at the cell centres peaks near 5 MB over its 1.8 MB
+    result."""
+    _, vol = level2
+    # A one-target call first, so that one-time set-up stays out of the peak.
+    px.op_R_matrix(vol, gauss_field, vol.centers[:1])
+    tracemalloc.start()
+    try:
+        px.op_R_matrix(vol, gauss_field, vol.centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_dense_caps_enforced(gauss_field):
     surf, vol = cs.level_meshes(1)
     big_vol = geo.build_shell_mesh(1.0, 4.0, n_radial=4, angular_level=3)
