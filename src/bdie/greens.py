@@ -241,10 +241,10 @@ def third_green_residual(field: CoefficientField, afield: AnalyticField,
     ucells = lp.DomainDensity(afield.u(volmesh.centers))
     fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
 
+    v, w = px.op_V_W(surfmesh, field, tplus, gamma, pts)
     res = (afield.u(pts)
            + px.op_R(volmesh, field, ucells, pts, workers=workers)
-           - px.op_V(surfmesh, field, tplus, pts, workers=workers)
-           + px.op_W(surfmesh, field, gamma, pts, workers=workers)
+           - v + w
            - px.op_P(volmesh, field, fcells, pts, workers=workers))
     scale = float(np.abs(afield.u(pts)).max()) if pts.size else 0.0
     return ResidualReport(res, scale, level=level,
@@ -268,10 +268,10 @@ def trace_identity_residual(field: CoefficientField, afield: AnalyticField,
     ucells = lp.DomainDensity(afield.u(volmesh.centers))
     fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
 
+    v, w = px.op_V_W(surfmesh, field, tplus, gamma, colloc)
     res = (0.5 * gamma_c
            + px.op_R(volmesh, field, ucells, colloc.points, workers=workers)
-           - px.dv_V(surfmesh, field, tplus, colloc, workers=workers)
-           + px.dv_W(surfmesh, field, gamma, colloc, workers=workers)
+           - v + w
            - px.op_P(volmesh, field, fcells, colloc.points, workers=workers))
     scale = float(np.abs(gamma_c).max())
     return ResidualReport(res, scale, level=level,

@@ -14,16 +14,16 @@ sense on the surface.  Direct values on the surface integrate with a Duffy
 rule (single layer) or skip the flat panels through the collocation point
 (double layer, exact for flat panels).
 
-Every surface operator runs through one engine, ``_surface_rows``, and every
-volume operator through another, ``_volume_rows``; both are vectorized over
-blocks of targets.  The ``workers`` argument of the operators is accepted
-and changes neither the work done nor the output.
+Every surface operator runs through one engine, ``_surface_rows``, which
+serves a list of terms in one pass over the targets, and every volume
+operator through another, ``_volume_rows``; both work over blocks of
+targets.  The ``workers`` argument is accepted and changes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy import sparse
@@ -55,18 +55,42 @@ def grad_fundamental_solution(x, y) -> np.ndarray:
     return d / (FOUR_PI * r**3)[..., None]
 
 
-def single_layer_kernel(nodes, normals, targets):
-    """1/(4 pi |x - y|) at nodes x for targets y; all arguments broadcast."""
+def _layer_offsets(nodes, targets):
+    """Offsets d = x - y of nodes x from targets y, and r = |d|."""
     d = nodes - targets
-    r = np.sqrt(np.einsum("...j,...j->...", d, d))
+    return d, np.sqrt(np.einsum("...j,...j->...", d, d))
+
+
+def _offset_kernel(of_offsets: Callable) -> Callable:
+    """A surface kernel ``(nodes, normals, targets)`` from a function
+    ``of_offsets(d, r, normals)`` of the offsets alone.  The surface engine
+    forms d and r once for all such kernels of a pass."""
+    def kernel(nodes, normals, targets):
+        return of_offsets(*_layer_offsets(nodes, targets), normals)
+    kernel.of_offsets = of_offsets
+    kernel.__name__, kernel.__doc__ = of_offsets.__name__, of_offsets.__doc__
+    return kernel
+
+
+@_offset_kernel
+def single_layer_kernel(d, r, normals):
+    """1/(4 pi |x - y|) at nodes x for targets y; all arguments broadcast."""
     return 1.0 / (FOUR_PI * r)
 
 
-def double_layer_kernel(nodes, normals, targets):
+@_offset_kernel
+def double_layer_kernel(d, r, normals):
     """-n(x) . grad_x fund_solution = -n.(x-y)/(4 pi |x-y|^3); broadcasts."""
-    d = nodes - targets
-    r = np.sqrt(np.einsum("...j,...j->...", d, d))
     return -np.einsum("...j,...j->...", normals, d) / (FOUR_PI * r**3)
+
+
+def _kernel_values(kernels, nodes, normals, targets) -> dict:
+    """Each distinct kernel's values at nodes for targets, keyed by kernel;
+    the offset kernels share one d and r."""
+    if any(hasattr(k, "of_offsets") for k in kernels):
+        d, r = _layer_offsets(nodes, targets)
+    return {k: k.of_offsets(d, r, normals) if hasattr(k, "of_offsets")
+            else k(nodes, normals, targets) for k in dict.fromkeys(kernels)}
 
 
 # --- densities ---------------------------------------------------------------
@@ -340,70 +364,108 @@ def _barycentric(corners, nodes):
     return np.stack([1 - s - t, s, t], axis=-1)
 
 
-def _surface_rows(
-    mesh: SurfaceMesh,
-    kernel: Callable,
-    colloc: Collocation,
-    dens: _NodeDensity,
-    cfg: QuadConfig,
-    singular_scheme: str,
-    tri_mask: Optional[np.ndarray],
-    matrix_space: Optional[str],
-):
-    """The one surface-quadrature engine: returns values (m,) or a dense matrix.
+class _Term(NamedTuple):
+    """One output of a surface pass: ``kernel`` against the density and
+    factor of ``dens``, with the singular scheme "duffy" or "skip", into the
+    columns of ``space`` (None: one value per target), over the panels of
+    ``mask`` (None: every panel)."""
+
+    kernel: Callable
+    dens: _NodeDensity
+    scheme: str
+    space: Optional[str] = None
+    mask: Optional[np.ndarray] = None
+
+
+def _single_term(mesh, density=None, space=None, factor=None) -> _Term:
+    """Single layer of a density (values) or of the basis of space (a matrix)."""
+    mask = None
+    if (isinstance(density, BoundaryDensity) and density.support_tag != SUPPORT_ALL
+            and density.space_tag == SPACE_TRIANGLE):
+        # Vertex support is enforced by zero coefficients.
+        mask = mesh.part_label == density.support_tag
+    return _Term(single_layer_kernel, _make_dens(mesh, density, factor, space), "duffy",
+                 space, mask)
+
+
+def _double_term(mesh, density=None, space=None, factor=None) -> _Term:
+    """Double layer, as _single_term; principal value at registered targets."""
+    return _Term(double_layer_kernel, _make_dens(mesh, density, factor, space), "skip", space)
+
+
+def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_QUAD) -> list:
+    """The one surface-quadrature engine: one pass over the targets for a
+    list of terms (see _Term); returns per term values (m,) or a dense matrix.
 
     ``kernel(nodes, normals, targets)`` broadcasts its arguments.  Targets
     run in blocks of FAR_BLOCK_PAIRS // (far nodes).  In a block, a
     target-panel pair is far when a centroid bound already puts the panel
     ``near_threshold`` diameters away; the exact point-triangle distance is
-    computed for the other pairs only.  Far pairs take one block of kernel
-    values at all far nodes, masked to the far pairs and mapped to the
-    output columns by a sparse node-to-column matrix; near pairs (the
-    subdivided rule) and the target's own panels (a Duffy rule) add their
-    sums as corrections.  The density and the coefficient factor are folded
-    into the node weights once per call: into the far weights of the active
-    panels up front, into the near weights of a panel at its first near
-    pair.
+    computed for the other pairs only, once for all terms.  Far pairs take
+    one block of kernel values at all far nodes, masked to the far pairs and
+    mapped to each term's columns by a sparse node-to-column matrix; near
+    pairs (the subdivided rule) and the target's own panels (a Duffy rule)
+    add their sums as corrections.  The terms share the offsets x - y and r,
+    and a kernel shared by several terms is evaluated once.  A term's
+    density and factor are folded into its node weights once per call: into
+    the far weights of the active panels up front, into the near weights of
+    a panel at its first near pair.  Terms over different panels (support
+    masks) take one pass per set of panels.
 
-    ``singular_scheme`` is "duffy" for weakly singular kernels or "skip" for
-    the principal-value double layer (flat panels through the collocation
-    point contribute zero exactly).  A target on an active panel that is not
-    one of its registered panels raises ``ValueError``: no rule here is
-    accurate there.
+    A term's scheme is "duffy" for weakly singular kernels or "skip" for the
+    principal-value double layer (flat panels through the collocation point
+    contribute zero exactly).  A target on an active panel that is not one
+    of its registered panels raises ``ValueError``: no rule here is accurate
+    there.
     """
+    colloc = _as_collocation(targets)
+    masks = [None if term.mask is None else term.mask.tobytes() for term in terms]
+    if len(set(masks)) > 1:
+        outs = {}
+        for key in dict.fromkeys(masks):
+            part = [t for t, mask in enumerate(masks) if mask == key]
+            outs.update(zip(part, _surface_rows(mesh, colloc, [terms[t] for t in part], cfg)))
+        return [outs[t] for t in range(len(terms))]
+
     cache = _panel_cache(mesh, cfg)
     corners = mesh.corners()
     n_tri = mesh.n_triangles
-    columns = _Columns(mesh, matrix_space)
-    out = np.zeros((colloc.n, columns.n))
-    active = np.ones(n_tri, dtype=bool) if tri_mask is None else tri_mask
+    kernels = [term.kernel for term in terms]
+    columns = [_Columns(mesh, term.space) for term in terms]
+    outs = [np.zeros((colloc.n, c.n)) for c in columns]
+    active = np.ones(n_tri, dtype=bool) if terms[0].mask is None else terms[0].mask
     on_panel_tol = 1e-12 * mesh.diameters
     near_cut = cfg.near_threshold * mesh.diameters
 
-    def node_weights(panels, nodes, wts, bary):
+    def node_weights(term, panels, nodes, wts, bary):
         normals = np.broadcast_to(mesh.normals[panels][:, None, :], nodes.shape)
-        return wts * dens.values(panels, nodes, bary, normals)
+        return wts * term.dens.values(panels, nodes, bary, normals)
 
     # The far table covers the active panels only.
     act = np.flatnonzero(active)
     n_far = cache.far_wts.shape[1]
-    far_w = node_weights(act, cache.far_nodes[act], cache.far_wts[act], cache.far_bary)
-    far_map = None if matrix_space is None else columns.node_map(act, far_w, cache.far_bary)
+    far_w = [node_weights(term, act, cache.far_nodes[act], cache.far_wts[act], cache.far_bary)
+             for term in terms]
+    far_map = [None if term.space is None else c.node_map(act, w, cache.far_bary)
+               for term, c, w in zip(terms, columns, far_w)]
     far_nodes = cache.far_nodes[act].reshape(-1, 3)
     far_normals = np.repeat(mesh.normals[act], n_far, axis=0)
     sing_rows, sing_panels = _singular_pairs(cache, colloc)
+    duffy = [t for t, term in enumerate(terms) if term.scheme == "duffy"]
 
     # Near weights are folded in when a panel first has a near pair: a call
     # with few targets meets few near panels.
-    near_w = np.empty(cache.near_wts.shape)
+    near_w = [np.empty(cache.near_wts.shape) for _ in terms]
     near_ready = np.zeros(n_tri, dtype=bool)
 
-    def add_pairs(rows, panels, nodes, weights, bary):
-        # Target-panel pairs (rows[k], panels[k]); a row may repeat.
-        vals = kernel(nodes, mesh.normals[panels][:, None, :],
-                      colloc.points[rows][:, None, :])
-        _scatter_add(out, rows[:, None], columns.of(panels),
-                     columns.reduce(vals * weights, bary))
+    def add_pairs(ts, rows, panels, nodes, weight_of, bary):
+        # Target-panel pairs (rows[k], panels[k]) of the terms ts; a row may
+        # repeat.  A term's node weights are formed only when it is summed.
+        vals = _kernel_values([kernels[t] for t in ts], nodes, mesh.normals[panels][:, None, :],
+                              colloc.points[rows][:, None, :])
+        for t in ts:
+            _scatter_add(outs[t], rows[:, None], columns[t].of(panels),
+                         columns[t].reduce(vals[kernels[t]] * weight_of(t), bary))
 
     block = max(1, FAR_BLOCK_PAIRS // cache.far_wts.size)
     for start in range(0, colloc.n, block):
@@ -435,26 +497,32 @@ def _surface_rows(
         # Far pairs: kernel values at every far node, masked to far pairs.
         # Masked nodes may sit on a target; their values are discarded.
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = kernel(far_nodes, far_normals, y[:, None, :]).reshape(len(y), len(act), n_far)
-        vals[(~regular | near)[:, act]] = 0.0
-        vals = vals.reshape(len(y), -1)
-        if far_map is None:
-            out[start:start + len(y), 0] += (vals * far_w.reshape(-1)).sum(axis=1)
-        else:
-            out[start:start + len(y)] += (far_map @ vals.T).T
+            vals = _kernel_values(kernels, far_nodes, far_normals, y[:, None, :])
+        not_far = (~regular | near)[:, act]
+        for kernel, v in vals.items():
+            v = v.reshape(len(y), len(act), n_far)
+            v[not_far] = 0.0
+            vals[kernel] = v.reshape(len(y), -1)
+        for t, kernel in enumerate(kernels):
+            if far_map[t] is None:
+                outs[t][start:start + len(y), 0] += (vals[kernel] * far_w[t].ravel()).sum(axis=1)
+            else:
+                outs[t][start:start + len(y)] += (far_map[t] @ vals[kernel].T).T
 
         new = np.flatnonzero(near.any(axis=0) & ~near_ready)
         if len(new):
-            near_w[new] = node_weights(new, cache.near_nodes[new], cache.near_wts[new],
-                                       cache.near_bary)
+            for term, w in zip(terms, near_w):
+                w[new] = node_weights(term, new, cache.near_nodes[new], cache.near_wts[new],
+                                      cache.near_bary)
             near_ready[new] = True
         near_rows, near_panels = np.nonzero(near)
         for k in range(0, len(near_rows), NEAR_BATCH_PAIRS):
             r, p = near_rows[k:k + NEAR_BATCH_PAIRS], near_panels[k:k + NEAR_BATCH_PAIRS]
-            add_pairs(r + start, p, cache.near_nodes[p], near_w[p], cache.near_bary)
+            add_pairs(range(len(terms)), r + start, p, cache.near_nodes[p],
+                      lambda t: near_w[t][p], cache.near_bary)
 
         # Singular pairs: a Duffy rule per kind of registered point.
-        if singular_scheme == "skip":
+        if not duffy:
             continue
         keep = active[panels]
         rows, panels = rows[keep], panels[keep]
@@ -468,14 +536,9 @@ def _surface_rows(
             nodes, w = quad.duffy_panel_nodes(corners[p], kind, cfg.duffy_order)
             bary = _barycentric(corners[p], nodes)
             normals = np.broadcast_to(mesh.normals[p][:, None, :], nodes.shape)
-            add_pairs(r, p, nodes, w * dens.values(p, nodes, bary, normals), bary)
-    return out[:, 0] if matrix_space is None else out
-
-
-def _support_mask(mesh: SurfaceMesh, support: Optional[str]):
-    if support in (None, SUPPORT_ALL):
-        return None
-    return mesh.part_label == support
+            add_pairs(duffy, r, p, nodes,
+                      lambda t: w * terms[t].dens.values(p, nodes, bary, normals), bary)
+    return [out[:, 0] if term.space is None else out for term, out in zip(terms, outs)]
 
 
 # --- public surface operators --------------------------------------------------
@@ -500,16 +563,8 @@ def single_layer(
     factor : optional callable(nodes, normals) -> values
         Smooth rescaling applied at quadrature nodes.
     """
-    colloc = _as_collocation(targets)
-    dens = _make_dens(mesh, density, factor)
-    mask = None
-    if isinstance(density, BoundaryDensity) and density.support_tag != SUPPORT_ALL:
-        mask = _support_mask(mesh, density.support_tag)
-        if density.space_tag == SPACE_VERTEX:
-            mask = None  # vertex support is enforced by zero coefficients
-    return _surface_rows(
-        mesh, single_layer_kernel, colloc, dens, cfg, "duffy", mask, None
-    )
+    term = _single_term(mesh, density, factor=factor)
+    return _surface_rows(mesh, targets, [term], cfg)[0]
 
 
 def double_layer(
@@ -523,14 +578,13 @@ def double_layer(
     """Double layer potential; for registered on-surface targets this is the
     principal value (panels through the target are skipped, exact for flat
     panels)."""
-    colloc = _as_collocation(targets)
-    dens = _make_dens(mesh, density, factor)
-    return _surface_rows(
-        mesh, double_layer_kernel, colloc, dens, cfg, "skip", None, None
-    )
+    term = _double_term(mesh, density, factor=factor)
+    return _surface_rows(mesh, targets, [term], cfg)[0]
 
 
-def _make_dens(mesh, density, factor):
+def _make_dens(mesh, density, factor, space=None):
+    if space is not None:  # a matrix integrates the basis of its space
+        return _NodeDensity(mesh, factor=factor)
     if isinstance(density, BoundaryDensity):
         return _NodeDensity(mesh, density=density, factor=factor)
     if callable(density):
@@ -547,11 +601,8 @@ def single_layer_matrix(
     workers: int = 1,
 ) -> np.ndarray:
     """Dense single-layer matrix mapping density coefficients to target values."""
-    colloc = _as_collocation(targets)
-    dens = _NodeDensity(mesh, factor=factor)
-    return _surface_rows(
-        mesh, single_layer_kernel, colloc, dens, cfg, "duffy", None, space_tag
-    )
+    term = _single_term(mesh, space=space_tag, factor=factor)
+    return _surface_rows(mesh, targets, [term], cfg)[0]
 
 
 def double_layer_matrix(
@@ -563,11 +614,8 @@ def double_layer_matrix(
     workers: int = 1,
 ) -> np.ndarray:
     """Dense double-layer matrix (principal value at registered targets)."""
-    colloc = _as_collocation(targets)
-    dens = _NodeDensity(mesh, factor=factor)
-    return _surface_rows(
-        mesh, double_layer_kernel, colloc, dens, cfg, "skip", None, space_tag
-    )
+    term = _double_term(mesh, space=space_tag, factor=factor)
+    return _surface_rows(mesh, targets, [term], cfg)[0]
 
 
 # Direct values are the on-surface evaluations; kept as named wrappers since

@@ -92,11 +92,31 @@ def op_V(mesh: SurfaceMesh, field: CoefficientField, density, targets,
 def op_W(mesh: SurfaceMesh, field: CoefficientField, density, targets,
          cfg: QuadConfig = lp.DEFAULT_QUAD, workers: int = 1) -> np.ndarray:
     """Weighted double layer: W_lap(rho) - V_lap(rho * dn ln a)."""
-    w = lp.double_layer(mesh, density, targets, cfg, workers=workers)
-    if field.is_constant:
-        return w
-    return w - lp.single_layer(mesh, density, targets, cfg,
-                               factor=_dn_ln_a(field), workers=workers)
+    return _W_from(*lp._surface_rows(mesh, targets, _W_terms(mesh, field, density), cfg))
+
+
+def op_V_W(mesh: SurfaceMesh, field: CoefficientField, psi, phi, targets,
+           cfg: QuadConfig = lp.DEFAULT_QUAD) -> tuple[np.ndarray, np.ndarray]:
+    """op_V of psi and op_W of phi at the same targets, from one surface pass."""
+    terms = [lp._single_term(mesh, psi, factor=_inv_a(field))] + _W_terms(mesh, field, phi)
+    v, *w = lp._surface_rows(mesh, targets, terms, cfg)
+    return v, _W_from(*w)
+
+
+def _W_terms(mesh, field, density=None, space=None) -> list:
+    """The surface terms of W: W_lap and, for a variable coefficient,
+    V_lap(. dn ln a); see _W_from."""
+    terms = [lp._double_term(mesh, density, space)]
+    if not field.is_constant:
+        terms.append(lp._single_term(mesh, density, space, _dn_ln_a(field)))
+    return terms
+
+
+def _W_from(w_lap, *v_dn):
+    """W from the outputs of _W_terms, built in place of W_lap."""
+    if v_dn:
+        w_lap -= v_dn[0]
+    return w_lap
 
 
 def dv_V(mesh: SurfaceMesh, field: CoefficientField, density, colloc: Collocation,
@@ -122,22 +142,21 @@ def op_V_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD,
 
 def op_W_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD,
                 workers: int = 1) -> np.ndarray:
-    return _W_matrix_terms(mesh, field, space_tag, targets, cfg)[0]
-
-
-def _W_matrix_terms(mesh, field, space_tag, targets,
-                    cfg=lp.DEFAULT_QUAD) -> tuple[np.ndarray, np.ndarray]:
-    """op_W_matrix and its Laplace double-layer term W_lap.
-
-    At registered targets the row sums of the vertex-linear W_lap are the
-    unit-density principal values, the jump coefficients of the assembly.
-    """
     check_dense_caps(n_triangles=mesh.n_triangles)
-    w = lp.double_layer_matrix(mesh, space_tag, targets, cfg)
-    if field.is_constant:
-        return w, w
-    return w - lp.single_layer_matrix(mesh, space_tag, targets, cfg,
-                                      factor=_dn_ln_a(field)), w
+    return _W_from(*lp._surface_rows(mesh, targets, _W_terms(mesh, field, space=space_tag), cfg))
+
+
+def _VW_matrices(mesh, field, targets, cfg=lp.DEFAULT_QUAD):
+    """op_V_matrix (triangle-constant) and op_W_matrix (vertex-linear) at
+    the same targets from one surface pass, and the row sums of W's Laplace
+    term W_lap.  At registered targets those row sums are the unit-density
+    principal values, the jump coefficients of the assembly."""
+    check_dense_caps(n_triangles=mesh.n_triangles)
+    terms = [lp._single_term(mesh, space=lp.SPACE_TRIANGLE, factor=_inv_a(field))]
+    terms += _W_terms(mesh, field, space=lp.SPACE_VERTEX)
+    v, w_lap, *v_dn = lp._surface_rows(mesh, targets, terms, cfg)
+    jump = w_lap.sum(axis=1)
+    return v, _W_from(w_lap, *v_dn), jump
 
 
 # --- volume operators ------------------------------------------------------------
@@ -232,9 +251,8 @@ def op_V_by_kernel(mesh: SurfaceMesh, field: CoefficientField, density, targets,
     """
     kern = lambda nodes, normals, ys: (
         -lp.fundamental_solution(nodes, ys) / field.eval_a(nodes))
-    colloc = lp._as_collocation(targets)
-    dens = lp._make_dens(mesh, density, None)
-    return lp._surface_rows(mesh, kern, colloc, dens, cfg, "duffy", None, None)
+    term = lp._Term(kern, lp._make_dens(mesh, density, None), "duffy")
+    return lp._surface_rows(mesh, targets, [term], cfg)[0]
 
 
 def op_P_by_kernel(volmesh: VolumeMesh, field: CoefficientField, density, targets,
@@ -273,6 +291,11 @@ def _target_normals(mesh: SurfaceMesh, colloc: Collocation) -> np.ndarray:
     return normals
 
 
+# (x - y)_k / (4 pi r^3): the components of grad_y of 1/(4 pi r).
+_GRADIENT_KERNELS = [lp._offset_kernel(lambda d, r, normals, k=k: d[..., k] / (FOUR_PI * r**3))
+                     for k in range(3)]
+
+
 def op_Wprime_offset(mesh: SurfaceMesh, field: CoefficientField, density,
                      colloc: Collocation, offset: float,
                      cfg: QuadConfig = lp.DEFAULT_QUAD) -> np.ndarray:
@@ -280,23 +303,17 @@ def op_Wprime_offset(mesh: SurfaceMesh, field: CoefficientField, density,
 
     Evaluates a(y) * n(y) . grad_y V_lap(rho / a) at y - offset * n
     (the exterior side), using the analytic gradient of the single-layer
-    integrand.  Diagnostic only; not part of the assembled system.
+    integrand: its three components are the terms of one surface pass.
+    Diagnostic only; not part of the assembled system.
     """
     if offset <= 0:
         raise ValueError("offset must be positive")
     normals = _target_normals(mesh, colloc)
-    a_y = field.eval_a(colloc.points)
-    out = np.zeros(colloc.n)
     dens = lp._make_dens(mesh, density, _inv_a(field))
-    for i in range(colloc.n):
-        n_y = normals[i]
-        kern = lambda nodes, panel_normals, ys: np.einsum(
-            "j,...j->...", n_y, nodes - ys) / (
-            FOUR_PI * np.linalg.norm(nodes - ys, axis=-1) ** 3)
-        pt = Collocation.free((colloc.points[i] - offset * n_y)[None])
-        out[i] = a_y[i] * lp._surface_rows(
-            mesh, kern, pt, dens, cfg, "duffy", None, None)[0]
-    return out
+    terms = [lp._Term(kernel, dens, "duffy") for kernel in _GRADIENT_KERNELS]
+    grad = lp._surface_rows(mesh, colloc.points - offset * normals, terms, cfg)
+    return field.eval_a(colloc.points) * np.einsum("ij,ij->i", np.stack(grad, axis=1),
+                                                   normals)
 
 
 def op_Lhat_offset(mesh: SurfaceMesh, field: CoefficientField, density,
@@ -304,21 +321,16 @@ def op_Lhat_offset(mesh: SurfaceMesh, field: CoefficientField, density,
                    cfg: QuadConfig = lp.DEFAULT_QUAD) -> np.ndarray:
     """Hypersingular action probed through offset normal derivatives.
 
-    a(y) * d/dn[W_lap rho] - a(y) * d/dn[V_lap(rho * dn ln a)], each normal
-    derivative taken with the two-point exterior offset stencil.  Diagnostic
-    only.
+    a(y) * d/dn[W_lap rho - V_lap(rho * dn ln a)], the normal derivative
+    taken with the two-point exterior offset stencil of
+    ``laplace.normal_derivative``; both terms at all 2m stencil points come
+    from one surface pass.  Diagnostic only.
     """
     if offset <= 0:
         raise ValueError("offset must be positive")
     normals = _target_normals(mesh, colloc)
     a_y = field.eval_a(colloc.points)
-    out = np.zeros(colloc.n)
-    for i in range(colloc.n):
-        pot_w = lambda pts: lp.double_layer(mesh, density, pts, cfg)
-        out[i] = a_y[i] * lp.normal_derivative(pot_w, colloc.points[i], normals[i], offset)
-        if not field.is_constant:
-            pot_v = lambda pts: lp.single_layer(mesh, density, pts, cfg,
-                                                factor=_dn_ln_a(field))
-            out[i] -= a_y[i] * lp.normal_derivative(pot_v, colloc.points[i],
-                                                    normals[i], offset)
-    return out
+    stencil = np.concatenate([colloc.points - offset * normals,
+                              colloc.points - 2.0 * offset * normals])
+    w = _W_from(*lp._surface_rows(mesh, stencil, _W_terms(mesh, field, density), cfg))
+    return a_y * -(w[colloc.n:] - w[:colloc.n]) / offset

@@ -124,7 +124,7 @@ def jump_coefficients(surfmesh: geo.SurfaceMesh, colloc: lp.Collocation,
     rho; using the measured fraction instead of the smooth-surface 1/2
     keeps vertex rows consistent with the assembled operators.  Assembly
     takes the same values, to rounding, from the row sums of the Laplace
-    double-layer vertex matrix it builds anyway.
+    double-layer vertex matrix of its boundary surface pass.
     """
     ones = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
                               np.ones(surfmesh.n_vertices))
@@ -262,9 +262,10 @@ def assemble_M12(
 
     Domain rows are collocated at cell centers, boundary rows at S_D
     centroids plus interior-S_N vertices; with the unknown layout
-    (u | psi | phi) this is square by construction.  Each V and W block is
-    built over all columns once and split into the unknown columns of the
-    matrix and the data columns.  Omitting f and extensions leaves a zero
+    (u | psi | phi) this is square by construction.  One surface pass per
+    target set builds its V and W blocks over all columns; they are split
+    into the unknown columns of the matrix and the data columns, and placed
+    before the next set is built.  Omitting f and extensions leaves a zero
     right-hand side, which is enough for the block-structure checks and for
     synthetic consistency studies.
     """
@@ -294,20 +295,18 @@ def assemble_M12(
 
     A[su, su] = np.eye(n_c) + px.op_R_matrix(volmesh, field, centers, workers=workers)
     A[rows_b, su] = px.op_R_matrix(volmesh, field, colloc.points, workers=workers)
-    put(su, -px.op_V_matrix(surfmesh, field, lp.SPACE_TRIANGLE, centers,
-                            workers=workers), triangle_split)
-    put(rows_b, -px.op_V_matrix(surfmesh, field, lp.SPACE_TRIANGLE, colloc,
-                                workers=workers), triangle_split)
-    put(su, px.op_W_matrix(surfmesh, field, lp.SPACE_VERTEX, centers,
-                           workers=workers), vertex_split)
+    v, w, _ = px._VW_matrices(surfmesh, field, centers)
+    put(su, np.negative(v, out=v), triangle_split)
+    put(su, w, vertex_split)
+    del v, w  # before the next pass, which holds its own blocks
     # Exterior trace of W: principal value minus the jump coefficient times
     # the density, with the boundary row's own "+ phi" folded in.  The jump
     # coefficients are the row sums of W's Laplace term (see
-    # jump_coefficients), so they cost no quadrature of their own.
-    w_b, w_lap = px._W_matrix_terms(surfmesh, field, lp.SPACE_VERTEX, colloc)
-    jump_c = w_lap.sum(axis=1)
-    put(rows_b, w_b + (1.0 - jump_c)[:, None] * vertex_eval_matrix(surfmesh, colloc),
-        vertex_split)
+    # jump_coefficients), from the same pass.
+    v, w, jump_c = px._VW_matrices(surfmesh, field, colloc)
+    put(rows_b, np.negative(v, out=v), triangle_split)
+    w += (1.0 - jump_c)[:, None] * vertex_eval_matrix(surfmesh, colloc)
+    put(rows_b, w, vertex_split)
 
     system = M12System(A, K, np.zeros(n), surfmesh, volmesh, field, sd, nin, colloc,
                        zero_extensions(surfmesh))
@@ -409,8 +408,9 @@ def evaluate_solution(system: M12System, solution: M12Solution, points,
                                   solution.recovered_conormal)
     trace = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
                                solution.recovered_trace)
-    total += px.op_V(mesh, field, conormal, pts, workers=workers)
-    total -= px.op_W(mesh, field, trace, pts, workers=workers)
+    v, w = px.op_V_W(mesh, field, conormal, trace, pts)
+    total += v
+    total -= w
     total -= px.op_R(vol, field, solution.u, pts, workers=workers)
     if dens is not None:
         total += px.op_P(vol, field, dens, pts, workers=workers)

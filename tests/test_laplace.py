@@ -508,3 +508,58 @@ def test_engine_evaluates_the_factor_at_the_nodes_it_uses():
     on_d = mesh.part_label == geo.PART_DIRICHLET
     restricted = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_D, on_d.astype(float))
     assert points_for(restricted, np.array([5.0, 0.0, 0.0])) == on_d.sum() * n_far
+
+
+# --- one pass for several terms ------------------------------------------------
+
+
+def _custom_kernel(nodes, normals, targets):
+    # A kernel of the nodes, not of the offsets alone: it takes its own path.
+    return (1.0 + 0.1 * nodes[..., 2]) / (FOUR_PI * np.linalg.norm(nodes - targets, axis=-1))
+
+
+def _mixed_terms(mesh):
+    """Single and double layers into values, triangle and vertex columns,
+    with a factor, a support-restricted triangle density and a custom kernel;
+    two single-layer terms share their kernel."""
+    on_d = mesh.part_label == geo.PART_DIRICHLET
+    restricted = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_D,
+                                    np.where(on_d, 1.0 + mesh.centroids[:, 1], 0.0))
+    vertex = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
+                                np.cos(3.0 * mesh.vertices[:, 0]) + mesh.vertices[:, 2])
+    return [
+        lp._single_term(mesh, space=lp.SPACE_TRIANGLE, factor=_surface_factor),
+        lp._double_term(mesh, space=lp.SPACE_VERTEX),
+        lp._single_term(mesh, space=lp.SPACE_VERTEX, factor=_surface_factor),
+        lp._single_term(mesh, vertex),
+        lp._double_term(mesh, vertex, factor=_surface_factor),
+        lp._single_term(mesh, restricted),
+        lp._Term(_custom_kernel, lp._make_dens(mesh, vertex, None), "duffy"),
+    ]
+
+
+@pytest.mark.parametrize("where", ["centroid", "vertex", "free", "mixed"])
+def test_multi_term_outputs_equal_one_term_calls(level1_targets, where, monkeypatch):
+    # Small blocks and batches, so that a call crosses their boundaries.
+    monkeypatch.setattr(lp, "FAR_BLOCK_PAIRS", 5 * 80 * 6)
+    monkeypatch.setattr(lp, "NEAR_BATCH_PAIRS", 7)
+    mesh, targets = level1_targets
+    colloc = (lp.Collocation.concat([targets["vertex"], targets["free"], targets["centroid"]])
+              if where == "mixed" else targets[where])
+    terms = _mixed_terms(mesh)
+    together = lp._surface_rows(mesh, colloc, terms)
+    assert len(together) == len(terms)
+    for term, out in zip(terms, together):
+        assert np.array_equal(out, lp._surface_rows(mesh, colloc, [term])[0])
+
+
+def test_multi_term_call_refuses_bad_targets(level1_targets):
+    mesh, _ = level1_targets
+    terms = _mixed_terms(mesh)
+    with pytest.raises(ValueError, match="lies on panel 5"):
+        lp._surface_rows(mesh, lp.Collocation.free(mesh.centroids[[5]]), terms)
+    # Registered to panel 5 and inside it, but neither its centroid nor a vertex.
+    inside = 0.8 * mesh.centroids[5] + 0.2 * mesh.corners()[5, 0]
+    unregistered = lp.Collocation(inside[None], [lp.KIND_CENTROID], np.array([5]))
+    with pytest.raises(ValueError, match="neither a vertex nor the centroid"):
+        lp._surface_rows(mesh, unregistered, terms)

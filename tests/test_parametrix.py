@@ -431,6 +431,54 @@ def test_hypersingular_constants_extrapolate_small(sphere3, unit_field, ones_tc)
     assert np.abs(extrap).max() < 0.05
 
 
+def _wprime_per_target(mesh, field, density, colloc, offset):
+    # One engine call per target with its own normal-projected kernel.
+    normals = px._target_normals(mesh, colloc)
+    dens = lp._make_dens(mesh, density, px._inv_a(field))
+    out = np.zeros(colloc.n)
+    for i, (y, n_y) in enumerate(zip(colloc.points, normals)):
+        kern = lambda nodes, panel_normals, ys, n_y=n_y: np.einsum(
+            "j,...j->...", n_y, nodes - ys) / (
+            FOUR_PI * np.linalg.norm(nodes - ys, axis=-1) ** 3)
+        point = lp.Collocation.free((y - offset * n_y)[None])
+        value = lp._surface_rows(mesh, point, [lp._Term(kern, dens, "duffy")])[0][0]
+        out[i] = field.eval_a(y[None])[0] * value
+    return out
+
+
+def _lhat_per_target(mesh, field, density, colloc, offset):
+    # Two-point stencils of the public layers, one target at a time.
+    normals = px._target_normals(mesh, colloc)
+    a_y = field.eval_a(colloc.points)
+    out = np.zeros(colloc.n)
+    for i in range(colloc.n):
+        pot_w = lambda pts: lp.double_layer(mesh, density, pts)
+        pot_v = lambda pts: lp.single_layer(mesh, density, pts, factor=px._dn_ln_a(field))
+        out[i] = a_y[i] * (lp.normal_derivative(pot_w, colloc.points[i], normals[i], offset)
+                           - lp.normal_derivative(pot_v, colloc.points[i], normals[i], offset))
+    return out
+
+
+@pytest.mark.parametrize("offset", [0.02, 0.1])
+def test_offset_diagnostics_match_per_target_loop(sphere3, gauss_field, offset):
+    """Both diagnostics evaluate all their offset points in one surface pass;
+    a target's value does not depend on the others beyond rounding."""
+    colloc = lp.Collocation.concat([
+        lp.Collocation.centroids(sphere3, np.arange(0, sphere3.n_triangles, 97)),
+        lp.Collocation.vertices(sphere3, np.arange(0, sphere3.n_vertices, 61)),
+    ])
+    tc = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
+                            1.0 + 0.5 * sphere3.centroids[:, 0])
+    vl = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
+                            np.cos(2.0 * sphere3.vertices[:, 2]))
+    for got, want in (
+            (px.op_Wprime_offset(sphere3, gauss_field, tc, colloc, offset),
+             _wprime_per_target(sphere3, gauss_field, tc, colloc, offset)),
+            (px.op_Lhat_offset(sphere3, gauss_field, vl, colloc, offset),
+             _lhat_per_target(sphere3, gauss_field, vl, colloc, offset))):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # --- resource caps -----------------------------------------------------------
 
 def test_caps_reject_oversized_counts():

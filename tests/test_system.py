@@ -24,6 +24,7 @@ from bdie import geometry as geo
 from bdie import greens as gr
 from bdie import laplace as lp
 from bdie import parametrix as px
+from bdie import quadrature as quad
 from bdie import system as sy
 
 FOUR_PI = 4.0 * np.pi
@@ -265,7 +266,7 @@ def test_jump_coefficient_approaches_half_at_vertices():
 
 def test_boundary_W_block_transient_memory(level2, gauss_field):
     """The surface engine keeps its temporaries per block of targets: one
-    level-2 boundary W block peaks near 3.6 MB over its 0.3 MB result, where
+    level-2 boundary W block peaks near 4.2 MB over its 0.3 MB result, where
     classifying every target-panel pair at once peaks near 11 MB."""
     surf, _ = level2
     colloc = sy.boundary_collocation(surf)
@@ -278,6 +279,39 @@ def test_boundary_W_block_transient_memory(level2, gauss_field):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_boundary_surface_pass_transient_memory(level2, gauss_field):
+    """One surface pass builds the three boundary blocks of the assembly,
+    V(1/a), W_lap and V(dn ln a), at level 2: it peaks near 5.3 MB over
+    its 1.2 MB of results."""
+    surf, _ = level2
+    colloc = sy.boundary_collocation(surf)
+    px._VW_matrices(surf, gauss_field, lp.Collocation.centroids(surf, [0]))
+    tracemalloc.start()
+    try:
+        px._VW_matrices(surf, gauss_field, colloc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_assembly_classifies_each_target_set_once(level2, gauss_field, monkeypatch):
+    """Exact point-triangle distances run once per target block that has
+    pairs the centroid bound cannot decide, whatever the number of terms:
+    15 blocks of cell centres and 14 of boundary points at level 2."""
+    surf, vol = level2
+    calls = []
+    distance = quad.point_triangle_distance
+
+    def counted(*args):
+        calls.append(1)
+        return distance(*args)
+
+    monkeypatch.setattr(quad, "point_triangle_distance", counted)
+    sy.assemble_M12(vol, surf, gauss_field)
+    assert len(calls) == 29
 
 
 def test_remainder_block_transient_memory(level2, gauss_field):
@@ -325,7 +359,7 @@ def test_with_data_shares_matrix(psrc_gauss_sys1, gauss_field, monkeypatch):
         raise AssertionError("with_data ran surface quadrature")
 
     for name in ("single_layer", "double_layer", "single_layer_matrix",
-                 "double_layer_matrix"):
+                 "double_layer_matrix", "_surface_rows"):
         monkeypatch.setattr(lp, name, no_quadrature)
     swapped = system.with_data(case.f, ext, workers=2)
     assert swapped.matrix is system.matrix
