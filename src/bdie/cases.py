@@ -78,7 +78,9 @@ class Case:
     a du/dn with the normal pointing toward the origin (out of the domain).
     ``f`` is evaluated at volume quadrature nodes; None means f == 0.
     ``exact`` is the field the data came from, None when no closed form is
-    claimed.
+    claimed.  ``u_inf`` is its limit at infinity: the boundary-domain
+    equations hold with u_inf on the right, and the representation formula
+    drops it, so a solve adds it to the right-hand side and to field values.
     """
 
     name: str
@@ -87,6 +89,7 @@ class Case:
     dirichlet: Callable
     neumann: Callable
     exact: Optional[gr.AnalyticField]
+    u_inf: float = 0.0
 
 
 def point_source_case(field: co.CoefficientField) -> Case:
@@ -123,6 +126,7 @@ def constant_one_case(field: co.CoefficientField) -> Case:
         dirichlet=lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
         neumann=lambda pts: np.zeros(np.atleast_2d(pts).shape[0]),
         exact=gr.constant_field(1.0),
+        u_inf=1.0,
     )
 
 

@@ -47,6 +47,10 @@ class CoefficientField:
         Claimed two-sided bounds 0 < c_lower < a < c_upper.
     name : str
         Identifier used in reports.
+    constant : bool
+        True only when a is constant everywhere; the solver then skips the
+        remainder R, the dn ln a term of W and the source of the point-source
+        case.  Set by ``constant_coefficient``; nothing samples a to decide it.
     """
 
     a: Callable
@@ -55,6 +59,7 @@ class CoefficientField:
     c_lower: float
     c_upper: float
     name: str = "custom"
+    constant: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.c_lower < self.c_upper):
@@ -78,9 +83,7 @@ class CoefficientField:
 
     @property
     def is_constant(self) -> bool:
-        probe = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [3.0, -1.0, 0.5]])
-        g = np.asarray(self.grad_a(probe), dtype=float)
-        return bool(np.all(g == 0.0))
+        return self.constant
 
 
 @dataclass
@@ -204,6 +207,7 @@ def constant_coefficient(value: float = 1.0) -> CoefficientField:
         c_lower=value / 2.0,
         c_upper=value * 2.0,
         name=f"constant({value:g})",
+        constant=True,
     )
 
 

@@ -35,6 +35,9 @@ vertices off the interior of S_N (Phi0).  Assembly builds each block over
 all columns once and keeps that known-column block on the system, so the
 right-hand side is P f minus the known-column block applied to the
 extensions, and new boundary data costs one matrix product plus P f.
+The matrix does not depend on the data either, so its LU factor is computed
+once, on the first direct solve, and every system that shares the matrix
+object reuses it: a new right-hand side then costs two triangular solves.
 
 Everything is dense; sizes are guarded by the same caps as the operator
 assembly routines.
@@ -186,6 +189,43 @@ def _data_rhs(system: "M12System", f, extensions: ExtensionPair,
     return rhs
 
 
+def _immutable(a: np.ndarray) -> bool:
+    """True when neither the array nor any array it views can be written."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
+class _LUFactor:
+    """LU factor and reciprocal 1-norm condition estimate of one matrix object.
+
+    Computed on first use.  It is kept only when the matrix cannot be
+    written, so a kept factor never goes stale; a failed factorization
+    raises SolverError and keeps nothing.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self._kept = None
+
+    def get(self):
+        """((lu, piv), rcond) of the matrix."""
+        if self._kept is not None:
+            return self._kept
+        A = self.matrix
+        anorm = np.linalg.norm(A, 1)  # before the factor exists: |A| is a copy
+        lu, piv = sla.lu_factor(A)
+        rcond = sla.lapack.dgecon(lu, anorm)[0]
+        if not np.all(np.isfinite(lu)) or rcond == 0.0:
+            raise SolverError(f"singular factorization (reciprocal condition {rcond:.3e})")
+        factor = (lu, piv), rcond
+        if _immutable(A):
+            self._kept = factor
+        return factor
+
+
 def boundary_collocation(surfmesh: geo.SurfaceMesh) -> lp.Collocation:
     """S_D triangle centroids followed by interior-S_N vertices."""
     sd = surfmesh.triangles_with_label(geo.PART_DIRICHLET)
@@ -202,6 +242,10 @@ class M12System:
 
     data_columns holds the blocks on the columns the unknowns leave out, so
     that rhs = P f - data_columns @ (Psi0 on S_N | Phi0 off interior S_N).
+    assemble_M12 makes matrix and data_columns read-only.  The LU factor of
+    the matrix is kept with the matrix object: systems made from this one by
+    with_data or dataclasses.replace(..., rhs=...) share it, so it is
+    computed once; a system given another matrix gets a factor of its own.
     """
 
     matrix: np.ndarray
@@ -215,6 +259,11 @@ class M12System:
     colloc: lp.Collocation
     extensions: ExtensionPair
     f: Optional[Union[lp.DomainDensity, Callable]] = None
+    _lu: Optional[_LUFactor] = dc_field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._lu is None or self._lu.matrix is not self.matrix:
+            object.__setattr__(self, "_lu", _LUFactor(self.matrix))
 
     @property
     def n_cells(self) -> int:
@@ -245,6 +294,8 @@ class M12System:
         """Same operator blocks with a right-hand side built from new data.
 
         Only P f needs quadrature; the layer terms are one matrix product.
+        The new system shares the matrix, and with it the LU factor, so a
+        direct solve after the first costs two triangular solves.
         """
         return replace(self, rhs=_data_rhs(self, f, extensions, workers),
                        extensions=extensions, f=f)
@@ -267,7 +318,9 @@ def assemble_M12(
     into the unknown columns of the matrix and the data columns, and placed
     before the next set is built.  Omitting f and extensions leaves a zero
     right-hand side, which is enough for the block-structure checks and for
-    synthetic consistency studies.
+    synthetic consistency studies.  The matrix and the data columns are
+    returned read-only, which lets every system sharing them keep one LU
+    factor (see M12System).
     """
     px.check_dense_caps(n_triangles=surfmesh.n_triangles, n_cells=volmesh.n_cells)
     sd = surfmesh.triangles_with_label(geo.PART_DIRICHLET)
@@ -307,6 +360,8 @@ def assemble_M12(
     put(rows_b, np.negative(v, out=v), triangle_split)
     w += (1.0 - jump_c)[:, None] * vertex_eval_matrix(surfmesh, colloc)
     put(rows_b, w, vertex_split)
+    A.flags.writeable = False
+    K.flags.writeable = False
 
     system = M12System(A, K, np.zeros(n), surfmesh, volmesh, field, sd, nin, colloc,
                        zero_extensions(surfmesh))
@@ -347,21 +402,20 @@ class M12Solution:
 def solve_M12(system: M12System, method: str = "direct") -> M12Solution:
     """Solve the assembled system by dense LU or by GMRES.
 
-    Reports the relative algebraic residual.  method="direct" factors the
-    matrix and also reports a 1-norm condition estimate; method="iterative"
-    runs restarted GMRES to relative tolerance 1e-11, a tenth of the CLI's
+    Reports the relative algebraic residual.  method="direct" solves with
+    the LU factor of the matrix and also reports a 1-norm condition
+    estimate; the factor is computed on the first direct solve of any system
+    sharing the matrix object and reused after that (see M12System), so a
+    later solve is one pair of triangular solves.  method="iterative" runs
+    restarted GMRES to relative tolerance 1e-11, a tenth of the CLI's
     residual gate, factors nothing and reports no condition estimate.
     """
     A, b = system.matrix, system.rhs
     if A.shape[0] != A.shape[1]:
         raise ValueError("system is not square")
     if method == "direct":
-        anorm = np.linalg.norm(A, 1)  # before the factor exists: |A| is a copy
-        lu, piv = sla.lu_factor(A)
-        rcond = sla.lapack.dgecon(lu, anorm)[0]
-        if not np.all(np.isfinite(lu)) or rcond == 0.0:
-            raise SolverError(f"singular factorization (reciprocal condition {rcond:.3e})")
-        x = sla.lu_solve((lu, piv), b)
+        factor, rcond = system._lu.get()
+        x = sla.lu_solve(factor, b)
         conditioning = float(1.0 / rcond)
     elif method == "iterative":
         x, info = spla.gmres(spla.aslinearoperator(A), b, rtol=1e-11, atol=0.0,

@@ -59,6 +59,9 @@ def test_case_lookup_names_unknown_case():
 def test_case_lookup_returns_named_case(name):
     case = cases.case_by_name(name, co.constant_coefficient())
     assert case.name == name
+    # u_inf is the exact field's limit at infinity
+    far = case.exact.u(np.array([[0.0, 0.0, 1e7]]))[0]
+    assert case.u_inf == pytest.approx(far, abs=1e-6)
 
 
 @pytest.mark.parametrize("level,n_tri,n_cells", [(1, 80, 80), (2, 320, 480)])

@@ -168,6 +168,16 @@ def test_green_check_zero_case_all_residuals_vanish(tmp_path):
     assert csv_text.splitlines()[0] == "check,scale,max_abs,rel_to_scale,gate"
 
 
+def test_green_check_constant_case_measures_against_term_at_infinity(tmp_path):
+    # the residuals of u == 1 are u_inf = 1 before it is subtracted
+    code = run(["green-check", "--case", "u1", "--level", "1",
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    body = reports.read_json_report(tmp_path / "green_u1_level1.json")
+    assert body["checks"]["third_green"]["rel_to_scale"] <= 0.05
+    assert body["checks"]["trace_identity"]["rel_to_scale"] <= 0.05
+
+
 # --- solve -----------------------------------------------------------------------
 
 
@@ -196,6 +206,27 @@ def test_solve_constant_case_reports_undefined_conormal_as_null(tmp_path):
     assert equivalence["trace_rel"] == (equivalence["trace_residual"]
                                         / equivalence["trace_scale"])
     assert body["solution"]["residual_norm"] <= cli.SOLVE_RESIDUAL_GATE
+
+
+def test_solve_constant_case_restores_term_at_infinity(tmp_path):
+    # without u_inf = 1 on the right the probes read 0.24-0.41 at level 2
+    code = run(["solve", "--case", "u1", "--level", "2",
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    body = reports.read_json_report(tmp_path / "solve_u1_level2.json")
+    assert all(abs(row["value"] - 1.0) <= 0.02 for row in body["probes"])
+    assert body["equivalence"]["trace_rel"] <= 0.02
+
+
+def test_converge_constant_case_restores_term_at_infinity(tmp_path):
+    code = run(["converge", "--case", "u1", "--levels", "1", "2",
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    table = reports.ConvergenceTable.from_csv(tmp_path / "converge_u1.csv")
+    probe = table.column("probe_max_rel_error")
+    trace = table.column("trace_error")
+    assert probe[1] < probe[0] and probe[1] <= 0.02
+    assert trace[1] < trace[0] and trace[1] <= 0.02
 
 
 def test_solve_iterative_meets_residual_gate(tmp_path, capsys):

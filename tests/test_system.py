@@ -428,6 +428,66 @@ def test_nonsquare_matrix_rejected(psrc_a1_sys1):
         sy.solve_M12(bad)
 
 
+def test_with_data_sweep_factors_once(level1, gauss_field, monkeypatch):
+    """One LU per matrix object: a sweep of right-hand sides factors once,
+    and each solution equals a solve with a freshly factored copy."""
+    surf, vol = level1
+    base = sy.assemble_M12(vol, surf, gauss_field)
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    solutions = []
+    for k in range(3):
+        ext = sy.build_extensions(surf, lambda p, k=k: np.cos(k * p[:, 0]), float(k))
+        system = base.with_data(None, ext)
+        solutions.append((system, sy.solve_M12(system)))
+    assert len(calls) == 1
+    for system, solution in solutions:
+        fresh = sy.solve_M12(dataclasses.replace(system, matrix=np.array(system.matrix)))
+        assert np.array_equal(solution.u.values, fresh.u.values)
+        assert np.array_equal(solution.psi.values, fresh.psi.values)
+        assert np.array_equal(solution.phi.values, fresh.phi.values)
+        assert solution.conditioning == fresh.conditioning
+        assert solution.residual_norm == fresh.residual_norm
+    assert len(calls) == 1 + len(solutions)
+
+
+def test_assembled_blocks_are_read_only(psrc_gauss_sys1):
+    with pytest.raises(ValueError, match="read-only"):
+        psrc_gauss_sys1.matrix[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        psrc_gauss_sys1.data_columns[0, 0] = 0.0
+
+
+def test_replaced_matrix_is_never_served_a_stale_factor(psrc_a1_sys1):
+    """A singular replacement raises on every solve, even read-only, and
+    leaves the original system's factor as it was; a writable matrix
+    changed in place after a solve is factored again."""
+    before = sy.solve_M12(psrc_a1_sys1)
+    broken = np.array(psrc_a1_sys1.matrix)
+    broken[:, psrc_a1_sys1.n_cells] = 0.0
+    broken.flags.writeable = False
+    bad = dataclasses.replace(psrc_a1_sys1, matrix=broken)
+    for _ in range(2):
+        with pytest.raises(sy.SolverError):
+            sy.solve_M12(bad)
+    writable = np.array(psrc_a1_sys1.matrix)
+    edited = dataclasses.replace(psrc_a1_sys1, matrix=writable)
+    assert np.array_equal(sy.solve_M12(edited).u.values, before.u.values)
+    writable[:, psrc_a1_sys1.n_cells] = 0.0
+    with pytest.raises(sy.SolverError):
+        sy.solve_M12(edited)
+    after = sy.solve_M12(psrc_a1_sys1)
+    assert np.array_equal(after.u.values, before.u.values)
+    assert np.array_equal(after.phi.values, before.phi.values)
+    assert after.conditioning == before.conditioning
+
+
 def test_conditioning_growth_stays_moderate(psrc_gauss_sys1, psrc_a1_sys2,
                                             gauss_sys2):
     cond1 = sy.solve_M12(psrc_gauss_sys1).conditioning
