@@ -267,9 +267,43 @@ def sinusoidal_coefficient() -> CoefficientField:
     )
 
 
+def inclusion_coefficient(centre=(0.0, 0.0, -2.0), radius: float = 0.8,
+                          height: float = 0.5) -> CoefficientField:
+    """a = 1 + height exp(-1 / (1 - s)) with s = |x - c|^2 / radius^2 inside
+    the ball, 1 outside: smooth, with compact support away from the origin.
+    The default ball misses the unit sphere and every sample of a few fixed
+    points, so only declared constancy tells it from a = 1."""
+    c = np.asarray(centre, dtype=float)
+
+    def parts(x):
+        d = np.asarray(x, dtype=float) - c
+        s = (d * d).sum(axis=-1) / radius**2
+        inside = s < 1.0
+        t = np.where(inside, 1.0 - s, 1.0)
+        g = np.where(inside, np.exp(-1.0 / t), 0.0)
+        return d, s, t, g
+
+    def a(x):
+        return 1.0 + height * parts(x)[3]
+
+    def grad(x):
+        d, _, t, g = parts(x)
+        return (-height * 2.0 / radius**2 * g / t**2)[..., None] * d
+
+    def lap(x):
+        _, s, t, g = parts(x)
+        g1 = -g / t**2
+        g2 = g * (1.0 - 2.0 * t) / t**4
+        return height * (4.0 * s * g2 + 6.0 * g1) / radius**2
+
+    return CoefficientField(a=a, grad_a=grad, laplacian_a=lap,
+                            c_lower=0.5, c_upper=2.0, name="inclusion")
+
+
 _CATALOG = {
     "constant": constant_coefficient,
     "gaussian": gaussian_coefficient,
+    "inclusion": inclusion_coefficient,
     "sinusoidal": sinusoidal_coefficient,
 }
 

@@ -18,6 +18,15 @@ Every surface operator runs through one engine, ``_surface_rows``, which
 serves a list of terms in one pass over the targets, and every volume
 operator through another, ``_volume_rows``; both work over blocks of
 targets.  The ``workers`` argument is accepted and changes nothing.
+
+Kernel contract of both engines: quadrature nodes are stored
+component-major, (3, ...), so that a block builds r^2 = (dx^2 + dy^2) + dz^2
+in place from contiguous component arrays with one scratch buffer
+(``_squared_distances``), and each kernel writes one output array with
+in-place ufuncs.  On the flat panels n . (x - y) = n . (c - y) for every
+node of a panel with centroid c, so the double layer takes it once per
+target-panel pair.  Callbacks of points (densities, factors, kernels that
+are not functions of the offsets) still receive (..., 3) arrays.
 """
 
 from __future__ import annotations
@@ -55,42 +64,102 @@ def grad_fundamental_solution(x, y) -> np.ndarray:
     return d / (FOUR_PI * r**3)[..., None]
 
 
-def _layer_offsets(nodes, targets):
-    """Offsets d = x - y of nodes x from targets y, and r = |d|."""
-    d = nodes - targets
-    return d, np.sqrt(np.einsum("...j,...j->...", d, d))
+def _squared_distances(nodes, targets, out, scratch, each=None) -> np.ndarray:
+    """r^2 = (dx^2 + dy^2) + dz^2 of component-major nodes (3, ...) from
+    targets (3, ...), broadcast against each other, built in ``out`` with
+    the one ``scratch`` buffer.  ``each(k, d)``, if given, sees each offset
+    component d = x_k - y_k before it is squared, and must not change it."""
+    for k in range(3):
+        d = np.subtract(nodes[k], targets[k], out=scratch)
+        if each is not None:
+            each(k, d)
+        if k == 0:
+            np.multiply(d, d, out=out)
+        else:
+            d *= d
+            out += d
+    return out
+
+
+def _four_pi_r3(r, out) -> np.ndarray:
+    """4 pi r^3 into out, the cube by multiplication."""
+    np.multiply(r, r, out=out)
+    out *= r
+    out *= FOUR_PI
+    return out
+
+
+class _Offsets(NamedTuple):
+    """Offsets x - y of component-major nodes (3, ...) from targets (3, ...),
+    which broadcast against each other, with r = |x - y|.  Each node lies on
+    the flat panel through ``centroids`` with unit ``normals`` (3, ...)."""
+
+    nodes: np.ndarray
+    targets: np.ndarray
+    normals: np.ndarray
+    centroids: np.ndarray
+    r: np.ndarray
+
+    def component(self, k: int) -> np.ndarray:
+        """x_k - y_k, a new array."""
+        return self.nodes[k] - self.targets[k]
+
+    def plane(self) -> np.ndarray:
+        """n . (x - y): on a flat panel this is n . (c - y) for every node,
+        so it is taken once per target-panel pair."""
+        n, c, y = self.normals, self.centroids, self.targets
+        return (n[0] * (c[0] - y[0]) + n[1] * (c[1] - y[1])) + n[2] * (c[2] - y[2])
 
 
 def _offset_kernel(of_offsets: Callable) -> Callable:
-    """A surface kernel ``(nodes, normals, targets)`` from a function
-    ``of_offsets(d, r, normals)`` of the offsets alone.  The surface engine
-    forms d and r once for all such kernels of a pass."""
+    """A surface kernel from ``of_offsets(off, out)``, which writes its
+    values at the offsets ``off`` (an _Offsets) into ``out`` in place and
+    returns it.  The surface engine forms r once for all such kernels of a
+    pass.  Called as ``kernel(nodes, normals, targets)`` on broadcasting
+    (..., 3) arrays, it takes the panel of each node through that node."""
     def kernel(nodes, normals, targets):
-        return of_offsets(*_layer_offsets(nodes, targets), normals)
+        nodes, normals, targets = (np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+                                   for a in (nodes, normals, targets))
+        return _kernel_values([kernel], nodes, targets, normals, nodes)[kernel]
     kernel.of_offsets = of_offsets
     kernel.__name__, kernel.__doc__ = of_offsets.__name__, of_offsets.__doc__
     return kernel
 
 
 @_offset_kernel
-def single_layer_kernel(d, r, normals):
-    """1/(4 pi |x - y|) at nodes x for targets y; all arguments broadcast."""
-    return 1.0 / (FOUR_PI * r)
+def single_layer_kernel(off, out):
+    """1/(4 pi |x - y|) at nodes x for targets y."""
+    np.multiply(off.r, FOUR_PI, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 @_offset_kernel
-def double_layer_kernel(d, r, normals):
-    """-n(x) . grad_x fund_solution = -n.(x-y)/(4 pi |x-y|^3); broadcasts."""
-    return -np.einsum("...j,...j->...", normals, d) / (FOUR_PI * r**3)
+def double_layer_kernel(off, out):
+    """-n(x) . grad_x fund_solution = -n.(x-y)/(4 pi |x-y|^3)."""
+    np.divide(off.plane(), _four_pi_r3(off.r, out), out=out)
+    return np.negative(out, out=out)
 
 
-def _kernel_values(kernels, nodes, normals, targets) -> dict:
-    """Each distinct kernel's values at nodes for targets, keyed by kernel;
-    the offset kernels share one d and r."""
-    if any(hasattr(k, "of_offsets") for k in kernels):
-        d, r = _layer_offsets(nodes, targets)
-    return {k: k.of_offsets(d, r, normals) if hasattr(k, "of_offsets")
-            else k(nodes, normals, targets) for k in dict.fromkeys(kernels)}
+def _kernel_values(kernels, nodes, targets, normals, centroids) -> dict:
+    """Each distinct kernel's values at component-major nodes (3, ...) for
+    targets (3, ...), keyed by kernel; ``normals`` and ``centroids`` (3, ...)
+    give each node's flat panel, and all four broadcast.  The offset kernels
+    share one r, built in place; any other kernel is called on (..., 3)
+    views, as ``kernel(nodes, normals, targets)``."""
+    shape = np.broadcast_shapes(nodes.shape[1:], targets.shape[1:])
+    vals, off = {}, None
+    for kernel in dict.fromkeys(kernels):
+        if not hasattr(kernel, "of_offsets"):
+            vals[kernel] = kernel(*(np.moveaxis(a, 0, -1) for a in (nodes, normals, targets)))
+            continue
+        out = np.empty(shape)
+        if off is None:
+            # The scratch buffer of r becomes the first kernel's output.
+            r = np.empty(shape)
+            np.sqrt(_squared_distances(nodes, targets, r, out), out=r)
+            off = _Offsets(nodes, targets, normals, centroids, r)
+        vals[kernel] = kernel.of_offsets(off, out)
+    return vals
 
 
 # --- densities ---------------------------------------------------------------
@@ -214,14 +283,19 @@ DEFAULT_QUAD = QuadConfig()
 
 
 class _PanelCache:
-    """Per-mesh physical quadrature nodes for the far and near rules."""
+    """Per-mesh physical quadrature nodes for the far and near rules, stored
+    component-major: (3, panels, nodes)."""
 
     def __init__(self, mesh: SurfaceMesh, cfg: QuadConfig):
         corners = mesh.corners()
         fpts, fwts = quad.gauss_triangle(cfg.far_order)
         npts, nwts = quad.subdivided_triangle_rule(cfg.near_order, cfg.levels)
-        self.far_nodes, self.far_wts = quad.map_to_panel(corners, fpts, fwts)
-        self.near_nodes, self.near_wts = quad.map_to_panel(corners, npts, nwts)
+        far_nodes, self.far_wts = quad.map_to_panel(corners, fpts, fwts)
+        near_nodes, self.near_wts = quad.map_to_panel(corners, npts, nwts)
+        self.far_nodes = np.ascontiguousarray(np.moveaxis(far_nodes, -1, 0))
+        self.near_nodes = np.ascontiguousarray(np.moveaxis(near_nodes, -1, 0))
+        self.normals = np.ascontiguousarray(mesh.normals.T)
+        self.centroids = np.ascontiguousarray(mesh.centroids.T)
         self.far_bary = np.stack([1 - fpts[:, 0] - fpts[:, 1], fpts[:, 0], fpts[:, 1]], 1)
         self.near_bary = np.stack([1 - npts[:, 0] - npts[:, 1], npts[:, 0], npts[:, 1]], 1)
         # Every point of a panel lies within radius of its centroid.
@@ -319,12 +393,14 @@ class _Columns:
 def _scatter_add(out, rows, cols, vals):
     """out[rows, cols] += vals with repeated entries summed pairwise, as
     np.sum does.  Added one after another, the tens of near pairs of a row
-    lose digits that the linearity checks of the Green identities see."""
+    lose digits that the linearity checks of the Green identities see.
+    out is C-contiguous (the engine's own outputs), so its flat reshape is
+    a view."""
     key = np.broadcast_to(rows * out.shape[1] + cols, vals.shape).ravel()
     order = np.argsort(key, kind="stable")
     key = key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    np.put(out, key[starts], out.flat[key[starts]] + np.add.reduceat(vals.ravel()[order], starts))
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    out.reshape(-1)[key[starts]] += np.add.reduceat(vals.ravel()[order], starts)
 
 
 # --- the assembly engine -------------------------------------------------------
@@ -397,20 +473,28 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
     """The one surface-quadrature engine: one pass over the targets for a
     list of terms (see _Term); returns per term values (m,) or a dense matrix.
 
-    ``kernel(nodes, normals, targets)`` broadcasts its arguments.  Targets
-    run in blocks of FAR_BLOCK_PAIRS // (far nodes).  In a block, a
+    Targets run in blocks of FAR_BLOCK_PAIRS // (far nodes).  In a block, a
     target-panel pair is far when a centroid bound already puts the panel
     ``near_threshold`` diameters away; the exact point-triangle distance is
-    computed for the other pairs only, once for all terms.  Far pairs take
-    one block of kernel values at all far nodes, masked to the far pairs and
-    mapped to each term's columns by a sparse node-to-column matrix; near
-    pairs (the subdivided rule) and the target's own panels (a Duffy rule)
-    add their sums as corrections.  The terms share the offsets x - y and r,
-    and a kernel shared by several terms is evaluated once.  A term's
+    computed for the other pairs only (one paired call per block), once for
+    all terms.  Far pairs take one block of kernel values at all far nodes,
+    masked to the far pairs and mapped to each term's columns by a sparse
+    node-to-column matrix; near pairs (the subdivided rule) and the target's
+    own panels (a Duffy rule) add their sums as corrections.  A term's
     density and factor are folded into its node weights once per call: into
     the far weights of the active panels up front, into the near weights of
     a panel at its first near pair.  Terms over different panels (support
     masks) take one pass per set of panels.
+
+    Kernel contract (see _kernel_values): node tables are component-major,
+    (3, panels, nodes), and the terms of a block share r = |x - y|, built in
+    place from them with one scratch buffer; an offset kernel writes its
+    values into one output array with in-place ufuncs, and a kernel shared
+    by several terms is evaluated once.  The double layer takes n . (x - y)
+    once per target-panel pair, as n . (c - y) with the panel's centroid c,
+    since the panels are flat.  Other kernels, ``kernel(nodes, normals,
+    targets)``, get broadcasting (..., 3) views, as do the density and
+    factor callbacks.
 
     A term's scheme is "duffy" for weakly singular kernels or "skip" for the
     principal-value double layer (flat panels through the collocation point
@@ -438,18 +522,25 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
     near_cut = cfg.near_threshold * mesh.diameters
 
     def node_weights(term, panels, nodes, wts, bary):
+        # Callbacks see the component-major nodes as (k, q, 3) views.
+        nodes = np.moveaxis(nodes, 0, -1)
         normals = np.broadcast_to(mesh.normals[panels][:, None, :], nodes.shape)
         return wts * term.dens.values(panels, nodes, bary, normals)
 
+    def panel_data(panels):
+        # Normals and centroids (3, k, 1) of panels (k,), against nodes (3, k, q).
+        return cache.normals[:, panels, None], cache.centroids[:, panels, None]
+
     # The far table covers the active panels only.
     act = np.flatnonzero(active)
-    n_far = cache.far_wts.shape[1]
-    far_w = [node_weights(term, act, cache.far_nodes[act], cache.far_wts[act], cache.far_bary)
+    far_nodes = cache.far_nodes[:, act]
+    far_w = [node_weights(term, act, far_nodes, cache.far_wts[act], cache.far_bary)
              for term in terms]
     far_map = [None if term.space is None else c.node_map(act, w, cache.far_bary)
                for term, c, w in zip(terms, columns, far_w)]
-    far_nodes = cache.far_nodes[act].reshape(-1, 3)
-    far_normals = np.repeat(mesh.normals[act], n_far, axis=0)
+    # With a leading target axis: nodes (3, 1, n_act, n_far), panels (3, 1, n_act, 1).
+    far_nodes = far_nodes[:, None]
+    far_panels = [a[:, None] for a in panel_data(act)]
     sing_rows, sing_panels = _singular_pairs(cache, colloc)
     duffy = [t for t, term in enumerate(terms) if term.scheme == "duffy"]
 
@@ -459,10 +550,11 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
     near_ready = np.zeros(n_tri, dtype=bool)
 
     def add_pairs(ts, rows, panels, nodes, weight_of, bary):
-        # Target-panel pairs (rows[k], panels[k]) of the terms ts; a row may
-        # repeat.  A term's node weights are formed only when it is summed.
-        vals = _kernel_values([kernels[t] for t in ts], nodes, mesh.normals[panels][:, None, :],
-                              colloc.points[rows][:, None, :])
+        # Target-panel pairs (rows[k], panels[k]) of the terms ts, nodes
+        # (3, k, q); a row may repeat.  A term's node weights are formed only
+        # when it is summed.
+        vals = _kernel_values([kernels[t] for t in ts], nodes,
+                              colloc.points[rows].T[:, :, None], *panel_data(panels))
         for t in ts:
             _scatter_add(outs[t], rows[:, None], columns[t].of(panels),
                          columns[t].reduce(vals[kernels[t]] * weight_of(t), bary))
@@ -475,50 +567,51 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
         regular = np.broadcast_to(active, (len(y), n_tri)).copy()
         regular[rows - start, panels] = False
 
-        # Classification: the centroid bound, then exact distances where it
-        # cannot decide.  The margin keeps rounding in the bound from calling
-        # a pair far that the exact distance would call near.
+        # Classification: the centroid bound, then exact distances of the
+        # candidate pairs it cannot decide.  The margin keeps rounding in the
+        # bound from calling a pair far that the exact distance would call near.
         gap = np.linalg.norm(y[:, None, :] - mesh.centroids, axis=2) - cache.radius
-        cand = regular & (gap < near_cut * (1.0 + 1e-9))
-        d = np.full(cand.shape, np.inf)
-        cand_rows, cand_cols = cand.any(axis=1), cand.any(axis=0)
-        if cand_rows.any():
-            d[np.ix_(cand_rows, cand_cols)] = quad.point_triangle_distance(
-                y[cand_rows], corners[cand_cols])
-        on_panel = cand & (d <= on_panel_tol)
+        cand_rows, cand_panels = np.nonzero(regular & (gap < near_cut * (1.0 + 1e-9)))
+        d = np.empty(0)
+        if len(cand_rows):
+            d = quad.point_triangle_distance(y[cand_rows], corners[cand_panels],
+                                             True)  # paired, one distance per pair
+        on_panel = d <= on_panel_tol[cand_panels]
         if on_panel.any():
-            i, p = (int(k[0]) for k in np.nonzero(on_panel))
+            k = int(np.argmax(on_panel))
             raise ValueError(
-                f"target {y[i]} lies on panel {p}, which is "
+                f"target {y[cand_rows[k]]} lies on panel {cand_panels[k]}, which is "
                 "not one of its registered panels; pass it as a Collocation "
                 "centroid or vertex of that panel")
-        near = cand & (d < near_cut)
+        is_near = d < near_cut[cand_panels]
+        near_rows, near_panels = cand_rows[is_near], cand_panels[is_near]
 
         # Far pairs: kernel values at every far node, masked to far pairs.
         # Masked nodes may sit on a target; their values are discarded.
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = _kernel_values(kernels, far_nodes, far_normals, y[:, None, :])
-        not_far = (~regular | near)[:, act]
-        for kernel, v in vals.items():
-            v = v.reshape(len(y), len(act), n_far)
+            vals = _kernel_values(kernels, far_nodes, y.T[:, :, None, None], *far_panels)
+        not_far = ~regular
+        not_far[near_rows, near_panels] = True
+        not_far = not_far[:, act]
+        for v in vals.values():
             v[not_far] = 0.0
-            vals[kernel] = v.reshape(len(y), -1)
         for t, kernel in enumerate(kernels):
+            v = vals[kernel].reshape(len(y), -1)
             if far_map[t] is None:
-                outs[t][start:start + len(y), 0] += (vals[kernel] * far_w[t].ravel()).sum(axis=1)
+                outs[t][start:start + len(y), 0] += (v * far_w[t].ravel()).sum(axis=1)
             else:
-                outs[t][start:start + len(y)] += (far_map[t] @ vals[kernel].T).T
+                outs[t][start:start + len(y)] += (far_map[t] @ v.T).T
 
-        new = np.flatnonzero(near.any(axis=0) & ~near_ready)
+        new = np.unique(near_panels)
+        new = new[~near_ready[new]]
         if len(new):
             for term, w in zip(terms, near_w):
-                w[new] = node_weights(term, new, cache.near_nodes[new], cache.near_wts[new],
+                w[new] = node_weights(term, new, cache.near_nodes[:, new], cache.near_wts[new],
                                       cache.near_bary)
             near_ready[new] = True
-        near_rows, near_panels = np.nonzero(near)
         for k in range(0, len(near_rows), NEAR_BATCH_PAIRS):
             r, p = near_rows[k:k + NEAR_BATCH_PAIRS], near_panels[k:k + NEAR_BATCH_PAIRS]
-            add_pairs(range(len(terms)), r + start, p, cache.near_nodes[p],
+            add_pairs(range(len(terms)), r + start, p, cache.near_nodes[:, p],
                       lambda t: near_w[t][p], cache.near_bary)
 
         # Singular pairs: a Duffy rule per kind of registered point.
@@ -536,7 +629,7 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
             nodes, w = quad.duffy_panel_nodes(corners[p], kind, cfg.duffy_order)
             bary = _barycentric(corners[p], nodes)
             normals = np.broadcast_to(mesh.normals[p][:, None, :], nodes.shape)
-            add_pairs(duffy, r, p, nodes,
+            add_pairs(duffy, r, p, np.moveaxis(nodes, -1, 0),
                       lambda t: w * terms[t].dens.values(p, nodes, bary, normals), bary)
     return [out[:, 0] if term.space is None else out for term, out in zip(terms, outs)]
 
@@ -671,6 +764,13 @@ def _volume_rows(targets, kernel: Callable, weights: np.ndarray, excl: np.ndarra
     weights times the coefficient factor (and, for values, the density).
     Nodes with r <= ``excl`` are dropped.  Returns one value per target, or
     with ``per_cell`` nodes per cell, one row of per-cell sums per target.
+
+    Kernel contract: a kernel reads the nodes as contiguous component
+    arrays (3, nodes), builds r^2 = (dx^2 + dy^2) + dz^2 in place with one
+    scratch buffer (_squared_distances), and writes its values into one
+    output array with in-place ufuncs.  The weighted values are reduced row
+    by row with numpy's pairwise sum, never a matrix product, so a target's
+    value does not depend on which targets share its block.
     """
     targets = _volume_points(targets)
     m, n = len(targets), len(weights)
@@ -682,26 +782,23 @@ def _volume_rows(targets, kernel: Callable, weights: np.ndarray, excl: np.ndarra
         with np.errstate(divide="ignore", invalid="ignore"):
             vals, r = kernel(y)
         vals[r <= excl] = 0.0
+        vals *= weights
         if per_cell is None:
-            out[start:start + len(y)] = vals @ weights
+            out[start:start + len(y)] = vals.sum(axis=1)
         else:
-            vals *= weights
             out[start:start + len(y)] = vals.reshape(len(y), -1, per_cell).sum(axis=2)
     return out
 
 
-def _offsets(comps: np.ndarray, y: np.ndarray):
-    """Node-minus-target components, (B, n) each, and r^2 for targets y (B, 3);
-    comps holds the node coordinates as contiguous component arrays (3, n)."""
-    dx, dy, dz = (comps[k] - y[:, k, None] for k in range(3))
-    return dx, dy, dz, dx * dx + dy * dy + dz * dz
-
-
 def _newton_kernel(nodes: np.ndarray) -> Callable:
     comps = np.ascontiguousarray(nodes.T)
+
     def kern(y):
-        r = np.sqrt(_offsets(comps, y)[3])
-        return -1.0 / (FOUR_PI * r), r
+        r = np.empty((len(y), comps.shape[1]))
+        vals = np.empty_like(r)
+        np.sqrt(_squared_distances(comps, y.T[:, :, None], r, vals), out=r)
+        np.multiply(r, FOUR_PI, out=vals)
+        return np.divide(-1.0, vals, out=vals), r
     return kern
 
 

@@ -175,17 +175,32 @@ def op_P_matrix(volmesh, field, targets, workers: int = 1) -> np.ndarray:
 
 
 def _remainder_kernel(field: CoefficientField, nodes: np.ndarray):
+    """R at the nodes for a (B, 3) block of targets, in place (see
+    laplace._volume_rows): -(lap ln a p + grad ln a . (x - y) / ((4 pi r) r^2))
+    with p = -1/(4 pi r)."""
     comps = np.ascontiguousarray(nodes.T)
-    gx, gy, gz = np.ascontiguousarray(field.eval_grad_ln_a(nodes).T)
+    grad = np.ascontiguousarray(field.eval_grad_ln_a(nodes).T)
     lap_ln = field.eval_laplacian_ln_a(nodes)
 
     def kern(y):
-        dx, dy, dz, r2 = lp._offsets(comps, y)
-        r = np.sqrt(r2)
-        p = -1.0 / (FOUR_PI * r)
-        dot = gx * dx + gy * dy + gz * dz
-        vals = -(lap_ln * p + dot / (FOUR_PI * r * r2))
-        return vals, r
+        r2, dot, vals, scratch = (np.empty((len(y), comps.shape[1])) for _ in range(4))
+
+        def add_dot(k, d):
+            # dot = (gx dx + gy dy) + gz dz; vals is free until the end.
+            if k == 0:
+                np.multiply(grad[0], d, out=dot)
+            else:
+                np.add(dot, np.multiply(grad[k], d, out=vals), out=dot)
+
+        lp._squared_distances(comps, y.T[:, :, None], r2, scratch, each=add_dot)
+        r = np.sqrt(r2, out=scratch)
+        np.multiply(r, FOUR_PI, out=vals)
+        r2 *= vals
+        dot /= r2
+        np.divide(-1.0, vals, out=vals)
+        vals *= lap_ln
+        vals += dot
+        return np.negative(vals, out=vals), r
 
     return kern
 
@@ -292,8 +307,9 @@ def _target_normals(mesh: SurfaceMesh, colloc: Collocation) -> np.ndarray:
 
 
 # (x - y)_k / (4 pi r^3): the components of grad_y of 1/(4 pi r).
-_GRADIENT_KERNELS = [lp._offset_kernel(lambda d, r, normals, k=k: d[..., k] / (FOUR_PI * r**3))
-                     for k in range(3)]
+_GRADIENT_KERNELS = [lp._offset_kernel(
+    lambda off, out, k=k: np.divide(off.component(k), lp._four_pi_r3(off.r, out), out=out))
+    for k in range(3)]
 
 
 def op_Wprime_offset(mesh: SurfaceMesh, field: CoefficientField, density,

@@ -178,17 +178,28 @@ def map_to_panel(corners: np.ndarray, pts: np.ndarray, wts: np.ndarray):
     return nodes, w
 
 
-def point_triangle_distance(targets: np.ndarray, corners: np.ndarray) -> np.ndarray:
+def _dot(u, v):
+    """u . v over the last axis, summed in a fixed order for any broadcast."""
+    return (u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]) + u[..., 2] * v[..., 2]
+
+
+def point_triangle_distance(targets: np.ndarray, corners: np.ndarray,
+                            paired: bool = False) -> np.ndarray:
     """Euclidean distance from points to triangles.
 
     Parameters
     ----------
     targets : (m, 3) or (3,)
     corners : (n, 3, 3) or (3, 3)
+    paired : bool
+        Pair target k with triangle k (m == n) instead of taking every
+        target against every triangle.  The paired distances equal the
+        diagonal of the cross form bit for bit.
 
     Returns
     -------
-    (m, n) distances (squeezed when either input is unbatched).
+    (m, n) distances, or (m,) when paired (squeezed when either input is
+    unbatched).
     """
     t_single = np.ndim(targets) == 1
     c_single = np.ndim(corners) == 2
@@ -196,35 +207,34 @@ def point_triangle_distance(targets: np.ndarray, corners: np.ndarray) -> np.ndar
     tri = np.asarray(corners, dtype=float)
     if c_single:
         tri = tri[None]
+    if paired:
+        if len(y) != len(tri):
+            raise ValueError("paired distances need as many targets as triangles")
+    else:
+        y = y[:, None, :]                                  # (m, 1, 3) against (n, 3)
     a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
     e1, e2 = b - a, c - a
     n = np.cross(e1, e2)
-    nn = np.einsum("ij,ij->i", n, n)
-    d = y[:, None, :] - a[None, :, :]                     # (m, n, 3)
+    d = y - a
     # Barycentric coordinates of the in-plane projection.
-    d11 = np.einsum("ij,ij->i", e1, e1)
-    d12 = np.einsum("ij,ij->i", e1, e2)
-    d22 = np.einsum("ij,ij->i", e2, e2)
-    p1 = np.einsum("mnj,nj->mn", d, e1)
-    p2 = np.einsum("mnj,nj->mn", d, e2)
+    d11, d12, d22 = _dot(e1, e1), _dot(e1, e2), _dot(e2, e2)
+    p1, p2 = _dot(d, e1), _dot(d, e2)
     det = d11 * d22 - d12**2
     s = (d22 * p1 - d12 * p2) / det
     t = (d11 * p2 - d12 * p1) / det
     inside = (s >= 0) & (t >= 0) & (s + t <= 1)
-    plane_dist = np.abs(np.einsum("mnj,nj->mn", d, n)) / np.sqrt(nn)
+    plane_dist = np.abs(_dot(d, n)) / np.sqrt(_dot(n, n))
 
     def seg_dist(p0, seg):
-        # p0: (m, n, 3) offsets from segment start; seg: (n, 3)
-        ss = np.einsum("ij,ij->i", seg, seg)
-        tt = np.clip(np.einsum("mnj,nj->mn", p0, seg) / ss, 0.0, 1.0)
-        diff = p0 - tt[:, :, None] * seg[None, :, :]
-        return np.linalg.norm(diff, axis=2)
+        # p0: offsets from the segment start; seg: the segment, per triangle.
+        tt = np.clip(_dot(p0, seg) / _dot(seg, seg), 0.0, 1.0)
+        diff = p0 - tt[..., None] * seg
+        return np.sqrt(_dot(diff, diff))
 
-    edge = np.minimum(
-        seg_dist(d, e1),
-        np.minimum(seg_dist(d, e2), seg_dist(y[:, None, :] - b[None, :, :], c - b)),
-    )
+    edge = np.minimum(seg_dist(d, e1), np.minimum(seg_dist(d, e2), seg_dist(y - b, c - b)))
     out = np.where(inside, plane_dist, edge)
+    if paired:
+        return out[0] if t_single and c_single else out
     if t_single and c_single:
         return out[0, 0]
     if t_single:

@@ -132,6 +132,15 @@ def test_check_coeff_gaussian_passes(tmp_path):
     assert body["report"]["passes_cond1"] is True
 
 
+def test_check_coeff_inclusion_passes(tmp_path):
+    code = run(["check-coeff", "--coefficient", "inclusion",
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    body = reports.read_json_report(tmp_path / "coeff_inclusion.json")
+    assert all(body["report"][k] for k in ("passes_cond0", "passes_cond1",
+                                           "passes_cond3", "passes_decay"))
+
+
 def test_check_coeff_sinusoidal_flagged(tmp_path):
     code = run(["check-coeff", "--coefficient", "sinusoidal",
                 "--out", str(tmp_path)])

@@ -79,40 +79,10 @@ def test_is_constant_probe():
     assert not co.gaussian_coefficient().is_constant
 
 
-def _inclusion_field(centre=(0.0, 0.0, -2.0), radius=0.8, height=0.5):
-    """a = 1 + height exp(-1 / (1 - s)) with s = |x - c|^2 / radius^2 inside
-    the ball, 1 outside: smooth, with compact support away from the origin."""
-    c = np.asarray(centre)
-
-    def parts(x):
-        d = np.asarray(x, dtype=float) - c
-        s = (d * d).sum(axis=-1) / radius**2
-        inside = s < 1.0
-        t = np.where(inside, 1.0 - s, 1.0)
-        g = np.where(inside, np.exp(-1.0 / t), 0.0)
-        return d, s, t, g
-
-    def a(x):
-        return 1.0 + height * parts(x)[3]
-
-    def grad(x):
-        d, _, t, g = parts(x)
-        return (-height * 2.0 / radius**2 * g / t**2)[..., None] * d
-
-    def lap(x):
-        _, s, t, g = parts(x)
-        g1 = -g / t**2
-        g2 = g * (1.0 - 2.0 * t) / t**4
-        return height * (4.0 * s * g2 + 6.0 * g1) / radius**2
-
-    return co.CoefficientField(a=a, grad_a=grad, laplacian_a=lap,
-                               c_lower=0.5, c_upper=2.0, name="inclusion")
-
-
 def test_compact_inclusion_is_not_constant():
     """An inclusion that misses every fixed probe point is still variable:
     constancy is declared, not sampled, so its remainder block is kept."""
-    field = _inclusion_field()
+    field = co.coefficient_by_name("inclusion")
     rng = np.random.default_rng(3)
     pts = np.array([0.0, 0.0, -2.0]) + 0.5 * rng.uniform(-1.0, 1.0, size=(20, 3))
     h = 1e-4

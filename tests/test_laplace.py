@@ -73,6 +73,48 @@ def test_grad_matches_finite_differences():
         assert abs(g[i] - fd) < 1e-6
 
 
+@pytest.mark.parametrize("where", ["random", "in-plane", "close"])
+def test_component_major_kernels_match_closed_forms(where):
+    # The engine's layer kernels on component-major near-rule nodes of
+    # random panels, one target per panel, against the closed forms.  The
+    # double layer takes n . (x - y) once per panel, as n . (c - y).
+    rng = np.random.default_rng(31)
+    corners = rng.uniform(-1.0, 1.0, size=(40, 3, 3))
+    nodes, _ = quad.map_to_panel(corners, *quad.subdivided_triangle_rule(
+        lp.DEFAULT_QUAD.near_order, lp.DEFAULT_QUAD.levels))
+    e1, e2 = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    normals = np.cross(e1, e2)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    centroids = corners.mean(axis=1)
+    s, t = rng.uniform(-2.0, 2.0, size=(2, len(corners), 1))
+    targets = {
+        "random": centroids + rng.normal(scale=2.0, size=centroids.shape),
+        # In the panel's plane, off the panel: n . (x - y) = 0.
+        "in-plane": centroids + (1.5 + np.abs(s)) * e1 + (1.5 + np.abs(t)) * e2,
+        # Over the panel at a tenth of its size.
+        "close": centroids + 0.2 * (s * e1 + t * e2) / 4.0
+                 + 0.1 * np.linalg.norm(e1, axis=1)[:, None] * normals,
+    }[where]
+    single, double = lp.single_layer_kernel, lp.double_layer_kernel
+    vals = lp._kernel_values([single, double], np.moveaxis(nodes, -1, 0),
+                             targets.T[:, :, None], normals.T[:, :, None],
+                             centroids.T[:, :, None])
+    y = targets[:, None, :]
+    want_single = -lp.fundamental_solution(nodes, y)
+    grad = lp.grad_fundamental_solution(nodes, y)
+    want_double = -np.einsum("pj,pqj->pq", normals, grad)
+    # The double layer is n . grad, measured against |grad|.
+    scale = np.linalg.norm(grad, axis=-1)
+    assert np.abs(vals[single] - want_single).max() <= 1e-14 * np.abs(want_single).max()
+    assert np.all(np.abs(vals[single] - want_single) <= 1e-14 * want_single)
+    assert np.all(np.abs(vals[double] - want_double) <= 1e-14 * scale)
+    if where == "in-plane":
+        assert np.abs(vals[double]).max() <= 1e-14 * scale.max()
+    # Called on (..., 3) arrays, a kernel takes the plane through each node.
+    assert np.array_equal(single(nodes, normals[:, None, :], y), vals[single])
+    assert np.all(np.abs(double(nodes, normals[:, None, :], y) - want_double) <= 1e-14 * scale)
+
+
 # --- single layer ------------------------------------------------------------
 
 def test_single_layer_sphere_off_surface(sphere3, ones3):

@@ -11,10 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
+from bdie import cases
 from bdie import coefficients as co
 from bdie import geometry as geo
 from bdie import laplace as lp
 from bdie import parametrix as px
+from bdie import system as sy
 
 FOUR_PI = 4.0 * np.pi
 DN_LN_A_SPHERE = 2.0 * np.exp(-1.0) / (1.0 + np.exp(-1.0))
@@ -298,11 +300,33 @@ def test_volume_values_on_a_node_are_finite(shell14, gauss_field, monkeypatch):
         on_node = [op(node) for op in ops]
         in_block = [op(block) for op in ops]
     assert all(np.isfinite(v).all() for v in on_node + in_block)
-    # The free rows match their one-target results to rounding: the BLAS
-    # product of the value path may sum a 3-row block in another order.
+    # The free rows match their one-target results bit for bit.
     for op, rows in zip(ops, in_block):
         for row, alone in ((rows[0], op(block[:1])[0]), (rows[2], op(block[2:])[0])):
-            assert np.abs(row - alone).max() <= 1e-14 * np.abs(alone).max()
+            assert np.array_equal(row, alone)
+
+
+def test_volume_values_do_not_depend_on_the_block(shell14, gauss_field, monkeypatch):
+    # A cell centre's value has the same bits alone and inside a block of
+    # three targets: each row is reduced by its own pairwise sum.
+    monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", 3 * shell14.all_weights().size)
+    u = lp.DomainDensity(np.ones(shell14.n_cells))
+    block = shell14.centers[40:43]
+    ops = [lambda t: px.op_R(shell14, gauss_field, u, t),
+           lambda t: px.op_P(shell14, gauss_field, u, t),
+           lambda t: lp.newton_potential(shell14, u, t)]
+    for op in ops:
+        together = op(block)
+        for k in range(3):
+            assert np.array_equal(op(block[k:k + 1]), together[k:k + 1])
+
+
+def test_remainder_matrix_matches_kernel_loop_at_level_1(gauss_field):
+    surf, vol = cases.level_meshes(1)
+    targets = np.concatenate([vol.centers, sy.boundary_collocation(surf).points])
+    got = px.op_R_matrix(vol, gauss_field, targets)
+    want = _volume_reference(vol, gauss_field, "remainder", targets)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _volume_reference(volmesh, field, kind, targets, node_density=None):

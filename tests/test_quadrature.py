@@ -131,6 +131,40 @@ class TestPointTriangleDistance:
         tris = np.stack([self.corners, self.corners + 1.0])
         assert quad.point_triangle_distance(targets, tris).shape == (4, 2)
 
+    # Targets over the face, beyond each edge and beyond each vertex of the
+    # reference triangle, in its plane and off it, with their distances.
+    regions = [([0.2, 0.2, 0.7], 0.7), ([0.25, 0.25, 0.0], 0.0),
+               ([0.5, -2.0, 0.0], 2.0), ([0.5, -2.0, 1.0], np.sqrt(5.0)),
+               ([-2.0, 0.3, 0.0], 2.0), ([1.0, 1.0, 0.0], np.sqrt(0.5)),
+               ([1.0, 1.0, -1.0], np.sqrt(1.5)), ([-3.0, -4.0, 0.0], 5.0),
+               ([-3.0, -4.0, 12.0], 13.0), ([3.0, -1.0, 0.0], np.sqrt(5.0)),
+               ([-1.0, 3.0, 2.0], 3.0)]
+
+    def test_face_edge_and_vertex_regions(self):
+        targets = np.array([y for y, _ in self.regions])
+        want = np.array([d for _, d in self.regions])
+        assert np.abs(quad.point_triangle_distance(targets, self.corners) - want).max() < 1e-14
+        tris = np.broadcast_to(self.corners, (len(targets), 3, 3))
+        paired = quad.point_triangle_distance(targets, tris, paired=True)
+        assert np.abs(paired - want).max() < 1e-14
+
+    def test_paired_form_is_the_diagonal_of_the_cross_form(self):
+        # Every region target against the reference triangle and three
+        # moved copies, pair by pair: the same bits as the cross form.
+        rng = np.random.default_rng(12)
+        rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        tris = np.stack([self.corners, 2.0 * self.corners + 1.0, self.corners @ rotation.T,
+                         self.corners[[1, 2, 0]] - 0.5])
+        targets = np.concatenate([np.array([y for y, _ in self.regions]),
+                                  rng.normal(scale=2.0, size=(20, 3))])
+        cross = quad.point_triangle_distance(targets, tris)
+        rows, cols = (k.ravel() for k in np.indices(cross.shape))
+        paired = quad.point_triangle_distance(targets[rows], tris[cols], paired=True)
+        assert np.array_equal(paired, cross[rows, cols])
+        assert quad.point_triangle_distance(targets[0], tris[0], paired=True) == cross[0, 0]
+        with pytest.raises(ValueError, match="as many targets as triangles"):
+            quad.point_triangle_distance(targets, tris, paired=True)
+
 
 # --- scheme selection, through the surface and volume engines -----------------
 #
