@@ -18,7 +18,6 @@ from bdie import reports
 from bdie import system as sy
 
 LEVEL = 2
-WORKERS = 4
 
 
 def main():
@@ -41,17 +40,14 @@ def main():
     probes = cases.PROBE_POINTS
 
     # 4. Green identity residuals for the exact field on these meshes.
-    third = gr.third_green_residual(field, case.exact, surf, vol, probes,
-                                    level=LEVEL, workers=WORKERS)
-    trace = gr.trace_identity_residual(field, case.exact, surf, vol,
-                                       level=LEVEL, workers=WORKERS)
+    third = gr.third_green_residual(field, case.exact, surf, vol, probes, level=LEVEL)
+    trace = gr.trace_identity_residual(field, case.exact, surf, vol, level=LEVEL)
     print(f"third Green identity: rel residual {third.rel_to_scale:.4f}")
     print(f"trace identity:       rel residual {trace.rel_to_scale:.4f}")
 
     # 5. Assemble the 2x3 block system and solve for (u, psi, phi).
     ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
-    system = sy.assemble_M12(vol, surf, field, f=case.f, extensions=ext,
-                             workers=WORKERS)
+    system = sy.assemble_M12(vol, surf, field, f=case.f, extensions=ext)
     solution = sy.solve_M12(system)
     print(f"system: n = {system.matrix.shape[0]}, "
           f"cond ~ {solution.conditioning:.1f}, "
@@ -61,7 +57,7 @@ def main():
     report = sy.equivalence_residuals(solution, case.exact, field, surf, vol)
     print(f"recovery: interior {report.interior_rel:.4f}, "
           f"trace {report.trace_rel:.4f}, conormal {report.conormal_rel:.4f}")
-    values = sy.evaluate_solution(system, solution, probes, workers=WORKERS)
+    values = sy.evaluate_solution(system, solution, probes)
     exact = case.exact.u(probes)
     for point, got, want in zip(probes, values, exact):
         print(f"  probe ({point[0]:+.1f},{point[1]:+.1f},{point[2]:+.1f}): "

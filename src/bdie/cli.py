@@ -63,9 +63,9 @@ class RunConfig:
     method: str = "direct"
 
     def to_dict(self) -> dict:
-        # workers and output_dir are execution knobs, not part of the
-        # problem statement; outputs must be byte-identical across worker
-        # counts and destination directories.
+        # workers (validated, then ignored) and output_dir are execution
+        # knobs, not part of the problem statement; outputs must be
+        # byte-identical across worker counts and destination directories.
         body = dataclasses.asdict(self)
         body.pop("workers")
         body.pop("output_dir")
@@ -211,24 +211,24 @@ def cmd_operators(config: RunConfig) -> int:
 
     tdens = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
                                np.ones(surf.n_triangles))
-    v_rel = px.op_V(surf, field_obj, tdens, targets, workers=config.workers)
+    v_rel = px.op_V(surf, field_obj, tdens, targets)
     v_ker = px.op_V_by_kernel(surf, field_obj, tdens, targets)
     v_diff = float(np.abs(v_rel - v_ker).max())
 
     fdens = lp.DomainDensity(1.0 / np.linalg.norm(vol.centers, axis=1))
-    p_rel = px.op_P(vol, field_obj, fdens, targets, workers=config.workers)
+    p_rel = px.op_P(vol, field_obj, fdens, targets)
     p_ker = px.op_P_by_kernel(vol, field_obj, fdens, targets)
     p_diff = float(np.abs(p_rel - p_ker).max())
 
-    r_kern = px.op_R(vol, field_obj, fdens, targets, workers=config.workers)
+    r_kern = px.op_R(vol, field_obj, fdens, targets)
     r_dual = px.op_R_divergence_form(vol, field_obj, fdens, targets)
     denom = np.abs(r_dual)
     r_rel = float(np.max(np.abs(r_kern - r_dual) / np.where(denom > 0, denom, 1.0)))
 
-    vu_rel = px.op_V(surf, unit, tdens, targets, workers=config.workers)
-    vu_lap = lp.single_layer(surf, tdens, targets, workers=config.workers)
+    vu_rel = px.op_V(surf, unit, tdens, targets)
+    vu_lap = lp.single_layer(surf, tdens, targets)
     reduction = float(np.abs(vu_rel - vu_lap).max())
-    r_unit = px.op_R(vol, unit, fdens, targets, workers=config.workers)
+    r_unit = px.op_R(vol, unit, fdens, targets)
     reduction = max(reduction, float(np.abs(r_unit).max()))
 
     checks = {
@@ -260,10 +260,9 @@ def cmd_green_check(config: RunConfig) -> int:
     probes = _probes(config)
 
     third = gr.third_green_residual(field_obj, case.exact, surf, vol, probes,
-                                    level=config.level, workers=config.workers)
+                                    level=config.level)
     trace = gr.trace_identity_residual(field_obj, case.exact, surf, vol,
-                                       level=config.level,
-                                       workers=config.workers)
+                                       level=config.level)
     if case.u_inf:
         # both identities leave the term at infinity as their residual
         third = dataclasses.replace(third, residuals=third.residuals - case.u_inf)
@@ -317,8 +316,7 @@ def _solve_once(config: RunConfig, level: int):
     surf, vol = cases.level_meshes(level, config.partition, config.truncation_radius,
                                    config.n_radial, config.angular_level)
     ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
-    system = sy.assemble_M12(vol, surf, field_obj, f=case.f, extensions=ext,
-                             workers=config.workers)
+    system = sy.assemble_M12(vol, surf, field_obj, f=case.f, extensions=ext)
     if case.u_inf:
         # Every row is the third Green identity or its trace, which holds
         # with the term at infinity on the right.
@@ -329,7 +327,7 @@ def _solve_once(config: RunConfig, level: int):
 
 def _field_values(config: RunConfig, case, system, solution, probes) -> np.ndarray:
     """Representation-formula values plus the term at infinity it drops."""
-    values = sy.evaluate_solution(system, solution, probes, workers=config.workers)
+    values = sy.evaluate_solution(system, solution, probes)
     return values + case.u_inf if case.u_inf else values
 
 

@@ -221,8 +221,7 @@ def _boundary_data(field, afield, surfmesh):
 
 def third_green_residual(field: CoefficientField, afield: AnalyticField,
                          surfmesh: SurfaceMesh, volmesh: VolumeMesh,
-                         test_points, level: Optional[int] = None,
-                         workers: int = 1) -> ResidualReport:
+                         test_points, level: Optional[int] = None) -> ResidualReport:
     """Residual of u + Ru - V(Tu) + W(gamma u) - P(Au) at interior points.
 
     Traces and A u are sampled analytically so the report isolates operator
@@ -243,9 +242,9 @@ def third_green_residual(field: CoefficientField, afield: AnalyticField,
 
     v, w = px.op_V_W(surfmesh, field, tplus, gamma, pts)
     res = (afield.u(pts)
-           + px.op_R(volmesh, field, ucells, pts, workers=workers)
+           + px.op_R(volmesh, field, ucells, pts)
            - v + w
-           - px.op_P(volmesh, field, fcells, pts, workers=workers))
+           - px.op_P(volmesh, field, fcells, pts))
     scale = float(np.abs(afield.u(pts)).max()) if pts.size else 0.0
     return ResidualReport(res, scale, level=level,
                           label=f"third_green[{afield.name}]")
@@ -253,12 +252,12 @@ def third_green_residual(field: CoefficientField, afield: AnalyticField,
 
 def trace_identity_residual(field: CoefficientField, afield: AnalyticField,
                             surfmesh: SurfaceMesh, volmesh: VolumeMesh,
-                            level: Optional[int] = None,
-                            workers: int = 1) -> ResidualReport:
+                            level: Optional[int] = None) -> ResidualReport:
     """Boundary-collocated form of the third Green identity.
 
-    (1/2) gamma u + gamma Ru - dv_V(Tu) + dv_W(gamma u) - gamma P(Au)
-    at triangle centroids, with the volume terms evaluated at on-surface
+    (1/2) gamma u + gamma Ru - calV(Tu) + calW(gamma u) - gamma P(Au)
+    at triangle centroids, where calV and calW are op_V and op_W at the
+    registered centroids, with the volume terms evaluated at on-surface
     targets through their exclusion-ball quadrature.  As for the interior
     form, a field tending to u_inf at infinity leaves the residual u_inf.
     """
@@ -270,9 +269,9 @@ def trace_identity_residual(field: CoefficientField, afield: AnalyticField,
 
     v, w = px.op_V_W(surfmesh, field, tplus, gamma, colloc)
     res = (0.5 * gamma_c
-           + px.op_R(volmesh, field, ucells, colloc.points, workers=workers)
+           + px.op_R(volmesh, field, ucells, colloc.points)
            - v + w
-           - px.op_P(volmesh, field, fcells, colloc.points, workers=workers))
+           - px.op_P(volmesh, field, fcells, colloc.points))
     scale = float(np.abs(gamma_c).max())
     return ResidualReport(res, scale, level=level,
                           label=f"trace_identity[{afield.name}]")
@@ -289,8 +288,7 @@ def conormal_identity_residual_offset(field: CoefficientField,
                                       afield: AnalyticField,
                                       surfmesh: SurfaceMesh,
                                       volmesh: VolumeMesh, offset: float,
-                                      level: Optional[int] = None,
-                                      workers: int = 1) -> ResidualReport:
+                                      level: Optional[int] = None) -> ResidualReport:
     """Offset-stencil residual of the conormal form of the identity.
 
     All conormal actions of potentials are realized as full one-sided
@@ -309,10 +307,10 @@ def conormal_identity_residual_offset(field: CoefficientField,
     a_c = field.eval_a(colloc.points)
 
     t_R = a_c * _offset_derivative(
-        lambda p: px.op_R(volmesh, field, ucells, p, workers=workers),
+        lambda p: px.op_R(volmesh, field, ucells, p),
         colloc.points, normals, offset)
     t_P = a_c * _offset_derivative(
-        lambda p: px.op_P(volmesh, field, fcells, p, workers=workers),
+        lambda p: px.op_P(volmesh, field, fcells, p),
         colloc.points, normals, offset)
     w_prime = px.op_Wprime_offset(surfmesh, field, tplus, colloc, offset)
     l_hat = px.op_Lhat_offset(surfmesh, field, gamma, colloc, offset)
@@ -325,8 +323,7 @@ def conormal_identity_residual_offset(field: CoefficientField,
 
 # --- injectivity and the representation operator -----------------------------------
 
-def single_layer_injectivity(mesh: SurfaceMesh, field: CoefficientField,
-                             workers: int = 1) -> float:
+def single_layer_injectivity(mesh: SurfaceMesh, field: CoefficientField) -> float:
     """Smallest singular value of the direct-value single-layer block.
 
     The triangle-constant block is assembled at centroid collocation and
@@ -336,15 +333,13 @@ def single_layer_injectivity(mesh: SurfaceMesh, field: CoefficientField,
     """
     px.check_dense_caps(n_triangles=mesh.n_triangles)
     colloc = lp.Collocation.centroids(mesh, np.arange(mesh.n_triangles))
-    block = px.op_V_matrix(mesh, field, lp.SPACE_TRIANGLE, colloc,
-                           workers=workers)
+    block = px.op_V_matrix(mesh, field, lp.SPACE_TRIANGLE, colloc)
     block = block / np.sqrt(mesh.areas)[None, :]
     return float(np.linalg.svd(block, compute_uv=False)[-1])
 
 
 def representation_C(surfmesh: SurfaceMesh, volmesh: VolumeMesh,
-                     field: CoefficientField, f_star_field: AnalyticField,
-                     workers: int = 1):
+                     field: CoefficientField, f_star_field: AnalyticField):
     """Split a decaying field F into a cell density and a boundary density.
 
     Returns (f, Psi) with f = a lap F sampled on cells and Psi the
@@ -359,11 +354,9 @@ def representation_C(surfmesh: SurfaceMesh, volmesh: VolumeMesh,
     f_star = lp.DomainDensity(field.eval_a(volmesh.centers) * lap_cells)
 
     colloc = lp.Collocation.centroids(surfmesh, np.arange(surfmesh.n_triangles))
-    newton = lp.newton_potential(volmesh, lp.DomainDensity(lap_cells),
-                                 colloc.points, workers=workers)
+    newton = lp.newton_potential(volmesh, lp.DomainDensity(lap_cells), colloc.points)
     rhs = f_star_field.u(colloc.points) - newton
-    block = lp.single_layer_matrix(surfmesh, lp.SPACE_TRIANGLE, colloc,
-                                   workers=workers)
+    block = lp.single_layer_matrix(surfmesh, lp.SPACE_TRIANGLE, colloc)
     weights = sla.solve(block, rhs)
     psi_star = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
                                   field.eval_a(colloc.points) * weights)

@@ -17,7 +17,7 @@ rule (single layer) or skip the flat panels through the collocation point
 Every surface operator runs through one engine, ``_surface_rows``, which
 serves a list of terms in one pass over the targets, and every volume
 operator through another, ``_volume_rows``; both work over blocks of
-targets.  The ``workers`` argument is accepted and changes nothing.
+targets.
 
 Kernel contract of both engines: quadrature nodes are stored
 component-major, (3, ...), so that a block builds r^2 = (dx^2 + dy^2) + dz^2
@@ -170,9 +170,12 @@ class BoundaryDensity:
 
     space_tag "triangle-constant" carries one coefficient per triangle;
     "vertex-linear" one per vertex (continuous piecewise-linear).  The
-    support_tag restricts where coefficients may be nonzero: "D"/"N" limit a
+    support_tag declares where coefficients may be nonzero: "D"/"N" limit a
     triangle-constant density to one part, and a vertex-linear density to
-    vertices strictly interior to that part (zero on the interface).
+    vertices strictly interior to that part (zero on the interface).  The
+    declaration is what ``validate_support`` checks; the operators integrate
+    the coefficients over every panel, so a valid restricted density
+    contributes exact zeros off its part.
     """
 
     space_tag: str
@@ -294,6 +297,8 @@ class _PanelCache:
         near_nodes, self.near_wts = quad.map_to_panel(corners, npts, nwts)
         self.far_nodes = np.ascontiguousarray(np.moveaxis(far_nodes, -1, 0))
         self.near_nodes = np.ascontiguousarray(np.moveaxis(near_nodes, -1, 0))
+        # Every call on the mesh shares the far table, and callbacks see views of it.
+        self.far_nodes.flags.writeable = False
         self.normals = np.ascontiguousarray(mesh.normals.T)
         self.centroids = np.ascontiguousarray(mesh.centroids.T)
         self.far_bary = np.stack([1 - fpts[:, 0] - fpts[:, 1], fpts[:, 0], fpts[:, 1]], 1)
@@ -443,25 +448,17 @@ def _barycentric(corners, nodes):
 class _Term(NamedTuple):
     """One output of a surface pass: ``kernel`` against the density and
     factor of ``dens``, with the singular scheme "duffy" or "skip", into the
-    columns of ``space`` (None: one value per target), over the panels of
-    ``mask`` (None: every panel)."""
+    columns of ``space`` (None: one value per target), over every panel."""
 
     kernel: Callable
     dens: _NodeDensity
     scheme: str
     space: Optional[str] = None
-    mask: Optional[np.ndarray] = None
 
 
 def _single_term(mesh, density=None, space=None, factor=None) -> _Term:
     """Single layer of a density (values) or of the basis of space (a matrix)."""
-    mask = None
-    if (isinstance(density, BoundaryDensity) and density.support_tag != SUPPORT_ALL
-            and density.space_tag == SPACE_TRIANGLE):
-        # Vertex support is enforced by zero coefficients.
-        mask = mesh.part_label == density.support_tag
-    return _Term(single_layer_kernel, _make_dens(mesh, density, factor, space), "duffy",
-                 space, mask)
+    return _Term(single_layer_kernel, _make_dens(mesh, density, factor, space), "duffy", space)
 
 
 def _double_term(mesh, density=None, space=None, factor=None) -> _Term:
@@ -482,9 +479,8 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
     node-to-column matrix; near pairs (the subdivided rule) and the target's
     own panels (a Duffy rule) add their sums as corrections.  A term's
     density and factor are folded into its node weights once per call: into
-    the far weights of the active panels up front, into the near weights of
-    a panel at its first near pair.  Terms over different panels (support
-    masks) take one pass per set of panels.
+    the far weights of every panel up front, into the near weights of a
+    panel at its first near pair.
 
     Kernel contract (see _kernel_values): node tables are component-major,
     (3, panels, nodes), and the terms of a block share r = |x - y|, built in
@@ -498,26 +494,17 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
 
     A term's scheme is "duffy" for weakly singular kernels or "skip" for the
     principal-value double layer (flat panels through the collocation point
-    contribute zero exactly).  A target on an active panel that is not one
-    of its registered panels raises ``ValueError``: no rule here is accurate
+    contribute zero exactly).  A target on a panel that is not one of its
+    registered panels raises ``ValueError``: no rule here is accurate
     there.
     """
     colloc = _as_collocation(targets)
-    masks = [None if term.mask is None else term.mask.tobytes() for term in terms]
-    if len(set(masks)) > 1:
-        outs = {}
-        for key in dict.fromkeys(masks):
-            part = [t for t, mask in enumerate(masks) if mask == key]
-            outs.update(zip(part, _surface_rows(mesh, colloc, [terms[t] for t in part], cfg)))
-        return [outs[t] for t in range(len(terms))]
-
     cache = _panel_cache(mesh, cfg)
     corners = mesh.corners()
     n_tri = mesh.n_triangles
     kernels = [term.kernel for term in terms]
     columns = [_Columns(mesh, term.space) for term in terms]
     outs = [np.zeros((colloc.n, c.n)) for c in columns]
-    active = np.ones(n_tri, dtype=bool) if terms[0].mask is None else terms[0].mask
     on_panel_tol = 1e-12 * mesh.diameters
     near_cut = cfg.near_threshold * mesh.diameters
 
@@ -531,16 +518,14 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
         # Normals and centroids (3, k, 1) of panels (k,), against nodes (3, k, q).
         return cache.normals[:, panels, None], cache.centroids[:, panels, None]
 
-    # The far table covers the active panels only.
-    act = np.flatnonzero(active)
-    far_nodes = cache.far_nodes[:, act]
-    far_w = [node_weights(term, act, far_nodes, cache.far_wts[act], cache.far_bary)
+    every = np.arange(n_tri)
+    far_w = [node_weights(term, every, cache.far_nodes, cache.far_wts, cache.far_bary)
              for term in terms]
-    far_map = [None if term.space is None else c.node_map(act, w, cache.far_bary)
+    far_map = [None if term.space is None else c.node_map(every, w, cache.far_bary)
                for term, c, w in zip(terms, columns, far_w)]
-    # With a leading target axis: nodes (3, 1, n_act, n_far), panels (3, 1, n_act, 1).
-    far_nodes = far_nodes[:, None]
-    far_panels = [a[:, None] for a in panel_data(act)]
+    # With a leading target axis: nodes (3, 1, n_tri, n_far), panels (3, 1, n_tri, 1).
+    far_nodes = cache.far_nodes[:, None]
+    far_panels = [a[:, None] for a in panel_data(every)]
     sing_rows, sing_panels = _singular_pairs(cache, colloc)
     duffy = [t for t, term in enumerate(terms) if term.scheme == "duffy"]
 
@@ -564,7 +549,7 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
         y = colloc.points[start:start + block]
         lo, hi = np.searchsorted(sing_rows, [start, start + len(y)])
         rows, panels = sing_rows[lo:hi], sing_panels[lo:hi]
-        regular = np.broadcast_to(active, (len(y), n_tri)).copy()
+        regular = np.ones((len(y), n_tri), dtype=bool)
         regular[rows - start, panels] = False
 
         # Classification: the centroid bound, then exact distances of the
@@ -592,7 +577,6 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
             vals = _kernel_values(kernels, far_nodes, y.T[:, :, None, None], *far_panels)
         not_far = ~regular
         not_far[near_rows, near_panels] = True
-        not_far = not_far[:, act]
         for v in vals.values():
             v[not_far] = 0.0
         for t, kernel in enumerate(kernels):
@@ -617,8 +601,6 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
         # Singular pairs: a Duffy rule per kind of registered point.
         if not duffy:
             continue
-        keep = active[panels]
-        rows, panels = rows[keep], panels[keep]
         kinds = quad.singular_point_kind(corners[panels], colloc.points[rows])
         if np.any(kinds == quad.UNREGISTERED):
             k = int(np.argmax(kinds == quad.UNREGISTERED))
@@ -642,7 +624,6 @@ def single_layer(
     targets,
     cfg: QuadConfig = DEFAULT_QUAD,
     factor: Optional[Callable] = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Single layer potential of a surface density, evaluated at targets.
 
@@ -666,7 +647,6 @@ def double_layer(
     targets,
     cfg: QuadConfig = DEFAULT_QUAD,
     factor: Optional[Callable] = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Double layer potential; for registered on-surface targets this is the
     principal value (panels through the target are skipped, exact for flat
@@ -691,7 +671,6 @@ def single_layer_matrix(
     targets,
     cfg: QuadConfig = DEFAULT_QUAD,
     factor: Optional[Callable] = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Dense single-layer matrix mapping density coefficients to target values."""
     term = _single_term(mesh, space=space_tag, factor=factor)
@@ -704,31 +683,10 @@ def double_layer_matrix(
     targets,
     cfg: QuadConfig = DEFAULT_QUAD,
     factor: Optional[Callable] = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Dense double-layer matrix (principal value at registered targets)."""
     term = _double_term(mesh, space=space_tag, factor=factor)
     return _surface_rows(mesh, targets, [term], cfg)[0]
-
-
-# Direct values are the on-surface evaluations; kept as named wrappers since
-# they are distinct operators in the integral-equation system.
-
-def single_layer_direct(mesh, density, colloc: Collocation, cfg=DEFAULT_QUAD, factor=None):
-    """On-surface (direct) value of the single layer at registered points."""
-    _require_registered(colloc)
-    return single_layer(mesh, density, colloc, cfg, factor)
-
-
-def double_layer_direct(mesh, density, colloc: Collocation, cfg=DEFAULT_QUAD, factor=None):
-    """Principal value of the double layer at registered points."""
-    _require_registered(colloc)
-    return double_layer(mesh, density, colloc, cfg, factor)
-
-
-def _require_registered(colloc: Collocation):
-    if not isinstance(colloc, Collocation) or any(k == KIND_FREE for k in colloc.kinds):
-        raise ValueError("direct values require registered collocation points")
 
 
 # --- volume potential -----------------------------------------------------------
@@ -813,7 +771,6 @@ def newton_potential(
     targets,
     factor: Optional[Callable] = None,
     exclusion_factor: float = 0.5,
-    workers: int = 1,
 ) -> np.ndarray:
     """Volume potential with kernel -1/(4 pi |x - y|) and an exclusion ball.
 
@@ -830,7 +787,6 @@ def newton_potential_matrix(
     targets,
     factor: Optional[Callable] = None,
     exclusion_factor: float = 0.5,
-    workers: int = 1,
 ) -> np.ndarray:
     """Dense matrix of the Newton potential on cell-wise constant densities."""
     return _volume_rows(targets, _newton_kernel(volmesh.all_nodes()),

@@ -16,8 +16,11 @@ nodes, never on basis coefficients):
     P f   = N_lap(f / a)              volume potential
     R u   = volume integral of R(x, y) u(x)
 
-plus their on-surface direct values and two offset diagnostics for the
-adjoint double layer and the hypersingular action.  With a constant
+plus two offset diagnostics for the adjoint double layer and the
+hypersingular action.  The on-surface direct values calV and calW are no
+separate operators: op_V and op_W (and their matrices) take them at
+registered targets, a Collocation of panel centroids or mesh vertices, and
+refuse a free target that lies on a panel.  With a constant
 coefficient all of them collapse to their Laplace counterparts through the
 same code path.
 """
@@ -83,15 +86,16 @@ def _dn_ln_a(field: CoefficientField) -> Callable:
 # --- surface operators ----------------------------------------------------------
 
 def op_V(mesh: SurfaceMesh, field: CoefficientField, density, targets,
-         cfg: QuadConfig = lp.DEFAULT_QUAD, workers: int = 1) -> np.ndarray:
-    """Weighted single layer: V_lap applied to rho / a at quadrature nodes."""
-    return lp.single_layer(mesh, density, targets, cfg, factor=_inv_a(field),
-                           workers=workers)
+         cfg: QuadConfig = lp.DEFAULT_QUAD) -> np.ndarray:
+    """Weighted single layer: V_lap applied to rho / a at quadrature nodes;
+    the direct value calV at registered targets."""
+    return lp.single_layer(mesh, density, targets, cfg, factor=_inv_a(field))
 
 
 def op_W(mesh: SurfaceMesh, field: CoefficientField, density, targets,
-         cfg: QuadConfig = lp.DEFAULT_QUAD, workers: int = 1) -> np.ndarray:
-    """Weighted double layer: W_lap(rho) - V_lap(rho * dn ln a)."""
+         cfg: QuadConfig = lp.DEFAULT_QUAD) -> np.ndarray:
+    """Weighted double layer: W_lap(rho) - V_lap(rho * dn ln a); the
+    principal value calW at registered targets."""
     return _W_from(*lp._surface_rows(mesh, targets, _W_terms(mesh, field, density), cfg))
 
 
@@ -119,29 +123,12 @@ def _W_from(w_lap, *v_dn):
     return w_lap
 
 
-def dv_V(mesh: SurfaceMesh, field: CoefficientField, density, colloc: Collocation,
-         cfg: QuadConfig = lp.DEFAULT_QUAD, workers: int = 1) -> np.ndarray:
-    """Direct (on-surface) value of the weighted single layer."""
-    lp._require_registered(colloc)
-    return op_V(mesh, field, density, colloc, cfg, workers)
-
-
-def dv_W(mesh: SurfaceMesh, field: CoefficientField, density, colloc: Collocation,
-         cfg: QuadConfig = lp.DEFAULT_QUAD, workers: int = 1) -> np.ndarray:
-    """Principal value of the weighted double layer on the surface."""
-    lp._require_registered(colloc)
-    return op_W(mesh, field, density, colloc, cfg, workers)
-
-
-def op_V_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD,
-                workers: int = 1) -> np.ndarray:
+def op_V_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD) -> np.ndarray:
     check_dense_caps(n_triangles=mesh.n_triangles)
-    return lp.single_layer_matrix(mesh, space_tag, targets, cfg,
-                                  factor=_inv_a(field), workers=workers)
+    return lp.single_layer_matrix(mesh, space_tag, targets, cfg, factor=_inv_a(field))
 
 
-def op_W_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD,
-                workers: int = 1) -> np.ndarray:
+def op_W_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD) -> np.ndarray:
     check_dense_caps(n_triangles=mesh.n_triangles)
     return _W_from(*lp._surface_rows(mesh, targets, _W_terms(mesh, field, space=space_tag), cfg))
 
@@ -161,17 +148,10 @@ def _VW_matrices(mesh, field, targets, cfg=lp.DEFAULT_QUAD):
 
 # --- volume operators ------------------------------------------------------------
 
-def op_P(volmesh: VolumeMesh, field: CoefficientField, density, targets,
-         workers: int = 1) -> np.ndarray:
+def op_P(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.ndarray:
     """Weighted Newton potential: N_lap applied to f / a at the nodes."""
     return lp.newton_potential(volmesh, density, targets,
                                factor=lambda nodes: 1.0 / field.eval_a(nodes))
-
-
-def op_P_matrix(volmesh, field, targets, workers: int = 1) -> np.ndarray:
-    check_dense_caps(n_cells=volmesh.n_cells)
-    return lp.newton_potential_matrix(
-        volmesh, targets, factor=lambda nodes: 1.0 / field.eval_a(nodes))
 
 
 def _remainder_kernel(field: CoefficientField, nodes: np.ndarray):
@@ -206,7 +186,7 @@ def _remainder_kernel(field: CoefficientField, nodes: np.ndarray):
 
 
 def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets,
-         exclusion_factor: float = 0.5, workers: int = 1) -> np.ndarray:
+         exclusion_factor: float = 0.5) -> np.ndarray:
     """Remainder operator: volume integral of kernel_R against u.
 
     Vanishes identically for constant coefficients.  Uses the same
@@ -221,7 +201,7 @@ def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets,
 
 
 def op_R_matrix(volmesh: VolumeMesh, field: CoefficientField, targets,
-                exclusion_factor: float = 0.5, workers: int = 1) -> np.ndarray:
+                exclusion_factor: float = 0.5) -> np.ndarray:
     """Dense remainder block on cell-wise constant densities."""
     check_dense_caps(n_cells=volmesh.n_cells)
     targets = lp._volume_points(targets)

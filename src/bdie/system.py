@@ -116,8 +116,7 @@ def zero_extensions(mesh: geo.SurfaceMesh) -> ExtensionPair:
     return build_extensions(mesh, 0.0, 0.0)
 
 
-def jump_coefficients(surfmesh: geo.SurfaceMesh, colloc: lp.Collocation,
-                      workers: int = 1) -> np.ndarray:
+def jump_coefficients(surfmesh: geo.SurfaceMesh, colloc: lp.Collocation) -> np.ndarray:
     """Interior-cone solid angle fractions at registered boundary points.
 
     Computed as the direct value of the unit-density Laplace double layer,
@@ -131,7 +130,7 @@ def jump_coefficients(surfmesh: geo.SurfaceMesh, colloc: lp.Collocation,
     """
     ones = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
                               np.ones(surfmesh.n_vertices))
-    return lp.double_layer(surfmesh, ones, colloc, workers=workers)
+    return lp.double_layer(surfmesh, ones, colloc)
 
 
 def vertex_eval_matrix(mesh: geo.SurfaceMesh, colloc: lp.Collocation) -> np.ndarray:
@@ -175,16 +174,14 @@ def _data_values(mesh: geo.SurfaceMesh, extensions: ExtensionPair) -> np.ndarray
                            extensions.phi0.values[phi_known]])
 
 
-def _data_rhs(system: "M12System", f, extensions: ExtensionPair,
-              workers: int) -> np.ndarray:
+def _data_rhs(system: "M12System", f, extensions: ExtensionPair) -> np.ndarray:
     """F0 rows of the system: P f minus the data columns applied to the data."""
     vol = system.volmesh
     rhs = np.zeros(system.matrix.shape[0])
     dens = _f_density(f)
     if dens is not None:
-        rhs[:vol.n_cells] = px.op_P(vol, system.field, dens, vol.centers, workers=workers)
-        rhs[vol.n_cells:] = px.op_P(vol, system.field, dens, system.colloc.points,
-                                    workers=workers)
+        rhs[:vol.n_cells] = px.op_P(vol, system.field, dens, vol.centers)
+        rhs[vol.n_cells:] = px.op_P(vol, system.field, dens, system.colloc.points)
     rhs -= system.data_columns @ _data_values(system.surfmesh, extensions)
     return rhs
 
@@ -290,14 +287,14 @@ class M12System:
         n = self.n_cells + self.n_psi
         return slice(n, n + self.n_phi)
 
-    def with_data(self, f, extensions: ExtensionPair, workers: int = 1) -> "M12System":
+    def with_data(self, f, extensions: ExtensionPair) -> "M12System":
         """Same operator blocks with a right-hand side built from new data.
 
         Only P f needs quadrature; the layer terms are one matrix product.
         The new system shares the matrix, and with it the LU factor, so a
         direct solve after the first costs two triangular solves.
         """
-        return replace(self, rhs=_data_rhs(self, f, extensions, workers),
+        return replace(self, rhs=_data_rhs(self, f, extensions),
                        extensions=extensions, f=f)
 
 
@@ -321,6 +318,9 @@ def assemble_M12(
     synthetic consistency studies.  The matrix and the data columns are
     returned read-only, which lets every system sharing them keep one LU
     factor (see M12System).
+
+    ``workers`` is accepted for callers that still pass it and is ignored:
+    the assembly runs on one thread, and its output does not depend on it.
     """
     px.check_dense_caps(n_triangles=surfmesh.n_triangles, n_cells=volmesh.n_cells)
     sd = surfmesh.triangles_with_label(geo.PART_DIRICHLET)
@@ -346,8 +346,8 @@ def assemble_M12(
         A[rows, cols] = block[:, unknown]
         K[rows, data_cols] = block[:, known]
 
-    A[su, su] = np.eye(n_c) + px.op_R_matrix(volmesh, field, centers, workers=workers)
-    A[rows_b, su] = px.op_R_matrix(volmesh, field, colloc.points, workers=workers)
+    A[su, su] = np.eye(n_c) + px.op_R_matrix(volmesh, field, centers)
+    A[rows_b, su] = px.op_R_matrix(volmesh, field, colloc.points)
     v, w, _ = px._VW_matrices(surfmesh, field, centers)
     put(su, np.negative(v, out=v), triangle_split)
     put(su, w, vertex_split)
@@ -369,7 +369,7 @@ def assemble_M12(
         if f is not None:
             raise ValueError("a source term requires explicit extensions")
         return system
-    return replace(system, rhs=_data_rhs(system, f, extensions, workers),
+    return replace(system, rhs=_data_rhs(system, f, extensions),
                    extensions=extensions, f=f)
 
 
@@ -447,14 +447,21 @@ def solve_M12(system: M12System, method: str = "direct") -> M12Solution:
     )
 
 
-def evaluate_solution(system: M12System, solution: M12Solution, points,
-                      workers: int = 1) -> np.ndarray:
+def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.ndarray:
     """Field values at points in the shell via the representation formula.
 
     u(y) = P f(y) + V(Psi0 + psi)(y) - W(Phi0 + phi)(y) - R u(y), which is
-    the domain row rearranged; smooth in y away from the surface.
+    the domain row rearranged; smooth in y away from the surface.  A point
+    with |y| <= the inner radius lies off the domain, where the formula
+    gives no value of u, and raises ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    radii = np.linalg.norm(pts, axis=1)
+    inside = radii <= system.volmesh.inner_radius
+    if inside.any():
+        k = int(np.argmax(inside))
+        raise ValueError(f"point {pts[k]} is not in the exterior domain: |x| = "
+                         f"{radii[k]:g} <= inner radius {system.volmesh.inner_radius:g}")
     mesh, vol, field = system.surfmesh, system.volmesh, system.field
     total = np.zeros(len(pts))
     dens = _f_density(system.f)
@@ -465,9 +472,9 @@ def evaluate_solution(system: M12System, solution: M12Solution, points,
     v, w = px.op_V_W(mesh, field, conormal, trace, pts)
     total += v
     total -= w
-    total -= px.op_R(vol, field, solution.u, pts, workers=workers)
+    total -= px.op_R(vol, field, solution.u, pts)
     if dens is not None:
-        total += px.op_P(vol, field, dens, pts, workers=workers)
+        total += px.op_P(vol, field, dens, pts)
     return total
 
 

@@ -93,10 +93,9 @@ def identity_residuals(level2_meshes, level3_meshes):
     for level, (surf, vol) in ((2, level2_meshes), (3, level3_meshes)):
         for name, field, afield, u_inf in catalog:
             third = gr.third_green_residual(field, afield, surf, vol,
-                                            IDENTITY_PROBES, level=level,
-                                            workers=4)
+                                            IDENTITY_PROBES, level=level)
             trace = gr.trace_identity_residual(field, afield, surf, vol,
-                                               level=level, workers=4)
+                                               level=level)
             table[name, level] = (rel(third, u_inf), rel(trace, u_inf))
     return table
 
@@ -108,13 +107,11 @@ def m12_point_source(level2_meshes, level3_meshes):
     case = cases.point_source_case(GAUSS)
     for level, (surf, vol) in ((2, level2_meshes), (3, level3_meshes)):
         ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
-        system = sy.assemble_M12(vol, surf, GAUSS, f=case.f, extensions=ext,
-                                 workers=4)
+        system = sy.assemble_M12(vol, surf, GAUSS, f=case.f, extensions=ext)
         solution = sy.solve_M12(system)
         report = sy.equivalence_residuals(solution, case.exact, GAUSS,
                                           surf, vol)
-        values = sy.evaluate_solution(system, solution, cases.PROBE_POINTS,
-                                      workers=4)
+        values = sy.evaluate_solution(system, solution, cases.PROBE_POINTS)
         exact = case.exact.u(cases.PROBE_POINTS)
         probe_rel = np.abs(values - exact) / np.abs(exact)
         out[level] = (system, solution, report, probe_rel)
@@ -133,10 +130,10 @@ def test_criterion_01_laplace_sphere_oracle():
     for level in (2, 3):
         mesh = geo.build_icosphere(level)
         dens = _ones(mesh)
-        vals = lp.single_layer(mesh, dens, off_points, workers=4)
+        vals = lp.single_layer(mesh, dens, off_points)
         off_err = float(np.max(np.abs(vals - off_exact) / off_exact))
         on_surface = lp.Collocation.vertices(mesh, [_north_pole(mesh)])
-        direct = lp.single_layer_direct(mesh, dens, on_surface)[0]
+        direct = lp.single_layer(mesh, dens, on_surface)[0]
         on_err = abs(direct - 1.0)
         level_errors.append(max(off_err, on_err))
         if level == 3:
@@ -162,7 +159,7 @@ def test_criterion_02_orientation_and_jump_suite():
                                                      [0.3, 0.0, 0.0]]))
     _gate(failures, "interior double layer vs 1",
           float(np.abs(interior - 1.0).max()), 0.01)
-    direct = lp.double_layer_direct(mesh, dens, lp.Collocation.centroids(mesh))
+    direct = lp.double_layer(mesh, dens, lp.Collocation.centroids(mesh))
     _gate(failures, "direct value vs 1/2",
           float(np.abs(direct - 0.5).max()), 0.02 * 0.5)
     _finish(2, failures)
@@ -175,18 +172,18 @@ def test_criterion_03_relation_vs_kernel_algebra(level2_meshes):
     targets = IDENTITY_PROBES
 
     tdens = _ones(surf)
-    v_rel = px.op_V(surf, GAUSS, tdens, targets, workers=4)
+    v_rel = px.op_V(surf, GAUSS, tdens, targets)
     v_ker = px.op_V_by_kernel(surf, GAUSS, tdens, targets)
     _gate(failures, "single layer relation vs kernel",
           float(np.abs(v_rel - v_ker).max() / np.abs(v_ker).max()), 1e-10)
 
     fdens = lp.DomainDensity(1.0 / np.linalg.norm(vol.centers, axis=1))
-    p_rel = px.op_P(vol, GAUSS, fdens, targets, workers=4)
+    p_rel = px.op_P(vol, GAUSS, fdens, targets)
     p_ker = px.op_P_by_kernel(vol, GAUSS, fdens, targets)
     _gate(failures, "newton relation vs kernel",
           float(np.abs(p_rel - p_ker).max() / np.abs(p_ker).max()), 1e-10)
 
-    r_kern = px.op_R(vol, GAUSS, fdens, targets, workers=4)
+    r_kern = px.op_R(vol, GAUSS, fdens, targets)
     r_dual = px.op_R_divergence_form(vol, GAUSS, fdens, targets)
     _gate(failures, "remainder dual form",
           float(np.max(np.abs(r_kern - r_dual) / np.abs(r_dual))), 1e-3)
@@ -210,10 +207,10 @@ def test_criterion_04_unit_coefficient_reduction(level2_meshes):
          lp.single_layer(surf, tdens, targets)),
         ("double layer", px.op_W(surf, UNIT, vdens, targets),
          lp.double_layer(surf, vdens, targets)),
-        ("direct single layer", px.dv_V(surf, UNIT, tdens, colloc),
-         lp.single_layer_direct(surf, tdens, colloc)),
-        ("direct double layer", px.dv_W(surf, UNIT, vdens, colloc),
-         lp.double_layer_direct(surf, vdens, colloc)),
+        ("direct single layer", px.op_V(surf, UNIT, tdens, colloc),
+         lp.single_layer(surf, tdens, colloc)),
+        ("direct double layer", px.op_W(surf, UNIT, vdens, colloc),
+         lp.double_layer(surf, vdens, colloc)),
         ("newton potential", px.op_P(vol, UNIT, fdens, targets),
          lp.newton_potential(vol, fdens, targets)),
         ("remainder", px.op_R(vol, UNIT, fdens, targets),
@@ -282,14 +279,13 @@ def test_criterion_07_m12_equivalence(m12_point_source):
     constant = cases.constant_one_case(GAUSS)
     ext = sy.build_extensions(system3.surfmesh, constant.dirichlet,
                               constant.neumann)
-    swapped = system3.with_data(None, ext, workers=4)
+    swapped = system3.with_data(None, ext)
     u_inf = 1.0
     # M x - b = u_inf on every row for the exact unknowns of u == 1
     restored = dataclasses.replace(swapped, rhs=swapped.rhs + u_inf)
     solution = sy.solve_M12(restored)
     # the representation u = P f + V psi - W phi - R u drops u_inf too
-    probes = sy.evaluate_solution(restored, solution, cases.PROBE_POINTS,
-                                  workers=4) + u_inf
+    probes = sy.evaluate_solution(restored, solution, cases.PROBE_POINTS) + u_inf
     everywhere = max(float(np.abs(solution.u.values - u_inf).max()),
                      float(np.abs(solution.recovered_trace - u_inf).max()),
                      float(np.abs(probes - u_inf).max()))
@@ -346,33 +342,33 @@ def test_criterion_08_representation_splitting():
     pts = np.array([[0.0, 0.0, 1.5], [2.0, 0.0, 0.0], [3.2, 0.0, 0.0]])
 
     layer = _single_layer_of_one_field()
-    f_star, psi_star = gr.representation_C(surf, vol, UNIT, layer, workers=4)
+    f_star, psi_star = gr.representation_C(surf, vol, UNIT, layer)
     _gate(failures, "layer case: cell density vs 0",
           float(np.abs(f_star.values).max()), 0.0)
     _gate(failures, "layer case: boundary density vs 1",
           float(np.abs(psi_star.values - 1.0).max()), 0.05)
-    recon = (px.op_P(vol, UNIT, f_star, pts, workers=4)
-             + px.op_V(surf, UNIT, psi_star, pts, workers=4))
+    recon = (px.op_P(vol, UNIT, f_star, pts)
+             + px.op_V(surf, UNIT, psi_star, pts))
     _gate(failures, "layer case: reconstruction",
           float(np.abs(recon - layer.u(pts)).max() / np.abs(layer.u(pts)).max()),
           0.05)
 
     bump, lap = _newton_bump_field()
-    f_star, psi_star = gr.representation_C(surf, vol, UNIT, bump, workers=4)
+    f_star, psi_star = gr.representation_C(surf, vol, UNIT, bump)
     _gate(failures, "bump case: cell density",
           float(np.abs(f_star.values - lap(vol.centers)).max()), 0.0)
     scale = float(np.abs(bump.u(surf.centroids)).max())
     _gate(failures, "bump case: boundary density vs 0",
           float(np.abs(psi_star.values).max()), 0.05 * scale)
-    recon = (px.op_P(vol, UNIT, f_star, pts, workers=4)
-             + px.op_V(surf, UNIT, psi_star, pts, workers=4))
+    recon = (px.op_P(vol, UNIT, f_star, pts)
+             + px.op_V(surf, UNIT, psi_star, pts))
     _gate(failures, "bump case: reconstruction",
           float(np.abs(recon - bump.u(pts)).max() / np.abs(bump.u(pts)).max()),
           0.05)
 
-    f_var, psi_var = gr.representation_C(surf, vol, GAUSS, bump, workers=4)
-    recon = (px.op_P(vol, GAUSS, f_var, pts, workers=4)
-             + px.op_V(surf, GAUSS, psi_var, pts, workers=4))
+    f_var, psi_var = gr.representation_C(surf, vol, GAUSS, bump)
+    recon = (px.op_P(vol, GAUSS, f_var, pts)
+             + px.op_V(surf, GAUSS, psi_var, pts))
     _gate(failures, "bump case: variable-coefficient reconstruction",
           float(np.abs(recon - bump.u(pts)).max() / np.abs(bump.u(pts)).max()),
           0.05)
@@ -384,13 +380,12 @@ def test_criterion_09_single_layer_injectivity():
     failures = []
     sigmas = {}
     for level in cases.LEVELS:
-        sigma = gr.single_layer_injectivity(geo.build_icosphere(level), UNIT,
-                                            workers=4)
+        sigma = gr.single_layer_injectivity(geo.build_icosphere(level), UNIT)
         sigmas[level] = sigma
         if not sigma > 0.0:
             failures.append(f"sigma_min at level {level} not positive: {sigma}")
     two = gr.single_layer_injectivity(geo.build_icosphere(2),
-                                      co.constant_coefficient(2.0), workers=4)
+                                      co.constant_coefficient(2.0))
     _gate(failures, "a == 2 halving",
           abs(two - 0.5 * sigmas[2]) / (0.5 * sigmas[2]), 1e-12)
     print("sigma_min " + "  ".join(f"L{lvl}={val:.6f}"

@@ -185,15 +185,15 @@ INTERIOR_POINTS = np.array([[0.0, 0.0, 1.5], [2.0, 0.0, 0.0],
 def test_third_green_harmonic_unit_coefficient(unit_field, sphere3, shell14,
                                                source):
     rep = gr.third_green_residual(unit_field, source, sphere3, shell14,
-                                  INTERIOR_POINTS, workers=4)
+                                  INTERIOR_POINTS)
     assert rep.rel_to_scale < 3e-2
 
 
 def test_third_green_scales_linearly(gauss_field, sphere3, shell14, source):
     rep = gr.third_green_residual(gauss_field, source, sphere3, shell14,
-                                  INTERIOR_POINTS, workers=4)
+                                  INTERIOR_POINTS)
     rep10 = gr.third_green_residual(gauss_field, _scaled(source, 10.0), sphere3,
-                                    shell14, INTERIOR_POINTS, workers=4)
+                                    shell14, INTERIOR_POINTS)
     err = np.abs(rep10.residuals - 10.0 * rep.residuals).max()
     assert err <= 1e-12 * np.abs(10.0 * rep.residuals).max()
 
@@ -203,7 +203,7 @@ def test_third_green_excludes_points_near_surface(unit_field, sphere3,
     pts = np.vstack([INTERIOR_POINTS, [0.0, 0.0, 1.05]])
     with caplog.at_level(logging.INFO, logger="bdie.greens"):
         rep = gr.third_green_residual(unit_field, source, sphere3, shell_small,
-                                      pts, workers=4)
+                                      pts)
     assert rep.residuals.size == 4
     assert any("excluding" in r.getMessage() for r in caplog.records)
 
@@ -219,7 +219,7 @@ def test_third_green_constant_field(gauss_field, sphere3, shell14):
     """
     u_inf = 1.0
     rep = gr.third_green_residual(gauss_field, gr.constant_field(u_inf),
-                                  sphere3, shell14, INTERIOR_POINTS, workers=4)
+                                  sphere3, shell14, INTERIOR_POINTS)
     # u + Ru - V(Tu) + W(gamma u) - P(Au) = u_inf for a field tending to u_inf
     assert np.abs(rep.residuals - u_inf).max() / rep.scale < 5e-2
 
@@ -228,17 +228,15 @@ def test_third_green_constant_field(gauss_field, sphere3, shell14):
 
 def test_trace_identity_harmonic_unit_coefficient(unit_field, sphere3, shell14,
                                                   source):
-    rep = gr.trace_identity_residual(unit_field, source, sphere3, shell14,
-                                     workers=4)
+    rep = gr.trace_identity_residual(unit_field, source, sphere3, shell14)
     assert rep.rel_to_scale < 5e-2
 
 
 def test_trace_identity_scales_linearly(unit_field, sphere3, shell_small,
                                         source):
-    rep = gr.trace_identity_residual(unit_field, source, sphere3, shell_small,
-                                     workers=4)
+    rep = gr.trace_identity_residual(unit_field, source, sphere3, shell_small)
     rep10 = gr.trace_identity_residual(unit_field, _scaled(source, 10.0),
-                                       sphere3, shell_small, workers=4)
+                                       sphere3, shell_small)
     err = np.abs(rep10.residuals - 10.0 * rep.residuals).max()
     assert err <= 1e-12 * np.abs(10.0 * rep.residuals).max()
 
@@ -247,13 +245,13 @@ def test_trace_identity_constant_field(unit_field, sphere3, shell_small):
     """The trace form of the third identity also leaves u_inf = 1 for u == 1.
 
     With a == 1, R and P vanish and Tu = 0, so the residual is
-    (1/2) + dv_W(1): the direct value of the double layer of the unit
+    (1/2) + calW(1): the direct value of the double layer of the unit
     density is 1/2, and the sum is the term at infinity, 1.
     """
     u_inf = 1.0
     rep = gr.trace_identity_residual(unit_field, gr.constant_field(u_inf),
-                                     sphere3, shell_small, workers=4)
-    # (1/2) gamma u + dv_W(gamma u) = 1/2 + 1/2 = u_inf
+                                     sphere3, shell_small)
+    # (1/2) gamma u + calW(gamma u) = 1/2 + 1/2 = u_inf
     assert np.abs(rep.residuals - u_inf).max() / rep.scale < 3e-2
 
 
@@ -261,9 +259,9 @@ def test_trace_identity_constant_field(unit_field, sphere3, shell_small):
 
 def test_conormal_identity_offsets(unit_field, sphere3, shell_small, source):
     rep10 = gr.conormal_identity_residual_offset(unit_field, source, sphere3,
-                                                 shell_small, 0.1, workers=4)
+                                                 shell_small, 0.1)
     rep05 = gr.conormal_identity_residual_offset(unit_field, source, sphere3,
-                                                 shell_small, 0.05, workers=4)
+                                                 shell_small, 0.05)
     assert rep05.rel_to_scale < 0.10
     assert rep05.rel_to_scale < rep10.rel_to_scale
 
@@ -280,8 +278,7 @@ def test_conormal_identity_zero_field(unit_field, sphere3, shell_small):
 # --- single-layer injectivity ---------------------------------------------------
 
 def test_injectivity_positive_and_stable(unit_field):
-    sigmas = [gr.single_layer_injectivity(geo.build_icosphere(lvl), unit_field,
-                                          workers=4)
+    sigmas = [gr.single_layer_injectivity(geo.build_icosphere(lvl), unit_field)
               for lvl in (1, 2, 3)]
     assert all(s > 0 for s in sigmas)
     assert max(sigmas) / min(sigmas) < 4.0
@@ -289,9 +286,8 @@ def test_injectivity_positive_and_stable(unit_field):
 
 def test_injectivity_scales_with_coefficient(unit_field):
     mesh = geo.build_icosphere(2)
-    one = gr.single_layer_injectivity(mesh, unit_field, workers=4)
-    two = gr.single_layer_injectivity(mesh, co.constant_coefficient(2.0),
-                                      workers=4)
+    one = gr.single_layer_injectivity(mesh, unit_field)
+    two = gr.single_layer_injectivity(mesh, co.constant_coefficient(2.0))
     assert two == pytest.approx(0.5 * one, rel=1e-12)
 
 
@@ -300,16 +296,14 @@ def test_injectivity_scales_with_coefficient(unit_field):
 def test_representation_recovers_single_layer_density(unit_field, sphere3,
                                                       shell14):
     f_star, psi_star = gr.representation_C(sphere3, shell14, unit_field,
-                                           _single_layer_of_one_field(),
-                                           workers=4)
+                                           _single_layer_of_one_field())
     assert np.array_equal(f_star.values, np.zeros(shell14.n_cells))
     assert np.abs(psi_star.values - 1.0).max() < 5e-2
 
 
 def test_representation_recovers_volume_density(unit_field, sphere3, shell14):
     bump, lap = _newton_bump_field()
-    f_star, psi_star = gr.representation_C(sphere3, shell14, unit_field, bump,
-                                           workers=4)
+    f_star, psi_star = gr.representation_C(sphere3, shell14, unit_field, bump)
     assert np.array_equal(f_star.values, lap(shell14.centers))
     scale = np.abs(bump.u(sphere3.centroids)).max()
     assert np.abs(psi_star.values).max() < 0.05 * scale
@@ -320,10 +314,9 @@ def test_representation_reconstruction(sphere3, shell14, coeff):
     field = (co.constant_coefficient() if coeff == "constant"
              else co.gaussian_coefficient())
     bump, _ = _newton_bump_field()
-    f_star, psi_star = gr.representation_C(sphere3, shell14, field, bump,
-                                           workers=4)
+    f_star, psi_star = gr.representation_C(sphere3, shell14, field, bump)
     pts = np.array([[0.0, 0.0, 1.5], [2.0, 0.0, 0.0], [3.2, 0.0, 0.0]])
-    recon = (px.op_P(shell14, field, f_star, pts, workers=4)
-             + px.op_V(sphere3, field, psi_star, pts, workers=4))
+    recon = (px.op_P(shell14, field, f_star, pts)
+             + px.op_V(sphere3, field, psi_star, pts))
     rel = np.abs(recon - bump.u(pts)).max() / np.abs(bump.u(pts)).max()
     assert rel < 5e-2

@@ -126,7 +126,7 @@ def test_single_layer_sphere_off_surface(sphere3, ones3):
 
 def test_single_layer_direct_value_on_surface(sphere3, ones3):
     cv = lp.Collocation.vertices(sphere3, [north_pole_index(sphere3)])
-    val = lp.single_layer_direct(sphere3, ones3, cv)[0]
+    val = lp.single_layer(sphere3, ones3, cv)[0]
     assert abs(val - 1.0) < 0.02
 
 
@@ -138,7 +138,7 @@ def test_single_layer_error_halves_under_refinement():
         pts = np.array([[0.0, 0.0, 1.5], [0.0, 0.0, 2.0], [0.0, 0.0, 3.0]])
         vals = lp.single_layer(m, d, pts)
         cv = lp.Collocation.vertices(m, [north_pole_index(m)])
-        direct = lp.single_layer_direct(m, d, cv)
+        direct = lp.single_layer(m, d, cv)
         exact = 1.0 / np.array([1.5, 2.0, 3.0])
         errs.append(max(np.max(np.abs(vals - exact) / exact), abs(direct[0] - 1.0)))
     assert errs[1] <= 0.5 * errs[0]
@@ -174,7 +174,7 @@ def test_double_layer_interior_probe(sphere3, ones3):
 
 def test_double_layer_direct_value(sphere3, ones3):
     cc = lp.Collocation.centroids(sphere3)
-    dv = lp.double_layer_direct(sphere3, ones3, cc)
+    dv = lp.double_layer(sphere3, ones3, cc)
     assert np.all(np.abs(dv - 0.5) < 0.02 * 0.5)
 
 
@@ -183,7 +183,7 @@ def test_double_layer_direct_error_decreases_with_level():
     for level in (1, 2, 3):
         m = geo.build_icosphere(level)
         d = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, np.ones(m.n_triangles))
-        dv = lp.double_layer_direct(m, d, lp.Collocation.centroids(m))
+        dv = lp.double_layer(m, d, lp.Collocation.centroids(m))
         devs.append(np.abs(dv - 0.5).max())
     assert devs[2] < devs[1] < devs[0]
 
@@ -202,7 +202,7 @@ def test_jump_relation_refinement():
         rho = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, 1.0 + m.vertices[:, 2])
         sel = np.arange(0, m.n_vertices, 7)
         cc = lp.Collocation.vertices(m, sel)
-        dv = lp.double_layer_direct(m, rho, cc)
+        dv = lp.double_layer(m, rho, cc)
         pts = cc.points - 0.05 * (-m.vertices[sel])
         wext = lp.double_layer(m, rho, pts)
         rho_at = 1.0 + m.vertices[sel, 2]
@@ -239,13 +239,6 @@ def test_double_layer_matrix_matches_value(sphere3):
     val = lp.double_layer(sphere3, dd, cv)
     mat = lp.double_layer_matrix(sphere3, lp.SPACE_VERTEX, cv)
     assert np.abs(mat @ coef - val).max() < 1e-12
-
-
-def test_matrix_workers_bit_identical(sphere3):
-    cc = lp.Collocation.centroids(sphere3, np.arange(0, sphere3.n_triangles, 59))
-    m1 = lp.single_layer_matrix(sphere3, lp.SPACE_TRIANGLE, cc, workers=1)
-    m4 = lp.single_layer_matrix(sphere3, lp.SPACE_TRIANGLE, cc, workers=4)
-    assert np.array_equal(m1, m4)
 
 
 # --- newton potential ---------------------------------------------------------
@@ -325,7 +318,7 @@ def test_continuity_of_single_layer(sphere3, ones3):
     idx = north_pole_index(sphere3)
     pole = sphere3.vertices[idx]
     h = sphere3.max_edge
-    direct = lp.single_layer_direct(sphere3, ones3, lp.Collocation.vertices(sphere3, [idx]))[0]
+    direct = lp.single_layer(sphere3, ones3, lp.Collocation.vertices(sphere3, [idx]))[0]
     offs = [0.1 * h, 0.05 * h, 0.025 * h]
     vals = [lp.single_layer(sphere3, ones3, (pole * (1.0 + o))[None])[0] for o in offs]
     extrap = 2.0 * vals[2] - vals[1]
@@ -348,12 +341,6 @@ def test_density_validation(sphere3):
         bad.validate_support(part)
     ok_vals = np.where(part.part_label == "D", 1.0, 0.0)
     lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_D, ok_vals).validate_support(part)
-
-
-def test_direct_value_requires_registration(sphere3, ones3):
-    free = lp.Collocation.free(np.array([[2.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        lp.single_layer_direct(sphere3, ones3, free)
 
 
 def test_free_target_on_a_panel_is_refused(sphere3, ones3):
@@ -526,8 +513,8 @@ def test_engine_matches_reference_for_restricted_and_callable_densities(
 
 
 def test_engine_evaluates_the_factor_at_the_nodes_it_uses():
-    # The factor is folded into the far weights of the active panels, and
-    # into the near weights only of the panels a target comes near.
+    # The factor is folded into the far weights of every panel, and into
+    # the near weights only of the panels a target comes near.
     mesh = geo.partition_boundary(geo.build_icosphere(3))
     n_far = quad.gauss_triangle(lp.DEFAULT_QUAD.far_order)[1].size
     n_near = quad.subdivided_triangle_rule(lp.DEFAULT_QUAD.near_order,
@@ -547,9 +534,6 @@ def test_engine_evaluates_the_factor_at_the_nodes_it_uses():
     assert points_for(ones, np.array([5.0, 0.0, 0.0])) == mesh.n_triangles * n_far
     near = points_for(ones, 1.05 * mesh.centroids[0]) - mesh.n_triangles * n_far
     assert near % n_near == 0 and 0 < near <= mesh.n_triangles // 10 * n_near
-    on_d = mesh.part_label == geo.PART_DIRICHLET
-    restricted = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_D, on_d.astype(float))
-    assert points_for(restricted, np.array([5.0, 0.0, 0.0])) == on_d.sum() * n_far
 
 
 # --- one pass for several terms ------------------------------------------------

@@ -149,18 +149,18 @@ def test_single_layer_matches_direct_kernel_quadrature(sphere3, gauss_field, one
 
 def test_direct_single_layer_near_one_on_surface(sphere3, unit_field, ones_tc):
     cent = lp.Collocation.centroids(sphere3, np.arange(sphere3.n_triangles))
-    vals = px.dv_V(sphere3, unit_field, ones_tc, cent, workers=2)
+    vals = px.op_V(sphere3, unit_field, ones_tc, cent)
     assert np.abs(vals - 1.0).max() < 0.02
     verts = lp.Collocation.vertices(sphere3, np.arange(sphere3.n_vertices))
-    vals = px.dv_V(sphere3, unit_field, ones_tc, verts, workers=2)
+    vals = px.op_V(sphere3, unit_field, ones_tc, verts)
     assert np.abs(vals - 1.0).max() < 0.02
 
 
 def test_direct_single_layer_halves_for_constant_two(sphere3, unit_field,
                                                      two_field, ones_tc):
     cent = lp.Collocation.centroids(sphere3, np.arange(0, sphere3.n_triangles, 37))
-    one = px.dv_V(sphere3, unit_field, ones_tc, cent)
-    two = px.dv_V(sphere3, two_field, ones_tc, cent)
+    one = px.op_V(sphere3, unit_field, ones_tc, cent)
+    two = px.op_V(sphere3, two_field, ones_tc, cent)
     assert np.abs(two - 0.5 * one).max() <= 1e-12
 
 
@@ -194,7 +194,7 @@ def test_double_layer_density_linearity(sphere3, gauss_field, ones_vl):
 
 def test_direct_double_layer_half_on_surface(sphere3, unit_field, ones_vl):
     cent = lp.Collocation.centroids(sphere3, np.arange(sphere3.n_triangles))
-    vals = px.dv_W(sphere3, unit_field, ones_vl, cent, workers=2)
+    vals = px.op_W(sphere3, unit_field, ones_vl, cent)
     assert np.abs(vals - 0.5).max() < 0.01
 
 
@@ -382,7 +382,7 @@ def test_remainder_far_target_rows_decay(shell14, gauss_field):
     layer of the constant dn ln a, which is DN_LN_A_SPHERE / |y| for
     |y| > 1.  A wrong sign, scale or rate of R breaks the law.
     """
-    matrix = px.op_R_matrix(shell14, gauss_field, shell14.centers, workers=4)
+    matrix = px.op_R_matrix(shell14, gauss_field, shell14.centers)
     radii = np.linalg.norm(shell14.centers, axis=1)
     far = radii >= 3.0
     assert far.any()
@@ -529,8 +529,6 @@ def test_volume_matrix_cap(gauss_field):
     target = np.zeros((1, 3))
     with pytest.raises(px.ResourceLimitError):
         px.op_R_matrix(big, gauss_field, target)
-    with pytest.raises(px.ResourceLimitError):
-        px.op_P_matrix(big, gauss_field, target)
 
 
 # --- unit-coefficient reduction sweep ----------------------------------------
@@ -550,10 +548,10 @@ def test_unit_coefficient_reduction_sweep(sphere3, shell12, unit_field):
          lp.single_layer(sphere3, tc, targets)),
         (px.op_W(sphere3, unit_field, vl, targets),
          lp.double_layer(sphere3, vl, targets)),
-        (px.dv_V(sphere3, unit_field, tc, colloc),
-         lp.single_layer_direct(sphere3, tc, colloc)),
-        (px.dv_W(sphere3, unit_field, vl, colloc),
-         lp.double_layer_direct(sphere3, vl, colloc)),
+        (px.op_V(sphere3, unit_field, tc, colloc),
+         lp.single_layer(sphere3, tc, colloc)),
+        (px.op_W(sphere3, unit_field, vl, colloc),
+         lp.double_layer(sphere3, vl, colloc)),
         (px.op_P(shell12, unit_field, f, targets),
          lp.newton_potential(shell12, f, targets)),
         (px.op_R(shell12, unit_field, f, targets), np.zeros(2)),

@@ -55,8 +55,7 @@ def psrc_a1_sys1(level1, unit_field):
     surf, vol = level1
     case = cs.point_source_case(unit_field)
     ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
-    return sy.assemble_M12(vol, surf, unit_field, f=case.f, extensions=ext,
-                           workers=2)
+    return sy.assemble_M12(vol, surf, unit_field, f=case.f, extensions=ext)
 
 
 @pytest.fixture(scope="module")
@@ -69,14 +68,13 @@ def psrc_gauss_sys1(level1, gauss_field):
     surf, vol = level1
     case = cs.point_source_case(gauss_field)
     ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
-    return sy.assemble_M12(vol, surf, gauss_field, f=case.f, extensions=ext,
-                           workers=2)
+    return sy.assemble_M12(vol, surf, gauss_field, f=case.f, extensions=ext)
 
 
 @pytest.fixture(scope="module")
 def gauss_sys2(level2, gauss_field):
     surf, vol = level2
-    return sy.assemble_M12(vol, surf, gauss_field, workers=2)
+    return sy.assemble_M12(vol, surf, gauss_field)
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +82,7 @@ def psrc_a1_sys2(level2, unit_field):
     surf, vol = level2
     case = cs.point_source_case(unit_field)
     ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
-    return sy.assemble_M12(vol, surf, unit_field, f=case.f, extensions=ext,
-                           workers=2)
+    return sy.assemble_M12(vol, surf, unit_field, f=case.f, extensions=ext)
 
 
 # --- extensions -------------------------------------------------------------
@@ -188,8 +185,8 @@ def test_f0_matches_density_path(coefficient, partition):
     jump = sy.jump_coefficients(surf, colloc)
     cells = (px.op_V(surf, field, ext.psi0, vol.centers)
              - px.op_W(surf, field, ext.phi0, vol.centers))
-    bdry = (px.dv_V(surf, field, ext.psi0, colloc)
-            - (px.dv_W(surf, field, ext.phi0, colloc) - jump * phi0_at) - phi0_at)
+    bdry = (px.op_V(surf, field, ext.psi0, colloc)
+            - (px.op_W(surf, field, ext.phi0, colloc) - jump * phi0_at) - phi0_at)
     if case.f is not None:
         cells += px.op_P(vol, field, case.f, vol.centers)
         bdry += px.op_P(vol, field, case.f, colloc.points)
@@ -218,7 +215,7 @@ def test_extensions_must_vanish_on_the_unknowns(psrc_gauss_sys1):
 ])
 def test_system_square_with_expected_layout(level, n, counts, gauss_field):
     surf, vol = cs.level_meshes(level)
-    system = sy.assemble_M12(vol, surf, gauss_field, workers=2)
+    system = sy.assemble_M12(vol, surf, gauss_field)
     assert system.matrix.shape == (n, n)
     assert (system.n_cells, system.n_psi, system.n_phi) == counts
 
@@ -241,7 +238,7 @@ def test_trace_block_matches_direct_operator_application(psrc_gauss_sys1,
     indicator[system.phi_vertices] = 1.0
     dens = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, indicator)
     coef = sy.jump_coefficients(surf, system.colloc)
-    direct = (px.dv_W(surf, gauss_field, dens, system.colloc)
+    direct = (px.op_W(surf, gauss_field, dens, system.colloc)
               + (1.0 - coef) * (sy.vertex_eval_matrix(surf, system.colloc) @ indicator))
     assert np.max(np.abs(applied - direct)) < 1e-10
 
@@ -258,7 +255,7 @@ def test_jump_coefficient_approaches_half_at_vertices():
     for level in (1, 2):
         surf = geo.partition_boundary(geo.build_icosphere(level))
         colloc = lp.Collocation.vertices(surf, np.arange(surf.n_vertices))
-        coef = sy.jump_coefficients(surf, colloc, workers=2)
+        coef = sy.jump_coefficients(surf, colloc)
         assert np.all(coef > 0.25) and np.all(coef < 0.5)
         worst.append(np.max(np.abs(coef - 0.5)))
     assert worst[1] < worst[0]
@@ -353,7 +350,7 @@ def test_with_data_shares_matrix(psrc_gauss_sys1, gauss_field, monkeypatch):
     case = cs.point_source_case(gauss_field)
     ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
     rebuilt = sy.assemble_M12(vol, surf, gauss_field, f=case.f,
-                              extensions=ext, workers=2)
+                              extensions=ext)
 
     def no_quadrature(*args, **kwargs):
         raise AssertionError("with_data ran surface quadrature")
@@ -361,7 +358,7 @@ def test_with_data_shares_matrix(psrc_gauss_sys1, gauss_field, monkeypatch):
     for name in ("single_layer", "double_layer", "single_layer_matrix",
                  "double_layer_matrix", "_surface_rows"):
         monkeypatch.setattr(lp, name, no_quadrature)
-    swapped = system.with_data(case.f, ext, workers=2)
+    swapped = system.with_data(case.f, ext)
     assert swapped.matrix is system.matrix
     assert np.array_equal(swapped.rhs, rebuilt.rhs)
 
@@ -383,7 +380,7 @@ def test_assembly_deterministic_across_workers(level1, gauss_field):
 
 def test_zero_rhs_gives_zero_solution(level1, gauss_field):
     surf, vol = level1
-    system = sy.assemble_M12(vol, surf, gauss_field, workers=2)
+    system = sy.assemble_M12(vol, surf, gauss_field)
     solution = sy.solve_M12(system)
     assert np.all(solution.u.values == 0.0)
     assert np.all(solution.psi.values == 0.0)
@@ -526,9 +523,29 @@ def test_point_source_probe_value(psrc_a1_sys1, psrc_a1_sol1):
 
 def test_point_source_probes_within_gate(psrc_a1_sys1, psrc_a1_sol1):
     exact = gr.point_source_field().u(cs.PROBE_POINTS)
-    values = sy.evaluate_solution(psrc_a1_sys1, psrc_a1_sol1, cs.PROBE_POINTS,
-                                  workers=2)
+    values = sy.evaluate_solution(psrc_a1_sys1, psrc_a1_sol1, cs.PROBE_POINTS)
     assert np.max(np.abs(values - exact) / np.abs(exact)) < 0.05
+
+
+def test_evaluate_solution_refuses_points_off_the_domain(psrc_gauss_sys1):
+    # Inside the unit sphere the representation formula returns small,
+    # plausible numbers that are no value of u.
+    solution = sy.solve_M12(psrc_gauss_sys1)
+    for point in ([0.0, 0.0, 0.5], [0.0, 0.0, 0.99], [0.0, 1.0, 0.0]):
+        probes = np.array([[0.0, 0.0, 2.5], point])
+        with pytest.raises(ValueError, match=r"not in the exterior domain") as info:
+            sy.evaluate_solution(psrc_gauss_sys1, solution, probes)
+        assert str(np.array(point)) in str(info.value)
+    assert np.isfinite(sy.evaluate_solution(psrc_gauss_sys1, solution, cs.PROBE_POINTS)).all()
+
+
+def test_solution_densities_satisfy_their_support_tags(psrc_gauss_sys1):
+    # The tags are declarations that only validate_support checks.
+    solution = sy.solve_M12(psrc_gauss_sys1)
+    surf = psrc_gauss_sys1.surfmesh
+    assert (solution.psi.support_tag, solution.phi.support_tag) == (lp.SUPPORT_D, lp.SUPPORT_N)
+    solution.psi.validate_support(surf)
+    solution.phi.validate_support(surf)
 
 
 def test_recovery_errors_decrease_under_refinement(psrc_a1_sys1, psrc_a1_sys2,
@@ -572,7 +589,7 @@ def test_constant_solution_recovered(gauss_sys2, gauss_field):
     system = gauss_sys2
     case = cs.constant_one_case(gauss_field)
     ext = sy.build_extensions(system.surfmesh, case.dirichlet, case.neumann)
-    swapped = system.with_data(None, ext, workers=2)
+    swapped = system.with_data(None, ext)
     u_inf = 1.0
     # each row reads (M x - b) = u_inf for the exact unknowns of u == 1
     restored = dataclasses.replace(swapped, rhs=swapped.rhs + u_inf)
