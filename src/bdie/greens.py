@@ -241,10 +241,8 @@ def third_green_residual(field: CoefficientField, afield: AnalyticField,
     fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
 
     v, w = px.op_V_W(surfmesh, field, tplus, gamma, pts)
-    res = (afield.u(pts)
-           + px.op_R(volmesh, field, ucells, pts)
-           - v + w
-           - px.op_P(volmesh, field, fcells, pts))
+    r_u, p_f = px._R_and_P(volmesh, field, pts, ucells, px._P_weights(volmesh, field, fcells))
+    res = afield.u(pts) + r_u - v + w - p_f
     scale = float(np.abs(afield.u(pts)).max()) if pts.size else 0.0
     return ResidualReport(res, scale, level=level,
                           label=f"third_green[{afield.name}]")
@@ -268,10 +266,9 @@ def trace_identity_residual(field: CoefficientField, afield: AnalyticField,
     fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
 
     v, w = px.op_V_W(surfmesh, field, tplus, gamma, colloc)
-    res = (0.5 * gamma_c
-           + px.op_R(volmesh, field, ucells, colloc.points)
-           - v + w
-           - px.op_P(volmesh, field, fcells, colloc.points))
+    r_u, p_f = px._R_and_P(volmesh, field, colloc.points, ucells,
+                           px._P_weights(volmesh, field, fcells))
+    res = 0.5 * gamma_c + r_u - v + w - p_f
     scale = float(np.abs(gamma_c).max())
     return ResidualReport(res, scale, level=level,
                           label=f"trace_identity[{afield.name}]")

@@ -14,10 +14,14 @@ sense on the surface.  Direct values on the surface integrate with a Duffy
 rule (single layer) or skip the flat panels through the collocation point
 (double layer, exact for flat panels).
 
-Every surface operator runs through one engine, ``_surface_rows``, which
-serves a list of terms in one pass over the targets, and every volume
-operator through another, ``_volume_rows``; both work over blocks of
-targets.
+Every surface operator runs through one engine, ``_surface_rows``, and
+every volume operator through another, ``_volume_rows``.  Each serves a
+list of terms (several outputs) in one pass over blocks of targets: the
+terms of a surface pass share one classification and one r, those of a
+volume pass (the remainder's rows or values and P f, say) one r and one
+exclusion mask.  The Newton potential carries -1/(4 pi), its factor (1/a
+for P) and its density in the node weights, so each of its target-node
+pairs costs one divide, weights / r.
 
 Kernel contract of both engines: quadrature nodes are stored
 component-major, (3, ...), so that a block builds r^2 = (dx^2 + dy^2) + dz^2
@@ -395,17 +399,29 @@ class _Columns:
                                  shape=(self.n, t * q))
 
 
-def _scatter_add(out, rows, cols, vals):
-    """out[rows, cols] += vals with repeated entries summed pairwise, as
-    np.sum does.  Added one after another, the tens of near pairs of a row
-    lose digits that the linearity checks of the Green identities see.
-    out is C-contiguous (the engine's own outputs), so its flat reshape is
-    a view."""
-    key = np.broadcast_to(rows * out.shape[1] + cols, vals.shape).ravel()
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    out.reshape(-1)[key[starts]] += np.add.reduceat(vals.ravel()[order], starts)
+class _Scatter(NamedTuple):
+    """How to add values at (rows, cols) into a C-contiguous (m, n) output
+    with repeated entries summed pairwise, as np.sum does: the stable order
+    of the flat keys, the starts of their runs, and the key of each run.
+    Added one after another, the tens of near pairs of a row lose digits
+    that the linearity checks of the Green identities see.  Terms whose
+    columns coincide share one plan."""
+
+    order: np.ndarray
+    starts: np.ndarray
+    keys: np.ndarray
+
+    @staticmethod
+    def plan(n, rows, cols) -> "_Scatter":
+        key = (rows * n + cols).ravel()
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        return _Scatter(order, starts, key[starts])
+
+    def add(self, out, vals) -> None:
+        """out[rows, cols] += vals; out's flat reshape is a view."""
+        out.reshape(-1)[self.keys] += np.add.reduceat(vals.ravel()[self.order], self.starts)
 
 
 # --- the assembly engine -------------------------------------------------------
@@ -535,14 +551,23 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
     near_ready = np.zeros(n_tri, dtype=bool)
 
     def add_pairs(ts, rows, panels, nodes, weight_of, bary):
-        # Target-panel pairs (rows[k], panels[k]) of the terms ts, nodes
-        # (3, k, q); a row may repeat.  A term's node weights are formed only
-        # when it is summed.
+        # Distinct target-panel pairs (rows[k], panels[k]) of the terms ts,
+        # nodes (3, k, q); a row may repeat.  A term's node weights are
+        # formed only when it is summed.  Each pair has its own triangle
+        # column, so those add directly; vertex columns and single values
+        # repeat, and the terms of one space share one scatter plan.
         vals = _kernel_values([kernels[t] for t in ts], nodes,
                               colloc.points[rows].T[:, :, None], *panel_data(panels))
+        plans = {}
         for t in ts:
-            _scatter_add(outs[t], rows[:, None], columns[t].of(panels),
-                         columns[t].reduce(vals[kernels[t]] * weight_of(t), bary))
+            cols = columns[t].of(panels)
+            contrib = columns[t].reduce(vals[kernels[t]] * weight_of(t), bary)
+            if terms[t].space == SPACE_TRIANGLE:
+                outs[t][rows, cols[:, 0]] += contrib[:, 0]
+                continue
+            if terms[t].space not in plans:
+                plans[terms[t].space] = _Scatter.plan(columns[t].n, rows[:, None], cols)
+            plans[terms[t].space].add(outs[t], contrib)
 
     block = max(1, FAR_BLOCK_PAIRS // cache.far_wts.size)
     for start in range(0, colloc.n, block):
@@ -712,57 +737,91 @@ def _node_values(volmesh: VolumeMesh, density) -> np.ndarray:
 VOLUME_BLOCK_PAIRS = 1 << 15
 
 
-def _volume_rows(targets, kernel: Callable, weights: np.ndarray, excl: np.ndarray,
-                 per_cell: Optional[int] = None) -> np.ndarray:
-    """The one engine behind every production volume integral.
+class _VolumeTerm(NamedTuple):
+    """One output of a volume pass: kernel values times the node ``weights``,
+    one sum per target or, with ``per_cell`` nodes per cell, one row of
+    per-cell sums per target, written into ``out`` when it is given.
+    ``kernel`` None is the Newton kernel, whose -1/(4 pi) and factors the
+    weights carry (see _newton_weights): one divide per target-node pair."""
 
-    Targets run in blocks of VOLUME_BLOCK_PAIRS // (nodes); ``kernel(y)``
-    returns new arrays (overwritten here) of the kernel values and distances
-    r, (B, nodes) each, for a (B, 3) block y.  ``weights`` carry the node
-    weights times the coefficient factor (and, for values, the density).
-    Nodes with r <= ``excl`` are dropped.  Returns one value per target, or
-    with ``per_cell`` nodes per cell, one row of per-cell sums per target.
+    weights: np.ndarray
+    kernel: Optional[Callable] = None
+    per_cell: Optional[int] = None
+    out: Optional[np.ndarray] = None
 
-    Kernel contract: a kernel reads the nodes as contiguous component
-    arrays (3, nodes), builds r^2 = (dx^2 + dy^2) + dz^2 in place with one
-    scratch buffer (_squared_distances), and writes its values into one
-    output array with in-place ufuncs.  The weighted values are reduced row
-    by row with numpy's pairwise sum, never a matrix product, so a target's
-    value does not depend on which targets share its block.
+
+def _volume_nodes(volmesh: VolumeMesh) -> np.ndarray:
+    """The quadrature nodes of every cell, component-major: (3, nodes)."""
+    return np.ascontiguousarray(volmesh.all_nodes().T)
+
+
+def _volume_rows(targets, nodes: np.ndarray, excl: np.ndarray, terms) -> list:
+    """The one engine behind every production volume integral: one pass over
+    the targets for a list of terms (see _VolumeTerm); returns per term
+    values (m,) or rows (m, cells).
+
+    Targets run in blocks of VOLUME_BLOCK_PAIRS // (nodes).  The terms of a
+    block share r = |x - y| and the exclusion mask: nodes with r <= ``excl``
+    are dropped.  A Newton term is weights / r, summed.  A pass may have one
+    term with a kernel, ``kernel(nodes, y, r, scratch)``, which writes r
+    into ``r`` for targets y (3, B, 1), may use the (B, nodes) ``scratch``,
+    and returns its values in a new (B, nodes) array, which is then masked
+    and weighted in place.  Without one, the pass builds r itself.  Either
+    way a block holds two (B, nodes) arrays besides the kernel's own, and
+    the Newton terms reuse the scratch.
+
+    Kernel contract: nodes are component-major, (3, nodes), so that r^2 =
+    (dx^2 + dy^2) + dz^2 is built in place from contiguous component arrays
+    with one scratch buffer (_squared_distances), and a kernel writes its
+    values with in-place ufuncs.  The weighted values are reduced row by row
+    with numpy's pairwise sum, never a matrix product, so a target's value
+    does not depend on which targets share its block.
     """
     targets = _volume_points(targets)
-    m, n = len(targets), len(weights)
-    out = np.zeros(m) if per_cell is None else np.zeros((m, n // per_cell))
+    m, n = len(targets), nodes.shape[1]
+    kernels = [term.kernel for term in terms if term.kernel is not None]
+    if len(kernels) > 1:
+        raise ValueError("a volume pass evaluates at most one kernel term")
+    outs = [term.out if term.out is not None
+            else np.zeros(m) if term.per_cell is None
+            else np.zeros((m, n // term.per_cell)) for term in terms]
     block = max(1, VOLUME_BLOCK_PAIRS // n)
     for start in range(0, m, block):
         y = targets[start:start + block]
+        r, scratch = np.empty((len(y), n)), np.empty((len(y), n))
         # Dropped nodes may sit on a target; their values are discarded.
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals, r = kernel(y)
-        vals[r <= excl] = 0.0
-        vals *= weights
-        if per_cell is None:
-            out[start:start + len(y)] = vals.sum(axis=1)
-        else:
-            out[start:start + len(y)] = vals.reshape(len(y), -1, per_cell).sum(axis=2)
-    return out
+            if kernels:
+                kernel_vals = kernels[0](nodes, y.T[:, :, None], r, scratch)
+            else:
+                np.sqrt(_squared_distances(nodes, y.T[:, :, None], r, scratch), out=r)
+            dropped = r <= excl
+            for term, out in zip(terms, outs):
+                if term.kernel is None:
+                    vals = np.divide(term.weights, r, out=scratch)
+                    vals[dropped] = 0.0
+                else:
+                    vals = kernel_vals
+                    vals[dropped] = 0.0
+                    vals *= term.weights
+                if term.per_cell is None:
+                    out[start:start + len(y)] = vals.sum(axis=1)
+                else:
+                    out[start:start + len(y)] = vals.reshape(len(y), -1, term.per_cell).sum(axis=2)
+    return outs
 
 
-def _newton_kernel(nodes: np.ndarray) -> Callable:
-    comps = np.ascontiguousarray(nodes.T)
-
-    def kern(y):
-        r = np.empty((len(y), comps.shape[1]))
-        vals = np.empty_like(r)
-        np.sqrt(_squared_distances(comps, y.T[:, :, None], r, vals), out=r)
-        np.multiply(r, FOUR_PI, out=vals)
-        return np.divide(-1.0, vals, out=vals), r
-    return kern
-
-
-def _newton_weights(volmesh: VolumeMesh, factor: Optional[Callable]) -> np.ndarray:
+def _newton_weights(volmesh: VolumeMesh, factor: Optional[Callable] = None,
+                    density=None) -> np.ndarray:
+    """Node weights of the Newton potential: the quadrature weights times
+    the factor and the density at the nodes, when given, and -1/(4 pi), so
+    that what is left per pair is 1/r."""
     wts = volmesh.all_weights()
-    return wts if factor is None else wts * factor(volmesh.all_nodes())
+    if factor is not None:
+        wts = wts * factor(volmesh.all_nodes())
+    if density is not None:
+        wts = wts * _node_values(volmesh, density)
+    return wts / -FOUR_PI
 
 
 def newton_potential(
@@ -777,9 +836,9 @@ def newton_potential(
     Nodes within the per-cell exclusion radius of a target are skipped; the
     omitted mass is O(radius^2) for this kernel.
     """
-    weights = _newton_weights(volmesh, factor) * _node_values(volmesh, density)
-    return _volume_rows(targets, _newton_kernel(volmesh.all_nodes()), weights,
-                        exclusion_radii(volmesh, exclusion_factor))
+    term = _VolumeTerm(_newton_weights(volmesh, factor, density))
+    return _volume_rows(targets, _volume_nodes(volmesh),
+                        exclusion_radii(volmesh, exclusion_factor), [term])[0]
 
 
 def newton_potential_matrix(
@@ -789,10 +848,9 @@ def newton_potential_matrix(
     exclusion_factor: float = 0.5,
 ) -> np.ndarray:
     """Dense matrix of the Newton potential on cell-wise constant densities."""
-    return _volume_rows(targets, _newton_kernel(volmesh.all_nodes()),
-                        _newton_weights(volmesh, factor),
-                        exclusion_radii(volmesh, exclusion_factor),
-                        per_cell=volmesh.n_nodes_per_cell)
+    term = _VolumeTerm(_newton_weights(volmesh, factor), per_cell=volmesh.n_nodes_per_cell)
+    return _volume_rows(targets, _volume_nodes(volmesh),
+                        exclusion_radii(volmesh, exclusion_factor), [term])[0]
 
 
 # --- offset normal derivative -----------------------------------------------

@@ -148,22 +148,30 @@ def _VW_matrices(mesh, field, targets, cfg=lp.DEFAULT_QUAD):
 
 # --- volume operators ------------------------------------------------------------
 
+def _inv_a_nodes(field: CoefficientField) -> Callable:
+    return lambda nodes: 1.0 / field.eval_a(nodes)
+
+
 def op_P(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.ndarray:
     """Weighted Newton potential: N_lap applied to f / a at the nodes."""
-    return lp.newton_potential(volmesh, density, targets,
-                               factor=lambda nodes: 1.0 / field.eval_a(nodes))
+    return lp.newton_potential(volmesh, density, targets, factor=_inv_a_nodes(field))
+
+
+def _P_weights(volmesh: VolumeMesh, field: CoefficientField, density) -> np.ndarray:
+    """The node weights of op_P (f / a and -1/(4 pi) folded in), to compute
+    once and take P f from _R_and_P passes with the same bits as op_P."""
+    return lp._newton_weights(volmesh, _inv_a_nodes(field), density)
 
 
 def _remainder_kernel(field: CoefficientField, nodes: np.ndarray):
-    """R at the nodes for a (B, 3) block of targets, in place (see
-    laplace._volume_rows): -(lap ln a p + grad ln a . (x - y) / ((4 pi r) r^2))
-    with p = -1/(4 pi r)."""
-    comps = np.ascontiguousarray(nodes.T)
+    """R at the nodes (n, 3) as a volume kernel (see laplace._volume_rows):
+    r = |x - y| into r, and -(lap ln a p + grad ln a . (x - y) / ((4 pi r) r^2))
+    with p = -1/(4 pi r), in place."""
     grad = np.ascontiguousarray(field.eval_grad_ln_a(nodes).T)
     lap_ln = field.eval_laplacian_ln_a(nodes)
 
-    def kern(y):
-        r2, dot, vals, scratch = (np.empty((len(y), comps.shape[1])) for _ in range(4))
+    def kern(comps, y, r, r2):
+        dot, vals = np.empty_like(r), np.empty_like(r)
 
         def add_dot(k, d):
             # dot = (gx dx + gy dy) + gz dz; vals is free until the end.
@@ -172,17 +180,49 @@ def _remainder_kernel(field: CoefficientField, nodes: np.ndarray):
             else:
                 np.add(dot, np.multiply(grad[k], d, out=vals), out=dot)
 
-        lp._squared_distances(comps, y.T[:, :, None], r2, scratch, each=add_dot)
-        r = np.sqrt(r2, out=scratch)
+        lp._squared_distances(comps, y, r2, r, each=add_dot)
+        np.sqrt(r2, out=r)
         np.multiply(r, FOUR_PI, out=vals)
         r2 *= vals
         dot /= r2
         np.divide(-1.0, vals, out=vals)
         vals *= lap_ln
         vals += dot
-        return np.negative(vals, out=vals), r
+        return np.negative(vals, out=vals)
 
     return kern
+
+
+def _R_and_P(volmesh: VolumeMesh, field: CoefficientField, targets, u=None,
+             p_weights=None, out=None, exclusion_factor: float = 0.5):
+    """R and P f at targets from one volume pass, which shares r and the
+    exclusion mask between them.
+
+    R is R u for a density u, or with u None the dense rows of R on
+    cell-wise constant densities, written into ``out`` when it is given
+    (zeros, such as a block of a new matrix).  P f is the Newton term of
+    ``p_weights`` (see _P_weights), or None without them.  For a constant
+    coefficient R vanishes and the pass has P alone.
+    """
+    targets = lp._volume_points(targets)
+    if u is None:
+        check_dense_caps(n_cells=volmesh.n_cells)
+        R = np.zeros((len(targets), volmesh.n_cells)) if out is None else out
+    else:
+        R = np.zeros(len(targets))
+    terms = []
+    if not field.is_constant:
+        wts = volmesh.all_weights()
+        if u is not None:
+            wts = wts * lp._node_values(volmesh, u)
+        per_cell = volmesh.n_nodes_per_cell if u is None else None
+        kernel = _remainder_kernel(field, volmesh.all_nodes())
+        terms.append(lp._VolumeTerm(wts, kernel, per_cell, R))
+    if p_weights is not None:
+        terms.append(lp._VolumeTerm(p_weights))
+    outs = lp._volume_rows(targets, lp._volume_nodes(volmesh),
+                           lp.exclusion_radii(volmesh, exclusion_factor), terms) if terms else []
+    return R, (outs[-1] if p_weights is not None else None)
 
 
 def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets,
@@ -192,25 +232,13 @@ def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets,
     Vanishes identically for constant coefficients.  Uses the same
     exclusion-ball contract as the Newton potential.
     """
-    targets = lp._volume_points(targets)
-    if field.is_constant:
-        return np.zeros(len(targets))
-    weights = volmesh.all_weights() * lp._node_values(volmesh, density)
-    return lp._volume_rows(targets, _remainder_kernel(field, volmesh.all_nodes()),
-                           weights, lp.exclusion_radii(volmesh, exclusion_factor))
+    return _R_and_P(volmesh, field, targets, density, exclusion_factor=exclusion_factor)[0]
 
 
 def op_R_matrix(volmesh: VolumeMesh, field: CoefficientField, targets,
                 exclusion_factor: float = 0.5) -> np.ndarray:
     """Dense remainder block on cell-wise constant densities."""
-    check_dense_caps(n_cells=volmesh.n_cells)
-    targets = lp._volume_points(targets)
-    if field.is_constant:
-        return np.zeros((len(targets), volmesh.n_cells))
-    return lp._volume_rows(targets, _remainder_kernel(field, volmesh.all_nodes()),
-                           volmesh.all_weights(),
-                           lp.exclusion_radii(volmesh, exclusion_factor),
-                           per_cell=volmesh.n_nodes_per_cell)
+    return _R_and_P(volmesh, field, targets, exclusion_factor=exclusion_factor)[0]
 
 
 def op_R_divergence_form(volmesh: VolumeMesh, field: CoefficientField, density,

@@ -38,6 +38,10 @@ extensions, and new boundary data costs one matrix product plus P f.
 The matrix does not depend on the data either, so its LU factor is computed
 once, on the first direct solve, and every system that shares the matrix
 object reuses it: a new right-hand side then costs two triangular solves.
+The representation formula is linear in the data as well: the V, W and R
+rows at a set of points are kept with the LU, so evaluating a solution at
+kept points costs one P f pass plus three row products.  Assembly takes the
+R rows and P f of each target set from one volume pass.
 
 Everything is dense; sizes are guarded by the same caps as the operator
 assembly routines.
@@ -174,16 +178,12 @@ def _data_values(mesh: geo.SurfaceMesh, extensions: ExtensionPair) -> np.ndarray
                            extensions.phi0.values[phi_known]])
 
 
-def _data_rhs(system: "M12System", f, extensions: ExtensionPair) -> np.ndarray:
-    """F0 rows of the system: P f minus the data columns applied to the data."""
-    vol = system.volmesh
-    rhs = np.zeros(system.matrix.shape[0])
-    dens = _f_density(f)
-    if dens is not None:
-        rhs[:vol.n_cells] = px.op_P(vol, system.field, dens, vol.centers)
-        rhs[vol.n_cells:] = px.op_P(vol, system.field, dens, system.colloc.points)
-    rhs -= system.data_columns @ _data_values(system.surfmesh, extensions)
-    return rhs
+def _data_rhs(system: "M12System", extensions: ExtensionPair, pf=None) -> np.ndarray:
+    """F0 rows of the system: P f at the cell centres and the collocation
+    points (pf; None without a source) minus the data columns applied to
+    the data."""
+    known = system.data_columns @ _data_values(system.surfmesh, extensions)
+    return -known if pf is None else pf - known
 
 
 def _immutable(a: np.ndarray) -> bool:
@@ -195,19 +195,39 @@ def _immutable(a: np.ndarray) -> bool:
     return True
 
 
-class _LUFactor:
-    """LU factor and reciprocal 1-norm condition estimate of one matrix object.
+class _MatrixCache:
+    """What the systems sharing one matrix object keep: the LU factor and
+    reciprocal 1-norm condition estimate of the matrix, and the evaluation
+    rows of the last point set (see evaluate_solution).
 
-    Computed on first use.  It is kept only when the matrix cannot be
+    Each is computed on first use and kept only when the matrix cannot be
     written, so a kept factor never goes stale; a failed factorization
-    raises SolverError and keeps nothing.
+    raises SolverError and keeps nothing.  The rows depend on the points,
+    the meshes and the field rather than on the matrix: they are kept for
+    one point set at a time, keyed on the bytes of the points and on the
+    mesh and field objects, and evaluate_solution offers only rows that
+    take no more memory than the matrix.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
         self._kept = None
+        self._rows = None  # (points key, (surface mesh, volume mesh, field), rows)
 
-    def get(self):
+    def rows(self, key, owners):
+        """The kept rows of the points key for the owners, or None."""
+        if self._rows is None:
+            return None
+        kept_key, kept_owners, rows = self._rows
+        if kept_key == key and all(a is b for a, b in zip(kept_owners, owners)):
+            return rows
+        return None
+
+    def keep_rows(self, key, owners, rows) -> None:
+        if _immutable(self.matrix):
+            self._rows = key, owners, rows
+
+    def lu(self):
         """((lu, piv), rcond) of the matrix."""
         if self._kept is not None:
             return self._kept
@@ -240,9 +260,10 @@ class M12System:
     data_columns holds the blocks on the columns the unknowns leave out, so
     that rhs = P f - data_columns @ (Psi0 on S_N | Phi0 off interior S_N).
     assemble_M12 makes matrix and data_columns read-only.  The LU factor of
-    the matrix is kept with the matrix object: systems made from this one by
-    with_data or dataclasses.replace(..., rhs=...) share it, so it is
-    computed once; a system given another matrix gets a factor of its own.
+    the matrix, and the evaluation rows of the last point set, are kept with
+    the matrix object (see _MatrixCache): systems made from this one by
+    with_data or dataclasses.replace(..., rhs=...) share them, so each is
+    computed once; a system given another matrix gets a cache of its own.
     """
 
     matrix: np.ndarray
@@ -256,11 +277,11 @@ class M12System:
     colloc: lp.Collocation
     extensions: ExtensionPair
     f: Optional[Union[lp.DomainDensity, Callable]] = None
-    _lu: Optional[_LUFactor] = dc_field(default=None, repr=False, compare=False)
+    _cache: Optional[_MatrixCache] = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._lu is None or self._lu.matrix is not self.matrix:
-            object.__setattr__(self, "_lu", _LUFactor(self.matrix))
+        if self._cache is None or self._cache.matrix is not self.matrix:
+            object.__setattr__(self, "_cache", _MatrixCache(self.matrix))
 
     @property
     def n_cells(self) -> int:
@@ -290,11 +311,18 @@ class M12System:
     def with_data(self, f, extensions: ExtensionPair) -> "M12System":
         """Same operator blocks with a right-hand side built from new data.
 
-        Only P f needs quadrature; the layer terms are one matrix product.
-        The new system shares the matrix, and with it the LU factor, so a
-        direct solve after the first costs two triangular solves.
+        Only P f needs quadrature, one volume pass over the cell centres
+        and the collocation points; the layer terms are one matrix product.
+        The new system shares the matrix, and with it the LU factor and the
+        kept evaluation rows, so a direct solve after the first costs two
+        triangular solves.
         """
-        return replace(self, rhs=_data_rhs(self, f, extensions),
+        dens = _f_density(f)
+        pf = None
+        if dens is not None:
+            targets = np.concatenate([self.volmesh.centers, self.colloc.points])
+            pf = px.op_P(self.volmesh, self.field, dens, targets)
+        return replace(self, rhs=_data_rhs(self, extensions, pf),
                        extensions=extensions, f=f)
 
 
@@ -313,16 +341,21 @@ def assemble_M12(
     (u | psi | phi) this is square by construction.  One surface pass per
     target set builds its V and W blocks over all columns; they are split
     into the unknown columns of the matrix and the data columns, and placed
-    before the next set is built.  Omitting f and extensions leaves a zero
-    right-hand side, which is enough for the block-structure checks and for
-    synthetic consistency studies.  The matrix and the data columns are
-    returned read-only, which lets every system sharing them keep one LU
-    factor (see M12System).
+    before the next set is built.  One volume pass per target set writes
+    its R rows straight into the matrix and yields P f there, with f / a
+    evaluated at the nodes once for both sets.  Omitting f and extensions
+    leaves a zero right-hand side, which is enough for the block-structure
+    checks and for synthetic consistency studies.  The matrix and the data
+    columns are returned read-only, which lets every system sharing them
+    keep one LU factor and one set of evaluation rows (see M12System).
 
     ``workers`` is accepted for callers that still pass it and is ignored:
     the assembly runs on one thread, and its output does not depend on it.
     """
     px.check_dense_caps(n_triangles=surfmesh.n_triangles, n_cells=volmesh.n_cells)
+    dens = _f_density(f)
+    if dens is not None and extensions is None:
+        raise ValueError("a source term requires explicit extensions")
     sd = surfmesh.triangles_with_label(geo.PART_DIRICHLET)
     nin = surfmesh.vertices_with_class(geo.PART_NEUMANN)
     psi_known, phi_known = _data_masks(surfmesh)
@@ -346,8 +379,12 @@ def assemble_M12(
         A[rows, cols] = block[:, unknown]
         K[rows, data_cols] = block[:, known]
 
-    A[su, su] = np.eye(n_c) + px.op_R_matrix(volmesh, field, centers)
-    A[rows_b, su] = px.op_R_matrix(volmesh, field, colloc.points)
+    p_weights = None if dens is None else px._P_weights(volmesh, field, dens)
+    _, pf_centres = px._R_and_P(volmesh, field, centers, p_weights=p_weights, out=A[su, su])
+    diagonal = np.arange(n_c)
+    A[diagonal, diagonal] += 1.0
+    _, pf_colloc = px._R_and_P(volmesh, field, colloc.points, p_weights=p_weights,
+                               out=A[rows_b, su])
     v, w, _ = px._VW_matrices(surfmesh, field, centers)
     put(su, np.negative(v, out=v), triangle_split)
     put(su, w, vertex_split)
@@ -366,10 +403,9 @@ def assemble_M12(
     system = M12System(A, K, np.zeros(n), surfmesh, volmesh, field, sd, nin, colloc,
                        zero_extensions(surfmesh))
     if extensions is None:
-        if f is not None:
-            raise ValueError("a source term requires explicit extensions")
         return system
-    return replace(system, rhs=_data_rhs(system, f, extensions),
+    pf = None if dens is None else np.concatenate([pf_centres, pf_colloc])
+    return replace(system, rhs=_data_rhs(system, extensions, pf),
                    extensions=extensions, f=f)
 
 
@@ -414,7 +450,7 @@ def solve_M12(system: M12System, method: str = "direct") -> M12Solution:
     if A.shape[0] != A.shape[1]:
         raise ValueError("system is not square")
     if method == "direct":
-        factor, rcond = system._lu.get()
+        factor, rcond = system._cache.lu()
         x = sla.lu_solve(factor, b)
         conditioning = float(1.0 / rcond)
     elif method == "iterative":
@@ -451,9 +487,20 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     """Field values at points in the shell via the representation formula.
 
     u(y) = P f(y) + V(Psi0 + psi)(y) - W(Phi0 + phi)(y) - R u(y), which is
-    the domain row rearranged; smooth in y away from the surface.  A point
-    with |y| <= the inner radius lies off the domain, where the formula
-    gives no value of u, and raises ValueError.
+    the domain row rearranged; smooth in y away from the surface.  Only P f
+    depends on the data: V, W and R enter as data-free rows at the points
+    (V on the triangle columns, W on the vertex columns, R on the cell
+    columns), each applied to its coefficients by a row-wise pairwise sum.
+    The first call at a point set builds the rows in one surface pass and
+    one volume pass, which also yields P f.  The matrix's cache keeps them
+    (see _MatrixCache), so a later call at the same points, for this system
+    or any system sharing its matrix (with_data, replace(..., rhs=...)),
+    costs one P f pass and three row products.  Point sets whose rows would
+    take more memory than the matrix are built and applied in blocks and
+    kept nowhere.
+
+    A point with |y| <= the inner radius lies off the domain, where the
+    formula gives no value of u, and raises ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     radii = np.linalg.norm(pts, axis=1)
@@ -463,19 +510,34 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
         raise ValueError(f"point {pts[k]} is not in the exterior domain: |x| = "
                          f"{radii[k]:g} <= inner radius {system.volmesh.inner_radius:g}")
     mesh, vol, field = system.surfmesh, system.volmesh, system.field
-    total = np.zeros(len(pts))
+    coefs = (solution.recovered_conormal, -solution.recovered_trace, -solution.u.values)
     dens = _f_density(system.f)
-    conormal = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-                                  solution.recovered_conormal)
-    trace = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
-                               solution.recovered_trace)
-    v, w = px.op_V_W(mesh, field, conormal, trace, pts)
-    total += v
-    total -= w
-    total -= px.op_R(vol, field, solution.u, pts)
-    if dens is not None:
-        total += px.op_P(vol, field, dens, pts)
-    return total
+    key, owners = (pts.shape, pts.tobytes()), (mesh, vol, field)
+    rows = system._cache.rows(key, owners)
+    if rows is not None:
+        return _represent(coefs, rows, None if dens is None else px.op_P(vol, field, dens, pts))
+    p_weights = None if dens is None else px._P_weights(vol, field, dens)
+
+    def rows_and_pf(y):
+        v, w, _ = px._VW_matrices(mesh, field, y)
+        r, pf = px._R_and_P(vol, field, y, p_weights=p_weights)
+        return ((v, w) if field.is_constant else (v, w, r)), pf
+
+    block = max(1, system.matrix.size // (mesh.n_triangles + mesh.n_vertices + vol.n_cells))
+    if len(pts) > block:
+        return np.concatenate([_represent(coefs, *rows_and_pf(pts[start:start + block]))
+                               for start in range(0, len(pts), block)])
+    rows, pf = rows_and_pf(pts)
+    system._cache.keep_rows(key, owners, rows)
+    return _represent(coefs, rows, pf)
+
+
+def _represent(coefs, rows, pf) -> np.ndarray:
+    """V c - W t - R u (+ P f) from the coefficients (c, -t, -u) and the
+    rows (v, w, r), each row product a row-wise pairwise sum.  A constant
+    coefficient has no R rows: its R vanishes."""
+    total = sum((r * c).sum(axis=1) for r, c in zip(rows, coefs))
+    return total if pf is None else total + pf
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,25 @@ def test_volume_values_do_not_depend_on_the_block(shell14, gauss_field, monkeypa
             assert np.array_equal(op(block[k:k + 1]), together[k:k + 1])
 
 
+@pytest.mark.parametrize("coefficient", ["gaussian", "constant"])
+@pytest.mark.parametrize("output", ["rows", "values"])
+def test_fused_volume_pass_equals_lone_operators(shell14, sphere3, monkeypatch,
+                                                 coefficient, output):
+    # R and P f from one pass have the bits of op_R (or op_R_matrix) and
+    # op_P alone, in blocks of three targets with a partial last block.
+    monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", 3 * shell14.all_weights().size)
+    field = co.coefficient_by_name(coefficient)
+    targets = np.concatenate([shell14.centers[::97], sphere3.centroids[::70]])
+    rng = np.random.default_rng(31)
+    f = lp.DomainDensity(rng.normal(size=shell14.n_cells))
+    u = None if output == "rows" else lp.DomainDensity(rng.normal(size=shell14.n_cells))
+    r, p = px._R_and_P(shell14, field, targets, u, px._P_weights(shell14, field, f))
+    alone = (px.op_R_matrix(shell14, field, targets) if u is None
+             else px.op_R(shell14, field, u, targets))
+    assert np.array_equal(r, alone)
+    assert np.array_equal(p, px.op_P(shell14, field, f, targets))
+
+
 def test_remainder_matrix_matches_kernel_loop_at_level_1(gauss_field):
     surf, vol = cases.level_meshes(1)
     targets = np.concatenate([vol.centers, sy.boundary_collocation(surf).points])

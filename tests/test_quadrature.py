@@ -265,10 +265,15 @@ def test_integrate_volume_exclusion_ball():
     nodes = rng.uniform(-1, 1, size=(500, 3))
     weights = np.full(500, 8.0 / 500)
     target = np.zeros((1, 3))
-    kern = lambda y: (np.ones((len(y), len(nodes))),
-                      np.linalg.norm(nodes - y[:, None, :], axis=2))
-    full = lp._volume_rows(target, kern, weights, np.zeros(500))[0]
-    trimmed = lp._volume_rows(target, kern, weights, np.full(500, 0.5))[0]
+
+    def kern(comps, y, r, scratch):
+        # A unit kernel, with r = |x - y| for targets y (3, B, 1).
+        r[...] = np.linalg.norm(comps[:, None, :] - y, axis=0)
+        return np.ones_like(r)
+
+    terms = [lp._VolumeTerm(weights, kern)]
+    full = lp._volume_rows(target, nodes.T, np.zeros(500), terms)[0][0]
+    trimmed = lp._volume_rows(target, nodes.T, np.full(500, 0.5), terms)[0][0]
     inside = (np.linalg.norm(nodes, axis=1) <= 0.5).sum()
     assert full == pytest.approx(8.0)
     assert trimmed == pytest.approx(8.0 - inside * 8.0 / 500)

@@ -548,6 +548,114 @@ def test_solution_densities_satisfy_their_support_tags(psrc_gauss_sys1):
     solution.phi.validate_support(surf)
 
 
+def _fresh_level1_system(level1, field):
+    surf, vol = level1
+    case = cs.point_source_case(field)
+    ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
+    system = sy.assemble_M12(vol, surf, field, f=case.f, extensions=ext)
+    return system, case, ext
+
+
+def test_evaluation_rows_are_kept_with_the_matrix(level1, gauss_field, monkeypatch):
+    """A second evaluation at the same points, here through a with_data
+    system sharing the matrix, runs no surface pass and no R: one P f pass
+    and three row products, with the bits of the first."""
+    system, case, ext = _fresh_level1_system(level1, gauss_field)
+    solution = sy.solve_M12(system)
+    first = sy.evaluate_solution(system, solution, cs.PROBE_POINTS)
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("the evaluation rows were built again")
+
+    monkeypatch.setattr(lp, "_surface_rows", no_rows)
+    monkeypatch.setattr(px, "_remainder_kernel", no_rows)
+    assert np.array_equal(sy.evaluate_solution(system, solution, cs.PROBE_POINTS), first)
+    swapped = system.with_data(case.f, ext)
+    again = sy.evaluate_solution(swapped, sy.solve_M12(swapped), cs.PROBE_POINTS.copy())
+    assert np.array_equal(again, first)
+
+
+def test_evaluation_rows_are_rebuilt_for_new_points_matrices_and_fields(
+        level1, gauss_field, monkeypatch):
+    system, _, _ = _fresh_level1_system(level1, gauss_field)
+    solution = sy.solve_M12(system)
+    calls = []
+    surface_rows = lp._surface_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return surface_rows(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_surface_rows", counted)
+    pts = cs.PROBE_POINTS
+    first = sy.evaluate_solution(system, solution, pts)
+    sy.evaluate_solution(system, solution, pts)
+    assert len(calls) == 1
+    sy.evaluate_solution(system, solution, pts[:2])
+    assert len(calls) == 2
+    writable = dataclasses.replace(system, matrix=np.array(system.matrix))
+    for _ in range(2):
+        assert np.array_equal(sy.evaluate_solution(writable, solution, pts), first)
+    assert len(calls) == 4
+    other = dataclasses.replace(system, field=co.gaussian_coefficient())
+    for _ in range(2):
+        assert np.array_equal(sy.evaluate_solution(other, solution, pts[:2]), first[:2])
+    assert len(calls) == 5
+
+
+def test_large_point_sets_are_evaluated_in_blocks_and_not_kept(level1, gauss_field,
+                                                               monkeypatch):
+    """Rows of more points than fit in the matrix's memory (91 at level 1)
+    are built and applied a block at a time, and built again on every call."""
+    system, _, _ = _fresh_level1_system(level1, gauss_field)
+    solution = sy.solve_M12(system)
+    rng = np.random.default_rng(12)
+    d = rng.normal(size=(200, 3))
+    pts = d / np.linalg.norm(d, axis=1, keepdims=True) * rng.uniform(1.3, 3.5, size=(200, 1))
+    parts = np.concatenate([sy.evaluate_solution(system, solution, pts[k:k + 50])
+                            for k in range(0, 200, 50)])
+    calls = []
+    surface_rows = lp._surface_rows
+
+    def counted(*args, **kwargs):
+        calls.append(len(lp._volume_points(args[1])))
+        return surface_rows(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_surface_rows", counted)
+    for _ in range(2):
+        whole = sy.evaluate_solution(system, solution, pts)
+        assert np.abs(whole - parts).max() <= 1e-14 * np.abs(parts).max()
+    assert calls == [91, 91, 18] * 2
+
+
+def test_evaluation_rows_match_the_value_operators(psrc_gauss_sys1):
+    system = psrc_gauss_sys1
+    surf, vol, field = system.surfmesh, system.volmesh, system.field
+    solution = sy.solve_M12(system)
+    pts = np.concatenate([cs.PROBE_POINTS, [[0.0, 1.2, 0.3], [3.9, 0.0, 0.2]]])
+    got = sy.evaluate_solution(system, solution, pts)
+    conormal = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
+                                  solution.recovered_conormal)
+    trace = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, solution.recovered_trace)
+    v, w = px.op_V_W(surf, field, conormal, trace, pts)
+    want = v - w - px.op_R(vol, field, solution.u, pts) + px.op_P(vol, field, system.f, pts)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("system", ["psrc_gauss_sys1", "psrc_a1_sys1"])
+def test_remainder_blocks_of_the_matrix_are_op_R_matrix(system, request):
+    # The domain block is the identity plus R at the centres, the boundary
+    # rows' u block R at the collocation points, bit for bit.
+    system = request.getfixturevalue(system)
+    vol, field, n_c = system.volmesh, system.field, system.n_cells
+    domain = px.op_R_matrix(vol, field, vol.centers)
+    diagonal = np.arange(n_c)
+    domain[diagonal, diagonal] += 1.0
+    assert np.array_equal(system.matrix[:n_c, :n_c], domain)
+    assert np.array_equal(system.matrix[n_c:, :n_c],
+                          px.op_R_matrix(vol, field, system.colloc.points))
+
+
 def test_recovery_errors_decrease_under_refinement(psrc_a1_sys1, psrc_a1_sys2,
                                                    unit_field):
     exact = gr.point_source_field()
