@@ -15,8 +15,6 @@ from . import coefficients as co
 from . import geometry as geo
 from . import greens as gr
 
-FOUR_PI = 4.0 * np.pi
-
 INNER_RADIUS = 1.0
 TRUNCATION_RADIUS = 4.0
 LEVELS = (1, 2, 3)

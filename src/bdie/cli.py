@@ -325,7 +325,7 @@ def _solve_once(config: RunConfig, level: int):
     return case, system, solution
 
 
-def _field_values(config: RunConfig, case, system, solution, probes) -> np.ndarray:
+def _field_values(case, system, solution, probes) -> np.ndarray:
     """Representation-formula values plus the term at infinity it drops."""
     values = sy.evaluate_solution(system, solution, probes)
     return values + case.u_inf if case.u_inf else values
@@ -334,7 +334,7 @@ def _field_values(config: RunConfig, case, system, solution, probes) -> np.ndarr
 def cmd_solve(config: RunConfig) -> int:
     case, system, solution = _solve_once(config, config.level)
     probes = _probes(config)
-    values = _field_values(config, case, system, solution, probes)
+    values = _field_values(case, system, solution, probes)
 
     probe_rows = []
     for point, value in zip(probes, values):
@@ -391,7 +391,7 @@ def cmd_converge(config: RunConfig) -> int:
                               "a convergence sweep")
         report = sy.equivalence_residuals(solution, case.exact, case.field,
                                           system.surfmesh, system.volmesh)
-        values = _field_values(config, case, system, solution, probes)
+        values = _field_values(case, system, solution, probes)
         exact = case.exact.u(probes)
         denom = np.where(np.abs(exact) > 0, np.abs(exact), 1.0)
         probe_rel = float(np.max(np.abs(values - exact) / denom))

@@ -240,9 +240,10 @@ def third_green_residual(field: CoefficientField, afield: AnalyticField,
     ucells = lp.DomainDensity(afield.u(volmesh.centers))
     fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
 
-    v, w = px.op_V_W(surfmesh, field, tplus, gamma, pts)
+    v, w, _ = px._VW_matrices(surfmesh, field, pts)
     r_u, p_f = px._R_and_P(volmesh, field, pts, ucells, px._P_weights(volmesh, field, fcells))
-    res = afield.u(pts) + r_u - v + w - p_f
+    res = (afield.u(pts) + r_u - lp.apply_rows(v, tplus.values)
+           + lp.apply_rows(w, gamma.values) - p_f)
     scale = float(np.abs(afield.u(pts)).max()) if pts.size else 0.0
     return ResidualReport(res, scale, level=level,
                           label=f"third_green[{afield.name}]")
@@ -265,20 +266,14 @@ def trace_identity_residual(field: CoefficientField, afield: AnalyticField,
     ucells = lp.DomainDensity(afield.u(volmesh.centers))
     fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
 
-    v, w = px.op_V_W(surfmesh, field, tplus, gamma, colloc)
+    v, w, _ = px._VW_matrices(surfmesh, field, colloc)
     r_u, p_f = px._R_and_P(volmesh, field, colloc.points, ucells,
                            px._P_weights(volmesh, field, fcells))
-    res = 0.5 * gamma_c + r_u - v + w - p_f
+    res = (0.5 * gamma_c + r_u - lp.apply_rows(v, tplus.values)
+           + lp.apply_rows(w, gamma.values) - p_f)
     scale = float(np.abs(gamma_c).max())
     return ResidualReport(res, scale, level=level,
                           label=f"trace_identity[{afield.name}]")
-
-
-def _offset_derivative(values_at, points, normals, offset: float) -> np.ndarray:
-    """Two-point exterior-side offset stencil matching normal_derivative."""
-    g1 = values_at(points - offset * normals)
-    g2 = values_at(points - 2.0 * offset * normals)
-    return -(g2 - g1) / offset
 
 
 def conormal_identity_residual_offset(field: CoefficientField,
@@ -303,10 +298,10 @@ def conormal_identity_residual_offset(field: CoefficientField,
     fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
     a_c = field.eval_a(colloc.points)
 
-    t_R = a_c * _offset_derivative(
+    t_R = a_c * lp.normal_derivative(
         lambda p: px.op_R(volmesh, field, ucells, p),
         colloc.points, normals, offset)
-    t_P = a_c * _offset_derivative(
+    t_P = a_c * lp.normal_derivative(
         lambda p: px.op_P(volmesh, field, fcells, p),
         colloc.points, normals, offset)
     w_prime = px.op_Wprime_offset(surfmesh, field, tplus, colloc, offset)

@@ -19,9 +19,12 @@ every volume operator through another, ``_volume_rows``.  Each serves a
 list of terms (several outputs) in one pass over blocks of targets: the
 terms of a surface pass share one classification and one r, those of a
 volume pass (the remainder's rows or values and P f, say) one r and one
-exclusion mask.  The Newton potential carries -1/(4 pi), its factor (1/a
-for P) and its density in the node weights, so each of its target-node
-pairs costs one divide, weights / r.
+exclusion mask.  The surface engine returns only dense rows on a basis,
+triangle-constant or vertex-linear: the value of a layer potential is its
+rows applied to the density's coefficients (``apply_rows``), so a surface
+density is always a ``BoundaryDensity``.  The Newton potential carries
+-1/(4 pi), its factor (1/a for P) and its density in the node weights, so
+each of its target-node pairs costs one divide, weights / r.
 
 Kernel contract of both engines: quadrature nodes are stored
 component-major, (3, ...), so that a block builds r^2 = (dx^2 + dy^2) + dz^2
@@ -29,8 +32,8 @@ in place from contiguous component arrays with one scratch buffer
 (``_squared_distances``), and each kernel writes one output array with
 in-place ufuncs.  On the flat panels n . (x - y) = n . (c - y) for every
 node of a panel with centroid c, so the double layer takes it once per
-target-panel pair.  Callbacks of points (densities, factors, kernels that
-are not functions of the offsets) still receive (..., 3) arrays.
+target-panel pair.  Callbacks of points (factors, kernels that are not
+functions of the offsets, volume densities) still receive (..., 3) arrays.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ SPACE_VERTEX = "vertex-linear"
 SUPPORT_ALL = "all"
 SUPPORT_D = "D"
 SUPPORT_N = "N"
+
+# Volume nodes within this fraction of their cell's node spacing of a
+# target are dropped (see exclusion_radii).
+EXCLUSION_FACTOR = 0.5
 
 
 # --- kernels ----------------------------------------------------------------
@@ -326,60 +333,21 @@ def _panel_cache(mesh: SurfaceMesh, cfg: QuadConfig) -> _PanelCache:
     return store[cfg]
 
 
-# --- density adapters ---------------------------------------------------------
-
-class _NodeDensity:
-    """Evaluates density * optional smooth factor at rule nodes of panels."""
-
-    def __init__(self, mesh, density=None, fn=None, factor=None):
-        self.mesh = mesh
-        self.density = density
-        self.fn = fn
-        self.factor = factor
-        if density is not None and density.space_tag == SPACE_VERTEX:
-            self.vert_vals = density.values
-        else:
-            self.vert_vals = None
-
-    def values(self, tri_idx, nodes, bary, normals):
-        # nodes: (n_sel, n_q, 3); bary: (n_q, 3) or (n_sel, n_q, 3)
-        if self.density is None and self.fn is None:
-            out = np.ones(nodes.shape[:-1])
-        elif self.fn is not None:
-            out = np.asarray(self.fn(nodes), dtype=float)
-        elif self.density.space_tag == SPACE_TRIANGLE:
-            out = np.broadcast_to(
-                self.density.values[tri_idx][:, None], nodes.shape[:-1]
-            ).copy()
-        else:
-            corner_vals = self.vert_vals[self.mesh.triangles[tri_idx]]  # (n_sel, 3)
-            if bary.ndim == 2:
-                out = np.einsum("qk,sk->sq", bary, corner_vals)
-            else:
-                out = np.einsum("sqk,sk->sq", bary, corner_vals)
-        if self.factor is not None:
-            out = out * self.factor(nodes, normals)
-        return out
-
-
 class _Columns:
-    """Where the quadrature nodes of a panel land in the output: one value
-    per target, the panel's own column (triangle-constant), or its three
-    corner columns weighted by barycentric coordinates (vertex-linear)."""
+    """Where the quadrature nodes of a panel land in the output: the panel's
+    own column (triangle-constant), or its three corner columns weighted by
+    barycentric coordinates (vertex-linear)."""
 
-    def __init__(self, mesh: SurfaceMesh, matrix_space: Optional[str]):
-        self.vertex = matrix_space == SPACE_VERTEX
+    def __init__(self, mesh: SurfaceMesh, space: str):
+        if space not in (SPACE_TRIANGLE, SPACE_VERTEX):
+            raise ValueError(f"unknown space {space!r}")
+        self.vertex = space == SPACE_VERTEX
         self.triangles = mesh.triangles
-        if matrix_space is None:
-            self.n, self.panel_column = 1, np.zeros(mesh.n_triangles, dtype=int)
-        elif matrix_space == SPACE_TRIANGLE:
-            self.n, self.panel_column = mesh.n_triangles, np.arange(mesh.n_triangles)
-        else:
-            self.n, self.panel_column = mesh.n_vertices, None
+        self.n = mesh.n_vertices if self.vertex else mesh.n_triangles
 
     def of(self, panels):
         """Columns (k, c) of panels (k,)."""
-        return self.triangles[panels] if self.vertex else self.panel_column[panels][:, None]
+        return self.triangles[panels] if self.vertex else panels[:, None]
 
     def reduce(self, contrib, bary):
         """Weighted kernel values (k, q) at nodes with barycentric coordinates
@@ -462,29 +430,39 @@ def _barycentric(corners, nodes):
 
 
 class _Term(NamedTuple):
-    """One output of a surface pass: ``kernel`` against the density and
-    factor of ``dens``, with the singular scheme "duffy" or "skip", into the
-    columns of ``space`` (None: one value per target), over every panel."""
+    """One output of a surface pass: the dense rows of ``kernel`` times the
+    optional smooth ``factor(nodes, normals)`` on the basis of ``space``
+    (triangle-constant or vertex-linear), over every panel, with the
+    singular scheme "duffy" or "skip"."""
 
     kernel: Callable
-    dens: _NodeDensity
+    factor: Optional[Callable]
     scheme: str
-    space: Optional[str] = None
+    space: str
 
 
-def _single_term(mesh, density=None, space=None, factor=None) -> _Term:
-    """Single layer of a density (values) or of the basis of space (a matrix)."""
-    return _Term(single_layer_kernel, _make_dens(mesh, density, factor, space), "duffy", space)
+def _single_term(space: str, factor: Optional[Callable] = None) -> _Term:
+    """Single-layer rows on the basis of space."""
+    return _Term(single_layer_kernel, factor, "duffy", space)
 
 
-def _double_term(mesh, density=None, space=None, factor=None) -> _Term:
-    """Double layer, as _single_term; principal value at registered targets."""
-    return _Term(double_layer_kernel, _make_dens(mesh, density, factor, space), "skip", space)
+def _double_term(space: str, factor: Optional[Callable] = None) -> _Term:
+    """Double-layer rows; principal value at registered targets."""
+    return _Term(double_layer_kernel, factor, "skip", space)
+
+
+def apply_rows(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Rows (m, n) applied to coefficients (n,): a row-wise pairwise sum,
+    never a matrix product, so a row's value does not depend on the others."""
+    return (rows * coefficients).sum(axis=1)
 
 
 def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_QUAD) -> list:
     """The one surface-quadrature engine: one pass over the targets for a
-    list of terms (see _Term); returns per term values (m,) or a dense matrix.
+    list of terms (see _Term); returns per term its dense rows (m, columns).
+    A value of a layer potential is its rows applied to the density's
+    coefficients (apply_rows).  A space other than triangle-constant or
+    vertex-linear raises ``ValueError``.
 
     Targets run in blocks of FAR_BLOCK_PAIRS // (far nodes).  In a block, a
     target-panel pair is far when a centroid bound already puts the panel
@@ -494,9 +472,9 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
     masked to the far pairs and mapped to each term's columns by a sparse
     node-to-column matrix; near pairs (the subdivided rule) and the target's
     own panels (a Duffy rule) add their sums as corrections.  A term's
-    density and factor are folded into its node weights once per call: into
-    the far weights of every panel up front, into the near weights of a
-    panel at its first near pair.
+    factor is folded into its node weights once per call: into the far
+    weights of every panel up front, into the near weights of a panel at
+    its first near pair.
 
     Kernel contract (see _kernel_values): node tables are component-major,
     (3, panels, nodes), and the terms of a block share r = |x - y|, built in
@@ -505,8 +483,7 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
     by several terms is evaluated once.  The double layer takes n . (x - y)
     once per target-panel pair, as n . (c - y) with the panel's centroid c,
     since the panels are flat.  Other kernels, ``kernel(nodes, normals,
-    targets)``, get broadcasting (..., 3) views, as do the density and
-    factor callbacks.
+    targets)``, get broadcasting (..., 3) views, as do the factors.
 
     A term's scheme is "duffy" for weakly singular kernels or "skip" for the
     principal-value double layer (flat panels through the collocation point
@@ -524,21 +501,21 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
     on_panel_tol = 1e-12 * mesh.diameters
     near_cut = cfg.near_threshold * mesh.diameters
 
-    def node_weights(term, panels, nodes, wts, bary):
-        # Callbacks see the component-major nodes as (k, q, 3) views.
-        nodes = np.moveaxis(nodes, 0, -1)
+    def node_weights(term, panels, nodes, wts):
+        # The factor sees nodes (k, q, 3) and their panels' normals.
+        if term.factor is None:
+            return wts
         normals = np.broadcast_to(mesh.normals[panels][:, None, :], nodes.shape)
-        return wts * term.dens.values(panels, nodes, bary, normals)
+        return wts * term.factor(nodes, normals)
 
     def panel_data(panels):
         # Normals and centroids (3, k, 1) of panels (k,), against nodes (3, k, q).
         return cache.normals[:, panels, None], cache.centroids[:, panels, None]
 
     every = np.arange(n_tri)
-    far_w = [node_weights(term, every, cache.far_nodes, cache.far_wts, cache.far_bary)
-             for term in terms]
-    far_map = [None if term.space is None else c.node_map(every, w, cache.far_bary)
-               for term, c, w in zip(terms, columns, far_w)]
+    every_nodes = np.moveaxis(cache.far_nodes, 0, -1)
+    far_map = [c.node_map(every, node_weights(term, every, every_nodes, cache.far_wts),
+                          cache.far_bary) for term, c in zip(terms, columns)]
     # With a leading target axis: nodes (3, 1, n_tri, n_far), panels (3, 1, n_tri, 1).
     far_nodes = cache.far_nodes[:, None]
     far_panels = [a[:, None] for a in panel_data(every)]
@@ -554,20 +531,20 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
         # Distinct target-panel pairs (rows[k], panels[k]) of the terms ts,
         # nodes (3, k, q); a row may repeat.  A term's node weights are
         # formed only when it is summed.  Each pair has its own triangle
-        # column, so those add directly; vertex columns and single values
-        # repeat, and the terms of one space share one scatter plan.
+        # column, so those add directly; vertex columns repeat, and the
+        # vertex terms share one scatter plan.
         vals = _kernel_values([kernels[t] for t in ts], nodes,
                               colloc.points[rows].T[:, :, None], *panel_data(panels))
-        plans = {}
+        plan = None
         for t in ts:
             cols = columns[t].of(panels)
             contrib = columns[t].reduce(vals[kernels[t]] * weight_of(t), bary)
-            if terms[t].space == SPACE_TRIANGLE:
+            if not columns[t].vertex:
                 outs[t][rows, cols[:, 0]] += contrib[:, 0]
                 continue
-            if terms[t].space not in plans:
-                plans[terms[t].space] = _Scatter.plan(columns[t].n, rows[:, None], cols)
-            plans[terms[t].space].add(outs[t], contrib)
+            if plan is None:
+                plan = _Scatter.plan(columns[t].n, rows[:, None], cols)
+            plan.add(outs[t], contrib)
 
     block = max(1, FAR_BLOCK_PAIRS // cache.far_wts.size)
     for start in range(0, colloc.n, block):
@@ -605,18 +582,14 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
         for v in vals.values():
             v[not_far] = 0.0
         for t, kernel in enumerate(kernels):
-            v = vals[kernel].reshape(len(y), -1)
-            if far_map[t] is None:
-                outs[t][start:start + len(y), 0] += (v * far_w[t].ravel()).sum(axis=1)
-            else:
-                outs[t][start:start + len(y)] += (far_map[t] @ v.T).T
+            outs[t][start:start + len(y)] += (far_map[t] @ vals[kernel].reshape(len(y), -1).T).T
 
         new = np.unique(near_panels)
         new = new[~near_ready[new]]
         if len(new):
+            nodes = np.moveaxis(cache.near_nodes[:, new], 0, -1)
             for term, w in zip(terms, near_w):
-                w[new] = node_weights(term, new, cache.near_nodes[:, new], cache.near_wts[new],
-                                      cache.near_bary)
+                w[new] = node_weights(term, new, nodes, cache.near_wts[new])
             near_ready[new] = True
         for k in range(0, len(near_rows), NEAR_BATCH_PAIRS):
             r, p = near_rows[k:k + NEAR_BATCH_PAIRS], near_panels[k:k + NEAR_BATCH_PAIRS]
@@ -635,22 +608,30 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
             r, p = rows[kinds == kind], panels[kinds == kind]
             nodes, w = quad.duffy_panel_nodes(corners[p], kind, cfg.duffy_order)
             bary = _barycentric(corners[p], nodes)
-            normals = np.broadcast_to(mesh.normals[p][:, None, :], nodes.shape)
             add_pairs(duffy, r, p, np.moveaxis(nodes, -1, 0),
-                      lambda t: w * terms[t].dens.values(p, nodes, bary, normals), bary)
-    return [out[:, 0] if term.space is None else out for term, out in zip(terms, outs)]
+                      lambda t: node_weights(terms[t], p, nodes, w), bary)
+    return outs
 
 
 # --- public surface operators --------------------------------------------------
 
+def _space_of(density) -> str:
+    """The basis space of a surface density, which must be a BoundaryDensity."""
+    if not isinstance(density, BoundaryDensity):
+        raise TypeError(f"density must be a BoundaryDensity, not {type(density).__name__}")
+    return density.space_tag
+
+
 def single_layer(
     mesh: SurfaceMesh,
-    density: Union[BoundaryDensity, Callable],
+    density: BoundaryDensity,
     targets,
     cfg: QuadConfig = DEFAULT_QUAD,
     factor: Optional[Callable] = None,
 ) -> np.ndarray:
-    """Single layer potential of a surface density, evaluated at targets.
+    """Single layer potential of a surface density, evaluated at targets:
+    the single-layer rows on the density's basis applied to its
+    coefficients.
 
     Targets may be free points or a Collocation; for registered on-surface
     points the self-panel integral uses a Duffy rule (this is the direct
@@ -658,36 +639,26 @@ def single_layer(
 
     Parameters
     ----------
-    density : BoundaryDensity or callable(nodes) -> values
+    density : BoundaryDensity; anything else raises TypeError
     factor : optional callable(nodes, normals) -> values
         Smooth rescaling applied at quadrature nodes.
     """
-    term = _single_term(mesh, density, factor=factor)
-    return _surface_rows(mesh, targets, [term], cfg)[0]
+    rows = single_layer_matrix(mesh, _space_of(density), targets, cfg, factor)
+    return apply_rows(rows, density.values)
 
 
 def double_layer(
     mesh: SurfaceMesh,
-    density: Union[BoundaryDensity, Callable],
+    density: BoundaryDensity,
     targets,
     cfg: QuadConfig = DEFAULT_QUAD,
     factor: Optional[Callable] = None,
 ) -> np.ndarray:
-    """Double layer potential; for registered on-surface targets this is the
-    principal value (panels through the target are skipped, exact for flat
-    panels)."""
-    term = _double_term(mesh, density, factor=factor)
-    return _surface_rows(mesh, targets, [term], cfg)[0]
-
-
-def _make_dens(mesh, density, factor, space=None):
-    if space is not None:  # a matrix integrates the basis of its space
-        return _NodeDensity(mesh, factor=factor)
-    if isinstance(density, BoundaryDensity):
-        return _NodeDensity(mesh, density=density, factor=factor)
-    if callable(density):
-        return _NodeDensity(mesh, fn=density, factor=factor)
-    raise TypeError("density must be a BoundaryDensity or a callable")
+    """Double layer potential, as single_layer; for registered on-surface
+    targets this is the principal value (panels through the target are
+    skipped, exact for flat panels)."""
+    rows = double_layer_matrix(mesh, _space_of(density), targets, cfg, factor)
+    return apply_rows(rows, density.values)
 
 
 def single_layer_matrix(
@@ -698,8 +669,7 @@ def single_layer_matrix(
     factor: Optional[Callable] = None,
 ) -> np.ndarray:
     """Dense single-layer matrix mapping density coefficients to target values."""
-    term = _single_term(mesh, space=space_tag, factor=factor)
-    return _surface_rows(mesh, targets, [term], cfg)[0]
+    return _surface_rows(mesh, targets, [_single_term(space_tag, factor)], cfg)[0]
 
 
 def double_layer_matrix(
@@ -710,15 +680,14 @@ def double_layer_matrix(
     factor: Optional[Callable] = None,
 ) -> np.ndarray:
     """Dense double-layer matrix (principal value at registered targets)."""
-    term = _double_term(mesh, space=space_tag, factor=factor)
-    return _surface_rows(mesh, targets, [term], cfg)[0]
+    return _surface_rows(mesh, targets, [_double_term(space_tag, factor)], cfg)[0]
 
 
 # --- volume potential -----------------------------------------------------------
 
-def exclusion_radii(volmesh: VolumeMesh, factor: float = 0.5) -> np.ndarray:
-    """Per-node exclusion radius: factor times the local node spacing."""
-    return np.repeat(factor * volmesh.node_spacing(), volmesh.n_nodes_per_cell)
+def exclusion_radii(volmesh: VolumeMesh) -> np.ndarray:
+    """Per-node exclusion radius: EXCLUSION_FACTOR times the local node spacing."""
+    return np.repeat(EXCLUSION_FACTOR * volmesh.node_spacing(), volmesh.n_nodes_per_cell)
 
 
 def _volume_points(targets) -> np.ndarray:
@@ -829,7 +798,6 @@ def newton_potential(
     density: Union[DomainDensity, Callable],
     targets,
     factor: Optional[Callable] = None,
-    exclusion_factor: float = 0.5,
 ) -> np.ndarray:
     """Volume potential with kernel -1/(4 pi |x - y|) and an exclusion ball.
 
@@ -838,39 +806,42 @@ def newton_potential(
     """
     term = _VolumeTerm(_newton_weights(volmesh, factor, density))
     return _volume_rows(targets, _volume_nodes(volmesh),
-                        exclusion_radii(volmesh, exclusion_factor), [term])[0]
+                        exclusion_radii(volmesh), [term])[0]
 
 
 def newton_potential_matrix(
     volmesh: VolumeMesh,
     targets,
     factor: Optional[Callable] = None,
-    exclusion_factor: float = 0.5,
 ) -> np.ndarray:
     """Dense matrix of the Newton potential on cell-wise constant densities."""
     term = _VolumeTerm(_newton_weights(volmesh, factor), per_cell=volmesh.n_nodes_per_cell)
     return _volume_rows(targets, _volume_nodes(volmesh),
-                        exclusion_radii(volmesh, exclusion_factor), [term])[0]
+                        exclusion_radii(volmesh), [term])[0]
 
 
 # --- offset normal derivative -----------------------------------------------
 
-def normal_derivative(potential: Callable, point, normal, offset: float) -> float:
-    """Normal derivative of a potential probed from the exterior side.
+def normal_derivative(potential: Callable, points, normals, offset: float):
+    """Normal derivatives of a potential probed from the exterior side.
 
-    Uses two evaluations at point - k*offset*n (k = 1, 2), which lie inside
-    the exterior domain since n points out of it; second-order accurate at
-    the midpoint of the stencil.
+    Uses two evaluations at p - k*offset*n (k = 1, 2) for each point p with
+    normal n, which lie inside the exterior domain since n points out of it;
+    second-order accurate at the midpoint of the stencil.  The potential is
+    called once, on all 2m stencil points of m points (m, 3) with normals
+    (m, 3), and the result is (m,); one point (3,) gives a float.
 
     Parameters
     ----------
-    potential : callable(points (m, 3)) -> (m,)
+    potential : callable(points (k, 3)) -> (k,)
     """
     if offset <= 10.0 * np.finfo(float).eps:
         raise ValueError("offset too small for a stable stencil")
-    p = np.asarray(point, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    pts = np.stack([p - offset * n, p - 2.0 * offset * n])
+    p = np.asarray(points, dtype=float)
+    n = np.asarray(normals, dtype=float)
+    pts = np.concatenate([np.atleast_2d(p - offset * n), np.atleast_2d(p - 2.0 * offset * n)])
     v = np.asarray(potential(pts), dtype=float)
+    m = len(pts) // 2
     # d/d(-n) g = (g(p - 2 eps n) - g(p - eps n)) / eps; flip sign for d/dn.
-    return float(-(v[1] - v[0]) / offset)
+    d = -(v[m:] - v[:m]) / offset
+    return float(d[0]) if p.ndim == 1 else d

@@ -20,9 +20,12 @@ plus two offset diagnostics for the adjoint double layer and the
 hypersingular action.  The on-surface direct values calV and calW are no
 separate operators: op_V and op_W (and their matrices) take them at
 registered targets, a Collocation of panel centroids or mesh vertices, and
-refuse a free target that lies on a panel.  With a constant
-coefficient all of them collapse to their Laplace counterparts through the
-same code path.
+refuse a free target that lies on a panel.  Every surface operator is built
+as dense rows on the basis of its density (triangle-constant or
+vertex-linear) in one pass of ``laplace._surface_rows``; a value is those
+rows applied to the density's coefficients, so a density must be a
+``laplace.BoundaryDensity``.  With a constant coefficient all of them
+collapse to their Laplace counterparts through the same code path.
 """
 
 from __future__ import annotations
@@ -96,23 +99,16 @@ def op_W(mesh: SurfaceMesh, field: CoefficientField, density, targets,
          cfg: QuadConfig = lp.DEFAULT_QUAD) -> np.ndarray:
     """Weighted double layer: W_lap(rho) - V_lap(rho * dn ln a); the
     principal value calW at registered targets."""
-    return _W_from(*lp._surface_rows(mesh, targets, _W_terms(mesh, field, density), cfg))
+    rows = _W_from(*lp._surface_rows(mesh, targets, _W_terms(field, lp._space_of(density)), cfg))
+    return lp.apply_rows(rows, density.values)
 
 
-def op_V_W(mesh: SurfaceMesh, field: CoefficientField, psi, phi, targets,
-           cfg: QuadConfig = lp.DEFAULT_QUAD) -> tuple[np.ndarray, np.ndarray]:
-    """op_V of psi and op_W of phi at the same targets, from one surface pass."""
-    terms = [lp._single_term(mesh, psi, factor=_inv_a(field))] + _W_terms(mesh, field, phi)
-    v, *w = lp._surface_rows(mesh, targets, terms, cfg)
-    return v, _W_from(*w)
-
-
-def _W_terms(mesh, field, density=None, space=None) -> list:
-    """The surface terms of W: W_lap and, for a variable coefficient,
-    V_lap(. dn ln a); see _W_from."""
-    terms = [lp._double_term(mesh, density, space)]
+def _W_terms(field, space) -> list:
+    """The surface terms of W on the basis of space: W_lap and, for a
+    variable coefficient, V_lap(. dn ln a); see _W_from."""
+    terms = [lp._double_term(space)]
     if not field.is_constant:
-        terms.append(lp._single_term(mesh, density, space, _dn_ln_a(field)))
+        terms.append(lp._single_term(space, _dn_ln_a(field)))
     return terms
 
 
@@ -130,7 +126,7 @@ def op_V_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD) -> np.ndar
 
 def op_W_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD) -> np.ndarray:
     check_dense_caps(n_triangles=mesh.n_triangles)
-    return _W_from(*lp._surface_rows(mesh, targets, _W_terms(mesh, field, space=space_tag), cfg))
+    return _W_from(*lp._surface_rows(mesh, targets, _W_terms(field, space_tag), cfg))
 
 
 def _VW_matrices(mesh, field, targets, cfg=lp.DEFAULT_QUAD):
@@ -139,8 +135,8 @@ def _VW_matrices(mesh, field, targets, cfg=lp.DEFAULT_QUAD):
     term W_lap.  At registered targets those row sums are the unit-density
     principal values, the jump coefficients of the assembly."""
     check_dense_caps(n_triangles=mesh.n_triangles)
-    terms = [lp._single_term(mesh, space=lp.SPACE_TRIANGLE, factor=_inv_a(field))]
-    terms += _W_terms(mesh, field, space=lp.SPACE_VERTEX)
+    terms = [lp._single_term(lp.SPACE_TRIANGLE, _inv_a(field))]
+    terms += _W_terms(field, lp.SPACE_VERTEX)
     v, w_lap, *v_dn = lp._surface_rows(mesh, targets, terms, cfg)
     jump = w_lap.sum(axis=1)
     return v, _W_from(w_lap, *v_dn), jump
@@ -194,7 +190,7 @@ def _remainder_kernel(field: CoefficientField, nodes: np.ndarray):
 
 
 def _R_and_P(volmesh: VolumeMesh, field: CoefficientField, targets, u=None,
-             p_weights=None, out=None, exclusion_factor: float = 0.5):
+             p_weights=None, out=None):
     """R and P f at targets from one volume pass, which shares r and the
     exclusion mask between them.
 
@@ -221,24 +217,22 @@ def _R_and_P(volmesh: VolumeMesh, field: CoefficientField, targets, u=None,
     if p_weights is not None:
         terms.append(lp._VolumeTerm(p_weights))
     outs = lp._volume_rows(targets, lp._volume_nodes(volmesh),
-                           lp.exclusion_radii(volmesh, exclusion_factor), terms) if terms else []
+                           lp.exclusion_radii(volmesh), terms) if terms else []
     return R, (outs[-1] if p_weights is not None else None)
 
 
-def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets,
-         exclusion_factor: float = 0.5) -> np.ndarray:
+def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.ndarray:
     """Remainder operator: volume integral of kernel_R against u.
 
     Vanishes identically for constant coefficients.  Uses the same
     exclusion-ball contract as the Newton potential.
     """
-    return _R_and_P(volmesh, field, targets, density, exclusion_factor=exclusion_factor)[0]
+    return _R_and_P(volmesh, field, targets, density)[0]
 
 
-def op_R_matrix(volmesh: VolumeMesh, field: CoefficientField, targets,
-                exclusion_factor: float = 0.5) -> np.ndarray:
+def op_R_matrix(volmesh: VolumeMesh, field: CoefficientField, targets) -> np.ndarray:
     """Dense remainder block on cell-wise constant densities."""
-    return _R_and_P(volmesh, field, targets, exclusion_factor=exclusion_factor)[0]
+    return _R_and_P(volmesh, field, targets)[0]
 
 
 def op_R_divergence_form(volmesh: VolumeMesh, field: CoefficientField, density,
@@ -274,19 +268,19 @@ def op_V_by_kernel(mesh: SurfaceMesh, field: CoefficientField, density, targets,
     """
     kern = lambda nodes, normals, ys: (
         -lp.fundamental_solution(nodes, ys) / field.eval_a(nodes))
-    term = lp._Term(kern, lp._make_dens(mesh, density, None), "duffy")
-    return lp._surface_rows(mesh, targets, [term], cfg)[0]
+    term = lp._Term(kern, None, "duffy", lp._space_of(density))
+    return lp.apply_rows(lp._surface_rows(mesh, targets, [term], cfg)[0], density.values)
 
 
-def op_P_by_kernel(volmesh: VolumeMesh, field: CoefficientField, density, targets,
-                   exclusion_factor: float = 0.5) -> np.ndarray:
+def op_P_by_kernel(volmesh: VolumeMesh, field: CoefficientField, density,
+                   targets) -> np.ndarray:
     """op_P assembled by quadrature of P(x, y) f(x) directly."""
     targets = lp._volume_points(targets)
     nodes = volmesh.all_nodes()
     wts = volmesh.all_weights()
     dvals = lp._node_values(volmesh, density)
     a_vals = field.eval_a(nodes)
-    excl = lp.exclusion_radii(volmesh, exclusion_factor)
+    excl = lp.exclusion_radii(volmesh)
     out = np.zeros(len(targets))
     for i, t in enumerate(targets):
         d = nodes - t
@@ -333,9 +327,10 @@ def op_Wprime_offset(mesh: SurfaceMesh, field: CoefficientField, density,
     if offset <= 0:
         raise ValueError("offset must be positive")
     normals = _target_normals(mesh, colloc)
-    dens = lp._make_dens(mesh, density, _inv_a(field))
-    terms = [lp._Term(kernel, dens, "duffy") for kernel in _GRADIENT_KERNELS]
-    grad = lp._surface_rows(mesh, colloc.points - offset * normals, terms, cfg)
+    space = lp._space_of(density)
+    terms = [lp._Term(kernel, _inv_a(field), "duffy", space) for kernel in _GRADIENT_KERNELS]
+    grad = [lp.apply_rows(rows, density.values)
+            for rows in lp._surface_rows(mesh, colloc.points - offset * normals, terms, cfg)]
     return field.eval_a(colloc.points) * np.einsum("ij,ij->i", np.stack(grad, axis=1),
                                                    normals)
 
@@ -353,8 +348,6 @@ def op_Lhat_offset(mesh: SurfaceMesh, field: CoefficientField, density,
     if offset <= 0:
         raise ValueError("offset must be positive")
     normals = _target_normals(mesh, colloc)
-    a_y = field.eval_a(colloc.points)
-    stencil = np.concatenate([colloc.points - offset * normals,
-                              colloc.points - 2.0 * offset * normals])
-    w = _W_from(*lp._surface_rows(mesh, stencil, _W_terms(mesh, field, density), cfg))
-    return a_y * -(w[colloc.n:] - w[:colloc.n]) / offset
+    dn_w = lp.normal_derivative(lambda points: op_W(mesh, field, density, points, cfg),
+                                colloc.points, normals, offset)
+    return field.eval_a(colloc.points) * dn_w

@@ -128,9 +128,10 @@ def jump_coefficients(surfmesh: geo.SurfaceMesh, colloc: lp.Collocation) -> np.n
     cone at the point divided by 4 pi.  The exterior trace of W rho at a
     collocation point is then the principal value minus this fraction times
     rho; using the measured fraction instead of the smooth-surface 1/2
-    keeps vertex rows consistent with the assembled operators.  Assembly
-    takes the same values, to rounding, from the row sums of the Laplace
-    double-layer vertex matrix of its boundary surface pass.
+    keeps vertex rows consistent with the assembled operators.  The value is
+    the Laplace double-layer vertex rows applied to the unit coefficients,
+    so assembly takes the same bits from the row sums of those rows in its
+    boundary surface pass.
     """
     ones = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
                               np.ones(surfmesh.n_vertices))
@@ -536,7 +537,7 @@ def _represent(coefs, rows, pf) -> np.ndarray:
     """V c - W t - R u (+ P f) from the coefficients (c, -t, -u) and the
     rows (v, w, r), each row product a row-wise pairwise sum.  A constant
     coefficient has no R rows: its R vanishes."""
-    total = sum((r * c).sum(axis=1) for r, c in zip(rows, coefs))
+    total = sum(lp.apply_rows(r, c) for r, c in zip(rows, coefs))
     return total if pf is None else total + pf
 
 

@@ -211,11 +211,21 @@ def test_jump_relation_refinement():
 
 
 def test_vertex_linear_density_matches_callable(sphere3):
+    # z is linear, so its vertex-linear interpolant is z on every flat panel;
+    # the per-pair reference (below) integrates z itself at the nodes.
     vl = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, sphere3.vertices[:, 2].copy())
-    target = np.array([[0.0, 0.0, 0.0]])
+    target = lp.Collocation.free([[0.0, 0.0, 0.0]])
     w_vl = lp.double_layer(sphere3, vl, target)
-    w_fn = lp.double_layer(sphere3, lambda nodes: nodes[..., 2], target)
+    w_fn = _reference_rows(sphere3, "double", target, density=lambda nodes: nodes[..., 2])
     assert np.allclose(w_vl, w_fn, atol=1e-12)
+
+
+def test_surface_operators_refuse_callable_densities(sphere3):
+    target = np.array([[0.0, 0.0, 2.0]])
+    with pytest.raises(TypeError, match="BoundaryDensity"):
+        lp.single_layer(sphere3, lambda nodes: nodes[..., 2], target)
+    with pytest.raises(TypeError, match="BoundaryDensity"):
+        lp.double_layer(sphere3, lambda nodes: nodes[..., 2], target)
 
 
 # --- matrices ----------------------------------------------------------------
@@ -310,6 +320,24 @@ def test_normal_derivative_rejects_tiny_offset():
     with pytest.raises(ValueError):
         lp.normal_derivative(lambda p: np.zeros(len(p)),
                              np.zeros(3), np.array([0.0, 0.0, 1.0]), 1e-18)
+
+
+def test_normal_derivative_of_many_points_is_one_call():
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(6, 3)) + np.array([0.0, 0.0, 3.0])
+    normals = rng.normal(size=(6, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    calls = []
+
+    def pot(pts):
+        calls.append(len(pts))
+        return 1.0 / np.sqrt((pts * pts).sum(axis=1)) + pts[:, 0] * pts[:, 2]
+
+    many = lp.normal_derivative(pot, points, normals, 0.01)
+    assert calls == [12]
+    one_by_one = [lp.normal_derivative(pot, p, n, 0.01) for p, n in zip(points, normals)]
+    assert all(isinstance(v, float) for v in one_by_one)
+    assert np.array_equal(many, np.array(one_by_one))
 
 
 def test_continuity_of_single_layer(sphere3, ones3):
@@ -492,8 +520,7 @@ def test_engine_matches_per_pair_reference(level1_targets, layer, space, where, 
 
 
 @pytest.mark.parametrize("where", ["centroid", "vertex", "free"])
-def test_engine_matches_reference_for_restricted_and_callable_densities(
-        level1_targets, where):
+def test_engine_matches_reference_for_restricted_densities(level1_targets, where):
     mesh, targets = level1_targets
     colloc = targets[where]
     on_d = mesh.part_label == geo.PART_DIRICHLET
@@ -502,14 +529,6 @@ def test_engine_matches_reference_for_restricted_and_callable_densities(
     _engine_matches(lp.single_layer(mesh, restricted, colloc),
                     _reference_rows(mesh, "single", colloc, density=restricted,
                                     support=on_d))
-
-    def smooth(nodes):
-        return np.exp(0.5 * nodes[..., 2]) * (1.0 + nodes[..., 0] ** 2)
-
-    for layer, call in (("single", lp.single_layer), ("double", lp.double_layer)):
-        _engine_matches(call(mesh, smooth, colloc, factor=_surface_factor),
-                        _reference_rows(mesh, layer, colloc, density=smooth,
-                                        factor=_surface_factor))
 
 
 def test_engine_evaluates_the_factor_at_the_nodes_it_uses():
@@ -544,23 +563,18 @@ def _custom_kernel(nodes, normals, targets):
     return (1.0 + 0.1 * nodes[..., 2]) / (FOUR_PI * np.linalg.norm(nodes - targets, axis=-1))
 
 
-def _mixed_terms(mesh):
-    """Single and double layers into values, triangle and vertex columns,
-    with a factor, a support-restricted triangle density and a custom kernel;
-    two single-layer terms share their kernel."""
-    on_d = mesh.part_label == geo.PART_DIRICHLET
-    restricted = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_D,
-                                    np.where(on_d, 1.0 + mesh.centroids[:, 1], 0.0))
-    vertex = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
-                                np.cos(3.0 * mesh.vertices[:, 0]) + mesh.vertices[:, 2])
+def _mixed_terms():
+    """Single and double layers into triangle and vertex columns, with and
+    without a factor, and a custom kernel; several single-layer terms share
+    their kernel."""
     return [
-        lp._single_term(mesh, space=lp.SPACE_TRIANGLE, factor=_surface_factor),
-        lp._double_term(mesh, space=lp.SPACE_VERTEX),
-        lp._single_term(mesh, space=lp.SPACE_VERTEX, factor=_surface_factor),
-        lp._single_term(mesh, vertex),
-        lp._double_term(mesh, vertex, factor=_surface_factor),
-        lp._single_term(mesh, restricted),
-        lp._Term(_custom_kernel, lp._make_dens(mesh, vertex, None), "duffy"),
+        lp._single_term(lp.SPACE_TRIANGLE, _surface_factor),
+        lp._double_term(lp.SPACE_VERTEX),
+        lp._single_term(lp.SPACE_VERTEX, _surface_factor),
+        lp._single_term(lp.SPACE_VERTEX),
+        lp._double_term(lp.SPACE_TRIANGLE, _surface_factor),
+        lp._single_term(lp.SPACE_TRIANGLE),
+        lp._Term(_custom_kernel, None, "duffy", lp.SPACE_VERTEX),
     ]
 
 
@@ -572,7 +586,7 @@ def test_multi_term_outputs_equal_one_term_calls(level1_targets, where, monkeypa
     mesh, targets = level1_targets
     colloc = (lp.Collocation.concat([targets["vertex"], targets["free"], targets["centroid"]])
               if where == "mixed" else targets[where])
-    terms = _mixed_terms(mesh)
+    terms = _mixed_terms()
     together = lp._surface_rows(mesh, colloc, terms)
     assert len(together) == len(terms)
     for term, out in zip(terms, together):
@@ -581,7 +595,7 @@ def test_multi_term_outputs_equal_one_term_calls(level1_targets, where, monkeypa
 
 def test_multi_term_call_refuses_bad_targets(level1_targets):
     mesh, _ = level1_targets
-    terms = _mixed_terms(mesh)
+    terms = _mixed_terms()
     with pytest.raises(ValueError, match="lies on panel 5"):
         lp._surface_rows(mesh, lp.Collocation.free(mesh.centroids[[5]]), terms)
     # Registered to panel 5 and inside it, but neither its centroid nor a vertex.
@@ -589,3 +603,10 @@ def test_multi_term_call_refuses_bad_targets(level1_targets):
     unregistered = lp.Collocation(inside[None], [lp.KIND_CENTROID], np.array([5]))
     with pytest.raises(ValueError, match="neither a vertex nor the centroid"):
         lp._surface_rows(mesh, unregistered, terms)
+
+
+def test_engine_refuses_an_unknown_space(level1_targets):
+    mesh, targets = level1_targets
+    for space in (None, "vertex-quadratic"):
+        with pytest.raises(ValueError, match="unknown space"):
+            lp._surface_rows(mesh, targets["free"], [lp._single_term(space)])

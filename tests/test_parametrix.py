@@ -166,6 +166,13 @@ def test_direct_single_layer_halves_for_constant_two(sphere3, unit_field,
 
 # --- rescaled double layer ---------------------------------------------------
 
+def test_layer_operators_refuse_callable_densities(sphere3, gauss_field):
+    target = np.array([[0.0, 0.0, 2.0]])
+    for op in (px.op_V, px.op_W):
+        with pytest.raises(TypeError, match="BoundaryDensity"):
+            op(sphere3, gauss_field, lambda nodes: np.ones(nodes.shape[:-1]), target)
+
+
 def test_double_layer_unit_coefficient_bitwise(sphere3, unit_field):
     rng = np.random.default_rng(22)
     dens = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
@@ -477,14 +484,14 @@ def test_hypersingular_constants_extrapolate_small(sphere3, unit_field, ones_tc)
 def _wprime_per_target(mesh, field, density, colloc, offset):
     # One engine call per target with its own normal-projected kernel.
     normals = px._target_normals(mesh, colloc)
-    dens = lp._make_dens(mesh, density, px._inv_a(field))
     out = np.zeros(colloc.n)
     for i, (y, n_y) in enumerate(zip(colloc.points, normals)):
         kern = lambda nodes, panel_normals, ys, n_y=n_y: np.einsum(
             "j,...j->...", n_y, nodes - ys) / (
             FOUR_PI * np.linalg.norm(nodes - ys, axis=-1) ** 3)
         point = lp.Collocation.free((y - offset * n_y)[None])
-        value = lp._surface_rows(mesh, point, [lp._Term(kern, dens, "duffy")])[0][0]
+        term = lp._Term(kern, px._inv_a(field), "duffy", density.space_tag)
+        value = lp.apply_rows(lp._surface_rows(mesh, point, [term])[0], density.values)[0]
         out[i] = field.eval_a(y[None])[0] * value
     return out
 

@@ -256,7 +256,7 @@ def test_integrate_layer_with_density():
     target = np.array([[2.0, 0.0, 1.0]])
     one = panel_integral(corners, target)
     two = panel_integral(corners, target,
-                         density=lambda nodes: 2.0 * np.ones(nodes.shape[:-1]))
+                         density=lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, [2.0]))
     assert abs(two - 2.0 * one) < 1e-15
 
 

@@ -261,6 +261,16 @@ def test_jump_coefficient_approaches_half_at_vertices():
     assert worst[1] < worst[0]
 
 
+@pytest.mark.parametrize("partition", ["equator", "polar-cap"])
+def test_jump_coefficients_are_the_row_sums_assembly_takes(partition, gauss_field):
+    # Both are the Laplace double-layer vertex rows at the boundary
+    # collocation summed row by row, so they agree bit for bit.
+    surf, _ = cs.level_meshes(2, partition)
+    colloc = sy.boundary_collocation(surf)
+    assert np.array_equal(sy.jump_coefficients(surf, colloc),
+                          px._VW_matrices(surf, gauss_field, colloc)[2])
+
+
 def test_boundary_W_block_transient_memory(level2, gauss_field):
     """The surface engine keeps its temporaries per block of targets: one
     level-2 boundary W block peaks near 4.2 MB over its 0.3 MB result, where
@@ -637,7 +647,7 @@ def test_evaluation_rows_match_the_value_operators(psrc_gauss_sys1):
     conormal = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
                                   solution.recovered_conormal)
     trace = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, solution.recovered_trace)
-    v, w = px.op_V_W(surf, field, conormal, trace, pts)
+    v, w = px.op_V(surf, field, conormal, pts), px.op_W(surf, field, trace, pts)
     want = v - w - px.op_R(vol, field, solution.u, pts) + px.op_P(vol, field, system.f, pts)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
