@@ -52,9 +52,11 @@ def level_meshes(level: int, partition: str = "equator",
     The level-``l`` icosphere is paired with a shell whose angular sectors
     are one subdivision coarser and whose radial count grows with the level;
     ``n_radial`` and ``angular_level`` override those two shell counts.
-    Per-cell volume rules are one order above the defaults so the volume
-    rows at boundary collocation points are quadrature-converged; the
-    remaining row error there is the piecewise-constant ansatz.
+    The shell's own per-cell rule is one order above the default (18 nodes
+    against 6).  The volume engine uses it on near target-cell pairs only,
+    which include the pairs of each boundary collocation point with the
+    cells next to it; far pairs take the default rule, which every shell
+    carries as its far table (see laplace._volume_rows).
     """
     if level not in LEVEL_RADIAL:
         raise ValueError(f"unsupported level {level}; choose from 1, 2, 3")

@@ -287,10 +287,14 @@ class VolumeMesh:
     rounding.  Cell centers sit at the radial midpoint along the patch
     centroid direction, strictly between the inner and outer radius.
 
-    Fields ``nodes``/``node_weights`` hold the per-cell quadrature rule:
-    radial Gauss points times triangle-rule directions pushed to the sphere,
-    with angular weights normalized against the exact patch solid angle so
-    weights sum to the exact cell volume.
+    Fields ``nodes``/``node_weights`` hold the mesh's own per-cell
+    quadrature rule: radial Gauss points times triangle-rule directions
+    pushed to the sphere, with angular weights normalized against the exact
+    patch solid angle so weights sum to the exact cell volume.  Fields
+    ``far_nodes``/``far_weights`` hold the default rule on the same cells
+    (DEFAULT_RADIAL_ORDER x DEFAULT_TRIANGLE_ORDER, 6 nodes), which the
+    volume engine uses for well-separated target-cell pairs; when the
+    mesh's own rule is the default they are the same arrays.
     """
 
     inner_radius: float
@@ -303,6 +307,8 @@ class VolumeMesh:
     volumes: np.ndarray        # (n_c,)
     nodes: np.ndarray          # (n_c, n_q, 3)
     node_weights: np.ndarray   # (n_c, n_q)
+    far_nodes: np.ndarray      # (n_c, n_far, 3), the default rule
+    far_weights: np.ndarray    # (n_c, n_far)
     radial_index: np.ndarray   # (n_c,)
     sector_index: np.ndarray   # (n_c,) triangle index in the angular mesh
     angular_mesh: SurfaceMesh
@@ -359,14 +365,20 @@ def spherical_triangle_solid_angle(corners: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(triple, denom)
 
 
+# Orders of the default per-cell rule (6 nodes), which integrates the cell
+# volume exactly; every shell carries it as its far table.
+DEFAULT_RADIAL_ORDER = 2
+DEFAULT_TRIANGLE_ORDER = 2
+
+
 def build_shell_mesh(
     inner_radius: float = 1.0,
     outer_radius: float = 4.0,
     n_radial: int = 8,
     angular_level: int = 2,
     grading: float = 1.3,
-    radial_order: int = 2,
-    triangle_order: int = 2,
+    radial_order: int = DEFAULT_RADIAL_ORDER,
+    triangle_order: int = DEFAULT_TRIANGLE_ORDER,
 ) -> VolumeMesh:
     """Build the truncated-exterior volume mesh.
 
@@ -384,16 +396,56 @@ def build_shell_mesh(
     radial_order, triangle_order : int
         Orders of the per-cell rule (Gauss in r times a symmetric triangle
         rule pushed to the spherical patch).  The defaults integrate the
-        cell volume exactly.
+        cell volume exactly; the default rule is also built as the far
+        table (see VolumeMesh), shared when these are the defaults.
     """
-    from .quadrature import gauss_legendre_interval, gauss_triangle
-
     if outer_radius <= inner_radius:
         raise ValueError("outer_radius must exceed inner_radius")
     ang = build_icosphere(angular_level)
     breaks = radial_breakpoints(inner_radius, outer_radius, n_radial, grading)
-    tri_pts, tri_wts = gauss_triangle(triangle_order)  # reference, wts sum 1/2
+    n_t = ang.n_triangles
+    omega = spherical_triangle_solid_angle(ang.corners())
+    centroid_dir = ang.centroids / np.linalg.norm(ang.centroids, axis=1)[:, None]
+    mid = 0.5 * (breaks[:-1] + breaks[1:])
+    centers = (mid[:, None, None] * centroid_dir[None]).reshape(-1, 3)
+    volumes = ((breaks[1:]**3 - breaks[:-1]**3) / 3.0)[:, None] * omega[None]
 
+    nodes, node_weights = _shell_rule(ang, breaks, omega, radial_order, triangle_order)
+    if (radial_order, triangle_order) == (DEFAULT_RADIAL_ORDER, DEFAULT_TRIANGLE_ORDER):
+        far_nodes, far_weights = nodes, node_weights
+    else:
+        far_nodes, far_weights = _shell_rule(ang, breaks, omega, DEFAULT_RADIAL_ORDER,
+                                             DEFAULT_TRIANGLE_ORDER)
+    face_pairs, face_areas = _shell_adjacency(ang, breaks, n_t)
+
+    return VolumeMesh(
+        inner_radius=inner_radius,
+        outer_radius=outer_radius,
+        n_radial=n_radial,
+        angular_level=angular_level,
+        grading=grading,
+        radial_breaks=breaks,
+        centers=centers,
+        volumes=volumes.reshape(-1),
+        nodes=nodes,
+        node_weights=node_weights,
+        far_nodes=far_nodes,
+        far_weights=far_weights,
+        radial_index=np.repeat(np.arange(n_radial), n_t),
+        sector_index=np.tile(np.arange(n_t), n_radial),
+        angular_mesh=ang,
+        face_pairs=face_pairs,
+        face_areas=face_areas,
+    )
+
+
+def _shell_rule(ang: SurfaceMesh, breaks: np.ndarray, omega: np.ndarray,
+                radial_order: int, triangle_order: int):
+    """Nodes (n_c, n_q, 3) and weights (n_c, n_q) of the per-cell rule,
+    cells ordered radial interval by interval, sectors within."""
+    from .quadrature import gauss_legendre_interval, gauss_triangle
+
+    tri_pts, tri_wts = gauss_triangle(triangle_order)  # reference, wts sum 1/2
     corners = ang.corners()                      # (n_t, 3, 3)
     n_t = ang.n_triangles
     d_plane = np.abs(np.einsum("ij,ij->i", ang.normals, corners[:, 0]))
@@ -407,52 +459,16 @@ def build_shell_mesh(
     # d_plane / |p|^3 * 2A du dv.  Normalize so each patch's angular
     # weights sum to its exact solid angle.
     ang_wts = tri_wts[None, :] * (2.0 * ang.areas * d_plane)[:, None] / pnorm**3
-    omega = spherical_triangle_solid_angle(corners)
     ang_wts *= (omega / ang_wts.sum(axis=1))[:, None]
-    centroid_dir = ang.centroids / np.linalg.norm(ang.centroids, axis=1)[:, None]
 
-    cells_nodes, cells_wts, centers, volumes = [], [], [], []
-    radial_index, sector_index = [], []
-    for k in range(n_radial):
-        r0, r1 = breaks[k], breaks[k + 1]
-        s_pts, s_wts = gauss_legendre_interval(radial_order, r0, r1)
+    cells_nodes, cells_wts = [], []
+    for k in range(len(breaks) - 1):
+        s_pts, s_wts = gauss_legendre_interval(radial_order, breaks[k], breaks[k + 1])
         nodes = s_pts[None, :, None, None] * directions[:, None, :, :]
         wts = (s_wts * s_pts**2)[None, :, None] * ang_wts[:, None, :]
-        vol = (r1**3 - r0**3) / 3.0 * omega
-        mid = 0.5 * (r0 + r1)
         cells_nodes.append(nodes.reshape(n_t, -1, 3))
         cells_wts.append(wts.reshape(n_t, -1))
-        centers.append(mid * centroid_dir)
-        volumes.append(vol)
-        radial_index.append(np.full(n_t, k))
-        sector_index.append(np.arange(n_t))
-
-    centers = np.concatenate(centers)
-    volumes = np.concatenate(volumes)
-    nodes = np.concatenate(cells_nodes)
-    node_weights = np.concatenate(cells_wts)
-    radial_index = np.concatenate(radial_index)
-    sector_index = np.concatenate(sector_index)
-
-    face_pairs, face_areas = _shell_adjacency(ang, breaks, n_t)
-
-    return VolumeMesh(
-        inner_radius=inner_radius,
-        outer_radius=outer_radius,
-        n_radial=n_radial,
-        angular_level=angular_level,
-        grading=grading,
-        radial_breaks=breaks,
-        centers=centers,
-        volumes=volumes,
-        nodes=nodes,
-        node_weights=node_weights,
-        radial_index=radial_index,
-        sector_index=sector_index,
-        angular_mesh=ang,
-        face_pairs=face_pairs,
-        face_areas=face_areas,
-    )
+    return np.concatenate(cells_nodes), np.concatenate(cells_wts)
 
 
 def _shell_adjacency(ang: SurfaceMesh, breaks: np.ndarray, n_t: int):

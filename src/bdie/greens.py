@@ -219,6 +219,14 @@ def _boundary_data(field, afield, surfmesh):
     return gamma, tplus
 
 
+def _layer_values(surfmesh, field, targets, tplus, gamma):
+    """V(Tu) and W(gamma u) at targets from one surface pass per block of
+    targets (see laplace.apply_rows_in_blocks)."""
+    return lp.apply_rows_in_blocks(
+        surfmesh, targets, lambda block: px._VW_matrices(surfmesh, field, block)[:2],
+        [tplus.values, gamma.values])
+
+
 def third_green_residual(field: CoefficientField, afield: AnalyticField,
                          surfmesh: SurfaceMesh, volmesh: VolumeMesh,
                          test_points, level: Optional[int] = None) -> ResidualReport:
@@ -240,10 +248,9 @@ def third_green_residual(field: CoefficientField, afield: AnalyticField,
     ucells = lp.DomainDensity(afield.u(volmesh.centers))
     fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
 
-    v, w, _ = px._VW_matrices(surfmesh, field, pts)
+    v, w = _layer_values(surfmesh, field, pts, tplus, gamma)
     r_u, p_f = px._R_and_P(volmesh, field, pts, ucells, px._P_weights(volmesh, field, fcells))
-    res = (afield.u(pts) + r_u - lp.apply_rows(v, tplus.values)
-           + lp.apply_rows(w, gamma.values) - p_f)
+    res = afield.u(pts) + r_u - v + w - p_f
     scale = float(np.abs(afield.u(pts)).max()) if pts.size else 0.0
     return ResidualReport(res, scale, level=level,
                           label=f"third_green[{afield.name}]")
@@ -266,11 +273,10 @@ def trace_identity_residual(field: CoefficientField, afield: AnalyticField,
     ucells = lp.DomainDensity(afield.u(volmesh.centers))
     fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
 
-    v, w, _ = px._VW_matrices(surfmesh, field, colloc)
+    v, w = _layer_values(surfmesh, field, colloc, tplus, gamma)
     r_u, p_f = px._R_and_P(volmesh, field, colloc.points, ucells,
                            px._P_weights(volmesh, field, fcells))
-    res = (0.5 * gamma_c + r_u - lp.apply_rows(v, tplus.values)
-           + lp.apply_rows(w, gamma.values) - p_f)
+    res = 0.5 * gamma_c + r_u - v + w - p_f
     scale = float(np.abs(gamma_c).max())
     return ResidualReport(res, scale, level=level,
                           label=f"trace_identity[{afield.name}]")

@@ -18,13 +18,18 @@ Every surface operator runs through one engine, ``_surface_rows``, and
 every volume operator through another, ``_volume_rows``.  Each serves a
 list of terms (several outputs) in one pass over blocks of targets: the
 terms of a surface pass share one classification and one r, those of a
-volume pass (the remainder's rows or values and P f, say) one r and one
-exclusion mask.  The surface engine returns only dense rows on a basis,
-triangle-constant or vertex-linear: the value of a layer potential is its
-rows applied to the density's coefficients (``apply_rows``), so a surface
-density is always a ``BoundaryDensity``.  The Newton potential carries
--1/(4 pi), its factor (1/a for P) and its density in the node weights, so
-each of its target-node pairs costs one divide, weights / r.
+volume pass (the remainder's rows or values and P f, say) one
+classification, one r and one exclusion mask.  Both split the pairs of a
+target and an element by distance.  The surface engine takes far, near
+(subdivided) and Duffy panels.  The volume engine takes far cells on the
+shell's default 6-node rule, its far table, and near cells on the mesh's
+own rule with the exclusion ball.  The surface engine returns only dense
+rows on a basis, triangle-constant or vertex-linear: the value of a layer
+potential is its rows applied to the density's coefficients
+(``apply_rows``, a block of targets at a time in the value functions), so
+a surface density is always a ``BoundaryDensity``.  The Newton potential
+carries -1/(4 pi), its factor (1/a for P) and its density in the node
+weights, so each of its target-node pairs costs one divide, weights / r.
 
 Kernel contract of both engines: quadrature nodes are stored
 component-major, (3, ...), so that a block builds r^2 = (dx^2 + dy^2) + dz^2
@@ -32,8 +37,12 @@ in place from contiguous component arrays with one scratch buffer
 (``_squared_distances``), and each kernel writes one output array with
 in-place ufuncs.  On the flat panels n . (x - y) = n . (c - y) for every
 node of a panel with centroid c, so the double layer takes it once per
-target-panel pair.  Callbacks of points (factors, kernels that are not
-functions of the offsets, volume densities) still receive (..., 3) arrays.
+target-panel pair.  The volume tables are node-major within a cell, (3,
+nodes, cells), and a volume kernel receives its per-node data (grad ln a
+and lap ln a for the remainder) on the nodes it is handed: the far table,
+or the near table gathered per pair.  Callbacks of points (factors,
+kernels that are not functions of the offsets, volume densities) still
+receive (..., 3) arrays.
 """
 
 from __future__ import annotations
@@ -58,6 +67,16 @@ SUPPORT_N = "N"
 # Volume nodes within this fraction of their cell's node spacing of a
 # target are dropped (see exclusion_radii).
 EXCLUSION_FACTOR = 0.5
+# A target-cell pair is near when the target lies within this many cell
+# radii (centre to farthest corner) of the cell's centre, or within the
+# radius plus the cell's exclusion radius; the other pairs take the far
+# table (see _volume_rows), and none of their nodes lies within the
+# exclusion radius of the target.  Chosen by measurement: at the level-2
+# and level-3 boundary points the far table moves R u and P f of the
+# point-source field by at most 7.4e-5 of max |u| on the sphere (1.1e-4
+# at 1.5 radii, 6.2e-5 at 2), and at level 2 8% of the pairs are near
+# (13% at 2 radii, where the near pairs cost as much as the far ones).
+NEAR_CELL_FACTOR = 1.75
 
 
 # --- kernels ----------------------------------------------------------------
@@ -265,6 +284,10 @@ class Collocation:
         idx = np.arange(mesh.n_vertices) if vert_indices is None else np.asarray(vert_indices)
         return Collocation(mesh.vertices[idx], [KIND_VERTEX] * len(idx), idx)
 
+    def take(self, index: slice) -> "Collocation":
+        """The points of a slice, with their registration."""
+        return Collocation(self.points[index], self.kinds[index], self.indices[index])
+
     @staticmethod
     def concat(parts) -> "Collocation":
         return Collocation(
@@ -457,6 +480,31 @@ def apply_rows(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return (rows * coefficients).sum(axis=1)
 
 
+# Row entries that a surface value call holds at once (see apply_rows_in_blocks).
+VALUE_BLOCK_ENTRIES = 1 << 18
+
+
+def apply_rows_in_blocks(mesh: SurfaceMesh, targets, rows_of: Callable, coefficients,
+                         cfg: QuadConfig = DEFAULT_QUAD) -> list:
+    """Surface values without holding every row: for each block of targets,
+    ``rows_of(block)`` builds a list of rows (a Collocation block, its rows
+    on the surface of ``mesh``), each applied to its entry of
+    ``coefficients`` (apply_rows); returns per entry the values (m,).
+
+    A block holds about VALUE_BLOCK_ENTRIES row entries and is a whole
+    number of the surface engine's own target blocks, so the engine meets
+    the same targets together as in one call over all of them, and every
+    value has the bits of that call."""
+    colloc = _as_collocation(targets)
+    step = max(1, FAR_BLOCK_PAIRS // _panel_cache(mesh, cfg).far_wts.size)
+    width = sum(len(c) for c in coefficients)
+    block = step * max(1, VALUE_BLOCK_ENTRIES // (step * width))
+    parts = [[apply_rows(rows, c) for rows, c in
+              zip(rows_of(colloc.take(slice(start, start + block))), coefficients)]
+             for start in range(0, max(colloc.n, 1), block)]
+    return [np.concatenate(values) for values in zip(*parts)]
+
+
 def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_QUAD) -> list:
     """The one surface-quadrature engine: one pass over the targets for a
     list of terms (see _Term); returns per term its dense rows (m, columns).
@@ -631,7 +679,7 @@ def single_layer(
 ) -> np.ndarray:
     """Single layer potential of a surface density, evaluated at targets:
     the single-layer rows on the density's basis applied to its
-    coefficients.
+    coefficients, a block of targets at a time (apply_rows_in_blocks).
 
     Targets may be free points or a Collocation; for registered on-surface
     points the self-panel integral uses a Duffy rule (this is the direct
@@ -643,8 +691,10 @@ def single_layer(
     factor : optional callable(nodes, normals) -> values
         Smooth rescaling applied at quadrature nodes.
     """
-    rows = single_layer_matrix(mesh, _space_of(density), targets, cfg, factor)
-    return apply_rows(rows, density.values)
+    space = _space_of(density)
+    return apply_rows_in_blocks(
+        mesh, targets, lambda block: [single_layer_matrix(mesh, space, block, cfg, factor)],
+        [density.values], cfg)[0]
 
 
 def double_layer(
@@ -657,8 +707,10 @@ def double_layer(
     """Double layer potential, as single_layer; for registered on-surface
     targets this is the principal value (panels through the target are
     skipped, exact for flat panels)."""
-    rows = double_layer_matrix(mesh, _space_of(density), targets, cfg, factor)
-    return apply_rows(rows, density.values)
+    space = _space_of(density)
+    return apply_rows_in_blocks(
+        mesh, targets, lambda block: [double_layer_matrix(mesh, space, block, cfg, factor)],
+        [density.values], cfg)[0]
 
 
 def single_layer_matrix(
@@ -686,8 +738,10 @@ def double_layer_matrix(
 # --- volume potential -----------------------------------------------------------
 
 def exclusion_radii(volmesh: VolumeMesh) -> np.ndarray:
-    """Per-node exclusion radius: EXCLUSION_FACTOR times the local node spacing."""
-    return np.repeat(EXCLUSION_FACTOR * volmesh.node_spacing(), volmesh.n_nodes_per_cell)
+    """Per-cell exclusion radius of the mesh's own rule, which near
+    target-cell pairs integrate with: EXCLUSION_FACTOR times the cell's node
+    spacing.  Nodes of a near pair within it of the target are dropped."""
+    return EXCLUSION_FACTOR * volmesh.node_spacing()
 
 
 def _volume_points(targets) -> np.ndarray:
@@ -695,102 +749,257 @@ def _volume_points(targets) -> np.ndarray:
         targets.points if isinstance(targets, Collocation) else targets, dtype=float))
 
 
-def _node_values(volmesh: VolumeMesh, density) -> np.ndarray:
-    """A DomainDensity or a callable density at every volume node."""
+class _Tables(NamedTuple):
+    """Per-node arrays on the two volume tables, each (..., nodes, cells):
+    the far table (the shell's default rule) and the near table (the mesh's
+    own rule).  When the mesh's own rule is the default, ``near`` is
+    ``far``, and map keeps it so."""
+
+    far: np.ndarray
+    near: np.ndarray
+
+    def map(self, fn) -> "_Tables":
+        far = fn(self.far)
+        return _Tables(far, far if self.near is self.far else fn(self.near))
+
+
+def _times(a: _Tables, b: _Tables) -> _Tables:
+    """The product of two tables, which broadcast."""
+    far = a.far * b.far
+    shared = a.near is a.far and b.near is b.far
+    return _Tables(far, far if shared else a.near * b.near)
+
+
+class _CellCache:
+    """Per-mesh volume quadrature tables, node-major within a cell: the
+    nodes of the far and the near table, component-major (3, nodes, cells),
+    their points (nodes * cells, 3) for callbacks, and their weights (nodes,
+    cells); the cell centres (3, cells); each cell's exclusion radius, which
+    near pairs use; and the square of NEAR_CELL_FACTOR times each cell's
+    radius about its centre (at least the radius plus the exclusion
+    radius), which decides near pairs (see _near_cells)."""
+
+    def __init__(self, volmesh: VolumeMesh):
+        def frozen(a):
+            a = np.ascontiguousarray(a)
+            a.flags.writeable = False
+            return a
+
+        # The mesh's tables are (cells, nodes, ...); the far one is the near
+        # one when the mesh's own rule is the default.
+        nodes = _Tables(volmesh.far_nodes, volmesh.nodes)
+        self.n_cells = volmesh.n_cells
+        self.nodes = nodes.map(lambda x: frozen(x.transpose(2, 1, 0)))
+        self.points = nodes.map(lambda x: frozen(x.transpose(1, 0, 2).reshape(-1, 3)))
+        self.weights = _Tables(volmesh.far_weights, volmesh.node_weights).map(
+            lambda w: frozen(w.T))
+        self.centers = np.ascontiguousarray(volmesh.centers.T)
+        self.excl = exclusion_radii(volmesh)
+        # The cell is {r w : r in [r0, r1], w in its spherical patch}; its
+        # farthest points from the centre are among the six corners.
+        corners = volmesh.angular_mesh.corners()[volmesh.sector_index]
+        corners /= np.linalg.norm(corners, axis=2, keepdims=True)
+        radial = volmesh.radial_breaks[volmesh.radial_index[:, None] + np.arange(2)]
+        points = radial[:, :, None, None] * corners[:, None]
+        radius = np.linalg.norm(points - volmesh.centers[:, None, None], axis=3).max(axis=(1, 2))
+        # A far pair's nodes lie farther than the exclusion radius from the
+        # target, whatever the rule (see NEAR_CELL_FACTOR).
+        self.near_cut2 = np.maximum(NEAR_CELL_FACTOR * radius, radius + self.excl) ** 2
+
+
+def _cell_cache(volmesh: VolumeMesh) -> _CellCache:
+    cache = getattr(volmesh, "_cell_cache", None)
+    if cache is None:
+        cache = _CellCache(volmesh)
+        object.__setattr__(volmesh, "_cell_cache", cache)
+    return cache
+
+
+def _at_nodes(volmesh: VolumeMesh, fn: Callable) -> _Tables:
+    """fn(points (n, 3)) -> (n, ...) at the nodes of both tables, shaped
+    (nodes, cells, ...); evaluated once when the tables are the same."""
+    n_c = volmesh.n_cells
+
+    def on(points):
+        vals = np.asarray(fn(points), dtype=float)
+        return vals.reshape((-1, n_c) + vals.shape[1:])
+
+    return _cell_cache(volmesh).points.map(on)
+
+
+def _node_values(volmesh: VolumeMesh, density) -> _Tables:
+    """A DomainDensity or a callable density at the nodes of both tables;
+    a DomainDensity as (1, cells), which broadcasts against a table."""
     if isinstance(density, DomainDensity):
-        return np.repeat(density.values, volmesh.n_nodes_per_cell)
-    return np.asarray(density(volmesh.all_nodes()), dtype=float)
+        values = density.values[None, :]
+        return _Tables(values, values)
+    return _at_nodes(volmesh, density)
 
 
-# Target-node pairs per block of volume kernel values (see FAR_BLOCK_PAIRS).
+def _near_cells(volmesh: VolumeMesh, targets) -> np.ndarray:
+    """(targets, cells) mask of the near target-cell pairs: the target lies
+    within NEAR_CELL_FACTOR cell radii of the cell's centre, or within the
+    radius plus the cell's exclusion radius.  This is the volume engine's
+    one classification; the kernel-loop oracles take theirs from it too."""
+    cache = _cell_cache(volmesh)
+    y = _volume_points(targets)
+    d2, scratch = np.empty((len(y), cache.n_cells)), np.empty((len(y), cache.n_cells))
+    return _squared_distances(cache.centers, y.T[:, :, None], d2, scratch) <= cache.near_cut2
+
+
+# Target-node pairs per block of far-pair kernel values, and about as many
+# node pairs per batch of near pairs (see FAR_BLOCK_PAIRS).
 VOLUME_BLOCK_PAIRS = 1 << 15
 
 
 class _VolumeTerm(NamedTuple):
-    """One output of a volume pass: kernel values times the node ``weights``,
-    one sum per target or, with ``per_cell`` nodes per cell, one row of
-    per-cell sums per target, written into ``out`` when it is given.
-    ``kernel`` None is the Newton kernel, whose -1/(4 pi) and factors the
-    weights carry (see _newton_weights): one divide per target-node pair."""
+    """One output of a volume pass: kernel values times the node ``weights``
+    (a _Tables), one sum per target or, with ``rows``, one row of per-cell
+    sums per target, written into ``out`` when it is given.  ``kernel`` None
+    is the Newton kernel, whose -1/(4 pi) and factors the weights carry (see
+    _newton_weights): one divide per target-node pair.  A kernel term's
+    ``data`` are _Tables of per-node arrays that the kernel receives for the
+    nodes it is handed (see _volume_rows)."""
 
-    weights: np.ndarray
+    weights: _Tables
     kernel: Optional[Callable] = None
-    per_cell: Optional[int] = None
+    data: tuple = ()
+    rows: bool = False
     out: Optional[np.ndarray] = None
 
 
-def _volume_nodes(volmesh: VolumeMesh) -> np.ndarray:
-    """The quadrature nodes of every cell, component-major: (3, nodes)."""
-    return np.ascontiguousarray(volmesh.all_nodes().T)
+def _reduce_terms(terms, weights, data, nodes, y, dropped, reduce) -> None:
+    """Every term's weighted kernel values at component-major nodes (3, ...)
+    for targets y (3, ...), which broadcast, handed to ``reduce(i, vals)``
+    in term order; the buffer of one term may be reused by the next.  The
+    terms share r; ``dropped(r)``, if given, masks the values to zero."""
+    shape = np.broadcast_shapes(nodes.shape[1:], y.shape[1:])
+    r, scratch = np.empty(shape), np.empty(shape)
+    kernel = next((term.kernel for term in terms if term.kernel is not None), None)
+    # Values at dropped nodes and at the far table's nodes of near pairs
+    # are discarded; such a node may sit on a target.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kernel is not None:
+            kernel_vals = kernel(nodes, data, y, r, scratch)
+        else:
+            np.sqrt(_squared_distances(nodes, y, r, scratch), out=r)
+        mask = None if dropped is None else dropped(r)
+        for i, (term, w) in enumerate(zip(terms, weights)):
+            vals = np.divide(w, r, out=scratch) if term.kernel is None else kernel_vals
+            if mask is not None:
+                vals[mask] = 0.0
+            if term.kernel is not None:
+                vals *= w
+            reduce(i, vals)
 
 
-def _volume_rows(targets, nodes: np.ndarray, excl: np.ndarray, terms) -> list:
+def _volume_rows(volmesh: VolumeMesh, targets, terms) -> list:
     """The one engine behind every production volume integral: one pass over
     the targets for a list of terms (see _VolumeTerm); returns per term
     values (m,) or rows (m, cells).
 
-    Targets run in blocks of VOLUME_BLOCK_PAIRS // (nodes).  The terms of a
-    block share r = |x - y| and the exclusion mask: nodes with r <= ``excl``
-    are dropped.  A Newton term is weights / r, summed.  A pass may have one
-    term with a kernel, ``kernel(nodes, y, r, scratch)``, which writes r
-    into ``r`` for targets y (3, B, 1), may use the (B, nodes) ``scratch``,
-    and returns its values in a new (B, nodes) array, which is then masked
-    and weighted in place.  Without one, the pass builds r itself.  Either
-    way a block holds two (B, nodes) arrays besides the kernel's own, and
-    the Newton terms reuse the scratch.
+    Target-cell pairs are far or near (_near_cells).  Far pairs integrate
+    with the far table, the shell's default 6-node rule: targets run in
+    blocks of VOLUME_BLOCK_PAIRS // (far nodes), with one dense kernel call
+    per block over every cell, reduced to per-cell sums, of which those of
+    near pairs are then replaced (rows) or zeroed (values).  No far node
+    lies within its cell's exclusion radius of the target (see
+    NEAR_CELL_FACTOR), so far pairs need no exclusion mask.  Near pairs
+    integrate with the mesh's own rule (18 nodes at levels 1-3) and the
+    exclusion ball: nodes with r <= the cell's exclusion radius are dropped.
+    They are gathered per (target, cell) pair into component-major (3,
+    nodes, pairs) batches of about VOLUME_BLOCK_PAIRS node pairs, and each
+    pair is reduced to one sum.  Targets are classified a chunk of whole far
+    blocks at a time (about VOLUME_BLOCK_PAIRS target-cell pairs), and a
+    chunk's near pairs are integrated after its far blocks.  When
+    the mesh's own rule is the default, both tables are the same arrays, on
+    the same path.
 
-    Kernel contract: nodes are component-major, (3, nodes), so that r^2 =
-    (dx^2 + dy^2) + dz^2 is built in place from contiguous component arrays
-    with one scratch buffer (_squared_distances), and a kernel writes its
-    values with in-place ufuncs.  The weighted values are reduced row by row
-    with numpy's pairwise sum, never a matrix product, so a target's value
-    does not depend on which targets share its block.
+    A row holds the far sum of each far cell and the near sum of each near
+    cell.  A value is the pairwise sum of its row's far sums plus the
+    pairwise sum of its near sums, both in cell order, so a target's value
+    does not depend on which targets share its block.  The terms of a pass
+    share r and the masks.  A Newton term is weights / r.
+
+    Kernel contract: the tables are node-major within a cell, (..., nodes,
+    cells), so that the inner loops run over cells or pairs.  A pass may
+    have one term with a kernel, ``kernel(nodes, data, y, r, scratch)``, for
+    component-major nodes (3, ...) and targets y (3, ...), which broadcast,
+    and the term's per-node ``data`` on the same nodes (the far table's, or
+    the near table's gathered per pair).  It writes r = |x - y| into ``r``,
+    may use ``scratch`` (both of the broadcast shape), and returns its
+    values in a new array, which is then masked and weighted in place.
+    Without one, the pass builds r itself with one scratch buffer
+    (_squared_distances), and the Newton terms reuse the scratch.
     """
+    cache = _cell_cache(volmesh)
     targets = _volume_points(targets)
-    m, n = len(targets), nodes.shape[1]
-    kernels = [term.kernel for term in terms if term.kernel is not None]
-    if len(kernels) > 1:
+    m, n_c = len(targets), cache.n_cells
+    if sum(term.kernel is not None for term in terms) > 1:
         raise ValueError("a volume pass evaluates at most one kernel term")
     outs = [term.out if term.out is not None
-            else np.zeros(m) if term.per_cell is None
-            else np.zeros((m, n // term.per_cell)) for term in terms]
-    block = max(1, VOLUME_BLOCK_PAIRS // n)
-    for start in range(0, m, block):
-        y = targets[start:start + block]
-        r, scratch = np.empty((len(y), n)), np.empty((len(y), n))
-        # Dropped nodes may sit on a target; their values are discarded.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if kernels:
-                kernel_vals = kernels[0](nodes, y.T[:, :, None], r, scratch)
-            else:
-                np.sqrt(_squared_distances(nodes, y.T[:, :, None], r, scratch), out=r)
-            dropped = r <= excl
-            for term, out in zip(terms, outs):
-                if term.kernel is None:
-                    vals = np.divide(term.weights, r, out=scratch)
-                    vals[dropped] = 0.0
+            else np.zeros((m, n_c)) if term.rows else np.zeros(m) for term in terms]
+    far_data = tuple(d.far for term in terms for d in term.data)
+    near_batch = max(1, VOLUME_BLOCK_PAIRS // cache.weights.near.shape[0])
+
+    def near_pass(rows, cells):
+        # The near pairs of whole targets, sorted by target.
+        sums = [np.empty(len(rows)) for _ in terms]
+        for k in range(0, len(rows), near_batch):
+            t, c = rows[k:k + near_batch], cells[k:k + near_batch]
+            excl = cache.excl[c]
+
+            def reduce(i, vals):
+                np.sum(vals, axis=0, out=sums[i][k:k + len(t)])
+
+            _reduce_terms(terms, [term.weights.near[..., c] for term in terms],
+                          tuple(d.near[..., c] for term in terms for d in term.data),
+                          cache.nodes.near[..., c], targets[t].T[:, None, :],
+                          lambda r: r <= excl, reduce)
+        for term, out, s in zip(terms, outs, sums):
+            if term.rows:
+                out[rows, cells] = s
+            elif len(rows):
+                starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+                out[rows[starts]] += np.add.reduceat(s, starts)
+
+    # Targets are classified a chunk of about VOLUME_BLOCK_PAIRS target-cell
+    # pairs at a time, and each chunk's near pairs integrated after its far ones.
+    block = max(1, VOLUME_BLOCK_PAIRS // cache.weights.far.size)
+    chunk = block * max(1, VOLUME_BLOCK_PAIRS // (block * n_c))
+    for lo in range(0, m, chunk):
+        near = _near_cells(volmesh, targets[lo:lo + chunk])
+        for start in range(lo, min(lo + chunk, m), block):
+            y = targets[start:start + block]
+            near_y = near[start - lo:start - lo + len(y)]
+
+            def reduce(i, vals):
+                # The sums of near pairs may be inf or nan: replaced or zeroed here.
+                sums = vals.sum(axis=1)
+                if terms[i].rows:
+                    outs[i][start:start + len(y)] = sums
                 else:
-                    vals = kernel_vals
-                    vals[dropped] = 0.0
-                    vals *= term.weights
-                if term.per_cell is None:
-                    out[start:start + len(y)] = vals.sum(axis=1)
-                else:
-                    out[start:start + len(y)] = vals.reshape(len(y), -1, term.per_cell).sum(axis=2)
+                    sums[near_y] = 0.0
+                    outs[i][start:start + len(y)] = sums.sum(axis=1)
+
+            _reduce_terms(terms, [term.weights.far for term in terms], far_data,
+                          cache.nodes.far, y.T[:, :, None, None], None, reduce)
+        rows, cells = np.nonzero(near)
+        near_pass(rows + lo, cells)
     return outs
 
 
 def _newton_weights(volmesh: VolumeMesh, factor: Optional[Callable] = None,
-                    density=None) -> np.ndarray:
-    """Node weights of the Newton potential: the quadrature weights times
-    the factor and the density at the nodes, when given, and -1/(4 pi), so
-    that what is left per pair is 1/r."""
-    wts = volmesh.all_weights()
+                    density=None) -> _Tables:
+    """Node weights of the Newton potential on both tables: the quadrature
+    weights times the factor and the density at the nodes, when given, and
+    -1/(4 pi), so that what is left per pair is 1/r."""
+    wts = _cell_cache(volmesh).weights
     if factor is not None:
-        wts = wts * factor(volmesh.all_nodes())
+        wts = _times(wts, _at_nodes(volmesh, factor))
     if density is not None:
-        wts = wts * _node_values(volmesh, density)
-    return wts / -FOUR_PI
+        wts = _times(wts, _node_values(volmesh, density))
+    return wts.map(lambda w: w / -FOUR_PI)
 
 
 def newton_potential(
@@ -801,12 +1010,12 @@ def newton_potential(
 ) -> np.ndarray:
     """Volume potential with kernel -1/(4 pi |x - y|) and an exclusion ball.
 
-    Nodes within the per-cell exclusion radius of a target are skipped; the
-    omitted mass is O(radius^2) for this kernel.
+    Far target-cell pairs take the shell's default rule; on near pairs,
+    nodes within the cell's exclusion radius of a target are skipped, and
+    the omitted mass is O(radius^2) for this kernel (see _volume_rows).
     """
     term = _VolumeTerm(_newton_weights(volmesh, factor, density))
-    return _volume_rows(targets, _volume_nodes(volmesh),
-                        exclusion_radii(volmesh), [term])[0]
+    return _volume_rows(volmesh, targets, [term])[0]
 
 
 def newton_potential_matrix(
@@ -815,9 +1024,8 @@ def newton_potential_matrix(
     factor: Optional[Callable] = None,
 ) -> np.ndarray:
     """Dense matrix of the Newton potential on cell-wise constant densities."""
-    term = _VolumeTerm(_newton_weights(volmesh, factor), per_cell=volmesh.n_nodes_per_cell)
-    return _volume_rows(targets, _volume_nodes(volmesh),
-                        exclusion_radii(volmesh), [term])[0]
+    term = _VolumeTerm(_newton_weights(volmesh, factor), rows=True)
+    return _volume_rows(volmesh, targets, [term])[0]
 
 
 # --- offset normal derivative -----------------------------------------------

@@ -99,8 +99,10 @@ def op_W(mesh: SurfaceMesh, field: CoefficientField, density, targets,
          cfg: QuadConfig = lp.DEFAULT_QUAD) -> np.ndarray:
     """Weighted double layer: W_lap(rho) - V_lap(rho * dn ln a); the
     principal value calW at registered targets."""
-    rows = _W_from(*lp._surface_rows(mesh, targets, _W_terms(field, lp._space_of(density)), cfg))
-    return lp.apply_rows(rows, density.values)
+    terms = _W_terms(field, lp._space_of(density))
+    return lp.apply_rows_in_blocks(
+        mesh, targets, lambda block: [_W_from(*lp._surface_rows(mesh, block, terms, cfg))],
+        [density.values], cfg)[0]
 
 
 def _W_terms(field, space) -> list:
@@ -153,46 +155,51 @@ def op_P(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.n
     return lp.newton_potential(volmesh, density, targets, factor=_inv_a_nodes(field))
 
 
-def _P_weights(volmesh: VolumeMesh, field: CoefficientField, density) -> np.ndarray:
-    """The node weights of op_P (f / a and -1/(4 pi) folded in), to compute
-    once and take P f from _R_and_P passes with the same bits as op_P."""
+def _P_weights(volmesh: VolumeMesh, field: CoefficientField, density) -> lp._Tables:
+    """The node weights of op_P on both volume tables (f / a and -1/(4 pi)
+    folded in), to compute once and take P f from _R_and_P passes with the
+    same bits as op_P."""
     return lp._newton_weights(volmesh, _inv_a_nodes(field), density)
 
 
-def _remainder_kernel(field: CoefficientField, nodes: np.ndarray):
-    """R at the nodes (n, 3) as a volume kernel (see laplace._volume_rows):
-    r = |x - y| into r, and -(lap ln a p + grad ln a . (x - y) / ((4 pi r) r^2))
-    with p = -1/(4 pi r), in place."""
-    grad = np.ascontiguousarray(field.eval_grad_ln_a(nodes).T)
-    lap_ln = field.eval_laplacian_ln_a(nodes)
+def _remainder_data(volmesh: VolumeMesh, field: CoefficientField) -> tuple:
+    """The per-node data of _remainder_kernel on both volume tables: grad ln
+    a, component-major (3, nodes, cells), and lap ln a (nodes, cells)."""
+    grad = lp._at_nodes(volmesh, field.eval_grad_ln_a).map(
+        lambda g: np.ascontiguousarray(np.moveaxis(g, -1, 0)))
+    return grad, lp._at_nodes(volmesh, field.eval_laplacian_ln_a)
 
-    def kern(comps, y, r, r2):
-        dot, vals = np.empty_like(r), np.empty_like(r)
 
-        def add_dot(k, d):
-            # dot = (gx dx + gy dy) + gz dz; vals is free until the end.
-            if k == 0:
-                np.multiply(grad[0], d, out=dot)
-            else:
-                np.add(dot, np.multiply(grad[k], d, out=vals), out=dot)
+def _remainder_kernel(comps, data, y, r, r2):
+    """R as a volume kernel (see laplace._volume_rows) on the nodes it is
+    handed, with their data (grad ln a, lap ln a) from _remainder_data:
+    r = |x - y| into r, and -(lap ln a p + grad ln a . (x - y) / ((4 pi r)
+    r^2)) with p = -1/(4 pi r), in place."""
+    grad, lap_ln = data
+    dot, vals = np.empty_like(r), np.empty_like(r)
 
-        lp._squared_distances(comps, y, r2, r, each=add_dot)
-        np.sqrt(r2, out=r)
-        np.multiply(r, FOUR_PI, out=vals)
-        r2 *= vals
-        dot /= r2
-        np.divide(-1.0, vals, out=vals)
-        vals *= lap_ln
-        vals += dot
-        return np.negative(vals, out=vals)
+    def add_dot(k, d):
+        # dot = (gx dx + gy dy) + gz dz; vals is free until the end.
+        if k == 0:
+            np.multiply(grad[0], d, out=dot)
+        else:
+            np.add(dot, np.multiply(grad[k], d, out=vals), out=dot)
 
-    return kern
+    lp._squared_distances(comps, y, r2, r, each=add_dot)
+    np.sqrt(r2, out=r)
+    np.multiply(r, FOUR_PI, out=vals)
+    r2 *= vals
+    dot /= r2
+    np.divide(-1.0, vals, out=vals)
+    vals *= lap_ln
+    vals += dot
+    return np.negative(vals, out=vals)
 
 
 def _R_and_P(volmesh: VolumeMesh, field: CoefficientField, targets, u=None,
              p_weights=None, out=None):
-    """R and P f at targets from one volume pass, which shares r and the
-    exclusion mask between them.
+    """R and P f at targets from one volume pass, which shares r, the
+    far/near classification and the exclusion mask between them.
 
     R is R u for a density u, or with u None the dense rows of R on
     cell-wise constant densities, written into ``out`` when it is given
@@ -208,16 +215,14 @@ def _R_and_P(volmesh: VolumeMesh, field: CoefficientField, targets, u=None,
         R = np.zeros(len(targets))
     terms = []
     if not field.is_constant:
-        wts = volmesh.all_weights()
+        wts = lp._cell_cache(volmesh).weights
         if u is not None:
-            wts = wts * lp._node_values(volmesh, u)
-        per_cell = volmesh.n_nodes_per_cell if u is None else None
-        kernel = _remainder_kernel(field, volmesh.all_nodes())
-        terms.append(lp._VolumeTerm(wts, kernel, per_cell, R))
+            wts = lp._times(wts, lp._node_values(volmesh, u))
+        terms.append(lp._VolumeTerm(wts, _remainder_kernel, _remainder_data(volmesh, field),
+                                    u is None, R))
     if p_weights is not None:
         terms.append(lp._VolumeTerm(p_weights))
-    outs = lp._volume_rows(targets, lp._volume_nodes(volmesh),
-                           lp.exclusion_radii(volmesh), terms) if terms else []
+    outs = lp._volume_rows(volmesh, targets, terms) if terms else []
     return R, (outs[-1] if p_weights is not None else None)
 
 
@@ -241,19 +246,28 @@ def op_R_divergence_form(volmesh: VolumeMesh, field: CoefficientField, density,
 
     Computes div_y of the vector Newton potential of u * grad ln a by
     central finite differences, minus the Newton potential of u * lap ln a.
-    Used only as an oracle against the kernel form of op_R.
+    Used only as an oracle against the kernel form of op_R: a plain loop
+    over targets, in which every point of a target's stencil integrates
+    with the rule of that target (see _split_rule), so the differences do
+    not see the far/near switch.
     """
     targets = lp._volume_points(targets)
-    out = -lp.newton_potential(
-        volmesh, density, targets,
-        factor=lambda nodes: field.eval_laplacian_ln_a(nodes))
-    for k in range(3):
-        fac = lambda nodes, k=k: field.eval_grad_ln_a(nodes)[:, k]
-        e = np.zeros(3)
-        e[k] = h
-        plus = lp.newton_potential(volmesh, density, targets + e, factor=fac)
-        minus = lp.newton_potential(volmesh, density, targets - e, factor=fac)
-        out += (plus - minus) / (2.0 * h)
+    out = np.zeros(len(targets))
+    for i, t in enumerate(targets):
+        nodes, wts, cells, excl = _split_rule(volmesh, t)
+        u = _density_at(density, nodes, cells)
+        grad = field.eval_grad_ln_a(nodes)
+
+        def newton(y, fac):
+            r = np.linalg.norm(nodes - y, axis=1)
+            keep = r > excl
+            return np.sum(wts[keep] * u[keep] * fac[keep] / r[keep]) / -FOUR_PI
+
+        out[i] = -newton(t, field.eval_laplacian_ln_a(nodes))
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = h
+            out[i] += (newton(t + e, grad[:, k]) - newton(t - e, grad[:, k])) / (2.0 * h)
     return out
 
 
@@ -269,25 +283,52 @@ def op_V_by_kernel(mesh: SurfaceMesh, field: CoefficientField, density, targets,
     kern = lambda nodes, normals, ys: (
         -lp.fundamental_solution(nodes, ys) / field.eval_a(nodes))
     term = lp._Term(kern, None, "duffy", lp._space_of(density))
-    return lp.apply_rows(lp._surface_rows(mesh, targets, [term], cfg)[0], density.values)
+    return lp.apply_rows_in_blocks(mesh, targets,
+                                   lambda block: lp._surface_rows(mesh, block, [term], cfg),
+                                   [density.values], cfg)[0]
+
+
+def _split_rule(volmesh: VolumeMesh, target: np.ndarray):
+    """The rule the volume engine integrates with for one target (3,): the
+    far table on the target's far cells and the mesh's own rule on its near
+    cells (laplace._near_cells).  Returns nodes (n, 3), weights (n,), the
+    cell of each node (n,) and its exclusion radius (n,), the cell's on near
+    cells and zero on far ones, whose nodes are never that close."""
+    near = lp._near_cells(volmesh, target)[0]
+    far = ~near
+    q_far, q_near = volmesh.far_weights.shape[1], volmesh.n_nodes_per_cell
+    nodes = np.concatenate([volmesh.far_nodes[far].reshape(-1, 3),
+                            volmesh.nodes[near].reshape(-1, 3)])
+    wts = np.concatenate([volmesh.far_weights[far].ravel(),
+                          volmesh.node_weights[near].ravel()])
+    cells = np.concatenate([np.repeat(np.flatnonzero(far), q_far),
+                            np.repeat(np.flatnonzero(near), q_near)])
+    excl = np.concatenate([np.zeros(q_far * int(far.sum())),
+                           np.repeat(lp.exclusion_radii(volmesh)[near], q_near)])
+    return nodes, wts, cells, excl
+
+
+def _density_at(density, nodes, cells) -> np.ndarray:
+    """A DomainDensity (by the cell of each node) or a callable density at nodes."""
+    if isinstance(density, lp.DomainDensity):
+        return density.values[cells]
+    return np.asarray(density(nodes), dtype=float)
 
 
 def op_P_by_kernel(volmesh: VolumeMesh, field: CoefficientField, density,
                    targets) -> np.ndarray:
-    """op_P assembled by quadrature of P(x, y) f(x) directly."""
+    """op_P assembled by quadrature of P(x, y) f(x) directly: a plain loop
+    over targets, each on the rule the volume engine uses for it."""
     targets = lp._volume_points(targets)
-    nodes = volmesh.all_nodes()
-    wts = volmesh.all_weights()
-    dvals = lp._node_values(volmesh, density)
-    a_vals = field.eval_a(nodes)
-    excl = lp.exclusion_radii(volmesh)
     out = np.zeros(len(targets))
     for i, t in enumerate(targets):
+        nodes, wts, cells, excl = _split_rule(volmesh, t)
         d = nodes - t
         r = np.sqrt((d * d).sum(axis=1))
         keep = r > excl
-        out[i] = np.dot(wts[keep] * dvals[keep],
-                        -1.0 / (FOUR_PI * r[keep]) / a_vals[keep])
+        dvals = _density_at(density, nodes[keep], cells[keep])
+        out[i] = np.dot(wts[keep] * dvals,
+                        -1.0 / (FOUR_PI * r[keep]) / field.eval_a(nodes[keep]))
     return out
 
 
@@ -329,8 +370,9 @@ def op_Wprime_offset(mesh: SurfaceMesh, field: CoefficientField, density,
     normals = _target_normals(mesh, colloc)
     space = lp._space_of(density)
     terms = [lp._Term(kernel, _inv_a(field), "duffy", space) for kernel in _GRADIENT_KERNELS]
-    grad = [lp.apply_rows(rows, density.values)
-            for rows in lp._surface_rows(mesh, colloc.points - offset * normals, terms, cfg)]
+    grad = lp.apply_rows_in_blocks(mesh, colloc.points - offset * normals,
+                                   lambda block: lp._surface_rows(mesh, block, terms, cfg),
+                                   [density.values] * 3, cfg)
     return field.eval_a(colloc.points) * np.einsum("ij,ij->i", np.stack(grad, axis=1),
                                                    normals)
 

@@ -255,6 +255,45 @@ def test_trace_identity_constant_field(unit_field, sphere3, shell_small):
     assert np.abs(rep.residuals - u_inf).max() / rep.scale < 3e-2
 
 
+def test_surface_values_in_blocks_have_the_bits_of_one_call(gauss_field, shell_small,
+                                                            source, monkeypatch):
+    # Value functions build and apply their rows a block of targets at a
+    # time; with the smallest blocks (one surface-engine block each) every
+    # value has the bits of a call that holds all the rows.
+    sphere2 = geo.build_icosphere(2)
+    rng = np.random.default_rng(41)
+    d = rng.normal(size=(40, 3))
+    free = d / np.linalg.norm(d, axis=1, keepdims=True) * rng.uniform(1.2, 3.0, size=(40, 1))
+    colloc = lp.Collocation.concat([lp.Collocation.centroids(sphere2, np.arange(0, 320, 7)),
+                                    lp.Collocation.vertices(sphere2, np.arange(0, 162, 5))])
+    tc = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, rng.normal(size=320))
+    vl = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, rng.normal(size=162))
+    calls = []
+    surface_rows = lp._surface_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return surface_rows(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_surface_rows", counted)
+    values = {}
+    for entries in (1 << 40, 1):
+        monkeypatch.setattr(lp, "VALUE_BLOCK_ENTRIES", entries)
+        calls.clear()
+        values[entries] = [op(targets) for targets in (free, colloc) for op in (
+            lambda t: lp.single_layer(sphere2, tc, t),
+            lambda t: lp.double_layer(sphere2, vl, t),
+            lambda t: px.op_V(sphere2, gauss_field, tc, t),
+            lambda t: px.op_W(sphere2, gauss_field, vl, t))]
+        values[entries] += [
+            gr.third_green_residual(gauss_field, source, sphere2, shell_small, free).residuals,
+            gr.trace_identity_residual(gauss_field, source, sphere2, shell_small).residuals]
+        values[entries, "calls"] = len(calls)
+    assert values[1, "calls"] > 4 * values[1 << 40, "calls"]
+    for blocked, whole in zip(values[1], values[1 << 40]):
+        assert np.array_equal(blocked, whole)
+
+
 # --- conormal identity (offset diagnostic) ------------------------------------
 
 def test_conormal_identity_offsets(unit_field, sphere3, shell_small, source):

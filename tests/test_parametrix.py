@@ -355,22 +355,33 @@ def test_remainder_matrix_matches_kernel_loop_at_level_1(gauss_field):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def _volume_reference(volmesh, field, kind, targets, node_density=None):
-    """A plain loop over targets: the exclusion-ball volume integral of the
-    Newton or remainder kernel, as values of a node density or, without one,
-    as per-cell rows."""
-    nodes, wts = volmesh.all_nodes(), volmesh.all_weights()
+def _volume_reference(volmesh, field, kind, targets, density=None, all_near=False):
+    """A plain loop over targets: the volume integral of the Newton or
+    remainder kernel, as values of a density (cell values or a callable of
+    points) or, without one, as per-cell rows.  Each target integrates its
+    far cells with the far table and its near cells (lp._near_cells, the
+    engine's one classification) with the mesh's own rule and the exclusion
+    ball; with ``all_near``, every cell takes the mesh's own rule."""
+    n_c = volmesh.n_cells
     excl = lp.exclusion_radii(volmesh)
-    cells = np.repeat(np.arange(volmesh.n_cells), volmesh.n_nodes_per_cell)
     rows = []
     for t in targets:
-        keep = np.linalg.norm(nodes - t, axis=1) > excl
-        x = nodes[keep]
-        k = lp.fundamental_solution(x, t) if kind == "newton" else px.kernel_R(field, x, t)
-        if node_density is None:
-            rows.append(np.bincount(cells[keep], wts[keep] * k, minlength=volmesh.n_cells))
-        else:
-            rows.append(np.sum(wts[keep] * node_density[keep] * k))
+        near = np.ones(n_c, dtype=bool) if all_near else lp._near_cells(volmesh, t)[0]
+        row = np.zeros(n_c)
+        for cells, nodes, wts, radius in (
+                (~near, volmesh.far_nodes, volmesh.far_weights, np.zeros(n_c)),
+                (near, volmesh.nodes, volmesh.node_weights, excl)):
+            q = nodes.shape[1]
+            x = nodes[cells].reshape(-1, 3)
+            w = wts[cells].ravel()
+            cell = np.repeat(np.flatnonzero(cells), q)
+            keep = np.linalg.norm(x - t, axis=1) > np.repeat(radius[cells], q)
+            x, w, cell = x[keep], w[keep], cell[keep]
+            k = lp.fundamental_solution(x, t) if kind == "newton" else px.kernel_R(field, x, t)
+            if density is not None:
+                w = w * (density(x) if callable(density) else density[cell])
+            row += np.bincount(cell, w * k, minlength=n_c)
+        rows.append(row if density is None else row.sum())
     return np.array(rows)
 
 
@@ -381,7 +392,7 @@ def test_volume_engine_matches_per_target_reference(shell14, gauss_field, sphere
                                                     monkeypatch, kind, output, where):
     # Blocks of three targets: the 20 centres and 16 centroids end in a
     # partial block; most centroids have volume nodes inside their balls.
-    monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", 3 * shell14.all_weights().size + 1)
+    monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", 3 * shell14.far_weights.size + 1)
     targets = shell14.centers[::128] if where == "centers" else sphere3.centroids[::80]
     v = np.random.default_rng(6).normal(size=shell14.n_cells)
     u = lp.DomainDensity(v)
@@ -391,10 +402,79 @@ def test_volume_engine_matches_per_target_reference(shell14, gauss_field, sphere
         ("remainder", "values"): lambda: px.op_R(shell14, gauss_field, u, targets),
         ("remainder", "matrix"): lambda: px.op_R_matrix(shell14, gauss_field, targets),
     }[kind, output]()
-    node_density = np.repeat(v, shell14.n_nodes_per_cell) if output == "values" else None
-    want = _volume_reference(shell14, gauss_field, kind, targets, node_density)
+    want = _volume_reference(shell14, gauss_field, kind, targets,
+                             v if output == "values" else None)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+# --- far and near target-cell pairs ---------------------------------------------
+
+@pytest.fixture(scope="module")
+def level_volumes():
+    return {level: cases.level_meshes(level) for level in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_far_table_moves_point_source_integrals_by_under_1e4(level_volumes, gauss_field,
+                                                              level):
+    # R u and P f of the exact point-source field at boundary collocation
+    # points (a subsample at level 3): the engine is the far/near split,
+    # and it is within 1e-4 of max |u| on the sphere of the mesh's own
+    # rule on every cell.
+    surf, vol = level_volumes[level]
+    case = cases.point_source_case(gauss_field)
+    targets = sy.boundary_collocation(surf).points[::1 if level == 2 else 10]
+    near = lp._near_cells(vol, targets)
+    assert 0.0 < near.mean() < 0.15
+    scale = np.abs(case.exact.u(surf.vertices)).max()
+    r_u = px.op_R(vol, gauss_field, case.exact.u, targets)
+    p_f = px.op_P(vol, gauss_field, case.f, targets)
+    f_over_a = lambda x: case.f(x) / gauss_field.eval_a(x)
+    for got, kind, density in ((r_u, "remainder", case.exact.u), (p_f, "newton", f_over_a)):
+        split = _volume_reference(vol, gauss_field, kind, targets, density)
+        assert np.abs(got - split).max() <= 1e-13 * np.abs(split).max()
+        all_near = _volume_reference(vol, gauss_field, kind, targets, density, all_near=True)
+        assert np.abs(got - all_near).max() <= 1e-4 * scale
+
+
+def test_split_volume_pass_does_not_depend_on_the_block(level_volumes, gauss_field,
+                                                        monkeypatch):
+    # On an 18-node mesh the far and near tables differ.  R rows, R u and
+    # P f in blocks of three targets have the bits of one-target blocks.
+    surf, vol = level_volumes[1]
+    assert vol.far_nodes.shape[1] == 6 and vol.n_nodes_per_cell == 18
+    targets = np.concatenate([vol.centers[::3], sy.boundary_collocation(surf).points[::4]])
+    near = lp._near_cells(vol, targets)
+    assert near.any(axis=1).all() and (~near).any(axis=1).all()
+    case = cases.point_source_case(gauss_field)
+    u = lp.DomainDensity(case.exact.u(vol.centers))
+    p_weights = px._P_weights(vol, gauss_field, case.f)
+    passes = {}
+    for per_block in (3, 1):
+        monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", per_block * vol.far_weights.size)
+        passes[per_block] = (px._R_and_P(vol, gauss_field, targets, p_weights=p_weights)
+                             + px._R_and_P(vol, gauss_field, targets, u, p_weights))
+    for three, one in zip(passes[3], passes[1]):
+        assert np.array_equal(three, one)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_far_pairs_have_no_node_inside_the_exclusion_ball(level_volumes, level):
+    # Far pairs take no exclusion mask: at the cell centres, the boundary
+    # collocation points and volume nodes (a sample at levels 2-3), no
+    # far-table node of a far pair lies within its cell's exclusion radius
+    # of the target.
+    surf, vol = level_volumes[level]
+    targets = np.concatenate([vol.centers, sy.boundary_collocation(surf).points,
+                              vol.all_nodes()[::{1: 1, 2: 4, 3: 40}[level]]])
+    excl2 = np.broadcast_to(lp.exclusion_radii(vol) ** 2, (64, vol.n_cells))
+    for start in range(0, len(targets), 64):
+        y = targets[start:start + 64]
+        far = ~lp._near_cells(vol, y)
+        d2 = sum((vol.far_nodes[None, :, :, k] - y[:, None, None, k]) ** 2
+                 for k in range(3)).min(axis=2)
+        assert np.all(d2[far] > excl2[:len(y)][far])
 
 
 def test_remainder_far_target_rows_decay(shell14, gauss_field):

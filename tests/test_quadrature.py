@@ -261,19 +261,22 @@ def test_integrate_layer_with_density():
 
 
 def test_integrate_volume_exclusion_ball():
-    rng = np.random.default_rng(3)
-    nodes = rng.uniform(-1, 1, size=(500, 3))
-    weights = np.full(500, 8.0 / 500)
-    target = np.zeros((1, 3))
+    # A unit kernel integrates the shell's volume (both tables hold the cell
+    # volumes), less the weights of the near-rule nodes within their cell's
+    # exclusion radius of the target, which sits on a node.
+    vol = geo.build_shell_mesh(1.0, 2.0, n_radial=2, angular_level=0,
+                               radial_order=3, triangle_order=3)
+    target = vol.nodes[7, 4][None]
 
-    def kern(comps, y, r, scratch):
-        # A unit kernel, with r = |x - y| for targets y (3, B, 1).
-        r[...] = np.linalg.norm(comps[:, None, :] - y, axis=0)
+    def kern(comps, data, y, r, scratch):
+        # A unit kernel, with r = |x - y| for targets y (3, ...).
+        r[...] = np.sqrt(sum((comps[k] - y[k]) ** 2 for k in range(3)))
         return np.ones_like(r)
 
-    terms = [lp._VolumeTerm(weights, kern)]
-    full = lp._volume_rows(target, nodes.T, np.zeros(500), terms)[0][0]
-    trimmed = lp._volume_rows(target, nodes.T, np.full(500, 0.5), terms)[0][0]
-    inside = (np.linalg.norm(nodes, axis=1) <= 0.5).sum()
-    assert full == pytest.approx(8.0)
-    assert trimmed == pytest.approx(8.0 - inside * 8.0 / 500)
+    terms = [lp._VolumeTerm(lp._cell_cache(vol).weights, kern)]
+    value = lp._volume_rows(vol, target, terms)[0][0]
+    near = lp._near_cells(vol, target)[0]
+    r = np.linalg.norm(vol.nodes - target, axis=2)
+    inside = near[:, None] & (r <= lp.exclusion_radii(vol)[:, None])
+    assert 1 <= inside.sum() < vol.n_nodes_per_cell
+    assert value == pytest.approx(vol.volumes.sum() - vol.node_weights[inside].sum(), rel=1e-12)
