@@ -209,8 +209,7 @@ def cmd_operators(config: RunConfig) -> int:
                                    config.n_radial, config.angular_level)
     targets = _probes(config)
 
-    tdens = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-                               np.ones(surf.n_triangles))
+    tdens = lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.ones(surf.n_triangles))
     v_rel = px.op_V(surf, field_obj, tdens, targets)
     v_ker = px.op_V_by_kernel(surf, field_obj, tdens, targets)
     v_diff = float(np.abs(v_rel - v_ker).max())

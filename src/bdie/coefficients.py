@@ -16,9 +16,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-DEFAULT_RADII = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
-DEFAULT_ANGULAR_SAMPLES = 128
-DEFAULT_DECAY_TOL = 1e-3
+# The audit samples ANGULAR_SAMPLES directions on each sphere of RADII; the
+# decay check passes when w|grad a| falls below DECAY_TOL on the last one.
+RADII = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+ANGULAR_SAMPLES = 128
+DECAY_TOL = 1e-3
 # A supremum sequence is called bounded when its tail stops growing by more
 # than this relative factor between the mid and final radius.
 GROWTH_TOL = 0.1
@@ -98,7 +100,7 @@ class CoefficientReport:
     sup_weighted_grad: float
     sup_weighted_laplacian: float
     tail_samples: list = field(default_factory=list)  # (radius, sup w|grad a|)
-    decay_tol: float = DEFAULT_DECAY_TOL
+    decay_tol: float = DECAY_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -133,28 +135,21 @@ def _tail_bounded(per_radius: np.ndarray) -> bool:
     return last <= mid * (1.0 + GROWTH_TOL) + ABS_FLOOR
 
 
-def validate_conditions(
-    field: CoefficientField,
-    radii=DEFAULT_RADII,
-    angular_samples: int = DEFAULT_ANGULAR_SAMPLES,
-    decay_tol: float = DEFAULT_DECAY_TOL,
-) -> CoefficientReport:
-    """Audit a coefficient by sampling on spheres of increasing radius.
+def validate_conditions(field: CoefficientField) -> CoefficientReport:
+    """Audit a coefficient by sampling on the spheres of RADII.
 
     The checks are necessarily sampled proxies: the bound check verifies
     c_lower < a < c_upper at every sample; the boundedness checks require
     the per-radius suprema of w|grad a| and w^2|lap a| to stop growing along
     the tail; the decay check requires the largest-radius supremum of
-    w|grad a| to fall below ``decay_tol``.
+    w|grad a| to fall below DECAY_TOL.
 
     Returns
     -------
     CoefficientReport
     """
-    radii = np.asarray(sorted(radii), dtype=float)
-    if radii.size < 3:
-        raise ValueError("need at least three radii for a tail")
-    dirs = fibonacci_sphere(angular_samples)
+    radii = np.asarray(RADII, dtype=float)
+    dirs = fibonacci_sphere(ANGULAR_SAMPLES)
 
     sup_grad, sup_lap = [], []
     cond0 = True
@@ -176,11 +171,11 @@ def validate_conditions(
         passes_cond0=bool(cond0),
         passes_cond1=_tail_bounded(sup_grad),
         passes_cond3=_tail_bounded(sup_lap),
-        passes_decay=bool(sup_grad[-1] < decay_tol),
+        passes_decay=bool(sup_grad[-1] < DECAY_TOL),
         sup_weighted_grad=float(sup_grad.max()),
         sup_weighted_laplacian=float(sup_lap.max()),
         tail_samples=list(zip(radii.tolist(), sup_grad.tolist())),
-        decay_tol=decay_tol,
+        decay_tol=DECAY_TOL,
     )
 
 

@@ -293,8 +293,7 @@ class VolumeMesh:
     patch solid angle so weights sum to the exact cell volume.  Fields
     ``far_nodes``/``far_weights`` hold the default rule on the same cells
     (DEFAULT_RADIAL_ORDER x DEFAULT_TRIANGLE_ORDER, 6 nodes), which the
-    volume engine uses for well-separated target-cell pairs; when the
-    mesh's own rule is the default they are the same arrays.
+    volume engine uses for well-separated target-cell pairs.
     """
 
     inner_radius: float
@@ -397,7 +396,7 @@ def build_shell_mesh(
         Orders of the per-cell rule (Gauss in r times a symmetric triangle
         rule pushed to the spherical patch).  The defaults integrate the
         cell volume exactly; the default rule is also built as the far
-        table (see VolumeMesh), shared when these are the defaults.
+        table (see VolumeMesh).
     """
     if outer_radius <= inner_radius:
         raise ValueError("outer_radius must exceed inner_radius")
@@ -411,11 +410,8 @@ def build_shell_mesh(
     volumes = ((breaks[1:]**3 - breaks[:-1]**3) / 3.0)[:, None] * omega[None]
 
     nodes, node_weights = _shell_rule(ang, breaks, omega, radial_order, triangle_order)
-    if (radial_order, triangle_order) == (DEFAULT_RADIAL_ORDER, DEFAULT_TRIANGLE_ORDER):
-        far_nodes, far_weights = nodes, node_weights
-    else:
-        far_nodes, far_weights = _shell_rule(ang, breaks, omega, DEFAULT_RADIAL_ORDER,
-                                             DEFAULT_TRIANGLE_ORDER)
+    far_nodes, far_weights = _shell_rule(ang, breaks, omega, DEFAULT_RADIAL_ORDER,
+                                         DEFAULT_TRIANGLE_ORDER)
     face_pairs, face_areas = _shell_adjacency(ang, breaks, n_t)
 
     return VolumeMesh(

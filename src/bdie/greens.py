@@ -211,11 +211,9 @@ def second_green_residual(field: CoefficientField, u: AnalyticField,
 
 def _boundary_data(field, afield, surfmesh):
     """Analytic trace (vertex-linear) and conormal trace (triangle-constant)."""
-    gamma = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
-                               afield.u(surfmesh.vertices))
+    gamma = lp.BoundaryDensity(lp.SPACE_VERTEX, afield.u(surfmesh.vertices))
     tplus = lp.BoundaryDensity(
-        lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-        conormal_trace(field, afield, surfmesh.centroids, surfmesh.normals))
+        lp.SPACE_TRIANGLE, conormal_trace(field, afield, surfmesh.centroids, surfmesh.normals))
     return gamma, tplus
 
 
@@ -356,6 +354,5 @@ def representation_C(surfmesh: SurfaceMesh, volmesh: VolumeMesh,
     rhs = f_star_field.u(colloc.points) - newton
     block = lp.single_layer_matrix(surfmesh, lp.SPACE_TRIANGLE, colloc)
     weights = sla.solve(block, rhs)
-    psi_star = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-                                  field.eval_a(colloc.points) * weights)
+    psi_star = lp.BoundaryDensity(lp.SPACE_TRIANGLE, field.eval_a(colloc.points) * weights)
     return f_star, psi_star

@@ -21,15 +21,20 @@ terms of a surface pass share one classification and one r, those of a
 volume pass (the remainder's rows or values and P f, say) one
 classification, one r and one exclusion mask.  Both split the pairs of a
 target and an element by distance.  The surface engine takes far, near
-(subdivided) and Duffy panels.  The volume engine takes far cells on the
-shell's default 6-node rule, its far table, and near cells on the mesh's
-own rule with the exclusion ball.  The surface engine returns only dense
-rows on a basis, triangle-constant or vertex-linear: the value of a layer
-potential is its rows applied to the density's coefficients
-(``apply_rows``, a block of targets at a time in the value functions), so
-a surface density is always a ``BoundaryDensity``.  The Newton potential
-carries -1/(4 pi), its factor (1/a for P) and its density in the node
-weights, so each of its target-node pairs costs one divide, weights / r.
+(subdivided) and Duffy panels on the one rule of ``quadrature``
+(FAR_ORDER, NEAR_ORDER on SUBDIVISION_LEVELS levels, NEAR_THRESHOLD,
+DUFFY_ORDER), so no operator takes a setting: each is a function of the
+mesh, the coefficient, the density and the targets.  The volume engine
+takes far cells on the shell's default 6-node rule, its far table, and
+near cells on the mesh's own rule with the exclusion ball.  The surface
+engine returns only dense rows on a basis, triangle-constant or
+vertex-linear: the value of a layer potential is its rows applied to the
+density's coefficients (``apply_rows``, a block of targets at a time in
+the value functions), so a surface density is always a
+``BoundaryDensity``, with one coefficient per triangle or vertex of the
+mesh (``_space_of`` checks both).  The Newton potential carries -1/(4 pi),
+its factor (1/a for P) and its density in the node weights, so each of its
+target-node pairs costs one divide, weights / r.
 
 Kernel contract of both engines: quadrature nodes are stored
 component-major, (3, ...), so that a block builds r^2 = (dx^2 + dy^2) + dz^2
@@ -60,9 +65,6 @@ FOUR_PI = 4.0 * np.pi
 
 SPACE_TRIANGLE = "triangle-constant"
 SPACE_VERTEX = "vertex-linear"
-SUPPORT_ALL = "all"
-SUPPORT_D = "D"
-SUPPORT_N = "N"
 
 # Volume nodes within this fraction of their cell's node spacing of a
 # target are dropped (see exclusion_radii).
@@ -200,39 +202,19 @@ class BoundaryDensity:
 
     space_tag "triangle-constant" carries one coefficient per triangle;
     "vertex-linear" one per vertex (continuous piecewise-linear).  The
-    support_tag declares where coefficients may be nonzero: "D"/"N" limit a
-    triangle-constant density to one part, and a vertex-linear density to
-    vertices strictly interior to that part (zero on the interface).  The
-    declaration is what ``validate_support`` checks; the operators integrate
-    the coefficients over every panel, so a valid restricted density
-    contributes exact zeros off its part.
+    operators integrate the coefficients over every panel, and each checks
+    that there is one per triangle or vertex of its mesh.  Where a density
+    may be nonzero is the business of its producer: the unknown layout of
+    the system puts psi on S_D and phi at interior-S_N vertices.
     """
 
     space_tag: str
-    support_tag: str
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.space_tag not in (SPACE_TRIANGLE, SPACE_VERTEX):
             raise ValueError(f"unknown space_tag {self.space_tag!r}")
-        if self.support_tag not in (SUPPORT_ALL, SUPPORT_D, SUPPORT_N):
-            raise ValueError(f"unknown support_tag {self.support_tag!r}")
-
-    def validate_support(self, mesh: SurfaceMesh) -> None:
-        n = mesh.n_triangles if self.space_tag == SPACE_TRIANGLE else mesh.n_vertices
-        if self.values.shape != (n,):
-            raise ValueError("density length does not match mesh")
-        if self.support_tag == SUPPORT_ALL:
-            return
-        if mesh.part_label is None:
-            raise ValueError("support restriction needs a partitioned mesh")
-        if self.space_tag == SPACE_TRIANGLE:
-            off = mesh.part_label != self.support_tag
-        else:
-            off = mesh.vertex_class != self.support_tag
-        if np.any(self.values[off] != 0.0):
-            raise ValueError(f"density has mass outside part {self.support_tag!r}")
 
 
 @dataclass
@@ -303,30 +285,17 @@ def _as_collocation(targets) -> Collocation:
     return Collocation.free(targets)
 
 
-# --- quadrature configuration and panel caches -------------------------------
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Scheme-selection knobs shared by all surface operators."""
-
-    far_order: int = quad.FAR_ORDER
-    near_order: int = quad.NEAR_ORDER
-    levels: int = quad.SUBDIVISION_LEVELS
-    near_threshold: float = quad.NEAR_THRESHOLD
-    duffy_order: int = quad.DUFFY_ORDER
-
-
-DEFAULT_QUAD = QuadConfig()
-
+# --- panel caches ---------------------------------------------------------------
 
 class _PanelCache:
-    """Per-mesh physical quadrature nodes for the far and near rules, stored
-    component-major: (3, panels, nodes)."""
+    """Per-mesh physical quadrature nodes for the far and near rules
+    (quad.FAR_ORDER; quad.NEAR_ORDER on quad.SUBDIVISION_LEVELS levels),
+    stored component-major: (3, panels, nodes)."""
 
-    def __init__(self, mesh: SurfaceMesh, cfg: QuadConfig):
+    def __init__(self, mesh: SurfaceMesh):
         corners = mesh.corners()
-        fpts, fwts = quad.gauss_triangle(cfg.far_order)
-        npts, nwts = quad.subdivided_triangle_rule(cfg.near_order, cfg.levels)
+        fpts, fwts = quad.gauss_triangle(quad.FAR_ORDER)
+        npts, nwts = quad.subdivided_triangle_rule(quad.NEAR_ORDER, quad.SUBDIVISION_LEVELS)
         far_nodes, self.far_wts = quad.map_to_panel(corners, fpts, fwts)
         near_nodes, self.near_wts = quad.map_to_panel(corners, npts, nwts)
         self.far_nodes = np.ascontiguousarray(np.moveaxis(far_nodes, -1, 0))
@@ -346,14 +315,12 @@ class _PanelCache:
                 self.vertex_star[v].append(t)
 
 
-def _panel_cache(mesh: SurfaceMesh, cfg: QuadConfig) -> _PanelCache:
-    store = getattr(mesh, "_panel_caches", None)
-    if store is None:
-        store = {}
-        object.__setattr__(mesh, "_panel_caches", store)
-    if cfg not in store:
-        store[cfg] = _PanelCache(mesh, cfg)
-    return store[cfg]
+def _panel_cache(mesh: SurfaceMesh) -> _PanelCache:
+    cache = getattr(mesh, "_panel_cache", None)
+    if cache is None:
+        cache = _PanelCache(mesh)
+        object.__setattr__(mesh, "_panel_cache", cache)
+    return cache
 
 
 class _Columns:
@@ -484,19 +451,19 @@ def apply_rows(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 VALUE_BLOCK_ENTRIES = 1 << 18
 
 
-def apply_rows_in_blocks(mesh: SurfaceMesh, targets, rows_of: Callable, coefficients,
-                         cfg: QuadConfig = DEFAULT_QUAD) -> list:
+def apply_rows_in_blocks(mesh: SurfaceMesh, targets, rows_of: Callable, coefficients) -> list:
     """Surface values without holding every row: for each block of targets,
     ``rows_of(block)`` builds a list of rows (a Collocation block, its rows
     on the surface of ``mesh``), each applied to its entry of
-    ``coefficients`` (apply_rows); returns per entry the values (m,).
+    ``coefficients`` (apply_rows, one coefficient per column of its rows);
+    returns per entry the values (m,).
 
     A block holds about VALUE_BLOCK_ENTRIES row entries and is a whole
     number of the surface engine's own target blocks, so the engine meets
     the same targets together as in one call over all of them, and every
     value has the bits of that call."""
     colloc = _as_collocation(targets)
-    step = max(1, FAR_BLOCK_PAIRS // _panel_cache(mesh, cfg).far_wts.size)
+    step = max(1, FAR_BLOCK_PAIRS // _panel_cache(mesh).far_wts.size)
     width = sum(len(c) for c in coefficients)
     block = step * max(1, VALUE_BLOCK_ENTRIES // (step * width))
     parts = [[apply_rows(rows, c) for rows, c in
@@ -505,21 +472,23 @@ def apply_rows_in_blocks(mesh: SurfaceMesh, targets, rows_of: Callable, coeffici
     return [np.concatenate(values) for values in zip(*parts)]
 
 
-def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_QUAD) -> list:
+def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
     """The one surface-quadrature engine: one pass over the targets for a
     list of terms (see _Term); returns per term its dense rows (m, columns).
     A value of a layer potential is its rows applied to the density's
     coefficients (apply_rows).  A space other than triangle-constant or
     vertex-linear raises ``ValueError``.
 
+    The rule is the one of ``quadrature``, in the mesh's one _PanelCache.
     Targets run in blocks of FAR_BLOCK_PAIRS // (far nodes).  In a block, a
     target-panel pair is far when a centroid bound already puts the panel
-    ``near_threshold`` diameters away; the exact point-triangle distance is
+    quad.NEAR_THRESHOLD diameters away; the exact point-triangle distance is
     computed for the other pairs only (one paired call per block), once for
-    all terms.  Far pairs take one block of kernel values at all far nodes,
-    masked to the far pairs and mapped to each term's columns by a sparse
-    node-to-column matrix; near pairs (the subdivided rule) and the target's
-    own panels (a Duffy rule) add their sums as corrections.  A term's
+    all terms.  Far pairs take one block of kernel values at all far nodes
+    (quad.FAR_ORDER), masked to the far pairs and mapped to each term's
+    columns by a sparse node-to-column matrix; near pairs (quad.NEAR_ORDER on
+    quad.SUBDIVISION_LEVELS levels) and the target's own panels (a Duffy
+    rule of quad.DUFFY_ORDER) add their sums as corrections.  A term's
     factor is folded into its node weights once per call: into the far
     weights of every panel up front, into the near weights of a panel at
     its first near pair.
@@ -540,14 +509,14 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
     there.
     """
     colloc = _as_collocation(targets)
-    cache = _panel_cache(mesh, cfg)
+    cache = _panel_cache(mesh)
     corners = mesh.corners()
     n_tri = mesh.n_triangles
     kernels = [term.kernel for term in terms]
     columns = [_Columns(mesh, term.space) for term in terms]
     outs = [np.zeros((colloc.n, c.n)) for c in columns]
     on_panel_tol = 1e-12 * mesh.diameters
-    near_cut = cfg.near_threshold * mesh.diameters
+    near_cut = quad.NEAR_THRESHOLD * mesh.diameters
 
     def node_weights(term, panels, nodes, wts):
         # The factor sees nodes (k, q, 3) and their panels' normals.
@@ -654,7 +623,7 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
                              f"vertex nor the centroid of its panel {panels[k]}")
         for kind in np.unique(kinds):
             r, p = rows[kinds == kind], panels[kinds == kind]
-            nodes, w = quad.duffy_panel_nodes(corners[p], kind, cfg.duffy_order)
+            nodes, w = quad.duffy_panel_nodes(corners[p], kind, quad.DUFFY_ORDER)
             bary = _barycentric(corners[p], nodes)
             add_pairs(duffy, r, p, np.moveaxis(nodes, -1, 0),
                       lambda t: node_weights(terms[t], p, nodes, w), bary)
@@ -663,10 +632,17 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms, cfg: QuadConfig = DEFAULT_Q
 
 # --- public surface operators --------------------------------------------------
 
-def _space_of(density) -> str:
-    """The basis space of a surface density, which must be a BoundaryDensity."""
+def _space_of(mesh: SurfaceMesh, density) -> str:
+    """The basis space of a surface density on mesh.  The density must be a
+    BoundaryDensity (else TypeError) with one coefficient per triangle or
+    vertex of the mesh, as its space says (else ValueError)."""
     if not isinstance(density, BoundaryDensity):
         raise TypeError(f"density must be a BoundaryDensity, not {type(density).__name__}")
+    columns = _Columns(mesh, density.space_tag)
+    if density.values.shape != (columns.n,):
+        raise ValueError(f"a {density.space_tag} density on this mesh needs {columns.n} "
+                         f"coefficients (one per {'vertex' if columns.vertex else 'triangle'}), "
+                         f"got shape {density.values.shape}")
     return density.space_tag
 
 
@@ -674,7 +650,6 @@ def single_layer(
     mesh: SurfaceMesh,
     density: BoundaryDensity,
     targets,
-    cfg: QuadConfig = DEFAULT_QUAD,
     factor: Optional[Callable] = None,
 ) -> np.ndarray:
     """Single layer potential of a surface density, evaluated at targets:
@@ -687,52 +662,50 @@ def single_layer(
 
     Parameters
     ----------
-    density : BoundaryDensity; anything else raises TypeError
+    density : BoundaryDensity with one coefficient per triangle or vertex
+        of mesh; anything else raises TypeError, a wrong length ValueError
     factor : optional callable(nodes, normals) -> values
         Smooth rescaling applied at quadrature nodes.
     """
-    space = _space_of(density)
+    space = _space_of(mesh, density)
     return apply_rows_in_blocks(
-        mesh, targets, lambda block: [single_layer_matrix(mesh, space, block, cfg, factor)],
-        [density.values], cfg)[0]
+        mesh, targets, lambda block: [single_layer_matrix(mesh, space, block, factor)],
+        [density.values])[0]
 
 
 def double_layer(
     mesh: SurfaceMesh,
     density: BoundaryDensity,
     targets,
-    cfg: QuadConfig = DEFAULT_QUAD,
     factor: Optional[Callable] = None,
 ) -> np.ndarray:
     """Double layer potential, as single_layer; for registered on-surface
     targets this is the principal value (panels through the target are
     skipped, exact for flat panels)."""
-    space = _space_of(density)
+    space = _space_of(mesh, density)
     return apply_rows_in_blocks(
-        mesh, targets, lambda block: [double_layer_matrix(mesh, space, block, cfg, factor)],
-        [density.values], cfg)[0]
+        mesh, targets, lambda block: [double_layer_matrix(mesh, space, block, factor)],
+        [density.values])[0]
 
 
 def single_layer_matrix(
     mesh: SurfaceMesh,
     space_tag: str,
     targets,
-    cfg: QuadConfig = DEFAULT_QUAD,
     factor: Optional[Callable] = None,
 ) -> np.ndarray:
     """Dense single-layer matrix mapping density coefficients to target values."""
-    return _surface_rows(mesh, targets, [_single_term(space_tag, factor)], cfg)[0]
+    return _surface_rows(mesh, targets, [_single_term(space_tag, factor)])[0]
 
 
 def double_layer_matrix(
     mesh: SurfaceMesh,
     space_tag: str,
     targets,
-    cfg: QuadConfig = DEFAULT_QUAD,
     factor: Optional[Callable] = None,
 ) -> np.ndarray:
     """Dense double-layer matrix (principal value at registered targets)."""
-    return _surface_rows(mesh, targets, [_double_term(space_tag, factor)], cfg)[0]
+    return _surface_rows(mesh, targets, [_double_term(space_tag, factor)])[0]
 
 
 # --- volume potential -----------------------------------------------------------
@@ -752,22 +725,18 @@ def _volume_points(targets) -> np.ndarray:
 class _Tables(NamedTuple):
     """Per-node arrays on the two volume tables, each (..., nodes, cells):
     the far table (the shell's default rule) and the near table (the mesh's
-    own rule).  When the mesh's own rule is the default, ``near`` is
-    ``far``, and map keeps it so."""
+    own rule)."""
 
     far: np.ndarray
     near: np.ndarray
 
     def map(self, fn) -> "_Tables":
-        far = fn(self.far)
-        return _Tables(far, far if self.near is self.far else fn(self.near))
+        return _Tables(fn(self.far), fn(self.near))
 
 
 def _times(a: _Tables, b: _Tables) -> _Tables:
     """The product of two tables, which broadcast."""
-    far = a.far * b.far
-    shared = a.near is a.far and b.near is b.far
-    return _Tables(far, far if shared else a.near * b.near)
+    return _Tables(a.far * b.far, a.near * b.near)
 
 
 class _CellCache:
@@ -785,8 +754,7 @@ class _CellCache:
             a.flags.writeable = False
             return a
 
-        # The mesh's tables are (cells, nodes, ...); the far one is the near
-        # one when the mesh's own rule is the default.
+        # The mesh's tables are (cells, nodes, ...).
         nodes = _Tables(volmesh.far_nodes, volmesh.nodes)
         self.n_cells = volmesh.n_cells
         self.nodes = nodes.map(lambda x: frozen(x.transpose(2, 1, 0)))
@@ -817,7 +785,7 @@ def _cell_cache(volmesh: VolumeMesh) -> _CellCache:
 
 def _at_nodes(volmesh: VolumeMesh, fn: Callable) -> _Tables:
     """fn(points (n, 3)) -> (n, ...) at the nodes of both tables, shaped
-    (nodes, cells, ...); evaluated once when the tables are the same."""
+    (nodes, cells, ...)."""
     n_c = volmesh.n_cells
 
     def on(points):
@@ -911,9 +879,7 @@ def _volume_rows(volmesh: VolumeMesh, targets, terms) -> list:
     nodes, pairs) batches of about VOLUME_BLOCK_PAIRS node pairs, and each
     pair is reduced to one sum.  Targets are classified a chunk of whole far
     blocks at a time (about VOLUME_BLOCK_PAIRS target-cell pairs), and a
-    chunk's near pairs are integrated after its far blocks.  When
-    the mesh's own rule is the default, both tables are the same arrays, on
-    the same path.
+    chunk's near pairs are integrated after its far blocks.
 
     A row holds the far sum of each far cell and the near sum of each near
     cell.  A value is the pairwise sum of its row's far sums plus the

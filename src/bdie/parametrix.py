@@ -24,7 +24,9 @@ refuse a free target that lies on a panel.  Every surface operator is built
 as dense rows on the basis of its density (triangle-constant or
 vertex-linear) in one pass of ``laplace._surface_rows``; a value is those
 rows applied to the density's coefficients, so a density must be a
-``laplace.BoundaryDensity``.  With a constant coefficient all of them
+``laplace.BoundaryDensity`` with one coefficient per triangle or vertex of
+the mesh.  No operator takes a quadrature setting: each is a function of
+mesh, field, density and targets.  With a constant coefficient all of them
 collapse to their Laplace counterparts through the same code path.
 """
 
@@ -37,7 +39,7 @@ import numpy as np
 from . import laplace as lp
 from .coefficients import CoefficientField
 from .geometry import SurfaceMesh, VolumeMesh
-from .laplace import FOUR_PI, Collocation, QuadConfig
+from .laplace import FOUR_PI, Collocation
 
 MAX_DENSE_CELLS = 4000
 MAX_DENSE_TRIANGLES = 2500
@@ -88,21 +90,19 @@ def _dn_ln_a(field: CoefficientField) -> Callable:
 
 # --- surface operators ----------------------------------------------------------
 
-def op_V(mesh: SurfaceMesh, field: CoefficientField, density, targets,
-         cfg: QuadConfig = lp.DEFAULT_QUAD) -> np.ndarray:
+def op_V(mesh: SurfaceMesh, field: CoefficientField, density, targets) -> np.ndarray:
     """Weighted single layer: V_lap applied to rho / a at quadrature nodes;
     the direct value calV at registered targets."""
-    return lp.single_layer(mesh, density, targets, cfg, factor=_inv_a(field))
+    return lp.single_layer(mesh, density, targets, factor=_inv_a(field))
 
 
-def op_W(mesh: SurfaceMesh, field: CoefficientField, density, targets,
-         cfg: QuadConfig = lp.DEFAULT_QUAD) -> np.ndarray:
+def op_W(mesh: SurfaceMesh, field: CoefficientField, density, targets) -> np.ndarray:
     """Weighted double layer: W_lap(rho) - V_lap(rho * dn ln a); the
     principal value calW at registered targets."""
-    terms = _W_terms(field, lp._space_of(density))
+    terms = _W_terms(field, lp._space_of(mesh, density))
     return lp.apply_rows_in_blocks(
-        mesh, targets, lambda block: [_W_from(*lp._surface_rows(mesh, block, terms, cfg))],
-        [density.values], cfg)[0]
+        mesh, targets, lambda block: [_W_from(*lp._surface_rows(mesh, block, terms))],
+        [density.values])[0]
 
 
 def _W_terms(field, space) -> list:
@@ -121,17 +121,17 @@ def _W_from(w_lap, *v_dn):
     return w_lap
 
 
-def op_V_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD) -> np.ndarray:
+def op_V_matrix(mesh, field, space_tag, targets) -> np.ndarray:
     check_dense_caps(n_triangles=mesh.n_triangles)
-    return lp.single_layer_matrix(mesh, space_tag, targets, cfg, factor=_inv_a(field))
+    return lp.single_layer_matrix(mesh, space_tag, targets, factor=_inv_a(field))
 
 
-def op_W_matrix(mesh, field, space_tag, targets, cfg=lp.DEFAULT_QUAD) -> np.ndarray:
+def op_W_matrix(mesh, field, space_tag, targets) -> np.ndarray:
     check_dense_caps(n_triangles=mesh.n_triangles)
-    return _W_from(*lp._surface_rows(mesh, targets, _W_terms(field, space_tag), cfg))
+    return _W_from(*lp._surface_rows(mesh, targets, _W_terms(field, space_tag)))
 
 
-def _VW_matrices(mesh, field, targets, cfg=lp.DEFAULT_QUAD):
+def _VW_matrices(mesh, field, targets):
     """op_V_matrix (triangle-constant) and op_W_matrix (vertex-linear) at
     the same targets from one surface pass, and the row sums of W's Laplace
     term W_lap.  At registered targets those row sums are the unit-density
@@ -139,7 +139,7 @@ def _VW_matrices(mesh, field, targets, cfg=lp.DEFAULT_QUAD):
     check_dense_caps(n_triangles=mesh.n_triangles)
     terms = [lp._single_term(lp.SPACE_TRIANGLE, _inv_a(field))]
     terms += _W_terms(field, lp.SPACE_VERTEX)
-    v, w_lap, *v_dn = lp._surface_rows(mesh, targets, terms, cfg)
+    v, w_lap, *v_dn = lp._surface_rows(mesh, targets, terms)
     jump = w_lap.sum(axis=1)
     return v, _W_from(w_lap, *v_dn), jump
 
@@ -273,8 +273,8 @@ def op_R_divergence_form(volmesh: VolumeMesh, field: CoefficientField, density,
 
 # --- direct kernel quadrature (cross-validation) ----------------------------------
 
-def op_V_by_kernel(mesh: SurfaceMesh, field: CoefficientField, density, targets,
-                   cfg: QuadConfig = lp.DEFAULT_QUAD) -> np.ndarray:
+def op_V_by_kernel(mesh: SurfaceMesh, field: CoefficientField, density,
+                   targets) -> np.ndarray:
     """op_V assembled by quadrature of -P(x, y) rho(x) directly.
 
     Algebraically identical to the relation-based path when evaluated on the
@@ -282,10 +282,10 @@ def op_V_by_kernel(mesh: SurfaceMesh, field: CoefficientField, density, targets,
     """
     kern = lambda nodes, normals, ys: (
         -lp.fundamental_solution(nodes, ys) / field.eval_a(nodes))
-    term = lp._Term(kern, None, "duffy", lp._space_of(density))
+    term = lp._Term(kern, None, "duffy", lp._space_of(mesh, density))
     return lp.apply_rows_in_blocks(mesh, targets,
-                                   lambda block: lp._surface_rows(mesh, block, [term], cfg),
-                                   [density.values], cfg)[0]
+                                   lambda block: lp._surface_rows(mesh, block, [term]),
+                                   [density.values])[0]
 
 
 def _split_rule(volmesh: VolumeMesh, target: np.ndarray):
@@ -335,7 +335,7 @@ def op_P_by_kernel(volmesh: VolumeMesh, field: CoefficientField, density,
 # --- offset diagnostics -------------------------------------------------------------
 
 def _target_normals(mesh: SurfaceMesh, colloc: Collocation) -> np.ndarray:
-    cache = lp._panel_cache(mesh, lp.DEFAULT_QUAD)
+    cache = lp._panel_cache(mesh)
     normals = np.zeros((colloc.n, 3))
     for i, (kind, idx) in enumerate(zip(colloc.kinds, colloc.indices)):
         if kind == lp.KIND_CENTROID:
@@ -356,8 +356,7 @@ _GRADIENT_KERNELS = [lp._offset_kernel(
 
 
 def op_Wprime_offset(mesh: SurfaceMesh, field: CoefficientField, density,
-                     colloc: Collocation, offset: float,
-                     cfg: QuadConfig = lp.DEFAULT_QUAD) -> np.ndarray:
+                     colloc: Collocation, offset: float) -> np.ndarray:
     """Adjoint double layer diagnostic at exterior offset points.
 
     Evaluates a(y) * n(y) . grad_y V_lap(rho / a) at y - offset * n
@@ -368,18 +367,17 @@ def op_Wprime_offset(mesh: SurfaceMesh, field: CoefficientField, density,
     if offset <= 0:
         raise ValueError("offset must be positive")
     normals = _target_normals(mesh, colloc)
-    space = lp._space_of(density)
+    space = lp._space_of(mesh, density)
     terms = [lp._Term(kernel, _inv_a(field), "duffy", space) for kernel in _GRADIENT_KERNELS]
     grad = lp.apply_rows_in_blocks(mesh, colloc.points - offset * normals,
-                                   lambda block: lp._surface_rows(mesh, block, terms, cfg),
-                                   [density.values] * 3, cfg)
+                                   lambda block: lp._surface_rows(mesh, block, terms),
+                                   [density.values] * 3)
     return field.eval_a(colloc.points) * np.einsum("ij,ij->i", np.stack(grad, axis=1),
                                                    normals)
 
 
 def op_Lhat_offset(mesh: SurfaceMesh, field: CoefficientField, density,
-                   colloc: Collocation, offset: float,
-                   cfg: QuadConfig = lp.DEFAULT_QUAD) -> np.ndarray:
+                   colloc: Collocation, offset: float) -> np.ndarray:
     """Hypersingular action probed through offset normal derivatives.
 
     a(y) * d/dn[W_lap rho - V_lap(rho * dn ln a)], the normal derivative
@@ -390,6 +388,6 @@ def op_Lhat_offset(mesh: SurfaceMesh, field: CoefficientField, density,
     if offset <= 0:
         raise ValueError("offset must be positive")
     normals = _target_normals(mesh, colloc)
-    dn_w = lp.normal_derivative(lambda points: op_W(mesh, field, density, points, cfg),
+    dn_w = lp.normal_derivative(lambda points: op_W(mesh, field, density, points),
                                 colloc.points, normals, offset)
     return field.eval_a(colloc.points) * dn_w

@@ -16,9 +16,11 @@ import functools
 
 import numpy as np
 
-# Scheme-selection defaults: targets farther than NEAR_THRESHOLD panel
-# diameters use the far rule; closer (but off-panel) targets use a 2-level
-# subdivided rule.
+# The surface rule of every operator (laplace._surface_rows reads these; no
+# operator takes a setting): targets farther than NEAR_THRESHOLD panel
+# diameters use the Gauss rule of FAR_ORDER; closer, off-panel targets the
+# rule of NEAR_ORDER on SUBDIVISION_LEVELS levels of subdivision; a
+# registered target's own panels a Duffy rule of DUFFY_ORDER.
 NEAR_THRESHOLD = 3.0
 FAR_ORDER = 3
 NEAR_ORDER = 4

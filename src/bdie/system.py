@@ -111,8 +111,8 @@ def build_extensions(mesh: geo.SurfaceMesh, dirichlet_data, neumann_data) -> Ext
     if not (np.all(np.isfinite(phi_vals)) and np.all(np.isfinite(psi_vals))):
         raise ValueError("boundary data is not finite")
     return ExtensionPair(
-        phi0=lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, phi_vals),
-        psi0=lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, psi_vals),
+        phi0=lp.BoundaryDensity(lp.SPACE_VERTEX, phi_vals),
+        psi0=lp.BoundaryDensity(lp.SPACE_TRIANGLE, psi_vals),
     )
 
 
@@ -133,8 +133,7 @@ def jump_coefficients(surfmesh: geo.SurfaceMesh, colloc: lp.Collocation) -> np.n
     so assembly takes the same bits from the row sums of those rows in its
     boundary surface pass.
     """
-    ones = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
-                              np.ones(surfmesh.n_vertices))
+    ones = lp.BoundaryDensity(lp.SPACE_VERTEX, np.ones(surfmesh.n_vertices))
     return lp.double_layer(surfmesh, ones, colloc)
 
 
@@ -474,8 +473,8 @@ def solve_M12(system: M12System, method: str = "direct") -> M12Solution:
     phi_full[system.phi_vertices] = x[system.slice_phi]
     return M12Solution(
         u=lp.DomainDensity(x[system.slice_u]),
-        psi=lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_D, psi_full),
-        phi=lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_N, phi_full),
+        psi=lp.BoundaryDensity(lp.SPACE_TRIANGLE, psi_full),
+        phi=lp.BoundaryDensity(lp.SPACE_VERTEX, phi_full),
         recovered_trace=system.extensions.phi0.values + phi_full,
         recovered_conormal=system.extensions.psi0.values + psi_full,
         conditioning=conditioning,

@@ -52,8 +52,7 @@ def _finish(number, failures):
 
 
 def _ones(mesh):
-    return lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-                              np.ones(mesh.n_triangles))
+    return lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.ones(mesh.n_triangles))
 
 
 def _north_pole(mesh):
@@ -195,10 +194,8 @@ def test_criterion_04_unit_coefficient_reduction(level2_meshes):
     failures = []
     surf, vol = level2_meshes
     rng = np.random.default_rng(30)
-    tdens = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-                               rng.normal(size=surf.n_triangles))
-    vdens = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
-                               rng.normal(size=surf.n_vertices))
+    tdens = lp.BoundaryDensity(lp.SPACE_TRIANGLE, rng.normal(size=surf.n_triangles))
+    vdens = lp.BoundaryDensity(lp.SPACE_VERTEX, rng.normal(size=surf.n_vertices))
     fdens = lp.DomainDensity(rng.normal(size=vol.n_cells))
     targets = np.array([[0.0, 0.0, 2.0], [2.5, 0.4, -0.1]])
     colloc = lp.Collocation.centroids(surf, np.arange(0, surf.n_triangles, 13))

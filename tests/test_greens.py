@@ -266,8 +266,8 @@ def test_surface_values_in_blocks_have_the_bits_of_one_call(gauss_field, shell_s
     free = d / np.linalg.norm(d, axis=1, keepdims=True) * rng.uniform(1.2, 3.0, size=(40, 1))
     colloc = lp.Collocation.concat([lp.Collocation.centroids(sphere2, np.arange(0, 320, 7)),
                                     lp.Collocation.vertices(sphere2, np.arange(0, 162, 5))])
-    tc = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, rng.normal(size=320))
-    vl = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, rng.normal(size=162))
+    tc = lp.BoundaryDensity(lp.SPACE_TRIANGLE, rng.normal(size=320))
+    vl = lp.BoundaryDensity(lp.SPACE_VERTEX, rng.normal(size=162))
     calls = []
     surface_rows = lp._surface_rows
 

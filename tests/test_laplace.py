@@ -25,8 +25,7 @@ def sphere3():
 
 @pytest.fixture(scope="module")
 def ones3(sphere3):
-    return lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-                              np.ones(sphere3.n_triangles))
+    return lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.ones(sphere3.n_triangles))
 
 
 def north_pole_index(mesh):
@@ -81,7 +80,7 @@ def test_component_major_kernels_match_closed_forms(where):
     rng = np.random.default_rng(31)
     corners = rng.uniform(-1.0, 1.0, size=(40, 3, 3))
     nodes, _ = quad.map_to_panel(corners, *quad.subdivided_triangle_rule(
-        lp.DEFAULT_QUAD.near_order, lp.DEFAULT_QUAD.levels))
+        quad.NEAR_ORDER, quad.SUBDIVISION_LEVELS))
     e1, e2 = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
     normals = np.cross(e1, e2)
     normals /= np.linalg.norm(normals, axis=1)[:, None]
@@ -134,7 +133,7 @@ def test_single_layer_error_halves_under_refinement():
     errs = []
     for level in (2, 3):
         m = geo.build_icosphere(level)
-        d = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, np.ones(m.n_triangles))
+        d = lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.ones(m.n_triangles))
         pts = np.array([[0.0, 0.0, 1.5], [0.0, 0.0, 2.0], [0.0, 0.0, 3.0]])
         vals = lp.single_layer(m, d, pts)
         cv = lp.Collocation.vertices(m, [north_pole_index(m)])
@@ -145,7 +144,7 @@ def test_single_layer_error_halves_under_refinement():
 
 
 def test_single_layer_zero_density(sphere3):
-    zero = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, np.zeros(sphere3.n_triangles))
+    zero = lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.zeros(sphere3.n_triangles))
     assert np.all(lp.single_layer(sphere3, zero, np.array([[2.0, 0.0, 0.0]])) == 0.0)
 
 
@@ -154,7 +153,7 @@ def test_single_layer_linearity(sphere3):
     r1 = rng.normal(size=sphere3.n_triangles)
     r2 = rng.normal(size=sphere3.n_triangles)
     pts = np.array([[1.7, 0.2, 0.4]])
-    mk = lambda c: lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, c)
+    mk = lambda c: lp.BoundaryDensity(lp.SPACE_TRIANGLE, c)
     combo = lp.single_layer(sphere3, mk(2.0 * r1 - 3.0 * r2), pts)
     parts = 2.0 * lp.single_layer(sphere3, mk(r1), pts) - 3.0 * lp.single_layer(sphere3, mk(r2), pts)
     assert np.allclose(combo, parts, rtol=1e-12, atol=1e-15)
@@ -182,14 +181,14 @@ def test_double_layer_direct_error_decreases_with_level():
     devs = []
     for level in (1, 2, 3):
         m = geo.build_icosphere(level)
-        d = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, np.ones(m.n_triangles))
+        d = lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.ones(m.n_triangles))
         dv = lp.double_layer(m, d, lp.Collocation.centroids(m))
         devs.append(np.abs(dv - 0.5).max())
     assert devs[2] < devs[1] < devs[0]
 
 
 def test_double_layer_zero_density(sphere3):
-    zero = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, np.zeros(sphere3.n_triangles))
+    zero = lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.zeros(sphere3.n_triangles))
     assert np.all(lp.double_layer(sphere3, zero, np.array([[0.0, 0.0, 0.0]])) == 0.0)
 
 
@@ -199,7 +198,7 @@ def test_jump_relation_refinement():
     res = []
     for level in (1, 2, 3):
         m = geo.build_icosphere(level)
-        rho = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, 1.0 + m.vertices[:, 2])
+        rho = lp.BoundaryDensity(lp.SPACE_VERTEX, 1.0 + m.vertices[:, 2])
         sel = np.arange(0, m.n_vertices, 7)
         cc = lp.Collocation.vertices(m, sel)
         dv = lp.double_layer(m, rho, cc)
@@ -213,7 +212,7 @@ def test_jump_relation_refinement():
 def test_vertex_linear_density_matches_callable(sphere3):
     # z is linear, so its vertex-linear interpolant is z on every flat panel;
     # the per-pair reference (below) integrates z itself at the nodes.
-    vl = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, sphere3.vertices[:, 2].copy())
+    vl = lp.BoundaryDensity(lp.SPACE_VERTEX, sphere3.vertices[:, 2].copy())
     target = lp.Collocation.free([[0.0, 0.0, 0.0]])
     w_vl = lp.double_layer(sphere3, vl, target)
     w_fn = _reference_rows(sphere3, "double", target, density=lambda nodes: nodes[..., 2])
@@ -233,7 +232,7 @@ def test_surface_operators_refuse_callable_densities(sphere3):
 def test_single_layer_matrix_matches_value(sphere3):
     rng = np.random.default_rng(7)
     coef = rng.normal(size=sphere3.n_triangles)
-    dd = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, coef.copy())
+    dd = lp.BoundaryDensity(lp.SPACE_TRIANGLE, coef.copy())
     cc = lp.Collocation.centroids(sphere3, np.arange(0, sphere3.n_triangles, 97))
     val = lp.single_layer(sphere3, dd, cc)
     mat = lp.single_layer_matrix(sphere3, lp.SPACE_TRIANGLE, cc)
@@ -244,7 +243,7 @@ def test_single_layer_matrix_matches_value(sphere3):
 def test_double_layer_matrix_matches_value(sphere3):
     rng = np.random.default_rng(8)
     coef = rng.normal(size=sphere3.n_vertices)
-    dd = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, coef.copy())
+    dd = lp.BoundaryDensity(lp.SPACE_VERTEX, coef.copy())
     cv = lp.Collocation.vertices(sphere3, np.arange(0, sphere3.n_vertices, 53))
     val = lp.double_layer(sphere3, dd, cv)
     mat = lp.double_layer_matrix(sphere3, lp.SPACE_VERTEX, cv)
@@ -355,20 +354,9 @@ def test_continuity_of_single_layer(sphere3, ones3):
 
 # --- density and collocation plumbing ------------------------------------------
 
-def test_density_validation(sphere3):
-    part = geo.partition_boundary(sphere3)
-    with pytest.raises(ValueError):
-        lp.BoundaryDensity("nope", lp.SUPPORT_ALL, np.ones(3))
-    with pytest.raises(ValueError):
-        lp.BoundaryDensity(lp.SPACE_TRIANGLE, "xx", np.ones(3))
-    short = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, np.ones(5))
-    with pytest.raises(ValueError):
-        short.validate_support(part)
-    bad = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_D, np.ones(part.n_triangles))
-    with pytest.raises(ValueError):
-        bad.validate_support(part)
-    ok_vals = np.where(part.part_label == "D", 1.0, 0.0)
-    lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_D, ok_vals).validate_support(part)
+def test_density_validation():
+    with pytest.raises(ValueError, match="unknown space_tag"):
+        lp.BoundaryDensity("nope", np.ones(3))
 
 
 def test_free_target_on_a_panel_is_refused(sphere3, ones3):
@@ -407,15 +395,14 @@ def _reference_rows(mesh, layer, colloc, space=None, density=None, factor=None,
 
     A target's own panels (its centroid panel, its vertex star) take the
     Duffy rule, or are skipped by the double layer; every other active panel
-    takes the far rule at distance >= near_threshold diameters and the
+    takes the far rule at distance >= NEAR_THRESHOLD diameters and the
     subdivided near rule below.  ``density`` (value mode) is a
     BoundaryDensity or a callable on nodes; ``space`` (matrix mode) is the
     column space.
     """
-    cfg = lp.DEFAULT_QUAD
     corners = mesh.corners()
-    rules = {"far": quad.gauss_triangle(cfg.far_order),
-             "near": quad.subdivided_triangle_rule(cfg.near_order, cfg.levels)}
+    rules = {"far": quad.gauss_triangle(quad.FAR_ORDER),
+             "near": quad.subdivided_triangle_rule(quad.NEAR_ORDER, quad.SUBDIVISION_LEVELS)}
     n_cols = {None: 1, lp.SPACE_TRIANGLE: mesh.n_triangles,
               lp.SPACE_VERTEX: mesh.n_vertices}[space]
     out = np.zeros((colloc.n, n_cols))
@@ -432,11 +419,11 @@ def _reference_rows(mesh, layer, colloc, space=None, density=None, factor=None,
                     continue
                 if kind == lp.KIND_VERTEX:
                     k = int(np.argmin(np.linalg.norm(c - y, axis=1)))
-                    pts, w = quad.duffy_triangle(k, cfg.duffy_order)
+                    pts, w = quad.duffy_triangle(k, quad.DUFFY_ORDER)
                     bary = np.stack([1 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], 1)
                     nodes, w = quad.map_to_panel(c, pts, w)
                 else:
-                    pts, w0 = quad.duffy_triangle(0, cfg.duffy_order)
+                    pts, w0 = quad.duffy_triangle(0, quad.DUFFY_ORDER)
                     nodes, w, bary = [], [], []
                     for k in range(3):
                         sub = np.stack([c.mean(axis=0), c[k], c[(k + 1) % 3]])
@@ -449,7 +436,7 @@ def _reference_rows(mesh, layer, colloc, space=None, density=None, factor=None,
                     nodes, w, bary = map(np.concatenate, (nodes, w, bary))
             else:
                 d = quad.point_triangle_distance(y, c)
-                pts, w0 = rules["far" if d >= cfg.near_threshold * mesh.diameters[p]
+                pts, w0 = rules["far" if d >= quad.NEAR_THRESHOLD * mesh.diameters[p]
                                 else "near"]
                 bary = np.stack([1 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], 1)
                 nodes, w = quad.map_to_panel(c, pts, w0)
@@ -508,7 +495,7 @@ def test_engine_matches_per_pair_reference(level1_targets, layer, space, where, 
     mesh, targets = level1_targets
     colloc = targets[where]
     if space is None:
-        density = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
+        density = lp.BoundaryDensity(lp.SPACE_VERTEX,
                                      np.cos(3.0 * mesh.vertices[:, 0]) + mesh.vertices[:, 2])
         call = lp.single_layer if layer == "single" else lp.double_layer
         engine = call(mesh, density, colloc, factor=factor)
@@ -524,7 +511,7 @@ def test_engine_matches_reference_for_restricted_densities(level1_targets, where
     mesh, targets = level1_targets
     colloc = targets[where]
     on_d = mesh.part_label == geo.PART_DIRICHLET
-    restricted = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_D,
+    restricted = lp.BoundaryDensity(lp.SPACE_TRIANGLE,
                                     np.where(on_d, 1.0 + mesh.centroids[:, 1], 0.0))
     _engine_matches(lp.single_layer(mesh, restricted, colloc),
                     _reference_rows(mesh, "single", colloc, density=restricted,
@@ -535,9 +522,8 @@ def test_engine_evaluates_the_factor_at_the_nodes_it_uses():
     # The factor is folded into the far weights of every panel, and into
     # the near weights only of the panels a target comes near.
     mesh = geo.partition_boundary(geo.build_icosphere(3))
-    n_far = quad.gauss_triangle(lp.DEFAULT_QUAD.far_order)[1].size
-    n_near = quad.subdivided_triangle_rule(lp.DEFAULT_QUAD.near_order,
-                                           lp.DEFAULT_QUAD.levels)[1].size
+    n_far = quad.gauss_triangle(quad.FAR_ORDER)[1].size
+    n_near = quad.subdivided_triangle_rule(quad.NEAR_ORDER, quad.SUBDIVISION_LEVELS)[1].size
     seen = []
 
     def factor(nodes, normals):
@@ -549,7 +535,7 @@ def test_engine_evaluates_the_factor_at_the_nodes_it_uses():
         lp.single_layer(mesh, density, target[None], factor=factor)
         return sum(seen)
 
-    ones = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, np.ones(mesh.n_triangles))
+    ones = lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.ones(mesh.n_triangles))
     assert points_for(ones, np.array([5.0, 0.0, 0.0])) == mesh.n_triangles * n_far
     near = points_for(ones, 1.05 * mesh.centroids[0]) - mesh.n_triangles * n_far
     assert near % n_near == 0 and 0 < near <= mesh.n_triangles // 10 * n_near

@@ -44,14 +44,12 @@ def sphere3():
 
 @pytest.fixture(scope="module")
 def ones_tc(sphere3):
-    return lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-                              np.ones(sphere3.n_triangles))
+    return lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.ones(sphere3.n_triangles))
 
 
 @pytest.fixture(scope="module")
 def ones_vl(sphere3):
-    return lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
-                              np.ones(sphere3.n_vertices))
+    return lp.BoundaryDensity(lp.SPACE_VERTEX, np.ones(sphere3.n_vertices))
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +125,7 @@ def test_remainder_kernel_decays_with_source_radius(gauss_field):
 
 def test_single_layer_unit_coefficient_bitwise(sphere3, unit_field):
     rng = np.random.default_rng(21)
-    dens = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-                              rng.normal(size=sphere3.n_triangles))
+    dens = lp.BoundaryDensity(lp.SPACE_TRIANGLE, rng.normal(size=sphere3.n_triangles))
     targets = np.array([[0.0, 0.0, 2.0], [1.5, 0.2, -0.3]])
     assert np.array_equal(px.op_V(sphere3, unit_field, dens, targets),
                           lp.single_layer(sphere3, dens, targets))
@@ -173,10 +170,38 @@ def test_layer_operators_refuse_callable_densities(sphere3, gauss_field):
             op(sphere3, gauss_field, lambda nodes: np.ones(nodes.shape[:-1]), target)
 
 
+_LENGTH_CHECKED = {
+    "single_layer": lambda m, f, d, c: lp.single_layer(m, d, 2.0 * c.points),
+    "double_layer": lambda m, f, d, c: lp.double_layer(m, d, c),
+    "op_V": lambda m, f, d, c: px.op_V(m, f, d, c),
+    "op_W": lambda m, f, d, c: px.op_W(m, f, d, 2.0 * c.points),
+    "op_V_by_kernel": lambda m, f, d, c: px.op_V_by_kernel(m, f, d, c),
+    "op_Wprime_offset": lambda m, f, d, c: px.op_Wprime_offset(m, f, d, c, 0.05),
+    "op_Lhat_offset": lambda m, f, d, c: px.op_Lhat_offset(m, f, d, c, 0.05),
+}
+
+
+@pytest.mark.parametrize("space", [lp.SPACE_TRIANGLE, lp.SPACE_VERTEX])
+@pytest.mark.parametrize("too_many", [False, True])
+@pytest.mark.parametrize("entry", sorted(_LENGTH_CHECKED))
+def test_surface_operators_refuse_a_density_of_the_wrong_length(gauss_field, entry, too_many,
+                                                                space):
+    # One coefficient (which would broadcast) or one too many, at
+    # registered targets on the level-1 sphere and free ones off it.
+    mesh = geo.build_icosphere(1)
+    n, unit = ((mesh.n_triangles, "triangle") if space == lp.SPACE_TRIANGLE
+               else (mesh.n_vertices, "vertex"))
+    given = n + 1 if too_many else 1
+    density = lp.BoundaryDensity(space, np.ones(given))
+    colloc = lp.Collocation.centroids(mesh, [0, 7])
+    with pytest.raises(ValueError, match=rf"needs {n} coefficients \(one per {unit}\), "
+                                         rf"got shape \({given},\)"):
+        _LENGTH_CHECKED[entry](mesh, gauss_field, density, colloc)
+
+
 def test_double_layer_unit_coefficient_bitwise(sphere3, unit_field):
     rng = np.random.default_rng(22)
-    dens = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
-                              rng.normal(size=sphere3.n_vertices))
+    dens = lp.BoundaryDensity(lp.SPACE_VERTEX, rng.normal(size=sphere3.n_vertices))
     targets = np.array([[0.0, 0.0, 2.0], [0.3, 0.1, 0.2]])
     assert np.array_equal(px.op_W(sphere3, unit_field, dens, targets),
                           lp.double_layer(sphere3, dens, targets))
@@ -192,8 +217,7 @@ def test_double_layer_gaussian_axis_value(sphere3, gauss_field, ones_vl):
 
 def test_double_layer_density_linearity(sphere3, gauss_field, ones_vl):
     target = np.array([[0.0, 0.0, 2.5]])
-    scaled = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
-                                1.7 * ones_vl.values)
+    scaled = lp.BoundaryDensity(lp.SPACE_VERTEX, 1.7 * ones_vl.values)
     a = px.op_W(sphere3, gauss_field, scaled, target)[0]
     b = px.op_W(sphere3, gauss_field, ones_vl, target)[0]
     assert a == pytest.approx(1.7 * b, rel=1e-12)
@@ -519,8 +543,7 @@ def test_adjoint_offset_constant_two_equals_unit(sphere3, unit_field, two_field,
 
 
 def test_adjoint_offset_zero_density(sphere3, gauss_field):
-    zero = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-                              np.zeros(sphere3.n_triangles))
+    zero = lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.zeros(sphere3.n_triangles))
     colloc = lp.Collocation.centroids(sphere3, np.array([0, 5]))
     vals = px.op_Wprime_offset(sphere3, gauss_field, zero, colloc, offset=0.1)
     assert np.array_equal(vals, np.zeros(2))
@@ -533,16 +556,14 @@ def test_adjoint_offset_requires_positive_offset(sphere3, unit_field, ones_tc):
 
 
 def test_hypersingular_offset_zero_density(sphere3, gauss_field):
-    zero = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
-                              np.zeros(sphere3.n_vertices))
+    zero = lp.BoundaryDensity(lp.SPACE_VERTEX, np.zeros(sphere3.n_vertices))
     colloc = lp.Collocation.centroids(sphere3, np.array([0, 5]))
     vals = px.op_Lhat_offset(sphere3, gauss_field, zero, colloc, offset=0.1)
     assert np.array_equal(vals, np.zeros(2))
 
 
 def test_hypersingular_reduces_for_unit_coefficient(sphere3, unit_field):
-    phi = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
-                             1.0 + sphere3.vertices[:, 2])
+    phi = lp.BoundaryDensity(lp.SPACE_VERTEX, 1.0 + sphere3.vertices[:, 2])
     idx = np.arange(0, sphere3.n_triangles, 160)
     colloc = lp.Collocation.centroids(sphere3, idx)
     vals = px.op_Lhat_offset(sphere3, unit_field, phi, colloc, offset=0.1)
@@ -597,10 +618,8 @@ def test_offset_diagnostics_match_per_target_loop(sphere3, gauss_field, offset):
         lp.Collocation.centroids(sphere3, np.arange(0, sphere3.n_triangles, 97)),
         lp.Collocation.vertices(sphere3, np.arange(0, sphere3.n_vertices, 61)),
     ])
-    tc = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-                            1.0 + 0.5 * sphere3.centroids[:, 0])
-    vl = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
-                            np.cos(2.0 * sphere3.vertices[:, 2]))
+    tc = lp.BoundaryDensity(lp.SPACE_TRIANGLE, 1.0 + 0.5 * sphere3.centroids[:, 0])
+    vl = lp.BoundaryDensity(lp.SPACE_VERTEX, np.cos(2.0 * sphere3.vertices[:, 2]))
     for got, want in (
             (px.op_Wprime_offset(sphere3, gauss_field, tc, colloc, offset),
              _wprime_per_target(sphere3, gauss_field, tc, colloc, offset)),
@@ -641,10 +660,8 @@ def test_volume_matrix_cap(gauss_field):
 
 def test_unit_coefficient_reduction_sweep(sphere3, shell12, unit_field):
     rng = np.random.default_rng(30)
-    tc = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-                            rng.normal(size=sphere3.n_triangles))
-    vl = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL,
-                            rng.normal(size=sphere3.n_vertices))
+    tc = lp.BoundaryDensity(lp.SPACE_TRIANGLE, rng.normal(size=sphere3.n_triangles))
+    vl = lp.BoundaryDensity(lp.SPACE_VERTEX, rng.normal(size=sphere3.n_vertices))
     f = lp.DomainDensity(rng.normal(size=shell12.n_cells))
     targets = np.array([[0.0, 0.0, 2.0], [2.5, 0.4, -0.1]])
     colloc = lp.Collocation.centroids(sphere3, np.arange(0, sphere3.n_triangles, 51))

@@ -186,7 +186,7 @@ def panel_integral(corners, targets, density=None):
     """4 pi times the single layer: the integral of density / r over the panel."""
     mesh = one_panel(corners)
     if density is None:
-        density = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, np.ones(1))
+        density = lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.ones(1))
     return FOUR_PI * lp.single_layer(mesh, density, targets)[0]
 
 
@@ -256,7 +256,7 @@ def test_integrate_layer_with_density():
     target = np.array([[2.0, 0.0, 1.0]])
     one = panel_integral(corners, target)
     two = panel_integral(corners, target,
-                         density=lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, [2.0]))
+                         density=lp.BoundaryDensity(lp.SPACE_TRIANGLE, [2.0]))
     assert abs(two - 2.0 * one) < 1e-15
 
 

@@ -149,7 +149,7 @@ def test_f0_constant_case_reduces_to_double_layer(psrc_gauss_sys1, gauss_field):
     assert np.max(np.abs(cells - direct)) < 1e-14
 
 
-def test_f0_far_cell_matches_fine_quadrature(gauss_sys2, gauss_field):
+def test_f0_far_cell_matches_fine_quadrature(gauss_sys2, gauss_field, monkeypatch):
     surf, vol = gauss_sys2.surfmesh, gauss_sys2.volmesh
     case = cs.point_source_case(gauss_field)
     ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
@@ -160,10 +160,14 @@ def test_f0_far_cell_matches_fine_quadrature(gauss_sys2, gauss_field):
 
     vol_fine = geo.build_shell_mesh(1.0, 4.0, n_radial=12, angular_level=2,
                                     radial_order=3, triangle_order=3)
-    cfg_fine = lp.QuadConfig(far_order=6, near_order=6, levels=3)
+    # A finer surface rule on a fresh copy of the mesh, which builds its
+    # own panel cache with it.
+    for name, value in (("FAR_ORDER", 6), ("NEAR_ORDER", 6), ("SUBDIVISION_LEVELS", 3)):
+        monkeypatch.setattr(quad, name, value)
+    surf_fine = dataclasses.replace(surf)
     fine = (px.op_P(vol_fine, gauss_field, case.f, target)
-            + px.op_V(surf, gauss_field, ext.psi0, target, cfg=cfg_fine)
-            - px.op_W(surf, gauss_field, ext.phi0, target, cfg=cfg_fine))
+            + px.op_V(surf_fine, gauss_field, ext.psi0, target)
+            - px.op_W(surf_fine, gauss_field, ext.phi0, target))
     assert abs(rhs[idx] - fine[0]) / abs(fine[0]) < 0.02
 
 
@@ -201,7 +205,7 @@ def test_extensions_must_vanish_on_the_unknowns(psrc_gauss_sys1):
     psi0[system.psi_triangles[0]] = 1.0
     bad = sy.ExtensionPair(
         phi0=ext.phi0,
-        psi0=lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL, psi0))
+        psi0=lp.BoundaryDensity(lp.SPACE_TRIANGLE, psi0))
     with pytest.raises(ValueError, match="vanish"):
         system.with_data(None, bad)
 
@@ -236,7 +240,7 @@ def test_trace_block_matches_direct_operator_application(psrc_gauss_sys1,
     applied = system.matrix[system.n_cells:, system.slice_phi] @ np.ones(system.n_phi)
     indicator = np.zeros(surf.n_vertices)
     indicator[system.phi_vertices] = 1.0
-    dens = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, indicator)
+    dens = lp.BoundaryDensity(lp.SPACE_VERTEX, indicator)
     coef = sy.jump_coefficients(surf, system.colloc)
     direct = (px.op_W(surf, gauss_field, dens, system.colloc)
               + (1.0 - coef) * (sy.vertex_eval_matrix(surf, system.colloc) @ indicator))
@@ -549,13 +553,15 @@ def test_evaluate_solution_refuses_points_off_the_domain(psrc_gauss_sys1):
     assert np.isfinite(sy.evaluate_solution(psrc_gauss_sys1, solution, cs.PROBE_POINTS)).all()
 
 
-def test_solution_densities_satisfy_their_support_tags(psrc_gauss_sys1):
-    # The tags are declarations that only validate_support checks.
+def test_solution_densities_vanish_off_their_parts(psrc_gauss_sys1):
+    # psi lives on S_D triangles and phi at interior-S_N vertices; both are
+    # nonzero somewhere there.
     solution = sy.solve_M12(psrc_gauss_sys1)
     surf = psrc_gauss_sys1.surfmesh
-    assert (solution.psi.support_tag, solution.phi.support_tag) == (lp.SUPPORT_D, lp.SUPPORT_N)
-    solution.psi.validate_support(surf)
-    solution.phi.validate_support(surf)
+    on_d = surf.part_label == geo.PART_DIRICHLET
+    inside_n = surf.vertex_class == geo.PART_NEUMANN
+    assert np.all(solution.psi.values[~on_d] == 0.0) and np.any(solution.psi.values[on_d])
+    assert np.all(solution.phi.values[~inside_n] == 0.0) and np.any(solution.phi.values[inside_n])
 
 
 def _fresh_level1_system(level1, field):
@@ -644,9 +650,8 @@ def test_evaluation_rows_match_the_value_operators(psrc_gauss_sys1):
     solution = sy.solve_M12(system)
     pts = np.concatenate([cs.PROBE_POINTS, [[0.0, 1.2, 0.3], [3.9, 0.0, 0.2]]])
     got = sy.evaluate_solution(system, solution, pts)
-    conormal = lp.BoundaryDensity(lp.SPACE_TRIANGLE, lp.SUPPORT_ALL,
-                                  solution.recovered_conormal)
-    trace = lp.BoundaryDensity(lp.SPACE_VERTEX, lp.SUPPORT_ALL, solution.recovered_trace)
+    conormal = lp.BoundaryDensity(lp.SPACE_TRIANGLE, solution.recovered_conormal)
+    trace = lp.BoundaryDensity(lp.SPACE_VERTEX, solution.recovered_trace)
     v, w = px.op_V(surf, field, conormal, pts), px.op_W(surf, field, trace, pts)
     want = v - w - px.op_R(vol, field, solution.u, pts) + px.op_P(vol, field, system.f, pts)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
