@@ -34,7 +34,10 @@ the value functions), so a surface density is always a
 ``BoundaryDensity``, with one coefficient per triangle or vertex of the
 mesh (``_space_of`` checks both).  The Newton potential carries -1/(4 pi),
 its factor (1/a for P) and its density in the node weights, so each of its
-target-node pairs costs one divide, weights / r.
+target-node pairs costs one divide, weights / r.  Its near pairs and their
+distances do not depend on the density: a ``_NearSet`` keeps them for a
+target set, and a Newton pass given one classifies and measures no near
+pair again (the system keeps one per target set with its matrix).
 
 Kernel contract of both engines: quadrature nodes are stored
 component-major, (3, ...), so that a block builds r^2 = (dx^2 + dy^2) + dz^2
@@ -304,8 +307,8 @@ class _PanelCache:
         self.far_nodes.flags.writeable = False
         self.normals = np.ascontiguousarray(mesh.normals.T)
         self.centroids = np.ascontiguousarray(mesh.centroids.T)
-        self.far_bary = np.stack([1 - fpts[:, 0] - fpts[:, 1], fpts[:, 0], fpts[:, 1]], 1)
-        self.near_bary = np.stack([1 - npts[:, 0] - npts[:, 1], npts[:, 0], npts[:, 1]], 1)
+        self.far_bary = quad.barycentric(fpts)
+        self.near_bary = quad.barycentric(npts)
         # Every point of a panel lies within radius of its centroid.
         self.radius = np.linalg.norm(corners - mesh.centroids[:, None, :], axis=2).max(axis=1)
         # Star panels per vertex, for vertex-registered targets.
@@ -341,10 +344,10 @@ class _Columns:
 
     def reduce(self, contrib, bary):
         """Weighted kernel values (k, q) at nodes with barycentric coordinates
-        bary, (q, 3) or (k, q, 3), summed onto the columns (k, c)."""
+        bary (q, 3), summed onto the columns (k, c)."""
         if not self.vertex:
             return contrib.sum(axis=-1, keepdims=True)
-        return contrib @ bary if bary.ndim == 2 else np.einsum("kq,kqc->kc", contrib, bary)
+        return contrib @ bary
 
     def node_map(self, panels, weights, bary):
         """Sparse (columns x nodes) map of the node table of panels (t,) with
@@ -401,22 +404,6 @@ def _singular_pairs(cache: _PanelCache, colloc: Collocation):
         rows.extend([i] * len(own))
         panels.extend(own)
     return np.array(rows, dtype=int), np.array(panels, dtype=int)
-
-
-def _barycentric(corners, nodes):
-    """Barycentric coordinates (k, q, 3) of nodes (k, q, 3) in panels (k, 3, 3)."""
-    e1 = corners[:, 1] - corners[:, 0]
-    e2 = corners[:, 2] - corners[:, 0]
-    d = nodes - corners[:, None, 0]
-    d11 = np.einsum("kj,kj->k", e1, e1)[:, None]
-    d12 = np.einsum("kj,kj->k", e1, e2)[:, None]
-    d22 = np.einsum("kj,kj->k", e2, e2)[:, None]
-    det = d11 * d22 - d12**2
-    p1 = np.einsum("kqj,kj->kq", d, e1)
-    p2 = np.einsum("kqj,kj->kq", d, e2)
-    s = (d22 * p1 - d12 * p2) / det
-    t = (d11 * p2 - d12 * p1) / det
-    return np.stack([1 - s - t, s, t], axis=-1)
 
 
 class _Term(NamedTuple):
@@ -623,8 +610,7 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
                              f"vertex nor the centroid of its panel {panels[k]}")
         for kind in np.unique(kinds):
             r, p = rows[kinds == kind], panels[kinds == kind]
-            nodes, w = quad.duffy_panel_nodes(corners[p], kind, quad.DUFFY_ORDER)
-            bary = _barycentric(corners[p], nodes)
+            nodes, w, bary = quad.duffy_panel_nodes(corners[p], kind, quad.DUFFY_ORDER)
             add_pairs(duffy, r, p, np.moveaxis(nodes, -1, 0),
                       lambda t: node_weights(terms[t], p, nodes, w), bary)
     return outs
@@ -820,6 +806,53 @@ def _near_cells(volmesh: VolumeMesh, targets) -> np.ndarray:
 VOLUME_BLOCK_PAIRS = 1 << 15
 
 
+def _volume_blocks(cache: _CellCache):
+    """(block, chunk, batch): targets per far block; targets per
+    classification chunk, a whole number of far blocks with about
+    VOLUME_BLOCK_PAIRS target-cell pairs; near pairs per batch, about
+    VOLUME_BLOCK_PAIRS node pairs."""
+    block = max(1, VOLUME_BLOCK_PAIRS // cache.weights.far.size)
+    chunk = block * max(1, VOLUME_BLOCK_PAIRS // (block * cache.n_cells))
+    return block, chunk, max(1, VOLUME_BLOCK_PAIRS // cache.weights.near.shape[0])
+
+
+class _NearSet(NamedTuple):
+    """The data-free half of the near pairs of a Newton pass at a target
+    set (see _near_set): the target and the cell of each near pair, sorted
+    by target and then by cell, and the distances (near nodes, pairs) of
+    the pairs' near-table nodes from their targets, inf at the nodes within
+    the cell's exclusion radius, so that a weight over its distance is zero
+    there.  It holds q doubles per near pair for a near table of q nodes:
+    at levels 2 and 3, 27970 and 100340 pairs of the cell centres and
+    collocation points, 4.0 MB and about 14 MB."""
+
+    rows: np.ndarray
+    cells: np.ndarray
+    dist: np.ndarray
+
+
+def _near_set(volmesh: VolumeMesh, targets) -> _NearSet:
+    """The near pairs of targets and their node distances, classified a
+    chunk of targets at a time and measured a batch of pairs at a time, as
+    _volume_rows does, with the same bits."""
+    cache = _cell_cache(volmesh)
+    targets = _volume_points(targets)
+    _, chunk, batch = _volume_blocks(cache)
+    starts = range(0, len(targets), chunk)
+    pairs = [np.nonzero(_near_cells(volmesh, targets[lo:lo + chunk])) for lo in starts]
+    empty = [np.empty(0, dtype=np.intp)]
+    rows = np.concatenate(empty + [t + lo for lo, (t, _) in zip(starts, pairs)])
+    cells = np.concatenate(empty + [c for _, c in pairs])
+    dist = np.empty((cache.weights.near.shape[0], len(rows)))
+    for k in range(0, len(rows), batch):
+        t, c = rows[k:k + batch], cells[k:k + batch]
+        r = dist[:, k:k + len(t)]
+        np.sqrt(_squared_distances(cache.nodes.near[..., c], targets[t].T[:, None, :],
+                                   r, np.empty(r.shape)), out=r)
+        r[r <= cache.excl[c]] = np.inf
+    return _NearSet(rows, cells, dist)
+
+
 class _VolumeTerm(NamedTuple):
     """One output of a volume pass: kernel values times the node ``weights``
     (a _Tables), one sum per target or, with ``rows``, one row of per-cell
@@ -861,7 +894,8 @@ def _reduce_terms(terms, weights, data, nodes, y, dropped, reduce) -> None:
             reduce(i, vals)
 
 
-def _volume_rows(volmesh: VolumeMesh, targets, terms) -> list:
+def _volume_rows(volmesh: VolumeMesh, targets, terms,
+                 near: Optional[_NearSet] = None) -> list:
     """The one engine behind every production volume integral: one pass over
     the targets for a list of terms (see _VolumeTerm); returns per term
     values (m,) or rows (m, cells).
@@ -880,6 +914,12 @@ def _volume_rows(volmesh: VolumeMesh, targets, terms) -> list:
     pair is reduced to one sum.  Targets are classified a chunk of whole far
     blocks at a time (about VOLUME_BLOCK_PAIRS target-cell pairs), and a
     chunk's near pairs are integrated after its far blocks.
+
+    ``near``, the _NearSet of these targets kept from an earlier pass,
+    takes the place of the classification and of the near pairs' distances:
+    a near pair's sum is then its gathered weights over the kept distances.
+    It serves Newton terms only, which need nothing else of the nodes, and
+    gives the bits of a pass without it.
 
     A row holds the far sum of each far cell and the near sum of each near
     cell.  A value is the pairwise sum of its row's far sums plus the
@@ -903,22 +943,33 @@ def _volume_rows(volmesh: VolumeMesh, targets, terms) -> list:
     m, n_c = len(targets), cache.n_cells
     if sum(term.kernel is not None for term in terms) > 1:
         raise ValueError("a volume pass evaluates at most one kernel term")
+    if near is not None and any(term.kernel is not None for term in terms):
+        raise ValueError("a kept near set serves Newton terms only")
     outs = [term.out if term.out is not None
             else np.zeros((m, n_c)) if term.rows else np.zeros(m) for term in terms]
     far_data = tuple(d.far for term in terms for d in term.data)
-    near_batch = max(1, VOLUME_BLOCK_PAIRS // cache.weights.near.shape[0])
+    block, chunk, batch = _volume_blocks(cache)
 
-    def near_pass(rows, cells):
-        # The near pairs of whole targets, sorted by target.
+    def near_pass(rows, cells, dist):
+        # The near pairs of whole targets, sorted by target; dist, their kept
+        # distances, or None to measure them here.
         sums = [np.empty(len(rows)) for _ in terms]
-        for k in range(0, len(rows), near_batch):
-            t, c = rows[k:k + near_batch], cells[k:k + near_batch]
-            excl = cache.excl[c]
+        for k in range(0, len(rows), batch):
+            t, c = rows[k:k + batch], cells[k:k + batch]
+            weights = [term.weights.near[..., c] for term in terms]
 
             def reduce(i, vals):
                 np.sum(vals, axis=0, out=sums[i][k:k + len(t)])
 
-            _reduce_terms(terms, [term.weights.near[..., c] for term in terms],
+            if dist is not None:
+                # Summed over nodes in a C-ordered buffer, as _reduce_terms does:
+                # the gathered weights are not, and the order of a sum is its bits.
+                vals = np.empty((dist.shape[0], len(t)))
+                for i, w in enumerate(weights):
+                    reduce(i, np.divide(w, dist[:, k:k + len(t)], out=vals))
+                continue
+            excl = cache.excl[c]
+            _reduce_terms(terms, weights,
                           tuple(d.near[..., c] for term in terms for d in term.data),
                           cache.nodes.near[..., c], targets[t].T[:, None, :],
                           lambda r: r <= excl, reduce)
@@ -929,15 +980,20 @@ def _volume_rows(volmesh: VolumeMesh, targets, terms) -> list:
                 starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
                 out[rows[starts]] += np.add.reduceat(s, starts)
 
-    # Targets are classified a chunk of about VOLUME_BLOCK_PAIRS target-cell
-    # pairs at a time, and each chunk's near pairs integrated after its far ones.
-    block = max(1, VOLUME_BLOCK_PAIRS // cache.weights.far.size)
-    chunk = block * max(1, VOLUME_BLOCK_PAIRS // (block * n_c))
     for lo in range(0, m, chunk):
-        near = _near_cells(volmesh, targets[lo:lo + chunk])
-        for start in range(lo, min(lo + chunk, m), block):
+        hi = min(lo + chunk, m)
+        if near is None:
+            near_chunk = _near_cells(volmesh, targets[lo:hi])
+            rows, cells = np.nonzero(near_chunk)
+            rows, dist = rows + lo, None
+        else:
+            a, b = np.searchsorted(near.rows, [lo, hi])
+            rows, cells, dist = near.rows[a:b], near.cells[a:b], near.dist[:, a:b]
+            near_chunk = np.zeros((hi - lo, n_c), dtype=bool)
+            near_chunk[rows - lo, cells] = True
+        for start in range(lo, hi, block):
             y = targets[start:start + block]
-            near_y = near[start - lo:start - lo + len(y)]
+            near_y = near_chunk[start - lo:start - lo + len(y)]
 
             def reduce(i, vals):
                 # The sums of near pairs may be inf or nan: replaced or zeroed here.
@@ -950,22 +1006,24 @@ def _volume_rows(volmesh: VolumeMesh, targets, terms) -> list:
 
             _reduce_terms(terms, [term.weights.far for term in terms], far_data,
                           cache.nodes.far, y.T[:, :, None, None], None, reduce)
-        rows, cells = np.nonzero(near)
-        near_pass(rows + lo, cells)
+        near_pass(rows, cells, dist)
     return outs
 
 
-def _newton_weights(volmesh: VolumeMesh, factor: Optional[Callable] = None,
-                    density=None) -> _Tables:
-    """Node weights of the Newton potential on both tables: the quadrature
-    weights times the factor and the density at the nodes, when given, and
-    -1/(4 pi), so that what is left per pair is 1/r."""
+def _scaled_weights(volmesh: VolumeMesh, factor: Optional[Callable] = None) -> _Tables:
+    """The quadrature weights of both tables, times factor at the nodes when
+    it is given."""
     wts = _cell_cache(volmesh).weights
-    if factor is not None:
-        wts = _times(wts, _at_nodes(volmesh, factor))
+    return wts if factor is None else _times(wts, _at_nodes(volmesh, factor))
+
+
+def _newton_weights(volmesh: VolumeMesh, weights: _Tables, density=None) -> _Tables:
+    """Node weights of the Newton potential on both tables from the scaled
+    quadrature weights (_scaled_weights): times the density at the nodes,
+    when given, and -1/(4 pi), so that what is left per pair is 1/r."""
     if density is not None:
-        wts = _times(wts, _node_values(volmesh, density))
-    return wts.map(lambda w: w / -FOUR_PI)
+        weights = _times(weights, _node_values(volmesh, density))
+    return weights.map(lambda w: w / -FOUR_PI)
 
 
 def newton_potential(
@@ -980,7 +1038,7 @@ def newton_potential(
     nodes within the cell's exclusion radius of a target are skipped, and
     the omitted mass is O(radius^2) for this kernel (see _volume_rows).
     """
-    term = _VolumeTerm(_newton_weights(volmesh, factor, density))
+    term = _VolumeTerm(_newton_weights(volmesh, _scaled_weights(volmesh, factor), density))
     return _volume_rows(volmesh, targets, [term])[0]
 
 
@@ -990,7 +1048,7 @@ def newton_potential_matrix(
     factor: Optional[Callable] = None,
 ) -> np.ndarray:
     """Dense matrix of the Newton potential on cell-wise constant densities."""
-    term = _VolumeTerm(_newton_weights(volmesh, factor), rows=True)
+    term = _VolumeTerm(_newton_weights(volmesh, _scaled_weights(volmesh, factor)), rows=True)
     return _volume_rows(volmesh, targets, [term])[0]
 
 

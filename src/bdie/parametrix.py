@@ -32,7 +32,7 @@ collapse to their Laplace counterparts through the same code path.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -159,7 +159,30 @@ def _P_weights(volmesh: VolumeMesh, field: CoefficientField, density) -> lp._Tab
     """The node weights of op_P on both volume tables (f / a and -1/(4 pi)
     folded in), to compute once and take P f from _R_and_P passes with the
     same bits as op_P."""
-    return lp._newton_weights(volmesh, _inv_a_nodes(field), density)
+    return lp._newton_weights(volmesh, lp._scaled_weights(volmesh, _inv_a_nodes(field)),
+                              density)
+
+
+class _PGeometry(NamedTuple):
+    """The data-free half of op_P at a target set: its near pairs and their
+    node distances (laplace._NearSet), and the weights w_q / a on both
+    volume tables.  What is left per density is its values at the nodes,
+    one far pass and the near pairs' weights over the kept distances."""
+
+    near: lp._NearSet
+    weights: lp._Tables
+
+
+def _P_geometry(volmesh: VolumeMesh, field: CoefficientField, targets) -> _PGeometry:
+    return _PGeometry(lp._near_set(volmesh, targets),
+                      lp._scaled_weights(volmesh, _inv_a_nodes(field)))
+
+
+def _P_kept(volmesh: VolumeMesh, geometry: _PGeometry, density, targets) -> np.ndarray:
+    """op_P at the targets of geometry (_P_geometry) with its bits: the
+    density at the nodes, one far pass and the kept near pairs."""
+    term = lp._VolumeTerm(lp._newton_weights(volmesh, geometry.weights, density))
+    return lp._volume_rows(volmesh, targets, [term], geometry.near)[0]
 
 
 def _remainder_data(volmesh: VolumeMesh, field: CoefficientField) -> tuple:

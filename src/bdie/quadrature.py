@@ -44,6 +44,12 @@ def _bary_to_ref(bary: np.ndarray) -> np.ndarray:
     return bary[:, 1:]
 
 
+def barycentric(pts: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates (q, 3) of reference points (q, 2): the weights
+    of the corners a, b, c in a + x (b - a) + y (c - a)."""
+    return np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], axis=1)
+
+
 def gauss_triangle(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric Gauss rule on the reference triangle.
 
@@ -266,16 +272,27 @@ def singular_point_kind(corners: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def duffy_panel_nodes(corners: np.ndarray, kind: int, order: int):
-    """Duffy nodes (k, q, 3) and weights (k, q) on panels (k, 3, 3) that all
-    contain their target at the same kind of registered point.
+    """Duffy nodes (k, q, 3), weights (k, q) and the nodes' barycentric
+    coordinates (q, 3) on panels (k, 3, 3) that all contain their target at
+    the same kind of registered point.
 
     A corner target takes the Duffy rule singular at that corner; a centroid
     target splits its panel into three sub-triangles around the centroid.
+    The barycentric coordinates come from the reference rule, so they are
+    the same on every panel.
     """
     if kind != AT_CENTROID:
-        return map_to_panel(corners, *_duffy_rule(kind, order))
+        pts, wts = _duffy_rule(kind, order)
+        return (*map_to_panel(corners, pts, wts), barycentric(pts))
     centroid = corners.mean(axis=1)
     subs = np.stack([np.stack([centroid, corners[:, k], corners[:, (k + 1) % 3]], axis=1)
                      for k in range(3)], axis=1)
-    nodes, weights = map_to_panel(subs.reshape(-1, 3, 3), *_duffy_rule(0, order))
-    return nodes.reshape(len(corners), -1, 3), weights.reshape(len(corners), -1)
+    pts, wts = _duffy_rule(0, order)
+    nodes, weights = map_to_panel(subs.reshape(-1, 3, 3), pts, wts)
+    # The corners of sub-triangle k, the centroid and corners k and k + 1,
+    # in the barycentric coordinates of the panel.
+    eye = np.eye(3)
+    bary = np.concatenate([barycentric(pts) @ np.stack([np.full(3, 1.0 / 3.0), eye[k],
+                                                        eye[(k + 1) % 3]])
+                           for k in range(3)])
+    return nodes.reshape(len(corners), -1, 3), weights.reshape(len(corners), -1), bary

@@ -40,7 +40,16 @@ once, on the first direct solve, and every system that shares the matrix
 object reuses it: a new right-hand side then costs two triangular solves.
 The representation formula is linear in the data as well: the V, W and R
 rows at a set of points are kept with the LU, so evaluating a solution at
-kept points costs one P f pass plus three row products.  Assembly takes the
+kept points costs P f plus three row products.  P f itself has a data-free
+half, which is kept with the matrix too, for the cell centres and
+collocation points on the first with_data that has a source, and for a
+point set with its evaluation rows: the near target-cell pairs, sorted by
+target and cell, the distances of their near-table nodes (inf inside the
+exclusion ball), q doubles per near pair for a near table of q nodes (4.0
+MB at level 2, about 14 MB at level 3), and the weights w_q / a on both
+volume tables.  A right-hand side then pays for f at the nodes, one far
+pass and the near pairs' weights over the kept distances, with the bits
+of px.op_P; R is never computed per right-hand side.  Assembly takes the
 R rows and P f of each target set from one volume pass.
 
 Everything is dense; sizes are guarded by the same caps as the operator
@@ -197,35 +206,51 @@ def _immutable(a: np.ndarray) -> bool:
 
 class _MatrixCache:
     """What the systems sharing one matrix object keep: the LU factor and
-    reciprocal 1-norm condition estimate of the matrix, and the evaluation
-    rows of the last point set (see evaluate_solution).
+    reciprocal 1-norm condition estimate of the matrix, and the data-free
+    parts of the right-hand side and of the representation formula.
 
     Each is computed on first use and kept only when the matrix cannot be
     written, so a kept factor never goes stale; a failed factorization
-    raises SolverError and keeps nothing.  The rows depend on the points,
-    the meshes and the field rather than on the matrix: they are kept for
-    one point set at a time, keyed on the bytes of the points and on the
-    mesh and field objects, and evaluate_solution offers only rows that
-    take no more memory than the matrix.
+    raises SolverError and keeps nothing.  The other parts depend on a
+    point set, the meshes and the field rather than on the matrix: each is
+    kept under its name for one point set at a time, keyed on the bytes of
+    the points and on the mesh and field objects, and built again for
+    others.  Under "rhs" is the data-free half of P at the system's own
+    targets, the cell centres and the collocation points (px._PGeometry),
+    built by the first with_data that has a source: its near target-cell
+    pairs and their node distances, q doubles per near pair for a near
+    table of q nodes (4.0 MB at level 2, about 14 MB at level 3), and the
+    weights w_q / a on both volume tables.  Under "points" are the
+    evaluation rows of the last point set and the data-free half of P there
+    (see evaluate_solution), which evaluate_solution keeps only when the
+    rows take no more memory than the matrix.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
         self._kept = None
-        self._rows = None  # (points key, (surface mesh, volume mesh, field), rows)
+        self._parts = {}  # name -> (points key, (mesh and field objects), part)
 
-    def rows(self, key, owners):
-        """The kept rows of the points key for the owners, or None."""
-        if self._rows is None:
-            return None
-        kept_key, kept_owners, rows = self._rows
-        if kept_key == key and all(a is b for a, b in zip(kept_owners, owners)):
-            return rows
+    @staticmethod
+    def _key(points: np.ndarray):
+        return points.shape, points.tobytes()
+
+    def part(self, name, points, owners):
+        """The part kept under name for the points and the owners, or None."""
+        kept = self._parts.get(name)
+        if kept is not None and kept[0] == self._key(points) and all(
+                a is b for a, b in zip(kept[1], owners)):
+            return kept[2]
         return None
 
-    def keep_rows(self, key, owners, rows) -> None:
-        if _immutable(self.matrix):
-            self._rows = key, owners, rows
+    def keep(self, name, points, owners, build):
+        """Keep build() under name for the points and the owners, and return
+        it; with a writable matrix, build nothing and return None."""
+        if not _immutable(self.matrix):
+            return None
+        part = build()
+        self._parts[name] = self._key(points), owners, part
+        return part
 
     def lu(self):
         """((lu, piv), rcond) of the matrix."""
@@ -260,8 +285,9 @@ class M12System:
     data_columns holds the blocks on the columns the unknowns leave out, so
     that rhs = P f - data_columns @ (Psi0 on S_N | Phi0 off interior S_N).
     assemble_M12 makes matrix and data_columns read-only.  The LU factor of
-    the matrix, and the evaluation rows of the last point set, are kept with
-    the matrix object (see _MatrixCache): systems made from this one by
+    the matrix, the data-free half of P at the system's own targets, and
+    the evaluation rows of the last point set, are kept with the matrix
+    object (see _MatrixCache): systems made from this one by
     with_data or dataclasses.replace(..., rhs=...) share them, so each is
     computed once; a system given another matrix gets a cache of its own.
     """
@@ -311,17 +337,26 @@ class M12System:
     def with_data(self, f, extensions: ExtensionPair) -> "M12System":
         """Same operator blocks with a right-hand side built from new data.
 
-        Only P f needs quadrature, one volume pass over the cell centres
-        and the collocation points; the layer terms are one matrix product.
-        The new system shares the matrix, and with it the LU factor and the
-        kept evaluation rows, so a direct solve after the first costs two
-        triangular solves.
+        Only P f needs quadrature, at the cell centres and the collocation
+        points; the layer terms are one matrix product.  The first call with
+        a source keeps the data-free half of P there with the matrix (see
+        _MatrixCache), so P f then costs the source at the nodes, one far
+        pass and the near pairs' weights over their kept distances, with the
+        bits of px.op_P.  The new system shares the matrix, and with it the
+        LU factor and the kept parts, so a direct solve after the first
+        costs two triangular solves.
         """
         dens = _f_density(f)
         pf = None
         if dens is not None:
-            targets = np.concatenate([self.volmesh.centers, self.colloc.points])
-            pf = px.op_P(self.volmesh, self.field, dens, targets)
+            vol, field = self.volmesh, self.field
+            targets = np.concatenate([vol.centers, self.colloc.points])
+            geometry = self._cache.part("rhs", targets, (vol, field))
+            if geometry is None:
+                geometry = self._cache.keep("rhs", targets, (vol, field),
+                                            lambda: px._P_geometry(vol, field, targets))
+            pf = (px.op_P(vol, field, dens, targets) if geometry is None  # writable matrix
+                  else px._P_kept(vol, geometry, dens, targets))
         return replace(self, rhs=_data_rhs(self, extensions, pf),
                        extensions=extensions, f=f)
 
@@ -347,7 +382,8 @@ def assemble_M12(
     leaves a zero right-hand side, which is enough for the block-structure
     checks and for synthetic consistency studies.  The matrix and the data
     columns are returned read-only, which lets every system sharing them
-    keep one LU factor and one set of evaluation rows (see M12System).
+    keep one LU factor, the data-free half of P at its targets and one set
+    of evaluation rows (see M12System).
 
     ``workers`` is accepted for callers that still pass it and is ignored:
     the assembly runs on one thread, and its output does not depend on it.
@@ -492,12 +528,14 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     (V on the triangle columns, W on the vertex columns, R on the cell
     columns), each applied to its coefficients by a row-wise pairwise sum.
     The first call at a point set builds the rows in one surface pass and
-    one volume pass, which also yields P f.  The matrix's cache keeps them
-    (see _MatrixCache), so a later call at the same points, for this system
-    or any system sharing its matrix (with_data, replace(..., rhs=...)),
-    costs one P f pass and three row products.  Point sets whose rows would
-    take more memory than the matrix are built and applied in blocks and
-    kept nowhere.
+    one volume pass, which also yields P f.  The matrix's cache keeps them,
+    and with them the data-free half of P at the points (see _MatrixCache),
+    so a later call at the same points, for this system or any system
+    sharing its matrix (with_data, replace(..., rhs=...)), costs P f from
+    the kept half (the source at the nodes, one far pass and the near pairs'
+    weights over their kept distances, with the bits of px.op_P) and three
+    row products.  Point sets whose rows would take more memory than the
+    matrix are built and applied in blocks and kept nowhere.
 
     A point with |y| <= the inner radius lies off the domain, where the
     formula gives no value of u, and raises ValueError.
@@ -512,10 +550,12 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     mesh, vol, field = system.surfmesh, system.volmesh, system.field
     coefs = (solution.recovered_conormal, -solution.recovered_trace, -solution.u.values)
     dens = _f_density(system.f)
-    key, owners = (pts.shape, pts.tobytes()), (mesh, vol, field)
-    rows = system._cache.rows(key, owners)
-    if rows is not None:
-        return _represent(coefs, rows, None if dens is None else px.op_P(vol, field, dens, pts))
+    owners = (mesh, vol, field)
+    kept = system._cache.part("points", pts, owners)
+    if kept is not None:
+        rows, geometry = kept
+        return _represent(coefs, rows,
+                          None if dens is None else px._P_kept(vol, geometry, dens, pts))
     p_weights = None if dens is None else px._P_weights(vol, field, dens)
 
     def rows_and_pf(y):
@@ -528,7 +568,7 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
         return np.concatenate([_represent(coefs, *rows_and_pf(pts[start:start + block]))
                                for start in range(0, len(pts), block)])
     rows, pf = rows_and_pf(pts)
-    system._cache.keep_rows(key, owners, rows)
+    system._cache.keep("points", pts, owners, lambda: (rows, px._P_geometry(vol, field, pts)))
     return _represent(coefs, rows, pf)
 
 

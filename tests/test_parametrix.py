@@ -371,6 +371,33 @@ def test_fused_volume_pass_equals_lone_operators(shell14, sphere3, monkeypatch,
     assert np.array_equal(p, px.op_P(shell14, field, f, targets))
 
 
+@pytest.mark.parametrize("block_pairs", [None, 3])
+def test_kept_near_set_gives_the_bits_of_a_measured_pass(shell14, sphere3, gauss_field,
+                                                         monkeypatch, block_pairs):
+    # P f and Newton rows from a kept near set have the bits of a pass that
+    # classifies and measures, also when the set was built in other chunks
+    # and batches; a node under a target is dropped either way.
+    node = shell14.all_nodes()[1234][None]
+    targets = np.concatenate([shell14.centers[::97], node, sphere3.centroids[::70]])
+    geometry = px._P_geometry(shell14, gauss_field, targets)
+    if block_pairs is not None:
+        monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", block_pairs * shell14.far_weights.size)
+    rng = np.random.default_rng(32)
+    cells = lp.DomainDensity(rng.normal(size=shell14.n_cells))
+    for f in (cells, lambda x: np.exp(-(x * x).sum(axis=-1))):
+        assert np.array_equal(px._P_kept(shell14, geometry, f, targets),
+                              px.op_P(shell14, gauss_field, f, targets))
+    rows = lp._VolumeTerm(lp._newton_weights(shell14, lp._scaled_weights(shell14)), rows=True)
+    near = lp._near_set(shell14, targets)
+    assert np.isinf(near.dist).any()
+    assert np.array_equal(lp._volume_rows(shell14, targets, [rows], near)[0],
+                          lp.newton_potential_matrix(shell14, targets))
+    remainder = lp._VolumeTerm(lp._cell_cache(shell14).weights, px._remainder_kernel,
+                               px._remainder_data(shell14, gauss_field))
+    with pytest.raises(ValueError, match="Newton terms only"):
+        lp._volume_rows(shell14, targets, [remainder], near)
+
+
 def test_remainder_matrix_matches_kernel_loop_at_level_1(gauss_field):
     surf, vol = cases.level_meshes(1)
     targets = np.concatenate([vol.centers, sy.boundary_collocation(surf).points])

@@ -644,6 +644,129 @@ def test_large_point_sets_are_evaluated_in_blocks_and_not_kept(level1, gauss_fie
     assert calls == [91, 91, 18] * 2
 
 
+# --- the data-free half of P, kept with the matrix ----------------------------
+
+
+def _system_targets(system):
+    return np.concatenate([system.volmesh.centers, system.colloc.points])
+
+
+def _count_near_sets(monkeypatch):
+    """The target counts of the near sets built from now on."""
+    built = []
+    near_set = lp._near_set
+
+    def counted(volmesh, targets):
+        built.append(len(lp._volume_points(targets)))
+        return near_set(volmesh, targets)
+
+    monkeypatch.setattr(lp, "_near_set", counted)
+    return built
+
+
+@pytest.mark.parametrize("level,base", [(1, "psrc_gauss_sys1"), (2, "gauss_sys2")])
+@pytest.mark.parametrize("coefficient", ["gaussian", "inclusion"])
+def test_kept_P_has_the_bits_of_op_P(level, base, coefficient, request):
+    """P f of every with_data right-hand side, and at kept evaluation
+    points, equals px.op_P bit for bit, for a callable source and cell
+    values.  The system is a copy on a matrix of its own, with the field
+    swapped in: P does not depend on the matrix's entries."""
+    system = request.getfixturevalue(base)
+    field = co.coefficient_by_name(coefficient)
+    matrix = np.array(system.matrix)
+    matrix.flags.writeable = False
+    system = dataclasses.replace(system, matrix=matrix, field=field)
+    surf, vol = system.surfmesh, system.volmesh
+    case = cs.point_source_case(field)
+    ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
+    targets = _system_targets(system)
+    cells = lp.DomainDensity(np.linspace(-1.0, 2.0, vol.n_cells))
+    for f in (case.f, case.f, cells):
+        swapped = system.with_data(f, ext)
+        assert np.array_equal(swapped.rhs,
+                              sy._data_rhs(system, ext, px.op_P(vol, field, f, targets)))
+    solution = sy.solve_M12(swapped)
+    first = sy.evaluate_solution(swapped, solution, cs.PROBE_POINTS)
+    _, geometry = system._cache.part("points", cs.PROBE_POINTS, (surf, vol, field))
+    for f in (case.f, cells):
+        assert np.array_equal(px._P_kept(vol, geometry, f, cs.PROBE_POINTS),
+                              px.op_P(vol, field, f, cs.PROBE_POINTS))
+    assert np.array_equal(sy.evaluate_solution(swapped, solution, cs.PROBE_POINTS), first)
+
+
+def test_kept_P_neither_classifies_nor_measures_again(level1, gauss_field, monkeypatch):
+    """After the first with_data with a source, and the first evaluation at
+    a point set, further right-hand sides and evaluations there classify no
+    target-cell pair, measure no near node and evaluate no R, with the bits
+    of the first."""
+    system, case, ext = _fresh_level1_system(level1, gauss_field)
+    swapped = system.with_data(case.f, ext)
+    solution = sy.solve_M12(swapped)
+    first = sy.evaluate_solution(swapped, solution, cs.PROBE_POINTS)
+
+    def again(*args, **kwargs):
+        raise AssertionError("data-free volume geometry was computed again")
+
+    reduce_terms = lp._reduce_terms
+
+    def far_only(terms, weights, data, nodes, y, dropped, reduce):
+        if dropped is not None:  # the exclusion mask of measured near pairs
+            again()
+        return reduce_terms(terms, weights, data, nodes, y, dropped, reduce)
+
+    for name in ("_near_cells", "_near_set"):
+        monkeypatch.setattr(lp, name, again)
+    monkeypatch.setattr(lp, "_reduce_terms", far_only)
+    monkeypatch.setattr(px, "_remainder_kernel", again)
+    for _ in range(2):
+        next_rhs = system.with_data(case.f, ext)
+        assert np.array_equal(next_rhs.rhs, swapped.rhs)
+        values = sy.evaluate_solution(next_rhs, sy.solve_M12(next_rhs), cs.PROBE_POINTS.copy())
+        assert np.array_equal(values, first)
+
+
+def test_kept_P_is_rebuilt_for_another_field_mesh_or_point_set(level1, gauss_field,
+                                                               monkeypatch):
+    """The system's own targets keep one near set at a time, keyed on the
+    volume mesh and field objects as well as the points; a point set keeps
+    its own with its evaluation rows."""
+    system, case, ext = _fresh_level1_system(level1, gauss_field)
+    built = _count_near_sets(monkeypatch)
+    n = len(_system_targets(system))
+    _, other_vol = cs.level_meshes(1)
+    others = [dataclasses.replace(system, field=co.gaussian_coefficient()),
+              dataclasses.replace(system, volmesh=other_vol), system]
+    for _ in range(2):
+        system.with_data(case.f, ext)
+    assert built == [n]
+    for other in others:
+        for _ in range(2):
+            rhs = other.with_data(case.f, ext).rhs
+            want = px.op_P(other.volmesh, other.field, case.f, _system_targets(other))
+            assert np.array_equal(rhs, sy._data_rhs(other, ext, want))
+    assert built == [n] * 4
+    solution = sy.solve_M12(system)
+    pts = cs.PROBE_POINTS
+    for points in (pts, pts, pts[:2], pts[:2]):
+        sy.evaluate_solution(system, solution, points)
+    assert built == [n] * 4 + [len(pts), 2]
+    system.with_data(case.f, ext)
+    assert built == [n] * 4 + [len(pts), 2]
+
+
+def test_nothing_is_kept_for_a_writable_matrix(level1, gauss_field, monkeypatch):
+    system, case, ext = _fresh_level1_system(level1, gauss_field)
+    writable = dataclasses.replace(system, matrix=np.array(system.matrix))
+    built = _count_near_sets(monkeypatch)
+    for _ in range(2):
+        assert np.array_equal(writable.with_data(case.f, ext).rhs, system.rhs)
+    solution = sy.solve_M12(writable)
+    for _ in range(2):
+        sy.evaluate_solution(writable, solution, cs.PROBE_POINTS)
+    assert built == []
+    assert writable._cache._parts == {}
+
+
 def test_evaluation_rows_match_the_value_operators(psrc_gauss_sys1):
     system = psrc_gauss_sys1
     surf, vol, field = system.surfmesh, system.volmesh, system.field
