@@ -106,6 +106,11 @@ def _validate(config: RunConfig) -> None:
     if config.coefficient not in co.coefficient_names():
         raise ConfigError(f"unknown coefficient '{config.coefficient}'; "
                           f"choose from {sorted(co.coefficient_names())}")
+    try:
+        _coefficient(config)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"coefficient_params {config.coefficient_params!r} do not fit "
+                          f"coefficient '{config.coefficient}': {exc}")
     if config.partition not in cases.PARTITION_RULES:
         raise ConfigError(f"unknown partition rule '{config.partition}'; "
                           f"choose from {sorted(cases.PARTITION_RULES)}")

@@ -18,8 +18,8 @@ Every surface operator runs through one engine, ``_surface_rows``, and
 every volume operator through another, ``_volume_rows``.  Each serves a
 list of terms (several outputs) in one pass over blocks of targets: the
 terms of a surface pass share one classification and one r, those of a
-volume pass (the remainder's rows or values and P f, say) one
-classification, one r and one exclusion mask.  Both split the pairs of a
+volume pass (the remainder's rows or values and P f, say) one near set
+(``_NearSet``) and one r per far block.  Both split the pairs of a
 target and an element by distance.  The surface engine takes far, near
 (subdivided) and Duffy panels on the one rule of ``quadrature``
 (FAR_ORDER, NEAR_ORDER on SUBDIVISION_LEVELS levels, NEAR_THRESHOLD,
@@ -34,10 +34,11 @@ the value functions), so a surface density is always a
 ``BoundaryDensity``, with one coefficient per triangle or vertex of the
 mesh (``_space_of`` checks both).  The Newton potential carries -1/(4 pi),
 its factor (1/a for P) and its density in the node weights, so each of its
-target-node pairs costs one divide, weights / r.  Its near pairs and their
-distances do not depend on the density: a ``_NearSet`` keeps them for a
-target set, and a Newton pass given one classifies and measures no near
-pair again (the system keeps one per target set with its matrix).
+target-node pairs costs one divide, weights / r.  The near pairs of a
+target set and their node distances depend on no term: ``_near_set`` is
+the one place that classifies and measures them, and a pass given a kept
+``_NearSet`` does neither again, whatever its terms (the system keeps one
+per target set with its matrix).
 
 Kernel contract of both engines: quadrature nodes are stored
 component-major, (3, ...), so that a block builds r^2 = (dx^2 + dy^2) + dz^2
@@ -817,14 +818,15 @@ def _volume_blocks(cache: _CellCache):
 
 
 class _NearSet(NamedTuple):
-    """The data-free half of the near pairs of a Newton pass at a target
+    """The data-free half of the near pairs of a volume pass at a target
     set (see _near_set): the target and the cell of each near pair, sorted
     by target and then by cell, and the distances (near nodes, pairs) of
     the pairs' near-table nodes from their targets, inf at the nodes within
     the cell's exclusion radius, so that a weight over its distance is zero
-    there.  It holds q doubles per near pair for a near table of q nodes:
-    at levels 2 and 3, 27970 and 100340 pairs of the cell centres and
-    collocation points, 4.0 MB and about 14 MB."""
+    there and a kernel term is zeroed where it is inf.  It holds q doubles
+    per near pair for a near table of q nodes: at levels 2 and 3, 27970 and
+    100340 pairs of the cell centres and collocation points, 4.0 MB and
+    about 14 MB."""
 
     rows: np.ndarray
     cells: np.ndarray
@@ -833,8 +835,9 @@ class _NearSet(NamedTuple):
 
 def _near_set(volmesh: VolumeMesh, targets) -> _NearSet:
     """The near pairs of targets and their node distances, classified a
-    chunk of targets at a time and measured a batch of pairs at a time, as
-    _volume_rows does, with the same bits."""
+    chunk of targets at a time and measured a batch of pairs at a time.
+    This is the volume engine's one classification and measurement of near
+    pairs: _volume_rows takes each chunk's from here, or from a kept set."""
     cache = _cell_cache(volmesh)
     targets = _volume_points(targets)
     _, chunk, batch = _volume_blocks(cache)
@@ -869,29 +872,27 @@ class _VolumeTerm(NamedTuple):
     out: Optional[np.ndarray] = None
 
 
-def _reduce_terms(terms, weights, data, nodes, y, dropped, reduce) -> None:
-    """Every term's weighted kernel values at component-major nodes (3, ...)
-    for targets y (3, ...), which broadcast, handed to ``reduce(i, vals)``
-    in term order; the buffer of one term may be reused by the next.  The
-    terms share r; ``dropped(r)``, if given, masks the values to zero."""
+def _reduce_terms(terms, weights, data, nodes, y, reduce) -> None:
+    """Every term's weighted kernel values at the far table's component-major
+    nodes (3, ...) for targets y (3, ...), which broadcast, handed to
+    ``reduce(i, vals)`` in term order; the buffer of one term may be reused
+    by the next.  The terms share r."""
     shape = np.broadcast_shapes(nodes.shape[1:], y.shape[1:])
     r, scratch = np.empty(shape), np.empty(shape)
     kernel = next((term.kernel for term in terms if term.kernel is not None), None)
-    # Values at dropped nodes and at the far table's nodes of near pairs
-    # are discarded; such a node may sit on a target.
+    # Values at the far table's nodes of near pairs are discarded; such a
+    # node may sit on a target.
     with np.errstate(divide="ignore", invalid="ignore"):
         if kernel is not None:
             kernel_vals = kernel(nodes, data, y, r, scratch)
         else:
             np.sqrt(_squared_distances(nodes, y, r, scratch), out=r)
-        mask = None if dropped is None else dropped(r)
         for i, (term, w) in enumerate(zip(terms, weights)):
-            vals = np.divide(w, r, out=scratch) if term.kernel is None else kernel_vals
-            if mask is not None:
-                vals[mask] = 0.0
-            if term.kernel is not None:
-                vals *= w
-            reduce(i, vals)
+            if term.kernel is None:
+                reduce(i, np.divide(w, r, out=scratch))
+            else:
+                kernel_vals *= w
+                reduce(i, kernel_vals)
 
 
 def _volume_rows(volmesh: VolumeMesh, targets, terms,
@@ -900,32 +901,28 @@ def _volume_rows(volmesh: VolumeMesh, targets, terms,
     the targets for a list of terms (see _VolumeTerm); returns per term
     values (m,) or rows (m, cells).
 
-    Target-cell pairs are far or near (_near_cells).  Far pairs integrate
-    with the far table, the shell's default 6-node rule: targets run in
-    blocks of VOLUME_BLOCK_PAIRS // (far nodes), with one dense kernel call
-    per block over every cell, reduced to per-cell sums, of which those of
-    near pairs are then replaced (rows) or zeroed (values).  No far node
-    lies within its cell's exclusion radius of the target (see
-    NEAR_CELL_FACTOR), so far pairs need no exclusion mask.  Near pairs
-    integrate with the mesh's own rule (18 nodes at levels 1-3) and the
-    exclusion ball: nodes with r <= the cell's exclusion radius are dropped.
-    They are gathered per (target, cell) pair into component-major (3,
-    nodes, pairs) batches of about VOLUME_BLOCK_PAIRS node pairs, and each
-    pair is reduced to one sum.  Targets are classified a chunk of whole far
-    blocks at a time (about VOLUME_BLOCK_PAIRS target-cell pairs), and a
-    chunk's near pairs are integrated after its far blocks.
-
-    ``near``, the _NearSet of these targets kept from an earlier pass,
-    takes the place of the classification and of the near pairs' distances:
-    a near pair's sum is then its gathered weights over the kept distances.
-    It serves Newton terms only, which need nothing else of the nodes, and
-    gives the bits of a pass without it.
+    Targets run in chunks of whole far blocks (about VOLUME_BLOCK_PAIRS
+    target-cell pairs).  A chunk's near pairs come from ``near``, the kept
+    _NearSet of these targets, or else from _near_set of the chunk, the
+    engine's one classification and measurement; the bits are the same.
+    Far pairs integrate with the far table, the shell's default 6-node
+    rule, in blocks of VOLUME_BLOCK_PAIRS // (far nodes) targets: one dense
+    kernel call per block over every cell, reduced to per-cell sums, of
+    which those of near pairs are then replaced (rows) or zeroed (values).
+    No far node lies within its cell's exclusion radius of the target (see
+    NEAR_CELL_FACTOR).  Near pairs integrate with the mesh's own rule (18
+    nodes at levels 1-3) and the exclusion ball, whose nodes the set's
+    distances mark inf, in batches of about VOLUME_BLOCK_PAIRS node pairs
+    after the chunk's far blocks; each pair is reduced to one sum.  A
+    Newton term's is its gathered weights over the set's distances; a
+    kernel term is evaluated on the gathered nodes, zeroed where the
+    distance is inf, and weighted.
 
     A row holds the far sum of each far cell and the near sum of each near
     cell.  A value is the pairwise sum of its row's far sums plus the
     pairwise sum of its near sums, both in cell order, so a target's value
-    does not depend on which targets share its block.  The terms of a pass
-    share r and the masks.  A Newton term is weights / r.
+    does not depend on which targets share its block.  The terms of a
+    far block share r.
 
     Kernel contract: the tables are node-major within a cell, (..., nodes,
     cells), so that the inner loops run over cells or pairs.  A pass may
@@ -935,7 +932,7 @@ def _volume_rows(volmesh: VolumeMesh, targets, terms,
     the near table's gathered per pair).  It writes r = |x - y| into ``r``,
     may use ``scratch`` (both of the broadcast shape), and returns its
     values in a new array, which is then masked and weighted in place.
-    Without one, the pass builds r itself with one scratch buffer
+    Without one, a far block builds r itself with one scratch buffer
     (_squared_distances), and the Newton terms reuse the scratch.
     """
     cache = _cell_cache(volmesh)
@@ -943,36 +940,34 @@ def _volume_rows(volmesh: VolumeMesh, targets, terms,
     m, n_c = len(targets), cache.n_cells
     if sum(term.kernel is not None for term in terms) > 1:
         raise ValueError("a volume pass evaluates at most one kernel term")
-    if near is not None and any(term.kernel is not None for term in terms):
-        raise ValueError("a kept near set serves Newton terms only")
     outs = [term.out if term.out is not None
             else np.zeros((m, n_c)) if term.rows else np.zeros(m) for term in terms]
     far_data = tuple(d.far for term in terms for d in term.data)
     block, chunk, batch = _volume_blocks(cache)
 
-    def near_pass(rows, cells, dist):
-        # The near pairs of whole targets, sorted by target; dist, their kept
-        # distances, or None to measure them here.
+    def near_pass(pairs):
+        # The near pairs of whole targets, sorted by target.
+        rows, cells = pairs.rows, pairs.cells
         sums = [np.empty(len(rows)) for _ in terms]
         for k in range(0, len(rows), batch):
             t, c = rows[k:k + batch], cells[k:k + batch]
-            weights = [term.weights.near[..., c] for term in terms]
-
-            def reduce(i, vals):
+            dist = pairs.dist[:, k:k + len(t)]
+            # Summed over nodes in a C-ordered buffer, as in the far blocks:
+            # the gathered weights are not, and the order of a sum is its bits.
+            vals = np.empty(dist.shape)
+            for i, term in enumerate(terms):
+                w = term.weights.near[..., c]
+                if term.kernel is None:
+                    np.divide(w, dist, out=vals)
+                else:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        vals = term.kernel(cache.nodes.near[..., c],
+                                           tuple(d.near[..., c] for d in term.data),
+                                           targets[t].T[:, None, :],
+                                           np.empty(dist.shape), np.empty(dist.shape))
+                    vals[np.isinf(dist)] = 0.0
+                    vals *= w
                 np.sum(vals, axis=0, out=sums[i][k:k + len(t)])
-
-            if dist is not None:
-                # Summed over nodes in a C-ordered buffer, as _reduce_terms does:
-                # the gathered weights are not, and the order of a sum is its bits.
-                vals = np.empty((dist.shape[0], len(t)))
-                for i, w in enumerate(weights):
-                    reduce(i, np.divide(w, dist[:, k:k + len(t)], out=vals))
-                continue
-            excl = cache.excl[c]
-            _reduce_terms(terms, weights,
-                          tuple(d.near[..., c] for term in terms for d in term.data),
-                          cache.nodes.near[..., c], targets[t].T[:, None, :],
-                          lambda r: r <= excl, reduce)
         for term, out, s in zip(terms, outs, sums):
             if term.rows:
                 out[rows, cells] = s
@@ -983,14 +978,13 @@ def _volume_rows(volmesh: VolumeMesh, targets, terms,
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         if near is None:
-            near_chunk = _near_cells(volmesh, targets[lo:hi])
-            rows, cells = np.nonzero(near_chunk)
-            rows, dist = rows + lo, None
+            pairs = _near_set(volmesh, targets[lo:hi])
+            pairs = pairs._replace(rows=pairs.rows + lo)
         else:
             a, b = np.searchsorted(near.rows, [lo, hi])
-            rows, cells, dist = near.rows[a:b], near.cells[a:b], near.dist[:, a:b]
-            near_chunk = np.zeros((hi - lo, n_c), dtype=bool)
-            near_chunk[rows - lo, cells] = True
+            pairs = _NearSet(near.rows[a:b], near.cells[a:b], near.dist[:, a:b])
+        near_chunk = np.zeros((hi - lo, n_c), dtype=bool)
+        near_chunk[pairs.rows - lo, pairs.cells] = True
         for start in range(lo, hi, block):
             y = targets[start:start + block]
             near_y = near_chunk[start - lo:start - lo + len(y)]
@@ -1005,8 +999,8 @@ def _volume_rows(volmesh: VolumeMesh, targets, terms,
                     outs[i][start:start + len(y)] = sums.sum(axis=1)
 
             _reduce_terms(terms, [term.weights.far for term in terms], far_data,
-                          cache.nodes.far, y.T[:, :, None, None], None, reduce)
-        near_pass(rows, cells, dist)
+                          cache.nodes.far, y.T[:, :, None, None], reduce)
+        near_pass(pairs)
     return outs
 
 

@@ -221,8 +221,8 @@ def _remainder_kernel(comps, data, y, r, r2):
 
 def _R_and_P(volmesh: VolumeMesh, field: CoefficientField, targets, u=None,
              p_weights=None, out=None):
-    """R and P f at targets from one volume pass, which shares r, the
-    far/near classification and the exclusion mask between them.
+    """R and P f at targets from one volume pass, which shares the near
+    pairs and their node distances, and the far blocks' r, between them.
 
     R is R u for a density u, or with u None the dense rows of R on
     cell-wise constant densities, written into ``out`` when it is given

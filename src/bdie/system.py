@@ -212,13 +212,14 @@ class _MatrixCache:
     Each is computed on first use and kept only when the matrix cannot be
     written, so a kept factor never goes stale; a failed factorization
     raises SolverError and keeps nothing.  The other parts depend on a
-    point set, the meshes and the field rather than on the matrix: each is
-    kept under its name for one point set at a time, keyed on the bytes of
-    the points and on the mesh and field objects, and built again for
-    others.  Under "rhs" is the data-free half of P at the system's own
-    targets, the cell centres and the collocation points (px._PGeometry),
-    built by the first with_data that has a source: its near target-cell
-    pairs and their node distances, q doubles per near pair for a near
+    point set, the meshes and the field rather than on the matrix: part()
+    returns the one kept under a name, keyed on the bytes of the points
+    and on the mesh and field objects, or builds it, and keeps it (one
+    point set per name) under the same rule as the factor.  Under "rhs" is
+    the data-free half of P at the system's own targets, the cell centres
+    and the collocation points (px._PGeometry), built by the first
+    with_data that has a source: its near target-cell pairs and their node
+    distances from laplace._near_set, q doubles per near pair for a near
     table of q nodes (4.0 MB at level 2, about 14 MB at level 3), and the
     weights w_q / a on both volume tables.  Under "points" are the
     evaluation rows of the last point set and the data-free half of P there
@@ -235,21 +236,17 @@ class _MatrixCache:
     def _key(points: np.ndarray):
         return points.shape, points.tobytes()
 
-    def part(self, name, points, owners):
-        """The part kept under name for the points and the owners, or None."""
+    def part(self, name, points, owners, build):
+        """The part kept under name for the points and the owners, or else
+        build(), kept there only when the matrix cannot be written."""
+        key = self._key(points)
         kept = self._parts.get(name)
-        if kept is not None and kept[0] == self._key(points) and all(
+        if kept is not None and kept[0] == key and all(
                 a is b for a, b in zip(kept[1], owners)):
             return kept[2]
-        return None
-
-    def keep(self, name, points, owners, build):
-        """Keep build() under name for the points and the owners, and return
-        it; with a writable matrix, build nothing and return None."""
-        if not _immutable(self.matrix):
-            return None
         part = build()
-        self._parts[name] = self._key(points), owners, part
+        if _immutable(self.matrix):
+            self._parts[name] = key, owners, part
         return part
 
     def lu(self):
@@ -289,7 +286,8 @@ class M12System:
     the evaluation rows of the last point set, are kept with the matrix
     object (see _MatrixCache): systems made from this one by
     with_data or dataclasses.replace(..., rhs=...) share them, so each is
-    computed once; a system given another matrix gets a cache of its own.
+    computed once; a system given another matrix gets a cache of its own,
+    and one given a writable matrix builds them again on every use.
     """
 
     matrix: np.ndarray
@@ -338,11 +336,11 @@ class M12System:
         """Same operator blocks with a right-hand side built from new data.
 
         Only P f needs quadrature, at the cell centres and the collocation
-        points; the layer terms are one matrix product.  The first call with
-        a source keeps the data-free half of P there with the matrix (see
-        _MatrixCache), so P f then costs the source at the nodes, one far
-        pass and the near pairs' weights over their kept distances, with the
-        bits of px.op_P.  The new system shares the matrix, and with it the
+        points; the layer terms are one matrix product.  P f is the source
+        at the nodes, one far pass and the near pairs' weights over their
+        distances in the data-free half of P there (px._P_geometry), with
+        the bits of px.op_P; the matrix's cache keeps that half (see
+        _MatrixCache).  The new system shares the matrix, and with it the
         LU factor and the kept parts, so a direct solve after the first
         costs two triangular solves.
         """
@@ -351,12 +349,9 @@ class M12System:
         if dens is not None:
             vol, field = self.volmesh, self.field
             targets = np.concatenate([vol.centers, self.colloc.points])
-            geometry = self._cache.part("rhs", targets, (vol, field))
-            if geometry is None:
-                geometry = self._cache.keep("rhs", targets, (vol, field),
-                                            lambda: px._P_geometry(vol, field, targets))
-            pf = (px.op_P(vol, field, dens, targets) if geometry is None  # writable matrix
-                  else px._P_kept(vol, geometry, dens, targets))
+            geometry = self._cache.part("rhs", targets, (vol, field),
+                                        lambda: px._P_geometry(vol, field, targets))
+            pf = px._P_kept(vol, geometry, dens, targets)
         return replace(self, rhs=_data_rhs(self, extensions, pf),
                        extensions=extensions, f=f)
 
@@ -527,15 +522,14 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     depends on the data: V, W and R enter as data-free rows at the points
     (V on the triangle columns, W on the vertex columns, R on the cell
     columns), each applied to its coefficients by a row-wise pairwise sum.
-    The first call at a point set builds the rows in one surface pass and
-    one volume pass, which also yields P f.  The matrix's cache keeps them,
-    and with them the data-free half of P at the points (see _MatrixCache),
-    so a later call at the same points, for this system or any system
-    sharing its matrix (with_data, replace(..., rhs=...)), costs P f from
-    the kept half (the source at the nodes, one far pass and the near pairs'
-    weights over their kept distances, with the bits of px.op_P) and three
-    row products.  Point sets whose rows would take more memory than the
-    matrix are built and applied in blocks and kept nowhere.
+    Every point set takes one build, the rows (one surface pass, one
+    volume pass) and the data-free half of P there (px._P_geometry), and
+    one apply: the row products plus P f from that half, with the bits of
+    px.op_P.  The matrix's cache keeps the build (see _MatrixCache), so a
+    later call at the same points, for this system or any system sharing
+    its matrix (with_data, replace(..., rhs=...)), only applies it.  Point
+    sets whose rows would take more memory than the matrix are built and
+    applied in blocks and kept nowhere.
 
     A point with |y| <= the inner radius lies off the domain, where the
     formula gives no value of u, and raises ValueError.
@@ -550,26 +544,22 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     mesh, vol, field = system.surfmesh, system.volmesh, system.field
     coefs = (solution.recovered_conormal, -solution.recovered_trace, -solution.u.values)
     dens = _f_density(system.f)
-    owners = (mesh, vol, field)
-    kept = system._cache.part("points", pts, owners)
-    if kept is not None:
-        rows, geometry = kept
-        return _represent(coefs, rows,
-                          None if dens is None else px._P_kept(vol, geometry, dens, pts))
-    p_weights = None if dens is None else px._P_weights(vol, field, dens)
 
-    def rows_and_pf(y):
+    def build(y):
         v, w, _ = px._VW_matrices(mesh, field, y)
-        r, pf = px._R_and_P(vol, field, y, p_weights=p_weights)
-        return ((v, w) if field.is_constant else (v, w, r)), pf
+        rows = (v, w) if field.is_constant else (v, w, px.op_R_matrix(vol, field, y))
+        return rows, px._P_geometry(vol, field, y)
+
+    def apply(y, part):
+        rows, geometry = part
+        return _represent(coefs, rows,
+                          None if dens is None else px._P_kept(vol, geometry, dens, y))
 
     block = max(1, system.matrix.size // (mesh.n_triangles + mesh.n_vertices + vol.n_cells))
     if len(pts) > block:
-        return np.concatenate([_represent(coefs, *rows_and_pf(pts[start:start + block]))
-                               for start in range(0, len(pts), block)])
-    rows, pf = rows_and_pf(pts)
-    system._cache.keep("points", pts, owners, lambda: (rows, px._P_geometry(vol, field, pts)))
-    return _represent(coefs, rows, pf)
+        blocks = (pts[start:start + block] for start in range(0, len(pts), block))
+        return np.concatenate([apply(y, build(y)) for y in blocks])
+    return apply(pts, system._cache.part("points", pts, (mesh, vol, field), lambda: build(pts)))
 
 
 def _represent(coefs, rows, pf) -> np.ndarray:

@@ -94,6 +94,17 @@ def test_unreadable_config_file_exits_config_error(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check-coeff", "solve"])
+@pytest.mark.parametrize("params", [{"bogus": 1}, {"beta": -1}])
+def test_coefficient_params_the_catalog_rejects_exit_config_error(tmp_path, capsys,
+                                                                  command, params):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"coefficient_params": params}))
+    code = run([command, "--config", str(path), "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "coefficient_params" in capsys.readouterr().err
+
+
 def test_dense_cap_exits_resource_code(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"n_radial": 10, "angular_level": 3}))

@@ -374,9 +374,10 @@ def test_fused_volume_pass_equals_lone_operators(shell14, sphere3, monkeypatch,
 @pytest.mark.parametrize("block_pairs", [None, 3])
 def test_kept_near_set_gives_the_bits_of_a_measured_pass(shell14, sphere3, gauss_field,
                                                          monkeypatch, block_pairs):
-    # P f and Newton rows from a kept near set have the bits of a pass that
-    # classifies and measures, also when the set was built in other chunks
-    # and batches; a node under a target is dropped either way.
+    # P f, Newton rows and the remainder's rows and values from a kept near
+    # set have the bits of a pass that builds its own, also when the set was
+    # built in other chunks and batches; a node under a target is dropped
+    # either way.
     node = shell14.all_nodes()[1234][None]
     targets = np.concatenate([shell14.centers[::97], node, sphere3.centroids[::70]])
     geometry = px._P_geometry(shell14, gauss_field, targets)
@@ -392,10 +393,16 @@ def test_kept_near_set_gives_the_bits_of_a_measured_pass(shell14, sphere3, gauss
     assert np.isinf(near.dist).any()
     assert np.array_equal(lp._volume_rows(shell14, targets, [rows], near)[0],
                           lp.newton_potential_matrix(shell14, targets))
-    remainder = lp._VolumeTerm(lp._cell_cache(shell14).weights, px._remainder_kernel,
-                               px._remainder_data(shell14, gauss_field))
-    with pytest.raises(ValueError, match="Newton terms only"):
-        lp._volume_rows(shell14, targets, [remainder], near)
+    weights = lp._cell_cache(shell14).weights
+    data = px._remainder_data(shell14, gauss_field)
+    u = lp.DomainDensity(rng.normal(size=shell14.n_cells))
+    remainder_rows = lp._VolumeTerm(weights, px._remainder_kernel, data, rows=True)
+    remainder_values = lp._VolumeTerm(lp._times(weights, lp._node_values(shell14, u)),
+                                      px._remainder_kernel, data)
+    assert np.array_equal(lp._volume_rows(shell14, targets, [remainder_rows], geometry.near)[0],
+                          px.op_R_matrix(shell14, gauss_field, targets))
+    assert np.array_equal(lp._volume_rows(shell14, targets, [remainder_values], geometry.near)[0],
+                          px.op_R(shell14, gauss_field, u, targets))
 
 
 def test_remainder_matrix_matches_kernel_loop_at_level_1(gauss_field):

@@ -652,15 +652,17 @@ def _system_targets(system):
 
 
 def _count_near_sets(monkeypatch):
-    """The target counts of the near sets built from now on."""
+    """The target counts of the data-free halves of P (px._P_geometry, the
+    near set of a target set and its weights) built from now on; a volume
+    pass that builds its own near sets is not counted."""
     built = []
-    near_set = lp._near_set
+    geometry = px._P_geometry
 
-    def counted(volmesh, targets):
+    def counted(volmesh, field, targets):
         built.append(len(lp._volume_points(targets)))
-        return near_set(volmesh, targets)
+        return geometry(volmesh, field, targets)
 
-    monkeypatch.setattr(lp, "_near_set", counted)
+    monkeypatch.setattr(px, "_P_geometry", counted)
     return built
 
 
@@ -687,7 +689,8 @@ def test_kept_P_has_the_bits_of_op_P(level, base, coefficient, request):
                               sy._data_rhs(system, ext, px.op_P(vol, field, f, targets)))
     solution = sy.solve_M12(swapped)
     first = sy.evaluate_solution(swapped, solution, cs.PROBE_POINTS)
-    _, geometry = system._cache.part("points", cs.PROBE_POINTS, (surf, vol, field))
+    _, geometry = system._cache.part("points", cs.PROBE_POINTS, (surf, vol, field),
+                                     lambda: pytest.fail("the probe points' part was not kept"))
     for f in (case.f, cells):
         assert np.array_equal(px._P_kept(vol, geometry, f, cs.PROBE_POINTS),
                               px.op_P(vol, field, f, cs.PROBE_POINTS))
@@ -707,16 +710,9 @@ def test_kept_P_neither_classifies_nor_measures_again(level1, gauss_field, monke
     def again(*args, **kwargs):
         raise AssertionError("data-free volume geometry was computed again")
 
-    reduce_terms = lp._reduce_terms
-
-    def far_only(terms, weights, data, nodes, y, dropped, reduce):
-        if dropped is not None:  # the exclusion mask of measured near pairs
-            again()
-        return reduce_terms(terms, weights, data, nodes, y, dropped, reduce)
-
+    # _near_set is the one place that classifies (_near_cells) and measures.
     for name in ("_near_cells", "_near_set"):
         monkeypatch.setattr(lp, name, again)
-    monkeypatch.setattr(lp, "_reduce_terms", far_only)
     monkeypatch.setattr(px, "_remainder_kernel", again)
     for _ in range(2):
         next_rhs = system.with_data(case.f, ext)
@@ -763,7 +759,8 @@ def test_nothing_is_kept_for_a_writable_matrix(level1, gauss_field, monkeypatch)
     solution = sy.solve_M12(writable)
     for _ in range(2):
         sy.evaluate_solution(writable, solution, cs.PROBE_POINTS)
-    assert built == []
+    n = len(_system_targets(system))
+    assert built == [n, n, len(cs.PROBE_POINTS), len(cs.PROBE_POINTS)]
     assert writable._cache._parts == {}
 
 
