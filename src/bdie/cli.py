@@ -10,6 +10,7 @@ gates met, 1 gate failure, 2 configuration error, 3 resource cap exceeded.
 import argparse
 import dataclasses
 import json
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
@@ -72,6 +73,35 @@ class RunConfig:
         return body
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
+
+
+def _is_real(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
+
+
+def _is_list(val, each) -> bool:
+    return isinstance(val, (list, tuple)) and len(val) > 0 and all(map(each, val))
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+_INTEGER = (_is_int, "an integer")
+_OPTIONAL_INTEGER = (lambda v: v is None or _is_int(v), "an integer")
+# What the value of each config key is, checked before the value itself: a
+# test and its words.  Integer keys take ints, not floats or bools.
+_KINDS = {
+    "coefficient": _STRING, "coefficient_params": (lambda v: isinstance(v, dict), "an object"),
+    "case": _STRING, "partition": _STRING, "level": _INTEGER,
+    "levels": (lambda v: _is_list(v, _is_int), "a non-empty list of integers"),
+    "truncation_radius": (_is_real, "a number"),
+    "n_radial": _OPTIONAL_INTEGER, "angular_level": _OPTIONAL_INTEGER,
+    "probe_points": (lambda v: _is_list(v, lambda p: _is_list(p, _is_real) and len(p) == 3),
+                     "a non-empty list of 3d points"),
+    "output_dir": _STRING, "workers": _INTEGER, "method": _STRING,
+}
+
+
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
     """Defaults, then the JSON file, then command-line overrides."""
     values = {}
@@ -86,12 +116,15 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - set(_KINDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, val in values.items():
+        holds, kind = _KINDS[key]
+        if not holds(val):
+            raise ConfigError(f"{key} must be {kind}, not {val!r}")
     if "levels" in values:
-        values["levels"] = tuple(int(v) for v in values["levels"])
+        values["levels"] = tuple(values["levels"])
     if "probe_points" in values:
         values["probe_points"] = tuple(map(tuple, values["probe_points"]))
     config = RunConfig(**values)
@@ -120,8 +153,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"levels must be drawn from {cases.LEVELS}")
     if list(config.levels) != sorted(set(config.levels)):
         raise ConfigError("levels must be strictly increasing")
-    if config.truncation_radius <= 1.0:
-        raise ConfigError("truncation radius must exceed the unit sphere")
+    if not 1.0 < config.truncation_radius < np.inf:
+        raise ConfigError("truncation radius must be finite and exceed the unit sphere")
     if config.n_radial is not None and config.n_radial < 1:
         raise ConfigError("n_radial must be at least 1")
     if config.angular_level is not None and config.angular_level < 0:
@@ -130,10 +163,7 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("workers must be at least 1")
     if config.method not in ("direct", "iterative"):
         raise ConfigError("method must be 'direct' or 'iterative'")
-    probes = np.asarray(config.probe_points, dtype=float)
-    if probes.ndim != 2 or probes.shape[1] != 3:
-        raise ConfigError("probe_points must be a list of 3d points")
-    radii = np.linalg.norm(probes, axis=1)
+    radii = np.linalg.norm(_probes(config), axis=1)
     if not np.all((radii > cases.INNER_RADIUS) & (radii < config.truncation_radius)):
         raise ConfigError("probe_points must lie in the shell "
                           f"{cases.INNER_RADIUS} < |x| < {config.truncation_radius}")

@@ -247,7 +247,7 @@ def third_green_residual(field: CoefficientField, afield: AnalyticField,
     fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
 
     v, w = _layer_values(surfmesh, field, pts, tplus, gamma)
-    r_u, p_f = px._R_and_P(volmesh, field, pts, ucells, px._P_weights(volmesh, field, fcells))
+    r_u, p_f = px.op_R(volmesh, field, ucells, pts), px.op_P(volmesh, field, fcells, pts)
     res = afield.u(pts) + r_u - v + w - p_f
     scale = float(np.abs(afield.u(pts)).max()) if pts.size else 0.0
     return ResidualReport(res, scale, level=level,
@@ -272,8 +272,8 @@ def trace_identity_residual(field: CoefficientField, afield: AnalyticField,
     fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
 
     v, w = _layer_values(surfmesh, field, colloc, tplus, gamma)
-    r_u, p_f = px._R_and_P(volmesh, field, colloc.points, ucells,
-                           px._P_weights(volmesh, field, fcells))
+    r_u = px.op_R(volmesh, field, ucells, colloc.points)
+    p_f = px.op_P(volmesh, field, fcells, colloc.points)
     res = 0.5 * gamma_c + r_u - v + w - p_f
     scale = float(np.abs(gamma_c).max())
     return ResidualReport(res, scale, level=level,

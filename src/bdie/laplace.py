@@ -15,11 +15,11 @@ rule (single layer) or skip the flat panels through the collocation point
 (double layer, exact for flat panels).
 
 Every surface operator runs through one engine, ``_surface_rows``, and
-every volume operator through another, ``_volume_rows``.  Each serves a
-list of terms (several outputs) in one pass over blocks of targets: the
-terms of a surface pass share one classification and one r, those of a
-volume pass (the remainder's rows or values and P f, say) one near set
-(``_NearSet``) and one r per far block.  Both split the pairs of a
+every volume operator through another, ``_volume_rows``; both run over
+blocks of targets.  A surface pass serves a list of terms (several
+outputs), which share one classification and one r.  A volume pass
+evaluates one term; the passes at one target set (the remainder's rows
+and P f, say) share its near set (``_NearSet``).  Both split the pairs of a
 target and an element by distance.  The surface engine takes far, near
 (subdivided) and Duffy panels on the one rule of ``quadrature``
 (FAR_ORDER, NEAR_ORDER on SUBDIVISION_LEVELS levels, NEAR_THRESHOLD,
@@ -37,8 +37,8 @@ its factor (1/a for P) and its density in the node weights, so each of its
 target-node pairs costs one divide, weights / r.  The near pairs of a
 target set and their node distances depend on no term: ``_near_set`` is
 the one place that classifies and measures them, and a pass given a kept
-``_NearSet`` does neither again, whatever its terms (the system keeps one
-per target set with its matrix).
+``_NearSet`` does neither again, whatever its term (the system builds one
+per target set for its R rows and its P f there).
 
 Kernel contract of both engines: quadrature nodes are stored
 component-major, (3, ...), so that a block builds r^2 = (dx^2 + dy^2) + dz^2
@@ -857,13 +857,13 @@ def _near_set(volmesh: VolumeMesh, targets) -> _NearSet:
 
 
 class _VolumeTerm(NamedTuple):
-    """One output of a volume pass: kernel values times the node ``weights``
-    (a _Tables), one sum per target or, with ``rows``, one row of per-cell
-    sums per target, written into ``out`` when it is given.  ``kernel`` None
-    is the Newton kernel, whose -1/(4 pi) and factors the weights carry (see
-    _newton_weights): one divide per target-node pair.  A kernel term's
-    ``data`` are _Tables of per-node arrays that the kernel receives for the
-    nodes it is handed (see _volume_rows)."""
+    """What a volume pass evaluates: kernel values times the node
+    ``weights`` (a _Tables), one sum per target or, with ``rows``, one row
+    of per-cell sums per target, written into ``out`` when it is given.
+    ``kernel`` None is the Newton kernel, whose -1/(4 pi) and factors the
+    weights carry (see _newton_weights): one divide per target-node pair.
+    A kernel term's ``data`` are _Tables of per-node arrays that the kernel
+    receives for the nodes it is handed (see _volume_rows)."""
 
     weights: _Tables
     kernel: Optional[Callable] = None
@@ -872,34 +872,11 @@ class _VolumeTerm(NamedTuple):
     out: Optional[np.ndarray] = None
 
 
-def _reduce_terms(terms, weights, data, nodes, y, reduce) -> None:
-    """Every term's weighted kernel values at the far table's component-major
-    nodes (3, ...) for targets y (3, ...), which broadcast, handed to
-    ``reduce(i, vals)`` in term order; the buffer of one term may be reused
-    by the next.  The terms share r."""
-    shape = np.broadcast_shapes(nodes.shape[1:], y.shape[1:])
-    r, scratch = np.empty(shape), np.empty(shape)
-    kernel = next((term.kernel for term in terms if term.kernel is not None), None)
-    # Values at the far table's nodes of near pairs are discarded; such a
-    # node may sit on a target.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kernel is not None:
-            kernel_vals = kernel(nodes, data, y, r, scratch)
-        else:
-            np.sqrt(_squared_distances(nodes, y, r, scratch), out=r)
-        for i, (term, w) in enumerate(zip(terms, weights)):
-            if term.kernel is None:
-                reduce(i, np.divide(w, r, out=scratch))
-            else:
-                kernel_vals *= w
-                reduce(i, kernel_vals)
-
-
-def _volume_rows(volmesh: VolumeMesh, targets, terms,
-                 near: Optional[_NearSet] = None) -> list:
+def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm,
+                 near: Optional[_NearSet] = None) -> np.ndarray:
     """The one engine behind every production volume integral: one pass over
-    the targets for a list of terms (see _VolumeTerm); returns per term
-    values (m,) or rows (m, cells).
+    the targets for one term (see _VolumeTerm); returns values (m,) or rows
+    (m, cells).
 
     Targets run in chunks of whole far blocks (about VOLUME_BLOCK_PAIRS
     target-cell pairs).  A chunk's near pairs come from ``near``, the kept
@@ -921,59 +898,66 @@ def _volume_rows(volmesh: VolumeMesh, targets, terms,
     A row holds the far sum of each far cell and the near sum of each near
     cell.  A value is the pairwise sum of its row's far sums plus the
     pairwise sum of its near sums, both in cell order, so a target's value
-    does not depend on which targets share its block.  The terms of a
-    far block share r.
+    does not depend on which targets share its block.
 
     Kernel contract: the tables are node-major within a cell, (..., nodes,
-    cells), so that the inner loops run over cells or pairs.  A pass may
-    have one term with a kernel, ``kernel(nodes, data, y, r, scratch)``, for
-    component-major nodes (3, ...) and targets y (3, ...), which broadcast,
-    and the term's per-node ``data`` on the same nodes (the far table's, or
-    the near table's gathered per pair).  It writes r = |x - y| into ``r``,
-    may use ``scratch`` (both of the broadcast shape), and returns its
-    values in a new array, which is then masked and weighted in place.
-    Without one, a far block builds r itself with one scratch buffer
-    (_squared_distances), and the Newton terms reuse the scratch.
+    cells), so that the inner loops run over cells or pairs.  A kernel,
+    ``kernel(nodes, data, y, r, scratch)``, takes component-major nodes (3,
+    ...) and targets y (3, ...), which broadcast, and the term's per-node
+    ``data`` on the same nodes (the far table's, or the near table's
+    gathered per pair).  It writes r = |x - y| into ``r``, may use
+    ``scratch`` (both of the broadcast shape), and returns its values in a
+    new array, which is then masked and weighted in place.
     """
     cache = _cell_cache(volmesh)
     targets = _volume_points(targets)
     m, n_c = len(targets), cache.n_cells
-    if sum(term.kernel is not None for term in terms) > 1:
-        raise ValueError("a volume pass evaluates at most one kernel term")
-    outs = [term.out if term.out is not None
-            else np.zeros((m, n_c)) if term.rows else np.zeros(m) for term in terms]
-    far_data = tuple(d.far for term in terms for d in term.data)
+    out = (term.out if term.out is not None
+           else np.zeros((m, n_c)) if term.rows else np.zeros(m))
     block, chunk, batch = _volume_blocks(cache)
+
+    def far_sums(y):
+        # Per-cell sums of the weighted kernel at the far table's nodes for
+        # targets y (3, block, 1, 1); those of near pairs may be inf or nan
+        # (a node may sit on a target) and are discarded.
+        nodes = cache.nodes.far
+        shape = np.broadcast_shapes(nodes.shape[1:], y.shape[1:])
+        r, scratch = np.empty(shape), np.empty(shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if term.kernel is None:
+                np.sqrt(_squared_distances(nodes, y, r, scratch), out=r)
+                vals = np.divide(term.weights.far, r, out=scratch)
+            else:
+                vals = term.kernel(nodes, tuple(d.far for d in term.data), y, r, scratch)
+                vals *= term.weights.far
+            return vals.sum(axis=1)
 
     def near_pass(pairs):
         # The near pairs of whole targets, sorted by target.
         rows, cells = pairs.rows, pairs.cells
-        sums = [np.empty(len(rows)) for _ in terms]
+        sums = np.empty(len(rows))
         for k in range(0, len(rows), batch):
             t, c = rows[k:k + batch], cells[k:k + batch]
             dist = pairs.dist[:, k:k + len(t)]
+            w = term.weights.near[..., c]
             # Summed over nodes in a C-ordered buffer, as in the far blocks:
             # the gathered weights are not, and the order of a sum is its bits.
-            vals = np.empty(dist.shape)
-            for i, term in enumerate(terms):
-                w = term.weights.near[..., c]
-                if term.kernel is None:
-                    np.divide(w, dist, out=vals)
-                else:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        vals = term.kernel(cache.nodes.near[..., c],
-                                           tuple(d.near[..., c] for d in term.data),
-                                           targets[t].T[:, None, :],
-                                           np.empty(dist.shape), np.empty(dist.shape))
-                    vals[np.isinf(dist)] = 0.0
-                    vals *= w
-                np.sum(vals, axis=0, out=sums[i][k:k + len(t)])
-        for term, out, s in zip(terms, outs, sums):
-            if term.rows:
-                out[rows, cells] = s
-            elif len(rows):
-                starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-                out[rows[starts]] += np.add.reduceat(s, starts)
+            if term.kernel is None:
+                vals = np.divide(w, dist, out=np.empty(dist.shape))
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    vals = term.kernel(cache.nodes.near[..., c],
+                                       tuple(d.near[..., c] for d in term.data),
+                                       targets[t].T[:, None, :],
+                                       np.empty(dist.shape), np.empty(dist.shape))
+                vals[np.isinf(dist)] = 0.0
+                vals *= w
+            np.sum(vals, axis=0, out=sums[k:k + len(t)])
+        if term.rows:
+            out[rows, cells] = sums
+        elif len(rows):
+            starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+            out[rows[starts]] += np.add.reduceat(sums, starts)
 
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
@@ -987,21 +971,14 @@ def _volume_rows(volmesh: VolumeMesh, targets, terms,
         near_chunk[pairs.rows - lo, pairs.cells] = True
         for start in range(lo, hi, block):
             y = targets[start:start + block]
-            near_y = near_chunk[start - lo:start - lo + len(y)]
-
-            def reduce(i, vals):
-                # The sums of near pairs may be inf or nan: replaced or zeroed here.
-                sums = vals.sum(axis=1)
-                if terms[i].rows:
-                    outs[i][start:start + len(y)] = sums
-                else:
-                    sums[near_y] = 0.0
-                    outs[i][start:start + len(y)] = sums.sum(axis=1)
-
-            _reduce_terms(terms, [term.weights.far for term in terms], far_data,
-                          cache.nodes.far, y.T[:, :, None, None], reduce)
+            sums = far_sums(y.T[:, :, None, None])
+            if term.rows:
+                out[start:start + len(y)] = sums
+            else:
+                sums[near_chunk[start - lo:start - lo + len(y)]] = 0.0
+                out[start:start + len(y)] = sums.sum(axis=1)
         near_pass(pairs)
-    return outs
+    return out
 
 
 def _scaled_weights(volmesh: VolumeMesh, factor: Optional[Callable] = None) -> _Tables:
@@ -1033,7 +1010,7 @@ def newton_potential(
     the omitted mass is O(radius^2) for this kernel (see _volume_rows).
     """
     term = _VolumeTerm(_newton_weights(volmesh, _scaled_weights(volmesh, factor), density))
-    return _volume_rows(volmesh, targets, [term])[0]
+    return _volume_rows(volmesh, targets, term)
 
 
 def newton_potential_matrix(
@@ -1043,7 +1020,7 @@ def newton_potential_matrix(
 ) -> np.ndarray:
     """Dense matrix of the Newton potential on cell-wise constant densities."""
     term = _VolumeTerm(_newton_weights(volmesh, _scaled_weights(volmesh, factor)), rows=True)
-    return _volume_rows(volmesh, targets, [term])[0]
+    return _volume_rows(volmesh, targets, term)
 
 
 # --- offset normal derivative -----------------------------------------------

@@ -155,19 +155,12 @@ def op_P(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.n
     return lp.newton_potential(volmesh, density, targets, factor=_inv_a_nodes(field))
 
 
-def _P_weights(volmesh: VolumeMesh, field: CoefficientField, density) -> lp._Tables:
-    """The node weights of op_P on both volume tables (f / a and -1/(4 pi)
-    folded in), to compute once and take P f from _R_and_P passes with the
-    same bits as op_P."""
-    return lp._newton_weights(volmesh, lp._scaled_weights(volmesh, _inv_a_nodes(field)),
-                              density)
-
-
 class _PGeometry(NamedTuple):
     """The data-free half of op_P at a target set: its near pairs and their
-    node distances (laplace._NearSet), and the weights w_q / a on both
-    volume tables.  What is left per density is its values at the nodes,
-    one far pass and the near pairs' weights over the kept distances."""
+    node distances (laplace._NearSet), which R's passes there take too (see
+    _R), and the weights w_q / a on both volume tables.  What is left per
+    density is its values at the nodes, one far pass and the near pairs'
+    weights over the kept distances."""
 
     near: lp._NearSet
     weights: lp._Tables
@@ -182,7 +175,7 @@ def _P_kept(volmesh: VolumeMesh, geometry: _PGeometry, density, targets) -> np.n
     """op_P at the targets of geometry (_P_geometry) with its bits: the
     density at the nodes, one far pass and the kept near pairs."""
     term = lp._VolumeTerm(lp._newton_weights(volmesh, geometry.weights, density))
-    return lp._volume_rows(volmesh, targets, [term], geometry.near)[0]
+    return lp._volume_rows(volmesh, targets, term, geometry.near)
 
 
 def _remainder_data(volmesh: VolumeMesh, field: CoefficientField) -> tuple:
@@ -219,34 +212,27 @@ def _remainder_kernel(comps, data, y, r, r2):
     return np.negative(vals, out=vals)
 
 
-def _R_and_P(volmesh: VolumeMesh, field: CoefficientField, targets, u=None,
-             p_weights=None, out=None):
-    """R and P f at targets from one volume pass, which shares the near
-    pairs and their node distances, and the far blocks' r, between them.
-
-    R is R u for a density u, or with u None the dense rows of R on
-    cell-wise constant densities, written into ``out`` when it is given
-    (zeros, such as a block of a new matrix).  P f is the Newton term of
-    ``p_weights`` (see _P_weights), or None without them.  For a constant
-    coefficient R vanishes and the pass has P alone.
-    """
+def _R(volmesh: VolumeMesh, field: CoefficientField, targets, u=None, near=None,
+       out=None) -> np.ndarray:
+    """R u at targets for a density u, or with u None the dense rows of R
+    on cell-wise constant densities, written into ``out`` when it is given
+    (zeros, such as a block of a new matrix): one volume pass, on ``near``,
+    the kept near set of the targets (laplace._NearSet), when it is given.
+    For a constant coefficient R vanishes and no pass runs."""
     targets = lp._volume_points(targets)
     if u is None:
         check_dense_caps(n_cells=volmesh.n_cells)
         R = np.zeros((len(targets), volmesh.n_cells)) if out is None else out
     else:
         R = np.zeros(len(targets))
-    terms = []
-    if not field.is_constant:
-        wts = lp._cell_cache(volmesh).weights
-        if u is not None:
-            wts = lp._times(wts, lp._node_values(volmesh, u))
-        terms.append(lp._VolumeTerm(wts, _remainder_kernel, _remainder_data(volmesh, field),
-                                    u is None, R))
-    if p_weights is not None:
-        terms.append(lp._VolumeTerm(p_weights))
-    outs = lp._volume_rows(volmesh, targets, terms) if terms else []
-    return R, (outs[-1] if p_weights is not None else None)
+    if field.is_constant:
+        return R
+    wts = lp._cell_cache(volmesh).weights
+    if u is not None:
+        wts = lp._times(wts, lp._node_values(volmesh, u))
+    data = _remainder_data(volmesh, field)
+    return lp._volume_rows(volmesh, targets,
+                           lp._VolumeTerm(wts, _remainder_kernel, data, u is None, R), near)
 
 
 def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.ndarray:
@@ -255,12 +241,12 @@ def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.n
     Vanishes identically for constant coefficients.  Uses the same
     exclusion-ball contract as the Newton potential.
     """
-    return _R_and_P(volmesh, field, targets, density)[0]
+    return _R(volmesh, field, targets, density)
 
 
 def op_R_matrix(volmesh: VolumeMesh, field: CoefficientField, targets) -> np.ndarray:
     """Dense remainder block on cell-wise constant densities."""
-    return _R_and_P(volmesh, field, targets)[0]
+    return _R(volmesh, field, targets)
 
 
 def op_R_divergence_form(volmesh: VolumeMesh, field: CoefficientField, density,

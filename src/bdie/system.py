@@ -49,8 +49,8 @@ exclusion ball), q doubles per near pair for a near table of q nodes (4.0
 MB at level 2, about 14 MB at level 3), and the weights w_q / a on both
 volume tables.  A right-hand side then pays for f at the nodes, one far
 pass and the near pairs' weights over the kept distances, with the bits
-of px.op_P; R is never computed per right-hand side.  Assembly takes the
-R rows and P f of each target set from one volume pass.
+of px.op_P; R is never computed per right-hand side.  Every target set is
+classified and measured once: its R rows take the near set of that half.
 
 Everything is dense; sizes are guarded by the same caps as the operator
 assembly routines.
@@ -195,6 +195,12 @@ def _data_rhs(system: "M12System", extensions: ExtensionPair, pf=None) -> np.nda
     return -known if pf is None else pf - known
 
 
+def _with_rhs(system: "M12System", f, extensions: ExtensionPair, pf) -> "M12System":
+    """The system with the data f and extensions, and their F0 rows from
+    P f at its targets (pf; see _data_rhs)."""
+    return replace(system, rhs=_data_rhs(system, extensions, pf), extensions=extensions, f=f)
+
+
 def _immutable(a: np.ndarray) -> bool:
     """True when neither the array nor any array it views can be written."""
     while isinstance(a, np.ndarray):
@@ -217,11 +223,8 @@ class _MatrixCache:
     and on the mesh and field objects, or builds it, and keeps it (one
     point set per name) under the same rule as the factor.  Under "rhs" is
     the data-free half of P at the system's own targets, the cell centres
-    and the collocation points (px._PGeometry), built by the first
-    with_data that has a source: its near target-cell pairs and their node
-    distances from laplace._near_set, q doubles per near pair for a near
-    table of q nodes (4.0 MB at level 2, about 14 MB at level 3), and the
-    weights w_q / a on both volume tables.  Under "points" are the
+    and the collocation points (px._PGeometry, 4.0 MB at level 2), built by
+    the first with_data that has a source.  Under "points" are the
     evaluation rows of the last point set and the data-free half of P there
     (see evaluate_solution), which evaluate_solution keeps only when the
     rows take no more memory than the matrix.
@@ -352,8 +355,7 @@ class M12System:
             geometry = self._cache.part("rhs", targets, (vol, field),
                                         lambda: px._P_geometry(vol, field, targets))
             pf = px._P_kept(vol, geometry, dens, targets)
-        return replace(self, rhs=_data_rhs(self, extensions, pf),
-                       extensions=extensions, f=f)
+        return _with_rhs(self, f, extensions, pf)
 
 
 def assemble_M12(
@@ -371,14 +373,16 @@ def assemble_M12(
     (u | psi | phi) this is square by construction.  One surface pass per
     target set builds its V and W blocks over all columns; they are split
     into the unknown columns of the matrix and the data columns, and placed
-    before the next set is built.  One volume pass per target set writes
-    its R rows straight into the matrix and yields P f there, with f / a
-    evaluated at the nodes once for both sets.  Omitting f and extensions
-    leaves a zero right-hand side, which is enough for the block-structure
-    checks and for synthetic consistency studies.  The matrix and the data
-    columns are returned read-only, which lets every system sharing them
-    keep one LU factor, the data-free half of P at its targets and one set
-    of evaluation rows (see M12System).
+    before the next set is built.  The volume passes run at the cell centres
+    and collocation points at once, on one data-free half of P there
+    (px._P_geometry), which is not kept: one writes the R rows straight
+    into the matrix, and with a source one takes P f, as with_data does.
+    Omitting f and extensions leaves a zero right-hand side, which is
+    enough for the block-structure checks and for synthetic consistency
+    studies.  The matrix and the data columns are returned read-only,
+    which lets every system sharing them keep one LU factor, the data-free
+    half of P at its targets and one set of evaluation rows (see
+    M12System).
 
     ``workers`` is accepted for callers that still pass it and is ignored:
     the assembly runs on one thread, and its output does not depend on it.
@@ -410,12 +414,15 @@ def assemble_M12(
         A[rows, cols] = block[:, unknown]
         K[rows, data_cols] = block[:, known]
 
-    p_weights = None if dens is None else px._P_weights(volmesh, field, dens)
-    _, pf_centres = px._R_and_P(volmesh, field, centers, p_weights=p_weights, out=A[su, su])
+    pf = None
+    if dens is not None or not field.is_constant:
+        targets = np.concatenate([centers, colloc.points])
+        geometry = px._P_geometry(volmesh, field, targets)
+        px._R(volmesh, field, targets, near=geometry.near, out=A[:, su])
+        pf = None if dens is None else px._P_kept(volmesh, geometry, dens, targets)
+        del geometry  # before the surface passes; with_data keeps its own
     diagonal = np.arange(n_c)
     A[diagonal, diagonal] += 1.0
-    _, pf_colloc = px._R_and_P(volmesh, field, colloc.points, p_weights=p_weights,
-                               out=A[rows_b, su])
     v, w, _ = px._VW_matrices(surfmesh, field, centers)
     put(su, np.negative(v, out=v), triangle_split)
     put(su, w, vertex_split)
@@ -433,11 +440,7 @@ def assemble_M12(
 
     system = M12System(A, K, np.zeros(n), surfmesh, volmesh, field, sd, nin, colloc,
                        zero_extensions(surfmesh))
-    if extensions is None:
-        return system
-    pf = None if dens is None else np.concatenate([pf_centres, pf_colloc])
-    return replace(system, rhs=_data_rhs(system, extensions, pf),
-                   extensions=extensions, f=f)
+    return system if extensions is None else _with_rhs(system, f, extensions, pf)
 
 
 @dataclass(frozen=True)
@@ -522,14 +525,15 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     depends on the data: V, W and R enter as data-free rows at the points
     (V on the triangle columns, W on the vertex columns, R on the cell
     columns), each applied to its coefficients by a row-wise pairwise sum.
-    Every point set takes one build, the rows (one surface pass, one
-    volume pass) and the data-free half of P there (px._P_geometry), and
-    one apply: the row products plus P f from that half, with the bits of
-    px.op_P.  The matrix's cache keeps the build (see _MatrixCache), so a
-    later call at the same points, for this system or any system sharing
-    its matrix (with_data, replace(..., rhs=...)), only applies it.  Point
-    sets whose rows would take more memory than the matrix are built and
-    applied in blocks and kept nowhere.
+    Every point set takes one build, the data-free half of P there
+    (px._P_geometry) and the rows (one surface pass, one volume pass on
+    that half's near set), and one apply: the row products plus P f from
+    that half, with the bits of px.op_P.  The matrix's cache keeps the
+    build (see _MatrixCache), so a later call at the same points, for this
+    system or any system sharing its matrix (with_data or
+    replace(..., rhs=...)), only applies it.  Point sets whose rows would
+    take more memory than the matrix are built and applied in blocks and
+    kept nowhere.
 
     A point with |y| <= the inner radius lies off the domain, where the
     formula gives no value of u, and raises ValueError.
@@ -547,8 +551,10 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
 
     def build(y):
         v, w, _ = px._VW_matrices(mesh, field, y)
-        rows = (v, w) if field.is_constant else (v, w, px.op_R_matrix(vol, field, y))
-        return rows, px._P_geometry(vol, field, y)
+        geometry = px._P_geometry(vol, field, y)
+        if not field.is_constant:
+            return (v, w, px._R(vol, field, y, near=geometry.near)), geometry
+        return (v, w), geometry
 
     def apply(y, part):
         rows, geometry = part

@@ -1,5 +1,6 @@
 """Command-line harness: subcommands, config handling, exit codes, artifacts."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -59,6 +60,8 @@ def test_load_config_rejects_unknown_key(tmp_path):
     ({"probe_points": ((0.0, 0.0, 9.0),)}, "shell"),
     ({"n_radial": 0}, "n_radial"),
     ({"angular_level": -1}, "angular_level"),
+    ({"output_dir": 7}, "output_dir must be a string"),
+    ({"truncation_radius": float("inf")}, "truncation"),
 ])
 def test_validation_rejects_bad_settings(overrides, fragment):
     with pytest.raises(cli.ConfigError, match=fragment):
@@ -103,6 +106,34 @@ def test_coefficient_params_the_catalog_rejects_exit_config_error(tmp_path, caps
     code = run([command, "--config", str(path), "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
     assert "coefficient_params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,values", [
+    ("check-coeff", {"levels": 3}),
+    ("check-coeff", {"levels": [1, 2.5]}),
+    ("check-coeff", {"probe_points": 5}),
+    ("check-coeff", {"probe_points": [[2.0, 0.0, "x"]]}),
+    ("check-coeff", {"probe_points": [[2.0, 0.0, 0.0], [2.0, 0.0]]}),
+    ("check-coeff", {"truncation_radius": "x"}),
+    ("check-coeff", {"truncation_radius": True}),
+    ("check-coeff", {"workers": "2"}),
+    ("check-coeff", {"case": ["zero"]}),
+    ("mesh", {"level": 2.0}),
+    ("mesh", {"n_radial": 2.5}),
+    ("mesh", {"angular_level": 1.5}),
+    ("mesh", {"angular_level": False}),
+])
+def test_config_values_of_the_wrong_type_exit_config_error(tmp_path, capsys, command,
+                                                          values):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(values))
+    code = run([command, "--config", str(path), "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert f"{next(iter(values))} must be" in capsys.readouterr().err
+
+
+def test_every_config_key_has_a_kind():
+    assert set(cli._KINDS) == {f.name for f in dataclasses.fields(cli.RunConfig)}
 
 
 def test_dense_cap_exits_resource_code(tmp_path, capsys):

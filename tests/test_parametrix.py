@@ -352,25 +352,6 @@ def test_volume_values_do_not_depend_on_the_block(shell14, gauss_field, monkeypa
             assert np.array_equal(op(block[k:k + 1]), together[k:k + 1])
 
 
-@pytest.mark.parametrize("coefficient", ["gaussian", "constant"])
-@pytest.mark.parametrize("output", ["rows", "values"])
-def test_fused_volume_pass_equals_lone_operators(shell14, sphere3, monkeypatch,
-                                                 coefficient, output):
-    # R and P f from one pass have the bits of op_R (or op_R_matrix) and
-    # op_P alone, in blocks of three targets with a partial last block.
-    monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", 3 * shell14.all_weights().size)
-    field = co.coefficient_by_name(coefficient)
-    targets = np.concatenate([shell14.centers[::97], sphere3.centroids[::70]])
-    rng = np.random.default_rng(31)
-    f = lp.DomainDensity(rng.normal(size=shell14.n_cells))
-    u = None if output == "rows" else lp.DomainDensity(rng.normal(size=shell14.n_cells))
-    r, p = px._R_and_P(shell14, field, targets, u, px._P_weights(shell14, field, f))
-    alone = (px.op_R_matrix(shell14, field, targets) if u is None
-             else px.op_R(shell14, field, u, targets))
-    assert np.array_equal(r, alone)
-    assert np.array_equal(p, px.op_P(shell14, field, f, targets))
-
-
 @pytest.mark.parametrize("block_pairs", [None, 3])
 def test_kept_near_set_gives_the_bits_of_a_measured_pass(shell14, sphere3, gauss_field,
                                                          monkeypatch, block_pairs):
@@ -391,7 +372,7 @@ def test_kept_near_set_gives_the_bits_of_a_measured_pass(shell14, sphere3, gauss
     rows = lp._VolumeTerm(lp._newton_weights(shell14, lp._scaled_weights(shell14)), rows=True)
     near = lp._near_set(shell14, targets)
     assert np.isinf(near.dist).any()
-    assert np.array_equal(lp._volume_rows(shell14, targets, [rows], near)[0],
+    assert np.array_equal(lp._volume_rows(shell14, targets, rows, near),
                           lp.newton_potential_matrix(shell14, targets))
     weights = lp._cell_cache(shell14).weights
     data = px._remainder_data(shell14, gauss_field)
@@ -399,9 +380,9 @@ def test_kept_near_set_gives_the_bits_of_a_measured_pass(shell14, sphere3, gauss
     remainder_rows = lp._VolumeTerm(weights, px._remainder_kernel, data, rows=True)
     remainder_values = lp._VolumeTerm(lp._times(weights, lp._node_values(shell14, u)),
                                       px._remainder_kernel, data)
-    assert np.array_equal(lp._volume_rows(shell14, targets, [remainder_rows], geometry.near)[0],
+    assert np.array_equal(lp._volume_rows(shell14, targets, remainder_rows, geometry.near),
                           px.op_R_matrix(shell14, gauss_field, targets))
-    assert np.array_equal(lp._volume_rows(shell14, targets, [remainder_values], geometry.near)[0],
+    assert np.array_equal(lp._volume_rows(shell14, targets, remainder_values, geometry.near),
                           px.op_R(shell14, gauss_field, u, targets))
 
 
@@ -507,12 +488,12 @@ def test_split_volume_pass_does_not_depend_on_the_block(level_volumes, gauss_fie
     assert near.any(axis=1).all() and (~near).any(axis=1).all()
     case = cases.point_source_case(gauss_field)
     u = lp.DomainDensity(case.exact.u(vol.centers))
-    p_weights = px._P_weights(vol, gauss_field, case.f)
     passes = {}
     for per_block in (3, 1):
         monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", per_block * vol.far_weights.size)
-        passes[per_block] = (px._R_and_P(vol, gauss_field, targets, p_weights=p_weights)
-                             + px._R_and_P(vol, gauss_field, targets, u, p_weights))
+        passes[per_block] = (px.op_R_matrix(vol, gauss_field, targets),
+                             px.op_R(vol, gauss_field, u, targets),
+                             px.op_P(vol, gauss_field, case.f, targets))
     for three, one in zip(passes[3], passes[1]):
         assert np.array_equal(three, one)
 

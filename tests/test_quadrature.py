@@ -273,8 +273,8 @@ def test_integrate_volume_exclusion_ball():
         r[...] = np.sqrt(sum((comps[k] - y[k]) ** 2 for k in range(3)))
         return np.ones_like(r)
 
-    terms = [lp._VolumeTerm(lp._cell_cache(vol).weights, kern)]
-    value = lp._volume_rows(vol, target, terms)[0][0]
+    term = lp._VolumeTerm(lp._cell_cache(vol).weights, kern)
+    value = lp._volume_rows(vol, target, term)[0]
     near = lp._near_cells(vol, target)[0]
     r = np.linalg.norm(vol.nodes - target, axis=2)
     inside = near[:, None] & (r <= lp.exclusion_radii(vol)[:, None])

@@ -666,6 +666,32 @@ def _count_near_sets(monkeypatch):
     return built
 
 
+@pytest.mark.parametrize("coefficient", ["gaussian", "constant"])
+def test_each_target_set_is_classified_and_measured_once(level1, coefficient, monkeypatch):
+    """Assembly with a source takes its R rows and P f from one near set of
+    its n targets, the cell centres and the collocation points; a first
+    evaluation at m points takes its R rows and the data-free half of P
+    there from one near set of those m.  A constant coefficient has no R."""
+    surf, vol = level1
+    field = co.coefficient_by_name(coefficient)
+    case = cs.point_source_case(field)
+    ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
+    source = lambda x: np.exp(-(x * x).sum(axis=-1))
+    measured = []
+    near_set = lp._near_set
+
+    def counted(volmesh, targets):
+        measured.append(len(lp._volume_points(targets)))
+        return near_set(volmesh, targets)
+
+    monkeypatch.setattr(lp, "_near_set", counted)
+    system = sy.assemble_M12(vol, surf, field, f=source, extensions=ext)
+    n = len(_system_targets(system))
+    assert measured == [n]
+    sy.evaluate_solution(system, sy.solve_M12(system), cs.PROBE_POINTS)
+    assert measured == [n, len(cs.PROBE_POINTS)]
+
+
 @pytest.mark.parametrize("level,base", [(1, "psrc_gauss_sys1"), (2, "gauss_sys2")])
 @pytest.mark.parametrize("coefficient", ["gaussian", "inclusion"])
 def test_kept_P_has_the_bits_of_op_P(level, base, coefficient, request):
