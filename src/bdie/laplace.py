@@ -22,9 +22,10 @@ evaluates one term; the passes at one target set (the remainder's rows
 and P f, say) share its near set (``_NearSet``).  Both split the pairs of a
 target and an element by distance.  The surface engine takes far, near
 (subdivided) and Duffy panels on the one rule of ``quadrature``
-(FAR_ORDER, NEAR_ORDER on SUBDIVISION_LEVELS levels, NEAR_THRESHOLD,
-DUFFY_ORDER), so no operator takes a setting: each is a function of the
-mesh, the coefficient, the density and the targets.  The volume engine
+(FAR_ORDER; NEAR_ORDER at the depth ``quad.near_depth`` gives a near
+pair, at most SUBDIVISION_LEVELS; NEAR_THRESHOLD; DUFFY_ORDER), so no
+operator takes a setting: each is a function of the mesh, the
+coefficient, the density and the targets.  The volume engine
 takes far cells on the shell's default 6-node rule, its far table, and
 near cells on the mesh's own rule with the exclusion ball.  The surface
 engine returns only dense rows on a basis, triangle-constant or
@@ -291,32 +292,51 @@ def _as_collocation(targets) -> Collocation:
 
 # --- panel caches ---------------------------------------------------------------
 
+class _NodeTable(NamedTuple):
+    """A reference rule mapped to every panel of a mesh: its nodes,
+    component-major (3, panels, nodes), their weights (panels, nodes) and
+    their barycentric coordinates (nodes, 3), the same on every panel."""
+
+    nodes: np.ndarray
+    wts: np.ndarray
+    bary: np.ndarray
+
+    @staticmethod
+    def of(corners: np.ndarray, pts: np.ndarray, wts: np.ndarray) -> "_NodeTable":
+        nodes, w = quad.map_to_panel(corners, pts, wts)
+        return _NodeTable(np.ascontiguousarray(np.moveaxis(nodes, -1, 0)), w,
+                          quad.barycentric(pts))
+
+
 class _PanelCache:
-    """Per-mesh physical quadrature nodes for the far and near rules
-    (quad.FAR_ORDER; quad.NEAR_ORDER on quad.SUBDIVISION_LEVELS levels),
-    stored component-major: (3, panels, nodes)."""
+    """Per-mesh physical quadrature nodes: the far table (quad.FAR_ORDER),
+    built up front, and one near table per subdivision depth (quad.NEAR_ORDER
+    on k levels, the depth quad.near_depth gives a pair), each built when a
+    pair first needs it."""
 
     def __init__(self, mesh: SurfaceMesh):
-        corners = mesh.corners()
-        fpts, fwts = quad.gauss_triangle(quad.FAR_ORDER)
-        npts, nwts = quad.subdivided_triangle_rule(quad.NEAR_ORDER, quad.SUBDIVISION_LEVELS)
-        far_nodes, self.far_wts = quad.map_to_panel(corners, fpts, fwts)
-        near_nodes, self.near_wts = quad.map_to_panel(corners, npts, nwts)
-        self.far_nodes = np.ascontiguousarray(np.moveaxis(far_nodes, -1, 0))
-        self.near_nodes = np.ascontiguousarray(np.moveaxis(near_nodes, -1, 0))
+        self.corners = mesh.corners()
+        self.far = _NodeTable.of(self.corners, *quad.gauss_triangle(quad.FAR_ORDER))
         # Every call on the mesh shares the far table, and callbacks see views of it.
-        self.far_nodes.flags.writeable = False
+        self.far.nodes.flags.writeable = False
+        self._near = {}
         self.normals = np.ascontiguousarray(mesh.normals.T)
         self.centroids = np.ascontiguousarray(mesh.centroids.T)
-        self.far_bary = quad.barycentric(fpts)
-        self.near_bary = quad.barycentric(npts)
         # Every point of a panel lies within radius of its centroid.
-        self.radius = np.linalg.norm(corners - mesh.centroids[:, None, :], axis=2).max(axis=1)
+        self.radius = np.linalg.norm(self.corners - mesh.centroids[:, None, :],
+                                     axis=2).max(axis=1)
         # Star panels per vertex, for vertex-registered targets.
         self.vertex_star = [[] for _ in range(mesh.n_vertices)]
         for t, tri in enumerate(mesh.triangles):
             for v in tri:
                 self.vertex_star[v].append(t)
+
+    def near(self, depth: int) -> _NodeTable:
+        """The near table of a subdivision depth (>= 1)."""
+        if depth not in self._near:
+            self._near[depth] = _NodeTable.of(
+                self.corners, *quad.subdivided_triangle_rule(quad.NEAR_ORDER, depth))
+        return self._near[depth]
 
 
 def _panel_cache(mesh: SurfaceMesh) -> _PanelCache:
@@ -388,11 +408,11 @@ class _Scatter(NamedTuple):
 
 # --- the assembly engine -------------------------------------------------------
 
-# Target-node pairs per block of far-field kernel values, and target-panel
-# pairs per batch of near-field corrections.  They bound every temporary of
-# the surface engine, whatever the numbers of targets and panels.
+# Target-node pairs per block of far-field kernel values, and node pairs per
+# batch of near-field corrections.  They bound every temporary of the
+# surface engine, whatever the numbers of targets and panels.
 FAR_BLOCK_PAIRS = 1 << 15
-NEAR_BATCH_PAIRS = 256
+NEAR_BATCH_NODES = 1 << 14
 
 
 def _singular_pairs(cache: _PanelCache, colloc: Collocation):
@@ -405,6 +425,25 @@ def _singular_pairs(cache: _PanelCache, colloc: Collocation):
         rows.extend([i] * len(own))
         panels.extend(own)
     return np.array(rows, dtype=int), np.array(panels, dtype=int)
+
+
+class _Pairs(NamedTuple):
+    """Target-panel pairs on one node table, sorted by target: their rows
+    and panels (k,), each panel's vertex columns (k, 3) in the order of the
+    table's corners, the nodes (3, k, q), the node weights of each term
+    (k, q) by term index, and the nodes' barycentric coordinates (q, 3)."""
+
+    rows: np.ndarray
+    panels: np.ndarray
+    corner_cols: np.ndarray
+    nodes: np.ndarray
+    weights: dict
+    bary: np.ndarray
+
+    def take(self, index: slice) -> "_Pairs":
+        return _Pairs(self.rows[index], self.panels[index], self.corner_cols[index],
+                      self.nodes[:, index], {t: w[index] for t, w in self.weights.items()},
+                      self.bary)
 
 
 class _Term(NamedTuple):
@@ -451,7 +490,7 @@ def apply_rows_in_blocks(mesh: SurfaceMesh, targets, rows_of: Callable, coeffici
     the same targets together as in one call over all of them, and every
     value has the bits of that call."""
     colloc = _as_collocation(targets)
-    step = max(1, FAR_BLOCK_PAIRS // _panel_cache(mesh).far_wts.size)
+    step = max(1, FAR_BLOCK_PAIRS // _panel_cache(mesh).far.wts.size)
     width = sum(len(c) for c in coefficients)
     block = step * max(1, VALUE_BLOCK_ENTRIES // (step * width))
     parts = [[apply_rows(rows, c) for rows, c in
@@ -469,17 +508,26 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
 
     The rule is the one of ``quadrature``, in the mesh's one _PanelCache.
     Targets run in blocks of FAR_BLOCK_PAIRS // (far nodes).  In a block, a
-    target-panel pair is far when a centroid bound already puts the panel
+    target-panel pair is far when a centroid bound (squared distances of
+    the centroids, component-major) already puts the panel
     quad.NEAR_THRESHOLD diameters away; the exact point-triangle distance is
     computed for the other pairs only (one paired call per block), once for
-    all terms.  Far pairs take one block of kernel values at all far nodes
-    (quad.FAR_ORDER), masked to the far pairs and mapped to each term's
-    columns by a sparse node-to-column matrix; near pairs (quad.NEAR_ORDER on
-    quad.SUBDIVISION_LEVELS levels) and the target's own panels (a Duffy
-    rule of quad.DUFFY_ORDER) add their sums as corrections.  A term's
-    factor is folded into its node weights once per call: into the far
-    weights of every panel up front, into the near weights of a panel at
-    its first near pair.
+    all terms, and quad.near_depth maps each to its depth, 0 for far.  Far
+    pairs take one block of kernel values at all far nodes (quad.FAR_ORDER),
+    masked to the far pairs and mapped to each term's columns by a sparse
+    node-to-column matrix.  Near pairs are grouped by depth and take the
+    near table of their depth (quad.NEAR_ORDER on that many levels), in
+    batches of about NEAR_BATCH_NODES node pairs; the target's own panels
+    take a Duffy rule of quad.DUFFY_ORDER.  Both add their sums as
+    corrections, a block of targets at a time.  A term's factor is folded
+    into its node weights once per call: into the far weights of every
+    panel up front, into the near weights of a depth and a panel at the
+    panel's first near pair of that depth, and into the Duffy weights when
+    the singular pairs are mapped.  Their kinds are found once per call;
+    their nodes and weights are mapped once, for runs of whole blocks of
+    about NEAR_BATCH_NODES Duffy nodes, with every corner kind on the one
+    rule singular at corner 0 (each panel's corners and vertex columns
+    rolled to put the target there).
 
     Kernel contract (see _kernel_values): node tables are component-major,
     (3, panels, nodes), and the terms of a block share r = |x - y|, built in
@@ -498,13 +546,17 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
     """
     colloc = _as_collocation(targets)
     cache = _panel_cache(mesh)
-    corners = mesh.corners()
+    corners = cache.corners
     n_tri = mesh.n_triangles
     kernels = [term.kernel for term in terms]
     columns = [_Columns(mesh, term.space) for term in terms]
     outs = [np.zeros((colloc.n, c.n)) for c in columns]
     on_panel_tol = 1e-12 * mesh.diameters
-    near_cut = quad.NEAR_THRESHOLD * mesh.diameters
+    # The centroid bound, squared: a pair is a candidate while the target
+    # lies within radius + quad.NEAR_THRESHOLD diameters of the centroid.
+    # The margin keeps rounding in the bound from calling a pair far that
+    # the exact distance would call near.
+    bound2 = (cache.radius + quad.NEAR_THRESHOLD * mesh.diameters * (1.0 + 1e-9)) ** 2
 
     def node_weights(term, panels, nodes, wts):
         # The factor sees nodes (k, q, 3) and their panels' normals.
@@ -518,52 +570,109 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
         return cache.normals[:, panels, None], cache.centroids[:, panels, None]
 
     every = np.arange(n_tri)
-    every_nodes = np.moveaxis(cache.far_nodes, 0, -1)
-    far_map = [c.node_map(every, node_weights(term, every, every_nodes, cache.far_wts),
-                          cache.far_bary) for term, c in zip(terms, columns)]
+    far = cache.far
+    every_nodes = np.moveaxis(far.nodes, 0, -1)
+    far_map = [c.node_map(every, node_weights(term, every, every_nodes, far.wts), far.bary)
+               for term, c in zip(terms, columns)]
     # With a leading target axis: nodes (3, 1, n_tri, n_far), panels (3, 1, n_tri, 1).
-    far_nodes = cache.far_nodes[:, None]
+    far_nodes = far.nodes[:, None]
     far_panels = [a[:, None] for a in panel_data(every)]
     sing_rows, sing_panels = _singular_pairs(cache, colloc)
     duffy = [t for t, term in enumerate(terms) if term.scheme == "duffy"]
 
-    # Near weights are folded in when a panel first has a near pair: a call
-    # with few targets meets few near panels.
-    near_w = [np.empty(cache.near_wts.shape) for _ in terms]
-    near_ready = np.zeros(n_tri, dtype=bool)
+    # Singular pairs: their kinds, once per call, and their Duffy nodes and
+    # weights (factors included), mapped a run of target blocks at a time
+    # (see below).  Every corner kind takes the rule singular at corner 0,
+    # each panel's corners (and vertex columns) rolled so that the target
+    # is corner 0; centroids take their own.
+    kinds = (quad.singular_point_kind(corners[sing_panels], colloc.points[sing_rows])
+             if duffy else None)
 
-    def add_pairs(ts, rows, panels, nodes, weight_of, bary):
-        # Distinct target-panel pairs (rows[k], panels[k]) of the terms ts,
-        # nodes (3, k, q); a row may repeat.  A term's node weights are
-        # formed only when it is summed.  Each pair has its own triangle
-        # column, so those add directly; vertex columns repeat, and the
-        # vertex terms share one scatter plan.
-        vals = _kernel_values([kernels[t] for t in ts], nodes,
-                              colloc.points[rows].T[:, :, None], *panel_data(panels))
+    def duffy_pairs(lo, hi):
+        # The Duffy pairs sing_rows[lo:hi], one _Pairs per rule.
+        groups = []
+        for at_corner in (True, False):
+            k = kinds[lo:hi]
+            pick = (k >= 0) & (k != quad.AT_CENTROID) if at_corner else k == quad.AT_CENTROID
+            r, p = sing_rows[lo:hi][pick], sing_panels[lo:hi][pick]
+            if not len(r):
+                continue
+            order = (k[pick, None] + np.arange(3)) % 3 if at_corner else np.arange(3)[None]
+            pair = np.arange(len(p))[:, None]
+            nodes, w, bary = quad.duffy_panel_nodes(
+                corners[p][pair, order], 0 if at_corner else quad.AT_CENTROID, quad.DUFFY_ORDER)
+            nodes = np.ascontiguousarray(np.moveaxis(nodes, -1, 0))
+            weights = {t: node_weights(terms[t], p, np.moveaxis(nodes, 0, -1), w) for t in duffy}
+            groups.append(_Pairs(r, p, mesh.triangles[p][pair, order], nodes, weights, bary))
+        return groups
+
+    # Near weights of each depth are folded in when a panel first has a
+    # near pair of that depth: a call with few targets meets few panels.
+    near_w, near_ready = {}, {}
+
+    def near_pairs(rows, panels, depth):
+        # The near pairs of one depth as batches of about NEAR_BATCH_NODES
+        # node pairs, with each term's folded weights.
+        table = cache.near(depth)
+        if depth not in near_w:
+            near_w[depth] = [np.empty(table.wts.shape) for _ in terms]
+            near_ready[depth] = np.zeros(n_tri, dtype=bool)
+        new = np.unique(panels)
+        new = new[~near_ready[depth][new]]
+        if len(new):
+            nodes = np.moveaxis(table.nodes[:, new], 0, -1)
+            for term, w in zip(terms, near_w[depth]):
+                w[new] = node_weights(term, new, nodes, table.wts[new])
+            near_ready[depth][new] = True
+        batch = max(1, NEAR_BATCH_NODES // table.wts.shape[1])
+        for k in range(0, len(rows), batch):
+            p = panels[k:k + batch]
+            yield _Pairs(rows[k:k + batch], p, mesh.triangles[p], table.nodes[:, p],
+                         dict(enumerate(w[p] for w in near_w[depth])), table.bary)
+
+    def add_pairs(ts, pairs):
+        # Distinct target-panel pairs of the terms ts; a row may repeat.
+        # Each pair has its own triangle column, so those add directly;
+        # vertex columns repeat, and the vertex terms share one scatter plan.
+        vals = _kernel_values([kernels[t] for t in ts], pairs.nodes,
+                              colloc.points[pairs.rows].T[:, :, None],
+                              *panel_data(pairs.panels))
         plan = None
         for t in ts:
-            cols = columns[t].of(panels)
-            contrib = columns[t].reduce(vals[kernels[t]] * weight_of(t), bary)
+            contrib = columns[t].reduce(vals[kernels[t]] * pairs.weights[t], pairs.bary)
             if not columns[t].vertex:
-                outs[t][rows, cols[:, 0]] += contrib[:, 0]
+                outs[t][pairs.rows, pairs.panels] += contrib[:, 0]
                 continue
             if plan is None:
-                plan = _Scatter.plan(columns[t].n, rows[:, None], cols)
+                plan = _Scatter.plan(columns[t].n, pairs.rows[:, None], pairs.corner_cols)
             plan.add(outs[t], contrib)
 
-    block = max(1, FAR_BLOCK_PAIRS // cache.far_wts.size)
-    for start in range(0, colloc.n, block):
+    block = max(1, FAR_BLOCK_PAIRS // far.wts.size)
+    # A run of target blocks maps its Duffy pairs at once: whole blocks, as
+    # many as hold about NEAR_BATCH_NODES Duffy nodes (at least one).
+    starts = np.arange(0, colloc.n + block, block)
+    first = np.searchsorted(sing_rows, starts)  # the first pair of each block
+    if duffy:
+        per_pair = np.where(kinds == quad.AT_CENTROID, 3, 1) * quad.DUFFY_ORDER**2
+        mapped = np.concatenate(([0], np.cumsum(per_pair)))[first]
+    run_end, sing = 0, []
+    for j, start in enumerate(starts[:-1]):
         y = colloc.points[start:start + block]
-        lo, hi = np.searchsorted(sing_rows, [start, start + len(y)])
-        rows, panels = sing_rows[lo:hi], sing_panels[lo:hi]
+        stop = start + len(y)
+        lo, hi = first[j], first[j + 1]
+        if duffy and j >= run_end:
+            run_end = max(j + 1, np.searchsorted(mapped, mapped[j] + NEAR_BATCH_NODES,
+                                                 side="right") - 1)
+            sing = duffy_pairs(lo, first[run_end])
         regular = np.ones((len(y), n_tri), dtype=bool)
-        regular[rows - start, panels] = False
+        regular[sing_rows[lo:hi] - start, sing_panels[lo:hi]] = False
 
-        # Classification: the centroid bound, then exact distances of the
-        # candidate pairs it cannot decide.  The margin keeps rounding in the
-        # bound from calling a pair far that the exact distance would call near.
-        gap = np.linalg.norm(y[:, None, :] - mesh.centroids, axis=2) - cache.radius
-        cand_rows, cand_panels = np.nonzero(regular & (gap < near_cut * (1.0 + 1e-9)))
+        # Classification: the centroid bound, component-major, then exact
+        # distances of the candidate pairs it cannot decide and their depths.
+        shape = (len(y), n_tri)
+        d2 = _squared_distances(cache.centroids, y.T[:, :, None], np.empty(shape),
+                                np.empty(shape))
+        cand_rows, cand_panels = np.nonzero(regular & (d2 < bound2))
         d = np.empty(0)
         if len(cand_rows):
             d = quad.point_triangle_distance(y[cand_rows], corners[cand_panels],
@@ -575,8 +684,13 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
                 f"target {y[cand_rows[k]]} lies on panel {cand_panels[k]}, which is "
                 "not one of its registered panels; pass it as a Collocation "
                 "centroid or vertex of that panel")
-        is_near = d < near_cut[cand_panels]
-        near_rows, near_panels = cand_rows[is_near], cand_panels[is_near]
+        if duffy and np.any(kinds[lo:hi] == quad.UNREGISTERED):
+            k = lo + int(np.argmax(kinds[lo:hi] == quad.UNREGISTERED))
+            raise ValueError(f"registered target {colloc.points[sing_rows[k]]} is neither "
+                             f"a vertex nor the centroid of its panel {sing_panels[k]}")
+        depth = quad.near_depth(d, mesh.diameters[cand_panels])
+        near = depth > 0
+        depth, near_rows, near_panels = depth[near], cand_rows[near], cand_panels[near]
 
         # Far pairs: kernel values at every far node, masked to far pairs.
         # Masked nodes may sit on a target; their values are discarded.
@@ -587,33 +701,18 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
         for v in vals.values():
             v[not_far] = 0.0
         for t, kernel in enumerate(kernels):
-            outs[t][start:start + len(y)] += (far_map[t] @ vals[kernel].reshape(len(y), -1).T).T
+            outs[t][start:stop] += (far_map[t] @ vals[kernel].reshape(len(y), -1).T).T
 
-        new = np.unique(near_panels)
-        new = new[~near_ready[new]]
-        if len(new):
-            nodes = np.moveaxis(cache.near_nodes[:, new], 0, -1)
-            for term, w in zip(terms, near_w):
-                w[new] = node_weights(term, new, nodes, cache.near_wts[new])
-            near_ready[new] = True
-        for k in range(0, len(near_rows), NEAR_BATCH_PAIRS):
-            r, p = near_rows[k:k + NEAR_BATCH_PAIRS], near_panels[k:k + NEAR_BATCH_PAIRS]
-            add_pairs(range(len(terms)), r + start, p, cache.near_nodes[:, p],
-                      lambda t: near_w[t][p], cache.near_bary)
-
-        # Singular pairs: a Duffy rule per kind of registered point.
-        if not duffy:
-            continue
-        kinds = quad.singular_point_kind(corners[panels], colloc.points[rows])
-        if np.any(kinds == quad.UNREGISTERED):
-            k = int(np.argmax(kinds == quad.UNREGISTERED))
-            raise ValueError(f"registered target {colloc.points[rows[k]]} is neither a "
-                             f"vertex nor the centroid of its panel {panels[k]}")
-        for kind in np.unique(kinds):
-            r, p = rows[kinds == kind], panels[kinds == kind]
-            nodes, w, bary = quad.duffy_panel_nodes(corners[p], kind, quad.DUFFY_ORDER)
-            add_pairs(duffy, r, p, np.moveaxis(nodes, -1, 0),
-                      lambda t: node_weights(terms[t], p, nodes, w), bary)
+        # Near pairs, grouped by depth; then the singular pairs of the block,
+        # on the corner rule and the centroid rule.
+        for k in np.unique(depth):
+            at = depth == k
+            for pairs in near_pairs(near_rows[at] + start, near_panels[at], k):
+                add_pairs(range(len(terms)), pairs)
+        for pairs in sing:
+            a, b = np.searchsorted(pairs.rows, [start, stop])
+            if a < b:
+                add_pairs(duffy, pairs.take(slice(a, b)))
     return outs
 
 

@@ -32,7 +32,8 @@ collapse to their Laplace counterparts through the same code path.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+import functools
+from typing import Callable
 
 import numpy as np
 
@@ -155,20 +156,30 @@ def op_P(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.n
     return lp.newton_potential(volmesh, density, targets, factor=_inv_a_nodes(field))
 
 
-class _PGeometry(NamedTuple):
+class _PGeometry:
     """The data-free half of op_P at a target set: its near pairs and their
     node distances (laplace._NearSet), which R's passes there take too (see
-    _R), and the weights w_q / a on both volume tables.  What is left per
-    density is its values at the nodes, one far pass and the near pairs'
-    weights over the kept distances."""
+    _R), and the weights w_q / a on both volume tables.  Each is built when
+    it is first read, so a target set that needs neither R nor P f
+    measures nothing.  What is left per density is its values at the nodes,
+    one far pass and the near pairs' weights over the kept distances."""
 
-    near: lp._NearSet
-    weights: lp._Tables
+    def __init__(self, volmesh: VolumeMesh, field: CoefficientField, targets):
+        # A copy: the caller's array may change before a part is built.
+        self._volmesh, self._field = volmesh, field
+        self._targets = np.array(lp._volume_points(targets))
+
+    @functools.cached_property
+    def near(self) -> lp._NearSet:
+        return lp._near_set(self._volmesh, self._targets)
+
+    @functools.cached_property
+    def weights(self) -> lp._Tables:
+        return lp._scaled_weights(self._volmesh, _inv_a_nodes(self._field))
 
 
 def _P_geometry(volmesh: VolumeMesh, field: CoefficientField, targets) -> _PGeometry:
-    return _PGeometry(lp._near_set(volmesh, targets),
-                      lp._scaled_weights(volmesh, _inv_a_nodes(field)))
+    return _PGeometry(volmesh, field, targets)
 
 
 def _P_kept(volmesh: VolumeMesh, geometry: _PGeometry, density, targets) -> np.ndarray:

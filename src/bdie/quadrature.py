@@ -6,8 +6,10 @@ integrating a kernel against a panel: a plain symmetric Gauss rule when the
 target is well separated, a uniformly subdivided Gauss rule in the
 near-singular band, and a Duffy (square-to-triangle) transform when the
 target lies on the panel at a registered point; ``laplace._surface_rows``
-selects among them.  All rules are deterministic: the same inputs produce
-bit-identical outputs.
+selects among them.  The subdivision is graded: ``near_depth`` maps a
+pair's distance over its panel's diameter to a depth, the one rule of
+that choice, so a near pair pays only for the depth it needs.  All rules
+are deterministic: the same inputs produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -17,10 +19,14 @@ import functools
 import numpy as np
 
 # The surface rule of every operator (laplace._surface_rows reads these; no
-# operator takes a setting): targets farther than NEAR_THRESHOLD panel
-# diameters use the Gauss rule of FAR_ORDER; closer, off-panel targets the
-# rule of NEAR_ORDER on SUBDIVISION_LEVELS levels of subdivision; a
-# registered target's own panels a Duffy rule of DUFFY_ORDER.
+# operator takes a setting): a target at least NEAR_THRESHOLD panel
+# diameters h from a panel takes its Gauss rule of FAR_ORDER.  A closer,
+# off-panel target at distance d takes the rule of NEAR_ORDER on the
+# shallowest uniform subdivision of depth k with 2**k d >= NEAR_THRESHOLD h,
+# whose sub-panels (h / 2**k across) then lie as far off, in their own
+# diameters, as a far pair; SUBDIVISION_LEVELS caps k (see near_depth).  So
+# 1.5 <= d/h < 3 takes depth 1 and d/h < 1.5 depth 2.  A registered target's
+# own panels take a Duffy rule of DUFFY_ORDER.
 NEAR_THRESHOLD = 3.0
 FAR_ORDER = 3
 NEAR_ORDER = 4
@@ -132,6 +138,20 @@ def duffy_triangle(singular_vertex: int, order: int = DUFFY_ORDER):
     bary = np.stack([1.0 - xi - eta, xi, eta], axis=1)
     bary = np.roll(bary, singular_vertex, axis=1)
     return _bary_to_ref(bary), w
+
+
+def near_depth(distance, diameter) -> np.ndarray:
+    """The subdivision depth of target-panel pairs at ``distance`` from
+    panels of ``diameter`` (arrays that broadcast): 0, the far rule, when
+    distance >= NEAR_THRESHOLD diameters; else the shallowest k with
+    2**k distance >= NEAR_THRESHOLD diameter, capped at SUBDIVISION_LEVELS.
+    The powers of two scale exactly, so depth 0 is the far test itself."""
+    d = np.asarray(distance, dtype=float)
+    cut = NEAR_THRESHOLD * np.asarray(diameter, dtype=float)
+    depth = np.zeros(np.broadcast_shapes(d.shape, cut.shape), dtype=np.intp)
+    for k in range(SUBDIVISION_LEVELS):
+        depth += 2.0**k * d < cut
+    return depth
 
 
 def subdivided_triangle_rule(order: int, levels: int):

@@ -43,14 +43,16 @@ rows at a set of points are kept with the LU, so evaluating a solution at
 kept points costs P f plus three row products.  P f itself has a data-free
 half, which is kept with the matrix too, for the cell centres and
 collocation points on the first with_data that has a source, and for a
-point set with its evaluation rows: the near target-cell pairs, sorted by
+point set with its evaluation rows; each of its parts is built when R or
+P f first reads it.  They are the near target-cell pairs, sorted by
 target and cell, the distances of their near-table nodes (inf inside the
 exclusion ball), q doubles per near pair for a near table of q nodes (4.0
 MB at level 2, about 14 MB at level 3), and the weights w_q / a on both
 volume tables.  A right-hand side then pays for f at the nodes, one far
 pass and the near pairs' weights over the kept distances, with the bits
 of px.op_P; R is never computed per right-hand side.  Every target set is
-classified and measured once: its R rows take the near set of that half.
+classified and measured once, and only when R or P f needs it: its R rows
+take the near set of that half.
 
 Everything is dense; sizes are guarded by the same caps as the operator
 assembly routines.
@@ -225,9 +227,10 @@ class _MatrixCache:
     the data-free half of P at the system's own targets, the cell centres
     and the collocation points (px._PGeometry, 4.0 MB at level 2), built by
     the first with_data that has a source.  Under "points" are the
-    evaluation rows of the last point set and the data-free half of P there
-    (see evaluate_solution), which evaluate_solution keeps only when the
-    rows take no more memory than the matrix.
+    evaluation rows of the last point set and the data-free half of P there,
+    whose parts are built when R or P f first reads them (see
+    evaluate_solution), which evaluate_solution keeps only when the rows
+    take no more memory than the matrix.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -526,14 +529,17 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     (V on the triangle columns, W on the vertex columns, R on the cell
     columns), each applied to its coefficients by a row-wise pairwise sum.
     Every point set takes one build, the data-free half of P there
-    (px._P_geometry) and the rows (one surface pass, one volume pass on
-    that half's near set), and one apply: the row products plus P f from
-    that half, with the bits of px.op_P.  The matrix's cache keeps the
-    build (see _MatrixCache), so a later call at the same points, for this
-    system or any system sharing its matrix (with_data or
-    replace(..., rhs=...)), only applies it.  Point sets whose rows would
-    take more memory than the matrix are built and applied in blocks and
-    kept nowhere.
+    (px._P_geometry) and the rows (one surface pass, and for a variable
+    coefficient one volume pass on that half's near set), and one apply:
+    the row products plus P f from that half, with the bits of px.op_P.
+    The half builds its near set when R or P f first reads it, and its
+    weights when P f does, so a constant coefficient without a source does
+    no volume work.  The matrix's cache keeps the build (see
+    _MatrixCache), so a later call at the same points, for this system or
+    any system sharing its matrix (with_data or replace(..., rhs=...)),
+    only applies it, building what its source still needs.  Point sets
+    whose rows would take more memory than the matrix are built and
+    applied in blocks and kept nowhere.
 
     A point with |y| <= the inner radius lies off the domain, where the
     formula gives no value of u, and raises ValueError.

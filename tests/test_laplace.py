@@ -395,14 +395,15 @@ def _reference_rows(mesh, layer, colloc, space=None, density=None, factor=None,
 
     A target's own panels (its centroid panel, its vertex star) take the
     Duffy rule, or are skipped by the double layer; every other active panel
-    takes the far rule at distance >= NEAR_THRESHOLD diameters and the
-    subdivided near rule below.  ``density`` (value mode) is a
+    takes the rule of its depth (quad.near_depth): the far rule at depth 0,
+    the near rule subdivided that many levels below.  ``density`` (value mode) is a
     BoundaryDensity or a callable on nodes; ``space`` (matrix mode) is the
     column space.
     """
     corners = mesh.corners()
-    rules = {"far": quad.gauss_triangle(quad.FAR_ORDER),
-             "near": quad.subdivided_triangle_rule(quad.NEAR_ORDER, quad.SUBDIVISION_LEVELS)}
+    rules = [quad.gauss_triangle(quad.FAR_ORDER)] + [
+        quad.subdivided_triangle_rule(quad.NEAR_ORDER, k)
+        for k in range(1, quad.SUBDIVISION_LEVELS + 1)]
     n_cols = {None: 1, lp.SPACE_TRIANGLE: mesh.n_triangles,
               lp.SPACE_VERTEX: mesh.n_vertices}[space]
     out = np.zeros((colloc.n, n_cols))
@@ -436,8 +437,7 @@ def _reference_rows(mesh, layer, colloc, space=None, density=None, factor=None,
                     nodes, w, bary = map(np.concatenate, (nodes, w, bary))
             else:
                 d = quad.point_triangle_distance(y, c)
-                pts, w0 = rules["far" if d >= quad.NEAR_THRESHOLD * mesh.diameters[p]
-                                else "near"]
+                pts, w0 = rules[int(quad.near_depth(d, mesh.diameters[p]))]
                 bary = np.stack([1 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], 1)
                 nodes, w = quad.map_to_panel(c, pts, w0)
             n = mesh.normals[p]
@@ -520,10 +520,12 @@ def test_engine_matches_reference_for_restricted_densities(level1_targets, where
 
 def test_engine_evaluates_the_factor_at_the_nodes_it_uses():
     # The factor is folded into the far weights of every panel, and into
-    # the near weights only of the panels a target comes near.
+    # the near weights of a depth only of the panels a target comes near at
+    # that depth.
     mesh = geo.partition_boundary(geo.build_icosphere(3))
     n_far = quad.gauss_triangle(quad.FAR_ORDER)[1].size
-    n_near = quad.subdivided_triangle_rule(quad.NEAR_ORDER, quad.SUBDIVISION_LEVELS)[1].size
+    n_near = {k: quad.subdivided_triangle_rule(quad.NEAR_ORDER, k)[1].size
+              for k in range(1, quad.SUBDIVISION_LEVELS + 1)}
     seen = []
 
     def factor(nodes, normals):
@@ -537,8 +539,13 @@ def test_engine_evaluates_the_factor_at_the_nodes_it_uses():
 
     ones = lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.ones(mesh.n_triangles))
     assert points_for(ones, np.array([5.0, 0.0, 0.0])) == mesh.n_triangles * n_far
-    near = points_for(ones, 1.05 * mesh.centroids[0]) - mesh.n_triangles * n_far
-    assert near % n_near == 0 and 0 < near <= mesh.n_triangles // 10 * n_near
+    target = 1.05 * mesh.centroids[0]
+    depth = quad.near_depth(quad.point_triangle_distance(target, mesh.corners()),
+                            mesh.diameters)
+    near = points_for(ones, target) - mesh.n_triangles * n_far
+    assert near == sum(n_near[k] * np.count_nonzero(depth == k) for k in n_near)
+    assert 0 < near <= mesh.n_triangles // 10 * n_near[quad.SUBDIVISION_LEVELS]
+    assert all(np.any(depth == k) for k in n_near)
 
 
 # --- one pass for several terms ------------------------------------------------
@@ -568,7 +575,7 @@ def _mixed_terms():
 def test_multi_term_outputs_equal_one_term_calls(level1_targets, where, monkeypatch):
     # Small blocks and batches, so that a call crosses their boundaries.
     monkeypatch.setattr(lp, "FAR_BLOCK_PAIRS", 5 * 80 * 6)
-    monkeypatch.setattr(lp, "NEAR_BATCH_PAIRS", 7)
+    monkeypatch.setattr(lp, "NEAR_BATCH_NODES", 7 * 96)
     mesh, targets = level1_targets
     colloc = (lp.Collocation.concat([targets["vertex"], targets["free"], targets["centroid"]])
               if where == "mixed" else targets[where])

@@ -280,3 +280,82 @@ def test_integrate_volume_exclusion_ball():
     inside = near[:, None] & (r <= lp.exclusion_radii(vol)[:, None])
     assert 1 <= inside.sum() < vol.n_nodes_per_cell
     assert value == pytest.approx(vol.volumes.sum() - vol.node_weights[inside].sum(), rel=1e-12)
+
+
+# --- the graded near rule --------------------------------------------------------
+
+def test_near_depth_maps_distance_over_diameter_to_a_depth():
+    # The shallowest k with 2**k d >= NEAR_THRESHOLD h, capped; 0 is far.
+    assert quad.near_depth([2.99, 1.5, 1.49, 0.1], 1.0).tolist() == [1, 1, 2, 2]
+    assert quad.near_depth([3.0, 7.5], 1.0).tolist() == [0, 0]
+    assert quad.near_depth(np.array([[0.75], [0.37]]), np.array([0.5, 0.25])).tolist() == [
+        [1, 0], [2, 2]]
+
+
+@pytest.mark.parametrize("depth", range(1, quad.SUBDIVISION_LEVELS + 1))
+def test_depth_tables_weigh_each_panel_and_stay_on_it(depth):
+    # Each depth's node table: per panel, the weights sum to the panel's
+    # area, and every node is a convex combination of the panel's corners.
+    mesh = geo.build_icosphere(2)
+    table = lp._panel_cache(mesh).near(depth)
+    assert table.wts.shape == (mesh.n_triangles,
+                               4**depth * quad.gauss_triangle(quad.NEAR_ORDER)[1].size)
+    assert np.all(np.abs(table.wts.sum(axis=1) - mesh.areas) <= 1e-13 * mesh.areas)
+    assert table.bary.min() >= 0.0 and table.bary.max() <= 1.0
+    assert np.allclose(table.bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    nodes = np.einsum("qk,pkj->jpq", table.bary, mesh.corners())
+    assert np.abs(table.nodes - nodes).max() <= 1e-15
+
+
+def _layer_integrals(corners, pts, wts, target):
+    """The integrals of 1/r and of the double-layer kernel n . (x - y) / r^3
+    over one flat panel, with a reference rule (pts, wts)."""
+    nodes, w = quad.map_to_panel(corners, pts, wts)
+    normal = np.cross(corners[1] - corners[0], corners[2] - corners[0])
+    normal /= np.linalg.norm(normal)
+    d = nodes - target
+    r = np.sqrt((d * d).sum(axis=-1))
+    return np.array([w @ (1.0 / r), w @ ((d @ normal) / r**3)])
+
+
+def test_depth_one_keeps_the_far_rule_standard_down_to_the_cut():
+    # Targets over three interior points of a flat panel, and beside the
+    # midpoints of its edges (45 degrees out of its plane), at d/h = ratio.
+    # The far rule's standard is its largest relative error at d/h = 3 over
+    # each class of targets.  Depth 1, whose sub-panels are h/2 across, meets
+    # it on 1.5 <= d/h < 3 in both classes; at d/h = 1 it does not, which is
+    # why the pairs below 1.5 take depth 2.  Reference: depth 5 of the
+    # degree-6 rule.
+    corners = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.8, 0.0]])
+    normal = np.array([0.0, 0.0, 1.0])
+    h = max(np.linalg.norm(corners[k] - corners[k - 1]) for k in range(3))
+    centroid = corners.mean(axis=0)
+    above = [(np.array(b) @ corners, normal)
+             for b in ([1 / 3, 1 / 3, 1 / 3], [0.6, 0.2, 0.2], [0.1, 0.45, 0.45])]
+    beside = []
+    for k in range(3):
+        mid = 0.5 * (corners[k] + corners[k - 1])
+        out = np.cross(corners[k] - corners[k - 1], normal)
+        out *= np.sign(out @ (mid - centroid)) / np.linalg.norm(out)
+        beside.append((mid, (out + normal) / np.sqrt(2.0)))
+    reference = quad.subdivided_triangle_rule(6, 5)
+    far = quad.gauss_triangle(quad.FAR_ORDER)
+    depth1 = quad.subdivided_triangle_rule(quad.NEAR_ORDER, 1)
+
+    def errors(rule, ratio, targets):
+        out = []
+        for anchor, direction in targets:
+            y = anchor + ratio * h * direction
+            assert abs(quad.point_triangle_distance(y, corners) - ratio * h) < 1e-12
+            want = _layer_integrals(corners, *reference, y)
+            out.append(np.abs(_layer_integrals(corners, *rule, y) - want) / np.abs(want))
+        return np.max(out, axis=0)  # per integral, the class's largest error
+
+    for targets in (above, beside):
+        standard = errors(far, 3.0, targets)
+        assert quad.near_depth(3.0 * h, h) == 0
+        for ratio in (1.5, 2.0, 2.5, 2.99):
+            assert quad.near_depth(ratio * h, h) == 1
+            assert np.all(errors(depth1, ratio, targets) <= standard)
+        assert quad.near_depth(1.0 * h, h) == 2
+        assert np.all(errors(depth1, 1.0, targets) > standard)

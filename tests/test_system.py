@@ -171,6 +171,36 @@ def test_f0_far_cell_matches_fine_quadrature(gauss_sys2, gauss_field, monkeypatc
     assert abs(rhs[idx] - fine[0]) / abs(fine[0]) < 0.02
 
 
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("coefficient,partition", [
+    ("gaussian", "equator"),
+    ("constant", "polar-cap"),
+])
+def test_graded_near_rule_agrees_with_depth_two_everywhere(level, coefficient, partition,
+                                                          monkeypatch):
+    """The graded surface near rule (depth 1 for 1.5 <= d/h < 3) against
+    depth 2 for every near pair: the matrix and the data columns agree to
+    1e-7 of their largest entry, and the three accuracy ratios to 1e-6."""
+    field = co.coefficient_by_name(coefficient)
+    graded = quad.near_depth
+
+    def solve():
+        surf, vol = cs.level_meshes(level, partition)
+        case = cs.point_source_case(field)
+        ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
+        system = sy.assemble_M12(vol, surf, field, f=case.f, extensions=ext)
+        report = sy.equivalence_residuals(sy.solve_M12(system), case.exact, field, surf, vol)
+        return system, np.array([report.trace_rel, report.conormal_rel, report.interior_rel])
+
+    system, ratios = solve()
+    monkeypatch.setattr(quad, "near_depth", lambda d, h: np.where(
+        graded(d, h) > 0, quad.SUBDIVISION_LEVELS, 0))
+    deep, deep_ratios = solve()
+    for a, b in ((system.matrix, deep.matrix), (system.data_columns, deep.data_columns)):
+        assert np.abs(a - b).max() <= 1e-7 * np.abs(b).max()
+    assert np.all(np.abs(ratios - deep_ratios) <= 1e-6 * deep_ratios)
+
+
 @pytest.mark.parametrize("coefficient,partition", [
     ("gaussian", "equator"),
     ("constant", "polar-cap"),
@@ -690,6 +720,38 @@ def test_each_target_set_is_classified_and_measured_once(level1, coefficient, mo
     assert measured == [n]
     sy.evaluate_solution(system, sy.solve_M12(system), cs.PROBE_POINTS)
     assert measured == [n, len(cs.PROBE_POINTS)]
+
+
+def test_evaluation_builds_the_near_set_only_when_R_or_P_f_needs_it(level1, monkeypatch):
+    """A constant coefficient without a source has no volume work at its
+    evaluation points.  A system with a source that shares the matrix then
+    builds the near set there once, and its values carry the bits of
+    px.op_P."""
+    surf, vol = level1
+    field = co.constant_coefficient()
+    case = cs.constant_one_case(field)
+    ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
+    system = sy.assemble_M12(vol, surf, field, extensions=ext)
+    solution = sy.solve_M12(system)
+    pts = cs.PROBE_POINTS
+    source = lambda x: np.exp(-(x * x).sum(axis=-1))
+    pf = px.op_P(vol, field, source, pts)
+    measured = []
+    near_set = lp._near_set
+
+    def counted(volmesh, targets):
+        measured.append(len(lp._volume_points(targets)))
+        return near_set(volmesh, targets)
+
+    monkeypatch.setattr(lp, "_near_set", counted)
+    without = sy.evaluate_solution(system, solution, pts)
+    assert measured == []
+    sourced = system.with_data(source, ext)
+    n = len(_system_targets(system))
+    assert measured == [n]
+    for _ in range(2):
+        assert np.array_equal(sy.evaluate_solution(sourced, solution, pts), without + pf)
+    assert measured == [n, len(pts)]
 
 
 @pytest.mark.parametrize("level,base", [(1, "psrc_gauss_sys1"), (2, "gauss_sys2")])
