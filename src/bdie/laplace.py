@@ -18,8 +18,9 @@ Every surface operator runs through one engine, ``_surface_rows``, and
 every volume operator through another, ``_volume_rows``; both run over
 blocks of targets.  A surface pass serves a list of terms (several
 outputs), which share one classification and one r.  A volume pass
-evaluates one term; the passes at one target set (the remainder's rows
-and P f, say) share its near set (``_NearSet``).  Both split the pairs of a
+evaluates one term at points or at a measured set (``_NearSet``, which
+carries its points), so the passes at one target set (the remainder's rows
+and P f, say) share its near set.  Both split the pairs of a
 target and an element by distance.  The surface engine takes far, near
 (subdivided) and Duffy panels on the one rule of ``quadrature``
 (FAR_ORDER; NEAR_ORDER at the depth ``quad.near_depth`` gives a near
@@ -34,12 +35,12 @@ density's coefficients (``apply_rows``, a block of targets at a time in
 the value functions), so a surface density is always a
 ``BoundaryDensity``, with one coefficient per triangle or vertex of the
 mesh (``_space_of`` checks both).  The Newton potential carries -1/(4 pi),
-its factor (1/a for P) and its density in the node weights, so each of its
+a factor (1/a for P) and its density in the node weights, so each of its
 target-node pairs costs one divide, weights / r.  The near pairs of a
 target set and their node distances depend on no term: ``_near_set`` is
-the one place that classifies and measures them, and a pass given a kept
-``_NearSet`` does neither again, whatever its term (the system builds one
-per target set for its R rows and its P f there).
+the one place that classifies and measures them, and a pass given the
+``_NearSet`` does neither again, whatever its term (the system's volume
+target sets, ``parametrix._VolumeTargets``, measure one each for R and P f).
 
 Kernel contract of both engines: quadrature nodes are stored
 component-major, (3, ...), so that a block builds r^2 = (dx^2 + dy^2) + dz^2
@@ -804,8 +805,9 @@ def exclusion_radii(volmesh: VolumeMesh) -> np.ndarray:
 
 
 def _volume_points(targets) -> np.ndarray:
-    return np.atleast_2d(np.asarray(
-        targets.points if isinstance(targets, Collocation) else targets, dtype=float))
+    if isinstance(targets, (Collocation, _NearSet)):
+        targets = targets.points
+    return np.atleast_2d(np.asarray(targets, dtype=float))
 
 
 class _Tables(NamedTuple):
@@ -917,28 +919,35 @@ def _volume_blocks(cache: _CellCache):
 
 
 class _NearSet(NamedTuple):
-    """The data-free half of the near pairs of a volume pass at a target
-    set (see _near_set): the target and the cell of each near pair, sorted
-    by target and then by cell, and the distances (near nodes, pairs) of
-    the pairs' near-table nodes from their targets, inf at the nodes within
-    the cell's exclusion radius, so that a weight over its distance is zero
-    there and a kernel term is zeroed where it is inf.  It holds q doubles
-    per near pair for a near table of q nodes: at levels 2 and 3, 27970 and
-    100340 pairs of the cell centres and collocation points, 4.0 MB and
-    about 14 MB."""
+    """A measured volume target set (see _near_set): a copy of its points
+    (m, 3); the target and the cell of each near pair, sorted by target and
+    then by cell; and the distances (near nodes, pairs) of the pairs'
+    near-table nodes from their targets, inf within the cell's exclusion
+    radius, so that a weight over its distance is zero there and a kernel
+    term is zeroed where it is inf.  A pass given the set takes its targets
+    from it.  At levels 2 and 3 the distances of the cell centres and
+    collocation points take 4.0 MB and about 14 MB (27970 and 100340 pairs
+    of 18 nodes)."""
 
+    points: np.ndarray
     rows: np.ndarray
     cells: np.ndarray
     dist: np.ndarray
+
+    def chunk(self, lo: int, hi: int) -> "_NearSet":
+        """The set of targets lo:hi, with its rows counted from lo."""
+        a, b = np.searchsorted(self.rows, [lo, hi])
+        return _NearSet(self.points[lo:hi], self.rows[a:b] - lo, self.cells[a:b],
+                        self.dist[:, a:b])
 
 
 def _near_set(volmesh: VolumeMesh, targets) -> _NearSet:
     """The near pairs of targets and their node distances, classified a
     chunk of targets at a time and measured a batch of pairs at a time.
     This is the volume engine's one classification and measurement of near
-    pairs: _volume_rows takes each chunk's from here, or from a kept set."""
+    pairs: _volume_rows takes each chunk's from here, or from a given set."""
     cache = _cell_cache(volmesh)
-    targets = _volume_points(targets)
+    targets = np.array(_volume_points(targets))
     _, chunk, batch = _volume_blocks(cache)
     starts = range(0, len(targets), chunk)
     pairs = [np.nonzero(_near_cells(volmesh, targets[lo:lo + chunk])) for lo in starts]
@@ -952,7 +961,7 @@ def _near_set(volmesh: VolumeMesh, targets) -> _NearSet:
         np.sqrt(_squared_distances(cache.nodes.near[..., c], targets[t].T[:, None, :],
                                    r, np.empty(r.shape)), out=r)
         r[r <= cache.excl[c]] = np.inf
-    return _NearSet(rows, cells, dist)
+    return _NearSet(targets, rows, cells, dist)
 
 
 class _VolumeTerm(NamedTuple):
@@ -971,16 +980,15 @@ class _VolumeTerm(NamedTuple):
     out: Optional[np.ndarray] = None
 
 
-def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm,
-                 near: Optional[_NearSet] = None) -> np.ndarray:
+def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
     """The one engine behind every production volume integral: one pass over
     the targets for one term (see _VolumeTerm); returns values (m,) or rows
-    (m, cells).
+    (m, cells).  The targets are points, or a _NearSet, which is measured.
 
     Targets run in chunks of whole far blocks (about VOLUME_BLOCK_PAIRS
-    target-cell pairs).  A chunk's near pairs come from ``near``, the kept
-    _NearSet of these targets, or else from _near_set of the chunk, the
-    engine's one classification and measurement; the bits are the same.
+    target-cell pairs).  A chunk's near pairs come from the _NearSet the
+    targets are, or else from _near_set of the chunk's points, the engine's
+    one classification and measurement; the bits are the same.
     Far pairs integrate with the far table, the shell's default 6-node
     rule, in blocks of VOLUME_BLOCK_PAIRS // (far nodes) targets: one dense
     kernel call per block over every cell, reduced to per-cell sums, of
@@ -1009,6 +1017,7 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm,
     new array, which is then masked and weighted in place.
     """
     cache = _cell_cache(volmesh)
+    near = targets if isinstance(targets, _NearSet) else None
     targets = _volume_points(targets)
     m, n_c = len(targets), cache.n_cells
     out = (term.out if term.out is not None
@@ -1031,8 +1040,8 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm,
                 vals *= term.weights.far
             return vals.sum(axis=1)
 
-    def near_pass(pairs):
-        # The near pairs of whole targets, sorted by target.
+    def near_pass(pairs, out):
+        # The near pairs of a chunk, sorted by target, into its rows of out.
         rows, cells = pairs.rows, pairs.cells
         sums = np.empty(len(rows))
         for k in range(0, len(rows), batch):
@@ -1047,7 +1056,7 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm,
                 with np.errstate(divide="ignore", invalid="ignore"):
                     vals = term.kernel(cache.nodes.near[..., c],
                                        tuple(d.near[..., c] for d in term.data),
-                                       targets[t].T[:, None, :],
+                                       pairs.points[t].T[:, None, :],
                                        np.empty(dist.shape), np.empty(dist.shape))
                 vals[np.isinf(dist)] = 0.0
                 vals *= w
@@ -1060,14 +1069,9 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm,
 
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        if near is None:
-            pairs = _near_set(volmesh, targets[lo:hi])
-            pairs = pairs._replace(rows=pairs.rows + lo)
-        else:
-            a, b = np.searchsorted(near.rows, [lo, hi])
-            pairs = _NearSet(near.rows[a:b], near.cells[a:b], near.dist[:, a:b])
+        pairs = _near_set(volmesh, targets[lo:hi]) if near is None else near.chunk(lo, hi)
         near_chunk = np.zeros((hi - lo, n_c), dtype=bool)
-        near_chunk[pairs.rows - lo, pairs.cells] = True
+        near_chunk[pairs.rows, pairs.cells] = True
         for start in range(lo, hi, block):
             y = targets[start:start + block]
             sums = far_sums(y.T[:, :, None, None])
@@ -1076,21 +1080,15 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm,
             else:
                 sums[near_chunk[start - lo:start - lo + len(y)]] = 0.0
                 out[start:start + len(y)] = sums.sum(axis=1)
-        near_pass(pairs)
+        near_pass(pairs, out[lo:hi])
     return out
 
 
-def _scaled_weights(volmesh: VolumeMesh, factor: Optional[Callable] = None) -> _Tables:
-    """The quadrature weights of both tables, times factor at the nodes when
-    it is given."""
-    wts = _cell_cache(volmesh).weights
-    return wts if factor is None else _times(wts, _at_nodes(volmesh, factor))
-
-
 def _newton_weights(volmesh: VolumeMesh, weights: _Tables, density=None) -> _Tables:
-    """Node weights of the Newton potential on both tables from the scaled
-    quadrature weights (_scaled_weights): times the density at the nodes,
-    when given, and -1/(4 pi), so that what is left per pair is 1/r."""
+    """Node weights of the Newton potential on both tables from quadrature
+    weights (times a factor at the nodes, 1/a for P): times the density at
+    the nodes, when given, and -1/(4 pi), so that what is left per pair is
+    1/r."""
     if density is not None:
         weights = _times(weights, _node_values(volmesh, density))
     return weights.map(lambda w: w / -FOUR_PI)
@@ -1100,7 +1098,6 @@ def newton_potential(
     volmesh: VolumeMesh,
     density: Union[DomainDensity, Callable],
     targets,
-    factor: Optional[Callable] = None,
 ) -> np.ndarray:
     """Volume potential with kernel -1/(4 pi |x - y|) and an exclusion ball.
 
@@ -1108,17 +1105,13 @@ def newton_potential(
     nodes within the cell's exclusion radius of a target are skipped, and
     the omitted mass is O(radius^2) for this kernel (see _volume_rows).
     """
-    term = _VolumeTerm(_newton_weights(volmesh, _scaled_weights(volmesh, factor), density))
+    term = _VolumeTerm(_newton_weights(volmesh, _cell_cache(volmesh).weights, density))
     return _volume_rows(volmesh, targets, term)
 
 
-def newton_potential_matrix(
-    volmesh: VolumeMesh,
-    targets,
-    factor: Optional[Callable] = None,
-) -> np.ndarray:
+def newton_potential_matrix(volmesh: VolumeMesh, targets) -> np.ndarray:
     """Dense matrix of the Newton potential on cell-wise constant densities."""
-    term = _VolumeTerm(_newton_weights(volmesh, _scaled_weights(volmesh, factor)), rows=True)
+    term = _VolumeTerm(_newton_weights(volmesh, _cell_cache(volmesh).weights), rows=True)
     return _volume_rows(volmesh, targets, term)
 
 

@@ -20,14 +20,17 @@ plus two offset diagnostics for the adjoint double layer and the
 hypersingular action.  The on-surface direct values calV and calW are no
 separate operators: op_V and op_W (and their matrices) take them at
 registered targets, a Collocation of panel centroids or mesh vertices, and
-refuse a free target that lies on a panel.  Every surface operator is built
-as dense rows on the basis of its density (triangle-constant or
-vertex-linear) in one pass of ``laplace._surface_rows``; a value is those
-rows applied to the density's coefficients, so a density must be a
-``laplace.BoundaryDensity`` with one coefficient per triangle or vertex of
-the mesh.  No operator takes a quadrature setting: each is a function of
-mesh, field, density and targets.  With a constant coefficient all of them
-collapse to their Laplace counterparts through the same code path.
+refuse a free target that lies on a panel.  R rows and P f at one target
+set are the methods of one object, _VolumeTargets, which measures its near
+set (laplace._NearSet, which carries its points) once for both.  Every
+surface operator is built as dense rows on the basis of its density
+(triangle-constant or vertex-linear) in one pass of
+``laplace._surface_rows``; a value is those rows applied to the density's
+coefficients, so a density must be a ``laplace.BoundaryDensity`` with one
+coefficient per triangle or vertex of the mesh.  No operator takes a
+quadrature setting: each is a function of mesh, field, density and
+targets.  With a constant coefficient all of them collapse to their
+Laplace counterparts through the same code path.
 """
 
 from __future__ import annotations
@@ -147,46 +150,53 @@ def _VW_matrices(mesh, field, targets):
 
 # --- volume operators ------------------------------------------------------------
 
-def _inv_a_nodes(field: CoefficientField) -> Callable:
-    return lambda nodes: 1.0 / field.eval_a(nodes)
-
-
 def op_P(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.ndarray:
     """Weighted Newton potential: N_lap applied to f / a at the nodes."""
-    return lp.newton_potential(volmesh, density, targets, factor=_inv_a_nodes(field))
+    return _P(volmesh, _P_weights(volmesh, field), density, targets)
 
 
-class _PGeometry:
-    """The data-free half of op_P at a target set: its near pairs and their
-    node distances (laplace._NearSet), which R's passes there take too (see
-    _R), and the weights w_q / a on both volume tables.  Each is built when
-    it is first read, so a target set that needs neither R nor P f
-    measures nothing.  What is left per density is its values at the nodes,
-    one far pass and the near pairs' weights over the kept distances."""
+def _P_weights(volmesh: VolumeMesh, field: CoefficientField) -> lp._Tables:
+    """The weights w_q / a of P on both volume tables."""
+    inv_a = lp._at_nodes(volmesh, lambda nodes: 1.0 / field.eval_a(nodes))
+    return lp._times(lp._cell_cache(volmesh).weights, inv_a)
+
+
+def _P(volmesh: VolumeMesh, weights: lp._Tables, density, targets) -> np.ndarray:
+    """P f at targets, points or a laplace._NearSet, on the weights w_q / a."""
+    term = lp._VolumeTerm(lp._newton_weights(volmesh, weights, density))
+    return lp._volume_rows(volmesh, targets, term)
+
+
+class _VolumeTargets:
+    """A volume target set: a copy of the points, and the data-free parts
+    of R and P f there, which its methods R and P share: the near set
+    (laplace._NearSet), measured once for both, and the weights w_q / a.
+    Each is built when first read, so a set that needs neither R nor P f
+    measures nothing; per density, P pays for f at the nodes, one far pass
+    and the near pairs' weights over the kept distances."""
 
     def __init__(self, volmesh: VolumeMesh, field: CoefficientField, targets):
         # A copy: the caller's array may change before a part is built.
         self._volmesh, self._field = volmesh, field
-        self._targets = np.array(lp._volume_points(targets))
+        self.points = np.array(lp._volume_points(targets))
 
     @functools.cached_property
     def near(self) -> lp._NearSet:
-        return lp._near_set(self._volmesh, self._targets)
+        return lp._near_set(self._volmesh, self.points)
 
     @functools.cached_property
-    def weights(self) -> lp._Tables:
-        return lp._scaled_weights(self._volmesh, _inv_a_nodes(self._field))
+    def _weights(self) -> lp._Tables:
+        return _P_weights(self._volmesh, self._field)
 
+    def P(self, density) -> np.ndarray:
+        """op_P at the points, with its bits."""
+        return _P(self._volmesh, self._weights, density, self.near)
 
-def _P_geometry(volmesh: VolumeMesh, field: CoefficientField, targets) -> _PGeometry:
-    return _PGeometry(volmesh, field, targets)
-
-
-def _P_kept(volmesh: VolumeMesh, geometry: _PGeometry, density, targets) -> np.ndarray:
-    """op_P at the targets of geometry (_P_geometry) with its bits: the
-    density at the nodes, one far pass and the kept near pairs."""
-    term = lp._VolumeTerm(lp._newton_weights(volmesh, geometry.weights, density))
-    return lp._volume_rows(volmesh, targets, term, geometry.near)
+    def R(self, out=None) -> np.ndarray:
+        """op_R_matrix at the points, with its bits, written into ``out``
+        when it is given (see _R); a constant coefficient reads no near set."""
+        targets = self.points if self._field.is_constant else self.near
+        return _R(self._volmesh, self._field, targets, out=out)
 
 
 def _remainder_data(volmesh: VolumeMesh, field: CoefficientField) -> tuple:
@@ -223,19 +233,19 @@ def _remainder_kernel(comps, data, y, r, r2):
     return np.negative(vals, out=vals)
 
 
-def _R(volmesh: VolumeMesh, field: CoefficientField, targets, u=None, near=None,
+def _R(volmesh: VolumeMesh, field: CoefficientField, targets, u=None,
        out=None) -> np.ndarray:
     """R u at targets for a density u, or with u None the dense rows of R
     on cell-wise constant densities, written into ``out`` when it is given
-    (zeros, such as a block of a new matrix): one volume pass, on ``near``,
-    the kept near set of the targets (laplace._NearSet), when it is given.
-    For a constant coefficient R vanishes and no pass runs."""
-    targets = lp._volume_points(targets)
+    (zeros, such as a block of a new matrix): one volume pass, on the
+    targets' points or on a measured set of them (laplace._NearSet).  For a
+    constant coefficient R vanishes and no pass runs."""
+    m = len(lp._volume_points(targets))
     if u is None:
         check_dense_caps(n_cells=volmesh.n_cells)
-        R = np.zeros((len(targets), volmesh.n_cells)) if out is None else out
+        R = np.zeros((m, volmesh.n_cells)) if out is None else out
     else:
-        R = np.zeros(len(targets))
+        R = np.zeros(m)
     if field.is_constant:
         return R
     wts = lp._cell_cache(volmesh).weights
@@ -243,7 +253,7 @@ def _R(volmesh: VolumeMesh, field: CoefficientField, targets, u=None, near=None,
         wts = lp._times(wts, lp._node_values(volmesh, u))
     data = _remainder_data(volmesh, field)
     return lp._volume_rows(volmesh, targets,
-                           lp._VolumeTerm(wts, _remainder_kernel, data, u is None, R), near)
+                           lp._VolumeTerm(wts, _remainder_kernel, data, u is None, R))
 
 
 def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.ndarray:

@@ -40,19 +40,20 @@ once, on the first direct solve, and every system that shares the matrix
 object reuses it: a new right-hand side then costs two triangular solves.
 The representation formula is linear in the data as well: the V, W and R
 rows at a set of points are kept with the LU, so evaluating a solution at
-kept points costs P f plus three row products.  P f itself has a data-free
-half, which is kept with the matrix too, for the cell centres and
-collocation points on the first with_data that has a source, and for a
-point set with its evaluation rows; each of its parts is built when R or
-P f first reads it.  They are the near target-cell pairs, sorted by
-target and cell, the distances of their near-table nodes (inf inside the
-exclusion ball), q doubles per near pair for a near table of q nodes (4.0
-MB at level 2, about 14 MB at level 3), and the weights w_q / a on both
-volume tables.  A right-hand side then pays for f at the nodes, one far
-pass and the near pairs' weights over the kept distances, with the bits
-of px.op_P; R is never computed per right-hand side.  Every target set is
-classified and measured once, and only when R or P f needs it: its R rows
-take the near set of that half.
+kept points costs P f plus three row products.  R and P f at a target set
+are the methods of one volume target set, px._VolumeTargets: a copy of
+the points, their near set, which carries the points it was measured at,
+and the weights w_q / a on both volume tables, each built when R or P f
+first reads it.  The near set is the near target-cell pairs, sorted by
+target and cell, and the distances of their near-table nodes (inf inside
+the exclusion ball), q doubles per near pair for a near table of q nodes
+(4.0 MB at level 2, about 14 MB at level 3).  The matrix keeps the target
+set of the cell centres and collocation points from the first with_data
+that has a source, and that of a point set with its evaluation rows.  A
+right-hand side then pays for f at the nodes, one far pass and the near
+pairs' weights over the kept distances, with the bits of px.op_P; R is
+never computed per right-hand side.  Every target set is classified and
+measured once, and only when R or P f needs it.
 
 Everything is dense; sizes are guarded by the same caps as the operator
 assembly routines.
@@ -224,13 +225,13 @@ class _MatrixCache:
     returns the one kept under a name, keyed on the bytes of the points
     and on the mesh and field objects, or builds it, and keeps it (one
     point set per name) under the same rule as the factor.  Under "rhs" is
-    the data-free half of P at the system's own targets, the cell centres
-    and the collocation points (px._PGeometry, 4.0 MB at level 2), built by
-    the first with_data that has a source.  Under "points" are the
-    evaluation rows of the last point set and the data-free half of P there,
-    whose parts are built when R or P f first reads them (see
-    evaluate_solution), which evaluate_solution keeps only when the rows
-    take no more memory than the matrix.
+    the volume target set (px._VolumeTargets, 4.0 MB at level 2) of the
+    system's own targets, the cell centres and the collocation points, made
+    by the first with_data that has a source.  Under "points" are the
+    evaluation rows of the last point set and its volume target set, whose
+    parts are built when R or P f first reads them (see evaluate_solution),
+    which evaluate_solution keeps only when the rows take no more memory
+    than the matrix.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -288,7 +289,7 @@ class M12System:
     data_columns holds the blocks on the columns the unknowns leave out, so
     that rhs = P f - data_columns @ (Psi0 on S_N | Phi0 off interior S_N).
     assemble_M12 makes matrix and data_columns read-only.  The LU factor of
-    the matrix, the data-free half of P at the system's own targets, and
+    the matrix, the volume target set of the system's own targets, and
     the evaluation rows of the last point set, are kept with the matrix
     object (see _MatrixCache): systems made from this one by
     with_data or dataclasses.replace(..., rhs=...) share them, so each is
@@ -342,11 +343,11 @@ class M12System:
         """Same operator blocks with a right-hand side built from new data.
 
         Only P f needs quadrature, at the cell centres and the collocation
-        points; the layer terms are one matrix product.  P f is the source
-        at the nodes, one far pass and the near pairs' weights over their
-        distances in the data-free half of P there (px._P_geometry), with
-        the bits of px.op_P; the matrix's cache keeps that half (see
-        _MatrixCache).  The new system shares the matrix, and with it the
+        points; the layer terms are one matrix product.  P f is the P method
+        of the volume target set there (px._VolumeTargets): the source at
+        the nodes, one far pass and the near pairs' weights over the set's
+        distances, with the bits of px.op_P; the matrix's cache keeps the
+        set (see _MatrixCache).  The new system shares the matrix, and with it the
         LU factor and the kept parts, so a direct solve after the first
         costs two triangular solves.
         """
@@ -355,9 +356,8 @@ class M12System:
         if dens is not None:
             vol, field = self.volmesh, self.field
             targets = np.concatenate([vol.centers, self.colloc.points])
-            geometry = self._cache.part("rhs", targets, (vol, field),
-                                        lambda: px._P_geometry(vol, field, targets))
-            pf = px._P_kept(vol, geometry, dens, targets)
+            pf = self._cache.part("rhs", targets, (vol, field),
+                                  lambda: px._VolumeTargets(vol, field, targets)).P(dens)
         return _with_rhs(self, f, extensions, pf)
 
 
@@ -377,14 +377,14 @@ def assemble_M12(
     target set builds its V and W blocks over all columns; they are split
     into the unknown columns of the matrix and the data columns, and placed
     before the next set is built.  The volume passes run at the cell centres
-    and collocation points at once, on one data-free half of P there
-    (px._P_geometry), which is not kept: one writes the R rows straight
-    into the matrix, and with a source one takes P f, as with_data does.
+    and collocation points at once, by the methods of one volume target set
+    there (px._VolumeTargets), which is not kept: R writes its rows straight
+    into the matrix, and with a source P takes P f, as with_data does.
     Omitting f and extensions leaves a zero right-hand side, which is
     enough for the block-structure checks and for synthetic consistency
     studies.  The matrix and the data columns are returned read-only,
     which lets every system sharing them keep one LU factor, the data-free
-    half of P at its targets and one set of evaluation rows (see
+    target set at its targets and one set of evaluation rows (see
     M12System).
 
     ``workers`` is accepted for callers that still pass it and is ignored:
@@ -419,11 +419,10 @@ def assemble_M12(
 
     pf = None
     if dens is not None or not field.is_constant:
-        targets = np.concatenate([centers, colloc.points])
-        geometry = px._P_geometry(volmesh, field, targets)
-        px._R(volmesh, field, targets, near=geometry.near, out=A[:, su])
-        pf = None if dens is None else px._P_kept(volmesh, geometry, dens, targets)
-        del geometry  # before the surface passes; with_data keeps its own
+        volume = px._VolumeTargets(volmesh, field, np.concatenate([centers, colloc.points]))
+        volume.R(out=A[:, su])
+        pf = None if dens is None else volume.P(dens)
+        del volume  # before the surface passes; with_data keeps its own
     diagonal = np.arange(n_c)
     A[diagonal, diagonal] += 1.0
     v, w, _ = px._VW_matrices(surfmesh, field, centers)
@@ -528,50 +527,48 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     depends on the data: V, W and R enter as data-free rows at the points
     (V on the triangle columns, W on the vertex columns, R on the cell
     columns), each applied to its coefficients by a row-wise pairwise sum.
-    Every point set takes one build, the data-free half of P there
-    (px._P_geometry) and the rows (one surface pass, and for a variable
-    coefficient one volume pass on that half's near set), and one apply:
-    the row products plus P f from that half, with the bits of px.op_P.
-    The half builds its near set when R or P f first reads it, and its
-    weights when P f does, so a constant coefficient without a source does
-    no volume work.  The matrix's cache keeps the build (see
+    Every point set takes one build, the volume target set there
+    (px._VolumeTargets) and the rows (one surface pass, and for a variable
+    coefficient the set's R), and one apply: the row products plus the
+    set's P f, with the bits of px.op_P.  The set measures its near set
+    when R or P f first reads it, and builds its weights when P f does, so
+    a constant coefficient without a source does no volume work.  The matrix's cache keeps the build (see
     _MatrixCache), so a later call at the same points, for this system or
     any system sharing its matrix (with_data or replace(..., rhs=...)),
     only applies it, building what its source still needs.  Point sets
     whose rows would take more memory than the matrix are built and
     applied in blocks and kept nowhere.
 
-    A point with |y| <= the inner radius lies off the domain, where the
-    formula gives no value of u, and raises ValueError.
+    A point with |y| <= the inner radius or a coordinate that is not
+    finite lies off the domain, where the formula gives no value of u, and
+    raises ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     radii = np.linalg.norm(pts, axis=1)
-    inside = radii <= system.volmesh.inner_radius
-    if inside.any():
-        k = int(np.argmax(inside))
-        raise ValueError(f"point {pts[k]} is not in the exterior domain: |x| = "
-                         f"{radii[k]:g} <= inner radius {system.volmesh.inner_radius:g}")
+    inner = system.volmesh.inner_radius
+    off = ~((radii > inner) & np.isfinite(radii))
+    if off.any():
+        k = int(np.argmax(off))
+        raise ValueError(f"point {pts[k]} is not in the exterior domain: |x| = {radii[k]:g}, "
+                         f"not a finite number above the inner radius {inner:g}")
     mesh, vol, field = system.surfmesh, system.volmesh, system.field
     coefs = (solution.recovered_conormal, -solution.recovered_trace, -solution.u.values)
     dens = _f_density(system.f)
 
     def build(y):
         v, w, _ = px._VW_matrices(mesh, field, y)
-        geometry = px._P_geometry(vol, field, y)
-        if not field.is_constant:
-            return (v, w, px._R(vol, field, y, near=geometry.near)), geometry
-        return (v, w), geometry
+        volume = px._VolumeTargets(vol, field, y)
+        return ((v, w) if field.is_constant else (v, w, volume.R())), volume
 
-    def apply(y, part):
-        rows, geometry = part
-        return _represent(coefs, rows,
-                          None if dens is None else px._P_kept(vol, geometry, dens, y))
+    def apply(part):
+        rows, volume = part
+        return _represent(coefs, rows, None if dens is None else volume.P(dens))
 
     block = max(1, system.matrix.size // (mesh.n_triangles + mesh.n_vertices + vol.n_cells))
     if len(pts) > block:
         blocks = (pts[start:start + block] for start in range(0, len(pts), block))
-        return np.concatenate([apply(y, build(y)) for y in blocks])
-    return apply(pts, system._cache.part("points", pts, (mesh, vol, field), lambda: build(pts)))
+        return np.concatenate([apply(build(y)) for y in blocks])
+    return apply(system._cache.part("points", pts, (mesh, vol, field), lambda: build(pts)))
 
 
 def _represent(coefs, rows, pf) -> np.ndarray:

@@ -355,35 +355,51 @@ def test_volume_values_do_not_depend_on_the_block(shell14, gauss_field, monkeypa
 @pytest.mark.parametrize("block_pairs", [None, 3])
 def test_kept_near_set_gives_the_bits_of_a_measured_pass(shell14, sphere3, gauss_field,
                                                          monkeypatch, block_pairs):
-    # P f, Newton rows and the remainder's rows and values from a kept near
-    # set have the bits of a pass that builds its own, also when the set was
-    # built in other chunks and batches; a node under a target is dropped
-    # either way.
+    # P f, Newton rows and the remainder's rows and values on a measured
+    # target set have the bits of a pass that measures its own, also when
+    # the set was measured in other chunks and batches; a node under a
+    # target is dropped either way.
     node = shell14.all_nodes()[1234][None]
     targets = np.concatenate([shell14.centers[::97], node, sphere3.centroids[::70]])
-    geometry = px._P_geometry(shell14, gauss_field, targets)
+    volume = px._VolumeTargets(shell14, gauss_field, targets)
+    near = lp._near_set(shell14, targets)
+    assert np.isinf(near.dist).any()
     if block_pairs is not None:
         monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", block_pairs * shell14.far_weights.size)
     rng = np.random.default_rng(32)
     cells = lp.DomainDensity(rng.normal(size=shell14.n_cells))
     for f in (cells, lambda x: np.exp(-(x * x).sum(axis=-1))):
-        assert np.array_equal(px._P_kept(shell14, geometry, f, targets),
-                              px.op_P(shell14, gauss_field, f, targets))
-    rows = lp._VolumeTerm(lp._newton_weights(shell14, lp._scaled_weights(shell14)), rows=True)
-    near = lp._near_set(shell14, targets)
-    assert np.isinf(near.dist).any()
-    assert np.array_equal(lp._volume_rows(shell14, targets, rows, near),
-                          lp.newton_potential_matrix(shell14, targets))
+        assert np.array_equal(volume.P(f), px.op_P(shell14, gauss_field, f, targets))
     weights = lp._cell_cache(shell14).weights
-    data = px._remainder_data(shell14, gauss_field)
+    rows = lp._VolumeTerm(lp._newton_weights(shell14, weights), rows=True)
+    assert np.array_equal(lp._volume_rows(shell14, near, rows),
+                          lp.newton_potential_matrix(shell14, targets))
+    assert np.array_equal(volume.R(), px.op_R_matrix(shell14, gauss_field, targets))
     u = lp.DomainDensity(rng.normal(size=shell14.n_cells))
-    remainder_rows = lp._VolumeTerm(weights, px._remainder_kernel, data, rows=True)
-    remainder_values = lp._VolumeTerm(lp._times(weights, lp._node_values(shell14, u)),
-                                      px._remainder_kernel, data)
-    assert np.array_equal(lp._volume_rows(shell14, targets, remainder_rows, geometry.near),
-                          px.op_R_matrix(shell14, gauss_field, targets))
-    assert np.array_equal(lp._volume_rows(shell14, targets, remainder_values, geometry.near),
+    assert np.array_equal(px._R(shell14, gauss_field, volume.near, u),
                           px.op_R(shell14, gauss_field, u, targets))
+
+
+def test_a_target_set_keeps_its_own_points(shell14, gauss_field):
+    # The target set and its near set copy the points they are given:
+    # overwriting the caller's array afterwards changes neither the R rows
+    # nor P f, whether the near set was measured before or after.
+    targets = np.concatenate([shell14.centers[::61], [[0.0, 0.3, 1.7], [2.2, 0.0, 0.4]]])
+    f = lambda x: np.exp(-(x * x).sum(axis=-1))
+    want_R = px.op_R_matrix(shell14, gauss_field, targets)
+    want_P = px.op_P(shell14, gauss_field, f, targets)
+    points = targets.copy()
+    measured = px._VolumeTargets(shell14, gauss_field, points)
+    near = measured.near
+    lazy = px._VolumeTargets(shell14, gauss_field, points)
+    points *= 1.3
+    for volume in (measured, lazy):
+        assert np.array_equal(volume.R(), want_R)
+        assert np.array_equal(volume.P(f), want_P)
+    assert np.array_equal(near.points, targets)
+    term = lp._VolumeTerm(lp._newton_weights(shell14, lp._cell_cache(shell14).weights, f))
+    assert np.array_equal(lp._volume_rows(shell14, near, term),
+                          lp.newton_potential(shell14, f, targets))
 
 
 def test_remainder_matrix_matches_kernel_loop_at_level_1(gauss_field):

@@ -573,9 +573,10 @@ def test_point_source_probes_within_gate(psrc_a1_sys1, psrc_a1_sol1):
 
 def test_evaluate_solution_refuses_points_off_the_domain(psrc_gauss_sys1):
     # Inside the unit sphere the representation formula returns small,
-    # plausible numbers that are no value of u.
+    # plausible numbers that are no value of u; at a point with a nan
+    # coordinate it returns nan.
     solution = sy.solve_M12(psrc_gauss_sys1)
-    for point in ([0.0, 0.0, 0.5], [0.0, 0.0, 0.99], [0.0, 1.0, 0.0]):
+    for point in ([0.0, 0.0, 0.5], [0.0, 0.0, 0.99], [0.0, 1.0, 0.0], [np.nan, 0.0, 2.0]):
         probes = np.array([[0.0, 0.0, 2.5], point])
         with pytest.raises(ValueError, match=r"not in the exterior domain") as info:
             sy.evaluate_solution(psrc_gauss_sys1, solution, probes)
@@ -682,17 +683,17 @@ def _system_targets(system):
 
 
 def _count_near_sets(monkeypatch):
-    """The target counts of the data-free halves of P (px._P_geometry, the
-    near set of a target set and its weights) built from now on; a volume
-    pass that builds its own near sets is not counted."""
+    """The target counts of the volume target sets (px._VolumeTargets, which
+    keep a near set and the weights of P) made from now on; a volume pass
+    that builds its own near sets is not counted."""
     built = []
-    geometry = px._P_geometry
 
-    def counted(volmesh, field, targets):
-        built.append(len(lp._volume_points(targets)))
-        return geometry(volmesh, field, targets)
+    class Counted(px._VolumeTargets):
+        def __init__(self, volmesh, field, targets):
+            super().__init__(volmesh, field, targets)
+            built.append(len(self.points))
 
-    monkeypatch.setattr(px, "_P_geometry", counted)
+    monkeypatch.setattr(px, "_VolumeTargets", Counted)
     return built
 
 
@@ -777,11 +778,10 @@ def test_kept_P_has_the_bits_of_op_P(level, base, coefficient, request):
                               sy._data_rhs(system, ext, px.op_P(vol, field, f, targets)))
     solution = sy.solve_M12(swapped)
     first = sy.evaluate_solution(swapped, solution, cs.PROBE_POINTS)
-    _, geometry = system._cache.part("points", cs.PROBE_POINTS, (surf, vol, field),
-                                     lambda: pytest.fail("the probe points' part was not kept"))
+    _, volume = system._cache.part("points", cs.PROBE_POINTS, (surf, vol, field),
+                                   lambda: pytest.fail("the probe points' part was not kept"))
     for f in (case.f, cells):
-        assert np.array_equal(px._P_kept(vol, geometry, f, cs.PROBE_POINTS),
-                              px.op_P(vol, field, f, cs.PROBE_POINTS))
+        assert np.array_equal(volume.P(f), px.op_P(vol, field, f, cs.PROBE_POINTS))
     assert np.array_equal(sy.evaluate_solution(swapped, solution, cs.PROBE_POINTS), first)
 
 
