@@ -1040,8 +1040,8 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
                 vals *= term.weights.far
             return vals.sum(axis=1)
 
-    def near_pass(pairs, out):
-        # The near pairs of a chunk, sorted by target, into its rows of out.
+    def near_pass(pairs, dest):
+        # The near pairs of a chunk, sorted by target, into dest, its rows of out.
         rows, cells = pairs.rows, pairs.cells
         sums = np.empty(len(rows))
         for k in range(0, len(rows), batch):
@@ -1062,10 +1062,10 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
                 vals *= w
             np.sum(vals, axis=0, out=sums[k:k + len(t)])
         if term.rows:
-            out[rows, cells] = sums
+            dest[rows, cells] = sums
         elif len(rows):
             starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-            out[rows[starts]] += np.add.reduceat(sums, starts)
+            dest[rows[starts]] += np.add.reduceat(sums, starts)
 
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)

@@ -347,9 +347,9 @@ class M12System:
         of the volume target set there (px._VolumeTargets): the source at
         the nodes, one far pass and the near pairs' weights over the set's
         distances, with the bits of px.op_P; the matrix's cache keeps the
-        set (see _MatrixCache).  The new system shares the matrix, and with it the
-        LU factor and the kept parts, so a direct solve after the first
-        costs two triangular solves.
+        set (see _MatrixCache).  The new system shares the matrix, and with
+        it the LU factor and the kept parts, so a direct solve after the
+        first costs two triangular solves.
         """
         dens = _f_density(f)
         pf = None
@@ -383,7 +383,7 @@ def assemble_M12(
     Omitting f and extensions leaves a zero right-hand side, which is
     enough for the block-structure checks and for synthetic consistency
     studies.  The matrix and the data columns are returned read-only,
-    which lets every system sharing them keep one LU factor, the data-free
+    which lets every system sharing them keep one LU factor, the volume
     target set at its targets and one set of evaluation rows (see
     M12System).
 
@@ -532,12 +532,12 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     coefficient the set's R), and one apply: the row products plus the
     set's P f, with the bits of px.op_P.  The set measures its near set
     when R or P f first reads it, and builds its weights when P f does, so
-    a constant coefficient without a source does no volume work.  The matrix's cache keeps the build (see
-    _MatrixCache), so a later call at the same points, for this system or
-    any system sharing its matrix (with_data or replace(..., rhs=...)),
-    only applies it, building what its source still needs.  Point sets
-    whose rows would take more memory than the matrix are built and
-    applied in blocks and kept nowhere.
+    a constant coefficient without a source does no volume work.  The
+    matrix's cache keeps the build (see _MatrixCache), so a later call at
+    the same points, for this system or any system sharing its matrix
+    (with_data or replace(..., rhs=...)), only applies it, building what
+    its source still needs.  Point sets whose rows would take more memory
+    than the matrix are built and applied in blocks and kept nowhere.
 
     A point with |y| <= the inner radius or a coordinate that is not
     finite lies off the domain, where the formula gives no value of u, and
