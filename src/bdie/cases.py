@@ -15,7 +15,6 @@ from . import coefficients as co
 from . import geometry as geo
 from . import greens as gr
 
-INNER_RADIUS = 1.0
 TRUNCATION_RADIUS = 4.0
 LEVELS = (1, 2, 3)
 
@@ -63,7 +62,7 @@ def level_meshes(level: int, partition: str = "equator",
     surf = geo.partition_boundary(geo.build_icosphere(level),
                                   rule=partition_rule(partition))
     vol = geo.build_shell_mesh(
-        INNER_RADIUS, truncation_radius,
+        truncation_radius,
         n_radial=LEVEL_RADIAL[level] if n_radial is None else n_radial,
         angular_level=level - 1 if angular_level is None else angular_level,
         radial_order=3, triangle_order=3)

@@ -153,7 +153,7 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"levels must be drawn from {cases.LEVELS}")
     if list(config.levels) != sorted(set(config.levels)):
         raise ConfigError("levels must be strictly increasing")
-    if not 1.0 < config.truncation_radius < np.inf:
+    if not geo.INNER_RADIUS < config.truncation_radius < np.inf:
         raise ConfigError("truncation radius must be finite and exceed the unit sphere")
     if config.n_radial is not None and config.n_radial < 1:
         raise ConfigError("n_radial must be at least 1")
@@ -164,9 +164,9 @@ def _validate(config: RunConfig) -> None:
     if config.method not in ("direct", "iterative"):
         raise ConfigError("method must be 'direct' or 'iterative'")
     radii = np.linalg.norm(_probes(config), axis=1)
-    if not np.all((radii > cases.INNER_RADIUS) & (radii < config.truncation_radius)):
+    if not np.all((radii > geo.INNER_RADIUS) & (radii < config.truncation_radius)):
         raise ConfigError("probe_points must lie in the shell "
-                          f"{cases.INNER_RADIUS} < |x| < {config.truncation_radius}")
+                          f"{geo.INNER_RADIUS} < |x| < {config.truncation_radius}")
 
 
 def _coefficient(config: RunConfig) -> co.CoefficientField:
@@ -191,7 +191,7 @@ def cmd_mesh(config: RunConfig) -> int:
     area_exact = 4.0 * np.pi
     volume = float(vol.volumes.sum())
     r3 = config.truncation_radius ** 3
-    volume_exact = 4.0 * np.pi / 3.0 * (r3 - 1.0)
+    volume_exact = 4.0 * np.pi / 3.0 * (r3 - geo.INNER_RADIUS ** 3)
     summary = {
         "config": config.to_dict(),
         "surface": {

@@ -25,6 +25,12 @@ VERTEX_INTERFACE = "I"
 
 MAX_SUBDIVISION_LEVEL = 6
 
+# Radius of the sphere the icosphere approximates: the boundary of the
+# domain and the inner radius of every volume shell.
+INNER_RADIUS = 1.0
+# Geometric growth factor of the shell's radial interval widths.
+GRADING = 1.3
+
 
 class PartitionError(ValueError):
     """Raised when a boundary partition leaves one part empty."""
@@ -279,11 +285,12 @@ def orientation_check(mesh: SurfaceMesh, probe) -> float:
 
 @dataclass
 class VolumeMesh:
-    """Graded radial shell of spherical-sector cells.
+    """Graded radial shell of spherical-sector cells from the unit sphere
+    (INNER_RADIUS) to ``outer_radius``.
 
     Each cell is a radial interval times a spherical triangle patch of the
     angular icosphere, {r * w : r in [r_k, r_k+1], w in patch}, so the cells
-    tile the shell exactly and their volumes sum to (4 pi / 3)(R^3 - r^3) to
+    tile the shell exactly and their volumes sum to (4 pi / 3)(R^3 - 1) to
     rounding.  Cell centers sit at the radial midpoint along the patch
     centroid direction, strictly between the inner and outer radius.
 
@@ -296,11 +303,7 @@ class VolumeMesh:
     volume engine uses for well-separated target-cell pairs.
     """
 
-    inner_radius: float
     outer_radius: float
-    n_radial: int
-    angular_level: int
-    grading: float
     radial_breaks: np.ndarray
     centers: np.ndarray        # (n_c, 3)
     volumes: np.ndarray        # (n_c,)
@@ -311,10 +314,6 @@ class VolumeMesh:
     radial_index: np.ndarray   # (n_c,)
     sector_index: np.ndarray   # (n_c,) triangle index in the angular mesh
     angular_mesh: SurfaceMesh
-    # Adjacent cell pairs (radial + angular) with shared-face areas, for
-    # stencil gradients in the weighted seminorm.
-    face_pairs: np.ndarray     # (n_f, 2) cell indices
-    face_areas: np.ndarray     # (n_f,)
 
     @property
     def n_cells(self) -> int:
@@ -371,37 +370,36 @@ DEFAULT_TRIANGLE_ORDER = 2
 
 
 def build_shell_mesh(
-    inner_radius: float = 1.0,
     outer_radius: float = 4.0,
     n_radial: int = 8,
     angular_level: int = 2,
-    grading: float = 1.3,
     radial_order: int = DEFAULT_RADIAL_ORDER,
     triangle_order: int = DEFAULT_TRIANGLE_ORDER,
 ) -> VolumeMesh:
     """Build the truncated-exterior volume mesh.
 
+    The shell runs from the unit sphere (INNER_RADIUS) to ``outer_radius``
+    with radial interval widths growing by the factor GRADING.
+
     Parameters
     ----------
-    inner_radius, outer_radius : float
-        Radial extent of the shell; the region beyond ``outer_radius`` is
-        dropped, which is justified when the remainder kernel decays there.
+    outer_radius : float
+        Truncation radius; the region beyond it is dropped, which is
+        justified when the remainder kernel decays there.
     n_radial : int
         Number of radial intervals.
     angular_level : int
         Icosphere subdivision level providing the angular sectors.
-    grading : float
-        Geometric growth factor of the radial interval widths.
     radial_order, triangle_order : int
         Orders of the per-cell rule (Gauss in r times a symmetric triangle
         rule pushed to the spherical patch).  The defaults integrate the
         cell volume exactly; the default rule is also built as the far
         table (see VolumeMesh).
     """
-    if outer_radius <= inner_radius:
-        raise ValueError("outer_radius must exceed inner_radius")
+    if not outer_radius > INNER_RADIUS:
+        raise ValueError(f"outer_radius must exceed the inner radius {INNER_RADIUS:g}")
     ang = build_icosphere(angular_level)
-    breaks = radial_breakpoints(inner_radius, outer_radius, n_radial, grading)
+    breaks = radial_breakpoints(INNER_RADIUS, outer_radius, n_radial, GRADING)
     n_t = ang.n_triangles
     omega = spherical_triangle_solid_angle(ang.corners())
     centroid_dir = ang.centroids / np.linalg.norm(ang.centroids, axis=1)[:, None]
@@ -412,14 +410,9 @@ def build_shell_mesh(
     nodes, node_weights = _shell_rule(ang, breaks, omega, radial_order, triangle_order)
     far_nodes, far_weights = _shell_rule(ang, breaks, omega, DEFAULT_RADIAL_ORDER,
                                          DEFAULT_TRIANGLE_ORDER)
-    face_pairs, face_areas = _shell_adjacency(ang, breaks, n_t)
 
     return VolumeMesh(
-        inner_radius=inner_radius,
         outer_radius=outer_radius,
-        n_radial=n_radial,
-        angular_level=angular_level,
-        grading=grading,
         radial_breaks=breaks,
         centers=centers,
         volumes=volumes.reshape(-1),
@@ -430,8 +423,6 @@ def build_shell_mesh(
         radial_index=np.repeat(np.arange(n_radial), n_t),
         sector_index=np.tile(np.arange(n_t), n_radial),
         angular_mesh=ang,
-        face_pairs=face_pairs,
-        face_areas=face_areas,
     )
 
 
@@ -467,43 +458,6 @@ def _shell_rule(ang: SurfaceMesh, breaks: np.ndarray, omega: np.ndarray,
     return np.concatenate(cells_nodes), np.concatenate(cells_wts)
 
 
-def _shell_adjacency(ang: SurfaceMesh, breaks: np.ndarray, n_t: int):
-    """Cell adjacency across radial and angular faces, with face areas."""
-    n_radial = len(breaks) - 1
-    pairs, areas = [], []
-    omega = spherical_triangle_solid_angle(ang.corners())
-    # Radial faces: same sector, consecutive shells; face = spherical patch
-    # at the shared break radius, area = r^2 * solid angle.
-    for k in range(n_radial - 1):
-        r = breaks[k + 1]
-        lo = k * n_t + np.arange(n_t)
-        hi = (k + 1) * n_t + np.arange(n_t)
-        pairs.append(np.stack([lo, hi], axis=1))
-        areas.append(r**2 * omega)
-    # Angular faces: edge-adjacent sectors in the same shell; face is the
-    # ruled surface over the great-circle arc, area = arc * (r1^2 - r0^2)/2.
-    edge_map: dict[tuple[int, int], int] = {}
-    an_pairs = []
-    arc_len = []
-    for t, (i, j, k_) in enumerate(ang.triangles):
-        for a, b in ((i, j), (j, k_), (k_, i)):
-            key = (int(min(a, b)), int(max(a, b)))
-            if key in edge_map:
-                t2 = edge_map[key]
-                an_pairs.append((t2, t))
-                cosang = np.clip(np.dot(ang.vertices[a], ang.vertices[b]), -1, 1)
-                arc_len.append(np.arccos(cosang))
-            else:
-                edge_map[key] = t
-    an_pairs = np.asarray(an_pairs, dtype=np.int64)
-    arc_len = np.asarray(arc_len)
-    for k in range(n_radial):
-        r0, r1 = breaks[k], breaks[k + 1]
-        pairs.append(k * n_t + an_pairs)
-        areas.append(arc_len * (r1**2 - r0**2) / 2.0)
-    return np.concatenate(pairs), np.concatenate(areas)
-
-
 # --- OFF import/export -----------------------------------------------------
 
 def write_off(mesh: SurfaceMesh, path) -> None:
@@ -518,25 +472,39 @@ def write_off(mesh: SurfaceMesh, path) -> None:
 
 
 def read_off(path) -> SurfaceMesh:
-    """Read a triangle mesh in OFF format."""
+    """Read a triangle mesh in OFF format.
+
+    Raises ValueError for a file that is not OFF, a vertex or face list
+    shorter than its header says, a face that is not a triangle, or a
+    vertex index outside [0, n_v).
+    """
     with open(path) as f:
         tokens = []
         for line in f:
             line = line.split("#", 1)[0].strip()
             if line:
                 tokens.extend(line.split())
-    if tokens[0] != "OFF":
+    if len(tokens) < 4 or tokens[0] != "OFF":
         raise ValueError("not an OFF file")
     n_v, n_t = int(tokens[1]), int(tokens[2])
+    if n_v < 0 or n_t < 0:
+        raise ValueError("OFF header counts must be non-negative")
     pos = 4
+    if len(tokens) < pos + 3 * n_v:
+        raise ValueError(f"OFF vertex list is shorter than the {n_v} vertices of its header")
     verts = np.asarray(tokens[pos:pos + 3 * n_v], dtype=float).reshape(n_v, 3)
     pos += 3 * n_v
     tris = []
     for _ in range(n_t):
+        if len(tokens) < pos + 4:
+            raise ValueError(f"OFF face list is shorter than the {n_t} faces of its header")
         cnt = int(tokens[pos])
         if cnt != 3:
             raise ValueError("only triangle faces are supported")
         tris.append([int(x) for x in tokens[pos + 1:pos + 4]])
         pos += 1 + cnt
-    return SurfaceMesh(vertices=verts, triangles=np.asarray(tris, dtype=np.int64))
-
+    tris = np.asarray(tris, dtype=np.int64).reshape(n_t, 3)
+    bad = tris[(tris < 0) | (tris >= n_v)]
+    if bad.size:
+        raise ValueError(f"OFF face index {bad[0]} is outside [0, {n_v})")
+    return SurfaceMesh(vertices=verts, triangles=tris)

@@ -30,9 +30,13 @@ from . import laplace as lp
 from . import parametrix as px
 from . import quadrature as qd
 from .coefficients import CoefficientField, fibonacci_sphere
-from .geometry import SurfaceMesh, VolumeMesh
+from .geometry import INNER_RADIUS, SurfaceMesh, VolumeMesh
 
 logger = logging.getLogger(__name__)
+
+# Largest flux density of a (u grad v - v grad u) at the outer radius, times
+# radius^2, that second_green_residual accepts as negligible.
+OUTER_FLUX_TOL = 0.02
 
 
 class TruncationError(RuntimeError):
@@ -67,18 +71,18 @@ def finite_difference_check(afield: AnalyticField, points, h: float = 1e-4):
     return {"grad": float(grad_err), "laplacian": float(lap_err)}
 
 
-def point_source_field(center=None, strength: float = 1.0) -> AnalyticField:
-    """u(x) = strength / (4 pi |x - center|), harmonic away from the center."""
+def point_source_field(center=None) -> AnalyticField:
+    """u(x) = 1 / (4 pi |x - center|), harmonic away from the center."""
     c = np.zeros(3) if center is None else np.asarray(center, dtype=float)
 
     def u(pts):
         d = np.atleast_2d(pts) - c
-        return strength / (lp.FOUR_PI * np.linalg.norm(d, axis=-1))
+        return 1.0 / (lp.FOUR_PI * np.linalg.norm(d, axis=-1))
 
     def grad(pts):
         d = np.atleast_2d(pts) - c
         r = np.linalg.norm(d, axis=-1)
-        return -strength * d / (lp.FOUR_PI * r[..., None] ** 3)
+        return -d / (lp.FOUR_PI * r[..., None] ** 3)
 
     def lap(pts):
         return np.zeros(np.atleast_2d(pts).shape[0])
@@ -159,18 +163,17 @@ def _surface_integral(mesh: SurfaceMesh, fn: Callable, order: int = 3) -> float:
     return float(np.sum(vals * wts.reshape(-1)))
 
 
-def _flux_decay_check(field, u: AnalyticField, v: AnalyticField,
-                      radius: float, tol: float) -> float:
+def _flux_decay_check(field, u: AnalyticField, v: AnalyticField, radius: float) -> float:
     dirs = fibonacci_sphere(64)
     pts = radius * dirs
     a = field.eval_a(pts)
     flux = a[:, None] * (u.u(pts)[:, None] * v.grad_u(pts)
                          - v.u(pts)[:, None] * u.grad_u(pts))
     worst = float((np.linalg.norm(flux, axis=1) * radius**2).max())
-    if worst > tol:
+    if worst > OUTER_FLUX_TOL:
         raise TruncationError(
             f"truncation-unsound: flux density {worst:.3g} at radius {radius:g} "
-            f"exceeds {tol:g}; fields decay too slowly for the truncated shell")
+            f"exceeds {OUTER_FLUX_TOL:g}; fields decay too slowly for the truncated shell")
     return worst
 
 
@@ -178,16 +181,15 @@ def _flux_decay_check(field, u: AnalyticField, v: AnalyticField,
 
 def second_green_residual(field: CoefficientField, u: AnalyticField,
                           v: AnalyticField, surfmesh: SurfaceMesh,
-                          volmesh: VolumeMesh, flux_tol: float = 0.02,
-                          level: Optional[int] = None) -> ResidualReport:
+                          volmesh: VolumeMesh, level: Optional[int] = None) -> ResidualReport:
     """Volume side minus boundary side of the second Green identity.
 
     int [v Au - u Av] over the shell against oint_S [v T u - u T v], with
     T the conormal a dn and the surface normal pointing out of the domain.
     Raises TruncationError when the outer-sphere flux density of
-    a (u grad v - v grad u) is above ``flux_tol``.
+    a (u grad v - v grad u) is above OUTER_FLUX_TOL.
     """
-    worst = _flux_decay_check(field, u, v, volmesh.outer_radius, flux_tol)
+    worst = _flux_decay_check(field, u, v, volmesh.outer_radius)
     nodes = volmesh.all_nodes()
     wts = volmesh.all_weights()
     vol = float(np.sum(wts * (v.u(nodes) * operator_A(field, u, nodes)
@@ -237,7 +239,7 @@ def third_green_residual(field: CoefficientField, afield: AnalyticField,
     """
     pts = np.atleast_2d(np.asarray(test_points, dtype=float))
     h = surfmesh.max_edge
-    keep = np.linalg.norm(pts, axis=1) >= 1.0 + h
+    keep = np.linalg.norm(pts, axis=1) >= INNER_RADIUS + h
     if not np.all(keep):
         logger.info("third Green residual: excluding %d test points within "
                     "one panel diameter of the surface", int((~keep).sum()))

@@ -47,6 +47,8 @@ from .laplace import FOUR_PI, Collocation
 
 MAX_DENSE_CELLS = 4000
 MAX_DENSE_TRIANGLES = 2500
+# Central-difference step of op_R_divergence_form.
+DIVERGENCE_FORM_STEP = 1e-3
 
 
 class ResourceLimitError(RuntimeError):
@@ -271,11 +273,12 @@ def op_R_matrix(volmesh: VolumeMesh, field: CoefficientField, targets) -> np.nda
 
 
 def op_R_divergence_form(volmesh: VolumeMesh, field: CoefficientField, density,
-                         targets, h: float = 1e-3) -> np.ndarray:
+                         targets) -> np.ndarray:
     """Dual formulation of the remainder operator, for cross-validation.
 
     Computes div_y of the vector Newton potential of u * grad ln a by
-    central finite differences, minus the Newton potential of u * lap ln a.
+    central differences of step DIVERGENCE_FORM_STEP, minus the Newton
+    potential of u * lap ln a.
     Used only as an oracle against the kernel form of op_R: a plain loop
     over targets, in which every point of a target's stencil integrates
     with the rule of that target (see _split_rule), so the differences do
@@ -296,8 +299,9 @@ def op_R_divergence_form(volmesh: VolumeMesh, field: CoefficientField, density,
         out[i] = -newton(t, field.eval_laplacian_ln_a(nodes))
         for k in range(3):
             e = np.zeros(3)
-            e[k] = h
-            out[i] += (newton(t + e, grad[:, k]) - newton(t - e, grad[:, k])) / (2.0 * h)
+            e[k] = DIVERGENCE_FORM_STEP
+            out[i] += ((newton(t + e, grad[:, k]) - newton(t - e, grad[:, k]))
+                       / (2.0 * DIVERGENCE_FORM_STEP))
     return out
 
 

@@ -73,10 +73,6 @@ from . import laplace as lp
 from . import parametrix as px
 from .coefficients import CoefficientField
 
-ORDER_WEIGHTED = "0-weighted"
-ORDER_SEMI = "1-semi"
-ORDER_FULL = "full"
-
 
 class SolverError(RuntimeError):
     """Dense factorization failed or is numerically singular."""
@@ -387,10 +383,17 @@ def assemble_M12(
     target set at its targets and one set of evaluation rows (see
     M12System).
 
-    ``workers`` is accepted for callers that still pass it and is ignored:
-    the assembly runs on one thread, and its output does not depend on it.
+    The boundary is the unit sphere, where the shell starts: a surface
+    mesh with a vertex off it (by more than 1e-12 in |x|) raises
+    ValueError.  ``workers`` is accepted for callers that still pass it
+    and is ignored: the assembly runs on one thread, and its output does
+    not depend on it.
     """
     px.check_dense_caps(n_triangles=surfmesh.n_triangles, n_cells=volmesh.n_cells)
+    off = float(np.max(np.abs(np.linalg.norm(surfmesh.vertices, axis=1) - geo.INNER_RADIUS)))
+    if off > 1e-12:
+        raise ValueError(f"surface mesh is off the unit sphere: a vertex has "
+                         f"||x| - {geo.INNER_RADIUS:g}| = {off:.3g} > 1e-12")
     dens = _f_density(f)
     if dens is not None and extensions is None:
         raise ValueError("a source term requires explicit extensions")
@@ -539,18 +542,19 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     its source still needs.  Point sets whose rows would take more memory
     than the matrix are built and applied in blocks and kept nowhere.
 
-    A point with |y| <= the inner radius or a coordinate that is not
-    finite lies off the domain, where the formula gives no value of u, and
-    raises ValueError.
+    A point with |y| <= INNER_RADIUS or a coordinate that is not finite
+    lies off the domain, where the formula gives no value of u, and raises
+    ValueError, as do points that are not 3-vectors.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must be 3-vectors, shape (n, 3); got shape {pts.shape}")
     radii = np.linalg.norm(pts, axis=1)
-    inner = system.volmesh.inner_radius
-    off = ~((radii > inner) & np.isfinite(radii))
+    off = ~((radii > geo.INNER_RADIUS) & np.isfinite(radii))
     if off.any():
         k = int(np.argmax(off))
         raise ValueError(f"point {pts[k]} is not in the exterior domain: |x| = {radii[k]:g}, "
-                         f"not a finite number above the inner radius {inner:g}")
+                         f"not a finite number above the inner radius {geo.INNER_RADIUS:g}")
     mesh, vol, field = system.surfmesh, system.volmesh, system.field
     coefs = (solution.recovered_conormal, -solution.recovered_trace, -solution.u.values)
     dens = _f_density(system.f)
@@ -639,7 +643,7 @@ def equivalence_residuals(solution: M12Solution, afield, field: CoefficientField
 
     The trace needs the exact field at vertices, the conormal its flux at
     centroids (normals point out of the domain), and the interior error is
-    the discrete weighted norm of the cell-value mismatch.
+    the weighted L2 norm of the cell-value mismatch (see weighted_norm).
     """
     gamma = np.asarray(afield.u(surfmesh.vertices), dtype=float)
     a_c = field.eval_a(surfmesh.centroids)
@@ -650,8 +654,8 @@ def equivalence_residuals(solution: M12Solution, afield, field: CoefficientField
     con_res = float(np.max(np.abs(solution.recovered_conormal - t_exact)))
     u_exact = np.asarray(afield.u(volmesh.centers), dtype=float)
     err = solution.u.values - u_exact
-    interior = weighted_norm(err, volmesh, ORDER_WEIGHTED)
-    interior_scale = weighted_norm(u_exact, volmesh, ORDER_WEIGHTED)
+    interior = weighted_norm(err, volmesh)
+    interior_scale = weighted_norm(u_exact, volmesh)
 
     cls, lbl = surfmesh.vertex_class, surfmesh.part_label
     details = {
@@ -671,30 +675,13 @@ def equivalence_residuals(solution: M12Solution, afield, field: CoefficientField
     )
 
 
-def weighted_norm(values, volmesh: geo.VolumeMesh, order: str = ORDER_FULL) -> float:
-    """Discrete weighted norm of a cell-wise constant field on the shell.
-
-    order "0-weighted" integrates |u|^2 / (1 + |x|^2) with the cell
-    quadrature; order "1-semi" is the two-point flux energy over interior
-    faces, sum of (face area / center distance) (u_j - u_i)^2, a first
-    order consistent surrogate for the gradient seminorm on this mesh;
-    "full" is the square root of the sum of the two squares.
-    """
+def weighted_norm(values, volmesh: geo.VolumeMesh) -> float:
+    """Weighted L2 norm of a cell-wise constant field on the shell: the
+    square root of the integral of |u|^2 / (1 + |x|^2), by the cell rule."""
     v = np.asarray(values, dtype=float)
     if v.shape != (volmesh.n_cells,):
         raise ValueError("values must be cell-wise (one value per cell)")
-    if order == ORDER_FULL:
-        return float(np.hypot(weighted_norm(v, volmesh, ORDER_WEIGHTED),
-                              weighted_norm(v, volmesh, ORDER_SEMI)))
-    if order == ORDER_WEIGHTED:
-        pts = volmesh.nodes
-        w = volmesh.node_weights
-        omega2 = 1.0 + (pts * pts).sum(axis=-1)
-        cell_q = (w / omega2).sum(axis=1)
-        return float(np.sqrt(np.dot(cell_q, v * v)))
-    if order == ORDER_SEMI:
-        i, j = volmesh.face_pairs[:, 0], volmesh.face_pairs[:, 1]
-        d = np.linalg.norm(volmesh.centers[j] - volmesh.centers[i], axis=1)
-        jump = v[j] - v[i]
-        return float(np.sqrt(np.sum(volmesh.face_areas / d * jump * jump)))
-    raise ValueError(f"unknown order {order!r}")
+    pts = volmesh.nodes
+    omega2 = 1.0 + (pts * pts).sum(axis=-1)
+    cell_q = (volmesh.node_weights / omega2).sum(axis=1)
+    return float(np.sqrt(np.dot(cell_q, v * v)))

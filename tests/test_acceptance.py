@@ -334,8 +334,7 @@ def test_criterion_08_representation_splitting():
     """Both round-trip cases recover their densities and rebuild the field."""
     failures = []
     surf = geo.build_icosphere(3)
-    vol = geo.build_shell_mesh(inner_radius=1.0, outer_radius=4.0,
-                               n_radial=8, angular_level=2)
+    vol = geo.build_shell_mesh(outer_radius=4.0, n_radial=8, angular_level=2)
     pts = np.array([[0.0, 0.0, 1.5], [2.0, 0.0, 0.0], [3.2, 0.0, 0.0]])
 
     layer = _single_layer_of_one_field()

@@ -97,5 +97,5 @@ def test_partition_rules_split_the_sphere(name):
 
 def test_probe_points_lie_in_the_truncated_shell():
     radii = np.linalg.norm(cases.PROBE_POINTS, axis=1)
-    assert np.all(radii > cases.INNER_RADIUS)
+    assert np.all(radii > geo.INNER_RADIUS)
     assert np.all(radii < cases.TRUNCATION_RADIUS)

@@ -98,10 +98,28 @@ def test_off_round_trip(tmp_path, sphere3):
 
 
 def test_read_off_rejects_non_off(tmp_path):
+    # Each raises its own message: unchecked, an empty file and a short
+    # face list raise IndexError, a short vertex list and a negative count
+    # numpy's shape errors, a face index of -1 wraps to the last vertex and
+    # one of n_v fails later in SurfaceMesh.
+    good = tmp_path / "good.off"
+    geo.write_off(geo.build_icosphere(0), good)
+    lines = good.read_text().splitlines()
+    header, verts, faces = lines[:2], lines[2:14], lines[14:]
+    bad_inputs = {
+        "PLY\n0 0 0\n": "not an OFF file",
+        "": "not an OFF file",
+        "OFF\n-1 0 0\n": "non-negative",
+        "\n".join(header + verts + faces[:-1]): "face list is shorter",
+        "\n".join(header + verts[:-1]): "vertex list is shorter",
+        "\n".join(header + verts + ["3 0 1 -1"] + faces[1:]): "index -1 is outside",
+        "\n".join(header + verts + ["3 0 1 12"] + faces[1:]): "index 12 is outside",
+    }
     p = tmp_path / "bad.off"
-    p.write_text("PLY\n0 0 0\n")
-    with pytest.raises(ValueError):
-        geo.read_off(p)
+    for text, message in bad_inputs.items():
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            geo.read_off(p)
 
 
 def test_solid_angle_octant():
@@ -124,8 +142,7 @@ def test_radial_breakpoints_uniform():
 
 @pytest.fixture(scope="module")
 def shell():
-    return geo.build_shell_mesh(inner_radius=1.0, outer_radius=4.0,
-                                n_radial=8, angular_level=2)
+    return geo.build_shell_mesh(outer_radius=4.0, n_radial=8, angular_level=2)
 
 
 class TestVolumeMesh:
@@ -148,16 +165,10 @@ class TestVolumeMesh:
         mids = 0.5 * (shell.radial_breaks[:-1] + shell.radial_breaks[1:])
         assert np.allclose(np.sort(np.unique(r.round(12))), np.sort(mids.round(12)))
 
-    def test_face_pairs_reference_valid_cells(self, shell):
-        assert shell.face_pairs.min() >= 0
-        assert shell.face_pairs.max() < shell.n_cells
-        assert np.all(shell.face_areas > 0)
-        # Adjacent cells are distinct.
-        assert np.all(shell.face_pairs[:, 0] != shell.face_pairs[:, 1])
-
     def test_invalid_extent(self):
-        with pytest.raises(ValueError):
-            geo.build_shell_mesh(inner_radius=2.0, outer_radius=1.0)
+        for outer in (geo.INNER_RADIUS, 0.5):
+            with pytest.raises(ValueError, match="outer_radius"):
+                geo.build_shell_mesh(outer_radius=outer)
 
     def test_node_spacing_positive(self, shell):
         assert np.all(shell.node_spacing() > 0)

@@ -39,14 +39,12 @@ def sphere3():
 
 @pytest.fixture(scope="module")
 def shell14():
-    return geo.build_shell_mesh(inner_radius=1.0, outer_radius=4.0,
-                                n_radial=8, angular_level=2)
+    return geo.build_shell_mesh(outer_radius=4.0, n_radial=8, angular_level=2)
 
 
 @pytest.fixture(scope="module")
 def shell_small():
-    return geo.build_shell_mesh(inner_radius=1.0, outer_radius=4.0,
-                                n_radial=4, angular_level=1)
+    return geo.build_shell_mesh(outer_radius=4.0, n_radial=4, angular_level=1)
 
 
 @pytest.fixture(scope="module")

@@ -254,8 +254,7 @@ def test_double_layer_matrix_matches_value(sphere3):
 
 @pytest.fixture(scope="module")
 def shell12():
-    return geo.build_shell_mesh(inner_radius=1.0, outer_radius=2.0,
-                                n_radial=8, angular_level=2)
+    return geo.build_shell_mesh(outer_radius=2.0, n_radial=8, angular_level=2)
 
 
 def test_newton_shell_oracle(shell12):

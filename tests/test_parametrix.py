@@ -54,14 +54,12 @@ def ones_vl(sphere3):
 
 @pytest.fixture(scope="module")
 def shell12():
-    return geo.build_shell_mesh(inner_radius=1.0, outer_radius=2.0,
-                                n_radial=6, angular_level=2)
+    return geo.build_shell_mesh(outer_radius=2.0, n_radial=6, angular_level=2)
 
 
 @pytest.fixture(scope="module")
 def shell14():
-    return geo.build_shell_mesh(inner_radius=1.0, outer_radius=4.0,
-                                n_radial=8, angular_level=2)
+    return geo.build_shell_mesh(outer_radius=4.0, n_radial=8, angular_level=2)
 
 
 # --- kernels -----------------------------------------------------------------
@@ -284,8 +282,7 @@ def test_remainder_constant_density_self_convergence(shell14, gauss_field):
     target = np.array([[0.0, 0.0, 2.0]])
     u = lp.DomainDensity(np.ones(shell14.n_cells))
     coarse = px.op_R(shell14, gauss_field, u, target)[0]
-    fine_mesh = geo.build_shell_mesh(inner_radius=1.0, outer_radius=4.0,
-                                     n_radial=8, angular_level=2,
+    fine_mesh = geo.build_shell_mesh(outer_radius=4.0, n_radial=8, angular_level=2,
                                      radial_order=4, triangle_order=6)
     u_fine = lp.DomainDensity(np.ones(fine_mesh.n_cells))
     fine = px.op_R(fine_mesh, gauss_field, u_fine, target)[0]
@@ -680,8 +677,7 @@ def test_surface_matrix_cap(gauss_field):
 
 
 def test_volume_matrix_cap(gauss_field):
-    big = geo.build_shell_mesh(inner_radius=1.0, outer_radius=4.0,
-                               n_radial=13, angular_level=2)
+    big = geo.build_shell_mesh(outer_radius=4.0, n_radial=13, angular_level=2)
     target = np.zeros((1, 3))
     with pytest.raises(px.ResourceLimitError):
         px.op_R_matrix(big, gauss_field, target)

@@ -264,7 +264,7 @@ def test_integrate_volume_exclusion_ball():
     # A unit kernel integrates the shell's volume (both tables hold the cell
     # volumes), less the weights of the near-rule nodes within their cell's
     # exclusion radius of the target, which sits on a node.
-    vol = geo.build_shell_mesh(1.0, 2.0, n_radial=2, angular_level=0,
+    vol = geo.build_shell_mesh(2.0, n_radial=2, angular_level=0,
                                radial_order=3, triangle_order=3)
     target = vol.nodes[7, 4][None]
 

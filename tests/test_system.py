@@ -158,7 +158,7 @@ def test_f0_far_cell_matches_fine_quadrature(gauss_sys2, gauss_field, monkeypatc
     target = vol.centers[idx]
     assert np.linalg.norm(target) > 3.5
 
-    vol_fine = geo.build_shell_mesh(1.0, 4.0, n_radial=12, angular_level=2,
+    vol_fine = geo.build_shell_mesh(4.0, n_radial=12, angular_level=2,
                                     radial_order=3, triangle_order=3)
     # A finer surface rule on a fresh copy of the mesh, which builds its
     # own panel cache with it.
@@ -373,12 +373,22 @@ def test_remainder_block_transient_memory(level2, gauss_field):
 
 def test_dense_caps_enforced(gauss_field):
     surf, vol = cs.level_meshes(1)
-    big_vol = geo.build_shell_mesh(1.0, 4.0, n_radial=4, angular_level=3)
+    big_vol = geo.build_shell_mesh(4.0, n_radial=4, angular_level=3)
     with pytest.raises(px.ResourceLimitError):
         sy.assemble_M12(big_vol, surf, gauss_field)
     big_surf = geo.partition_boundary(geo.build_icosphere(4))
     with pytest.raises(px.ResourceLimitError):
         sy.assemble_M12(vol, big_surf, gauss_field)
+
+
+def test_assembly_refuses_a_surface_off_the_unit_sphere(level1, gauss_field):
+    # The shell starts at the unit sphere; unchecked, a surface scaled by
+    # 1.2 solves to a trace error three times that of the unit sphere.
+    _, vol = level1
+    sphere = geo.build_icosphere(1)
+    scaled = geo.partition_boundary(geo.SurfaceMesh(1.2 * sphere.vertices, sphere.triangles))
+    with pytest.raises(ValueError, match=r"off the unit sphere: .* = 0\.2 "):
+        sy.assemble_M12(vol, scaled, gauss_field)
 
 
 def test_data_requires_extensions(level1, gauss_field):
@@ -581,6 +591,8 @@ def test_evaluate_solution_refuses_points_off_the_domain(psrc_gauss_sys1):
         with pytest.raises(ValueError, match=r"not in the exterior domain") as info:
             sy.evaluate_solution(psrc_gauss_sys1, solution, probes)
         assert str(np.array(point)) in str(info.value)
+    with pytest.raises(ValueError, match=r"3-vectors.*\(1, 2\)"):
+        sy.evaluate_solution(psrc_gauss_sys1, solution, [[2.0, 0.0]])
     assert np.isfinite(sy.evaluate_solution(psrc_gauss_sys1, solution, cs.PROBE_POINTS)).all()
 
 
@@ -945,29 +957,22 @@ def test_laplace_reference_matches_zeroed_remainder(psrc_a1_sys1):
 def test_weighted_norm_of_unit_matches_shell_integral(level2):
     _, vol = level2
     ones = np.ones(vol.n_cells)
-    value = sy.weighted_norm(ones, vol, order=sy.ORDER_WEIGHTED)
+    value = sy.weighted_norm(ones, vol)
     exact = np.sqrt(FOUR_PI * (3.0 - np.arctan(4.0) + np.arctan(1.0)))
     assert abs(value - exact) / exact < 1e-6
-
-
-def test_seminorm_of_constant_vanishes(level1):
-    _, vol = level1
-    assert sy.weighted_norm(np.ones(vol.n_cells), vol, order=sy.ORDER_SEMI) == 0.0
 
 
 def test_weighted_norm_validates_input(level1):
     _, vol = level1
     with pytest.raises(ValueError, match="cell"):
         sy.weighted_norm(np.ones(3), vol)
-    with pytest.raises(ValueError, match="order"):
-        sy.weighted_norm(np.ones(vol.n_cells), vol, order="2-weighted")
 
 
 @settings(max_examples=25, deadline=None)
 @given(scale=st.floats(min_value=-100.0, max_value=100.0,
                        allow_nan=False, allow_infinity=False))
 def test_weighted_norm_is_homogeneous(scale):
-    vol = geo.build_shell_mesh(1.0, 4.0, n_radial=2, angular_level=0)
+    vol = geo.build_shell_mesh(4.0, n_radial=2, angular_level=0)
     rng = np.random.default_rng(7)
     values = rng.standard_normal(vol.n_cells)
     base = sy.weighted_norm(values, vol)
