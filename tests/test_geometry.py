@@ -165,6 +165,12 @@ class TestVolumeMesh:
         mids = 0.5 * (shell.radial_breaks[:-1] + shell.radial_breaks[1:])
         assert np.allclose(np.sort(np.unique(r.round(12))), np.sort(mids.round(12)))
 
+    def test_breaks_run_from_the_unit_sphere_at_the_grading(self, shell):
+        b = shell.radial_breaks
+        assert b[0] == geo.INNER_RADIUS and b[-1] == pytest.approx(4.0, rel=1e-14)
+        assert np.allclose(np.diff(b)[1:] / np.diff(b)[:-1], geo.GRADING, rtol=1e-12)
+        assert np.array_equal(b, geo.radial_breakpoints(geo.INNER_RADIUS, 4.0, 8, geo.GRADING))
+
     def test_invalid_extent(self):
         for outer in (geo.INNER_RADIUS, 0.5):
             with pytest.raises(ValueError, match="outer_radius"):

@@ -962,6 +962,18 @@ def test_weighted_norm_of_unit_matches_shell_integral(level2):
     assert abs(value - exact) / exact < 1e-6
 
 
+def test_weighted_norm_weights_each_radial_layer_by_its_shell_integral(level2):
+    # The weight 1 / (1 + |x|^2) is applied where each cell lies: the norm
+    # of one radial layer's indicator is the closed-form integral over it.
+    _, vol = level2
+    b = vol.radial_breaks
+    for k in range(len(b) - 1):
+        layer = (vol.radial_index == k).astype(float)
+        lo, hi = b[k], b[k + 1]
+        exact = np.sqrt(FOUR_PI * ((hi - np.arctan(hi)) - (lo - np.arctan(lo))))
+        assert abs(sy.weighted_norm(layer, vol) - exact) / exact < 1e-6
+
+
 def test_weighted_norm_validates_input(level1):
     _, vol = level1
     with pytest.raises(ValueError, match="cell"):
