@@ -43,17 +43,23 @@ the one place that classifies and measures them, and a pass given the
 target sets, ``parametrix._VolumeTargets``, measure one each for R and P f).
 
 Kernel contract of both engines: quadrature nodes are stored
-component-major, (3, ...), so that a block builds r^2 = (dx^2 + dy^2) + dz^2
-in place from contiguous component arrays with one scratch buffer
+component-major, (3, ...).  A surface block builds r^2 = (dx^2 + dy^2) +
+dz^2 in place from contiguous component arrays with one scratch buffer
 (``_squared_distances``), and each kernel writes one output array with
 in-place ufuncs.  On the flat panels n . (x - y) = n . (c - y) for every
 node of a panel with centroid c, so the double layer takes it once per
 target-panel pair.  The volume tables are node-major within a cell, (3,
-nodes, cells), and a volume kernel receives its per-node data (grad ln a
-and lap ln a for the remainder) on the nodes it is handed: the far table,
-or the near table gathered per pair.  Callbacks of points (factors,
-kernels that are not functions of the offsets, volume densities) still
-receive (..., 3) arrays.
+nodes, cells).  A volume far block measures all its target-node pairs by
+one matrix product, the block's augmented targets [y, 1, |y|^2] times the
+far table's augmented nodes [-2x, |x|^2, 1], which the mesh's _CellCache
+keeps (|x - y|^2 = |y|^2 - 2 x . y + |x|^2); near pairs take r from their
+_NearSet.  A volume kernel (the remainder) is a function of r, g . (x -
+y) for its per-node vector g (grad ln a), and its per-node data (lap ln
+a), whether the pair is far or near: a far block takes g . (x - y) from a
+second product, [y, 1] times [-g, g . x], built once per pass, and a near
+batch from the gathered offsets.  Callbacks of points (factors, kernels
+that are not functions of the offsets, volume densities) still receive
+(..., 3) arrays.
 """
 
 from __future__ import annotations
@@ -102,15 +108,12 @@ def grad_fundamental_solution(x, y) -> np.ndarray:
     return d / (FOUR_PI * r**3)[..., None]
 
 
-def _squared_distances(nodes, targets, out, scratch, each=None) -> np.ndarray:
+def _squared_distances(nodes, targets, out, scratch) -> np.ndarray:
     """r^2 = (dx^2 + dy^2) + dz^2 of component-major nodes (3, ...) from
     targets (3, ...), broadcast against each other, built in ``out`` with
-    the one ``scratch`` buffer.  ``each(k, d)``, if given, sees each offset
-    component d = x_k - y_k before it is squared, and must not change it."""
+    the one ``scratch`` buffer."""
     for k in range(3):
         d = np.subtract(nodes[k], targets[k], out=scratch)
-        if each is not None:
-            each(k, d)
         if k == 0:
             np.multiply(d, d, out=out)
         else:
@@ -832,9 +835,11 @@ class _CellCache:
     nodes of the far and the near table, component-major (3, nodes, cells),
     their points (nodes * cells, 3) for callbacks, and their weights (nodes,
     cells); the cell centres (3, cells); each cell's exclusion radius, which
-    near pairs use; and the square of NEAR_CELL_FACTOR times each cell's
+    near pairs use; the square of NEAR_CELL_FACTOR times each cell's
     radius about its centre (at least the radius plus the exclusion
-    radius), which decides near pairs (see _near_cells)."""
+    radius), which decides near pairs (see _near_cells); and the far
+    table's augmented nodes ``far_gram``, [-2x, |x|^2, 1] (5, nodes *
+    cells), which every far block multiplies (see _far_distances)."""
 
     def __init__(self, volmesh: VolumeMesh):
         def frozen(a):
@@ -861,6 +866,11 @@ class _CellCache:
         # A far pair's nodes lie farther than the exclusion radius from the
         # target, whatever the rule (see NEAR_CELL_FACTOR).
         self.near_cut2 = np.maximum(NEAR_CELL_FACTOR * radius, radius + self.excl) ** 2
+        # The far table's augmented nodes [-2x, |x|^2, 1] (5, nodes * cells),
+        # the right factor of every far block's distances (see _far_distances).
+        x = self.nodes.far.reshape(3, -1)
+        self.far_gram = frozen(np.concatenate([-2.0 * x, _dot3(x, x)[None],
+                                               np.ones((1, x.shape[1]))]))
 
 
 def _cell_cache(volmesh: VolumeMesh) -> _CellCache:
@@ -964,18 +974,64 @@ def _near_set(volmesh: VolumeMesh, targets) -> _NearSet:
     return _NearSet(targets, rows, cells, dist)
 
 
+def _dot3(a, b) -> np.ndarray:
+    """(a0 b0 + a1 b1) + a2 b2 of component-major arrays (3, ...)."""
+    out = np.multiply(a[0], b[0])
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    return out
+
+
+def _augmented(points) -> np.ndarray:
+    """Augmented targets [y, 1, |y|^2] (m, 5) of points (m, 3).  Their
+    product with the far table's augmented nodes [-2x, |x|^2, 1] is |x - y|^2
+    (see _far_distances), and that of the first four columns [y, 1] with
+    [-g, g . x] is g . (x - y)."""
+    aug = np.empty((len(points), 5))
+    aug[:, :3] = points
+    aug[:, 3] = 1.0
+    aug[:, 4] = _dot3(points.T, points.T)
+    return aug
+
+
+def _product(left, right, out) -> np.ndarray:
+    """left (b, k) times right (k, n) into out (b, n), one BLAS product.
+    numpy computes a one-row product by gemv, whose bits differ from the
+    same row's inside a product of two rows or more (gemm, which gives each
+    row the same bits whatever rows share it), so a one-row left is padded
+    to two rows: a target's far distances do not depend on its block."""
+    if len(left) > 1:
+        return np.matmul(left, right, out=out)
+    out[...] = np.matmul(np.concatenate([left, left]), right)[:1]
+    return out
+
+
+def _far_distances(cache: _CellCache, aug, out) -> np.ndarray:
+    """r = |x - y| (b, nodes, cells) of the far table's nodes from a block of
+    augmented targets (b, 5) (see _augmented), written into ``out``: r^2 is
+    one product by the far table's augmented nodes, |y|^2 - 2 x . y + |x|^2,
+    then its square root.  On far pairs r is within 1.8, 5.9 and 23.4 eps
+    (relative) of the direct form at levels 1-3; a node near the target
+    loses every digit (r^2 may round below zero, and r is nan), which only
+    near pairs have, and their far values are discarded."""
+    _product(aug, cache.far_gram, out.reshape(len(aug), -1))
+    return np.sqrt(out, out=out)
+
+
 class _VolumeTerm(NamedTuple):
     """What a volume pass evaluates: kernel values times the node
     ``weights`` (a _Tables), one sum per target or, with ``rows``, one row
     of per-cell sums per target, written into ``out`` when it is given.
     ``kernel`` None is the Newton kernel, whose -1/(4 pi) and factors the
     weights carry (see _newton_weights): one divide per target-node pair.
-    A kernel term's ``data`` are _Tables of per-node arrays that the kernel
-    receives for the nodes it is handed (see _volume_rows)."""
+    A kernel term is a function of r = |x - y|, g . (x - y) for its
+    per-node vector ``grad`` g (_Tables, (3, nodes, cells)) and its
+    per-node ``data`` (_Tables, (nodes, cells)); see _volume_rows."""
 
     weights: _Tables
     kernel: Optional[Callable] = None
-    data: tuple = ()
+    grad: Optional[_Tables] = None
+    data: Optional[_Tables] = None
     rows: bool = False
     out: Optional[np.ndarray] = None
 
@@ -990,17 +1046,20 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
     targets are, or else from _near_set of the chunk's points, the engine's
     one classification and measurement; the bits are the same.
     Far pairs integrate with the far table, the shell's default 6-node
-    rule, in blocks of VOLUME_BLOCK_PAIRS // (far nodes) targets: one dense
-    kernel call per block over every cell, reduced to per-cell sums, of
-    which those of near pairs are then replaced (rows) or zeroed (values).
-    No far node lies within its cell's exclusion radius of the target (see
-    NEAR_CELL_FACTOR).  Near pairs integrate with the mesh's own rule (18
-    nodes at levels 1-3) and the exclusion ball, whose nodes the set's
-    distances mark inf, in batches of about VOLUME_BLOCK_PAIRS node pairs
-    after the chunk's far blocks; each pair is reduced to one sum.  A
-    Newton term's is its gathered weights over the set's distances; a
-    kernel term is evaluated on the gathered nodes, zeroed where the
-    distance is inf, and weighted.
+    rule, in blocks of VOLUME_BLOCK_PAIRS // (far nodes) targets over every
+    cell: a block's distances are one matrix product (_far_distances), and
+    a kernel term's g . (x - y) a second, the block's [y, 1] times [-g,
+    g . x] at the far nodes, built once per pass.  The weighted kernel is
+    reduced to per-cell sums, of which those of near pairs are then
+    replaced (rows) or zeroed (values).  No far node lies within its cell's
+    exclusion radius of the target (see NEAR_CELL_FACTOR).  Near pairs
+    integrate with the mesh's own rule (18 nodes at levels 1-3) and the
+    exclusion ball, whose nodes the set's distances mark inf, in batches of
+    about VOLUME_BLOCK_PAIRS node pairs after the chunk's far blocks; each
+    pair is reduced to one sum.  A Newton term's is its gathered weights
+    over the set's distances; a kernel term takes r from the set too, and
+    g . (x - y) from the gathered offsets, is zeroed where the distance is
+    inf, and weighted.  No distance is measured twice.
 
     A row holds the far sum of each far cell and the near sum of each near
     cell.  A value is the pairwise sum of its row's far sums plus the
@@ -1009,12 +1068,12 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
 
     Kernel contract: the tables are node-major within a cell, (..., nodes,
     cells), so that the inner loops run over cells or pairs.  A kernel,
-    ``kernel(nodes, data, y, r, scratch)``, takes component-major nodes (3,
-    ...) and targets y (3, ...), which broadcast, and the term's per-node
-    ``data`` on the same nodes (the far table's, or the near table's
-    gathered per pair).  It writes r = |x - y| into ``r``, may use
-    ``scratch`` (both of the broadcast shape), and returns its values in a
-    new array, which is then masked and weighted in place.
+    ``kernel(r, dot, data, out)``, receives r = |x - y|, which it must not
+    change (a near batch's is the set's), dot = g . (x - y), which it may
+    overwrite, and the term's ``data`` on the same nodes (the far table's,
+    or the near table's gathered per pair), which broadcast against r; it
+    writes its values into ``out``, which is then masked and weighted in
+    place.
     """
     cache = _cell_cache(volmesh)
     near = targets if isinstance(targets, _NearSet) else None
@@ -1023,20 +1082,24 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
     out = (term.out if term.out is not None
            else np.zeros((m, n_c)) if term.rows else np.zeros(m))
     block, chunk, batch = _volume_blocks(cache)
+    aug = _augmented(targets)
+    if term.kernel is not None:
+        # [-g, g . x] (4, far nodes), the right factor of g . (x - y).
+        g = term.grad.far.reshape(3, -1)
+        g_gram = np.concatenate([-g, _dot3(g, cache.nodes.far.reshape(3, -1))[None]])
 
     def far_sums(y):
         # Per-cell sums of the weighted kernel at the far table's nodes for
-        # targets y (3, block, 1, 1); those of near pairs may be inf or nan
+        # augmented targets y (b, 5); those of near pairs may be inf or nan
         # (a node may sit on a target) and are discarded.
-        nodes = cache.nodes.far
-        shape = np.broadcast_shapes(nodes.shape[1:], y.shape[1:])
-        r, scratch = np.empty(shape), np.empty(shape)
+        shape = (len(y),) + cache.weights.far.shape
         with np.errstate(divide="ignore", invalid="ignore"):
+            r = _far_distances(cache, y, np.empty(shape))
             if term.kernel is None:
-                np.sqrt(_squared_distances(nodes, y, r, scratch), out=r)
-                vals = np.divide(term.weights.far, r, out=scratch)
+                vals = np.divide(term.weights.far, r, out=r)
             else:
-                vals = term.kernel(nodes, tuple(d.far for d in term.data), y, r, scratch)
+                dot = _product(y[:, :4], g_gram, np.empty((len(y), g_gram.shape[1])))
+                vals = term.kernel(r, dot.reshape(shape), term.data.far, np.empty(shape))
                 vals *= term.weights.far
             return vals.sum(axis=1)
 
@@ -1053,11 +1116,9 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
             if term.kernel is None:
                 vals = np.divide(w, dist, out=np.empty(dist.shape))
             else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    vals = term.kernel(cache.nodes.near[..., c],
-                                       tuple(d.near[..., c] for d in term.data),
-                                       pairs.points[t].T[:, None, :],
-                                       np.empty(dist.shape), np.empty(dist.shape))
+                offsets = cache.nodes.near[..., c] - pairs.points[t].T[:, None, :]
+                dot = _dot3(term.grad.near[..., c], offsets)
+                vals = term.kernel(dist, dot, term.data.near[..., c], np.empty(dist.shape))
                 vals[np.isinf(dist)] = 0.0
                 vals *= w
             np.sum(vals, axis=0, out=sums[k:k + len(t)])
@@ -1073,13 +1134,13 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
         near_chunk = np.zeros((hi - lo, n_c), dtype=bool)
         near_chunk[pairs.rows, pairs.cells] = True
         for start in range(lo, hi, block):
-            y = targets[start:start + block]
-            sums = far_sums(y.T[:, :, None, None])
+            stop = min(start + block, hi)
+            sums = far_sums(aug[start:stop])
             if term.rows:
-                out[start:start + len(y)] = sums
+                out[start:stop] = sums
             else:
-                sums[near_chunk[start - lo:start - lo + len(y)]] = 0.0
-                out[start:start + len(y)] = sums.sum(axis=1)
+                sums[near_chunk[start - lo:stop - lo]] = 0.0
+                out[start:stop] = sums.sum(axis=1)
         near_pass(pairs, out[lo:hi])
     return out
 

@@ -202,37 +202,26 @@ class _VolumeTargets:
 
 
 def _remainder_data(volmesh: VolumeMesh, field: CoefficientField) -> tuple:
-    """The per-node data of _remainder_kernel on both volume tables: grad ln
-    a, component-major (3, nodes, cells), and lap ln a (nodes, cells)."""
+    """The per-node data of R on both volume tables: grad ln a,
+    component-major (3, nodes, cells), the g of its g . (x - y), and lap ln
+    a (nodes, cells), the data of _remainder_kernel."""
     grad = lp._at_nodes(volmesh, field.eval_grad_ln_a).map(
         lambda g: np.ascontiguousarray(np.moveaxis(g, -1, 0)))
     return grad, lp._at_nodes(volmesh, field.eval_laplacian_ln_a)
 
 
-def _remainder_kernel(comps, data, y, r, r2):
-    """R as a volume kernel (see laplace._volume_rows) on the nodes it is
-    handed, with their data (grad ln a, lap ln a) from _remainder_data:
-    r = |x - y| into r, and -(lap ln a p + grad ln a . (x - y) / ((4 pi r)
-    r^2)) with p = -1/(4 pi r), in place."""
-    grad, lap_ln = data
-    dot, vals = np.empty_like(r), np.empty_like(r)
-
-    def add_dot(k, d):
-        # dot = (gx dx + gy dy) + gz dz; vals is free until the end.
-        if k == 0:
-            np.multiply(grad[0], d, out=dot)
-        else:
-            np.add(dot, np.multiply(grad[k], d, out=vals), out=dot)
-
-    lp._squared_distances(comps, y, r2, r, each=add_dot)
-    np.sqrt(r2, out=r)
-    np.multiply(r, FOUR_PI, out=vals)
-    r2 *= vals
-    dot /= r2
-    np.divide(-1.0, vals, out=vals)
-    vals *= lap_ln
-    vals += dot
-    return np.negative(vals, out=vals)
+def _remainder_kernel(r, dot, lap_ln, out):
+    """R as a volume kernel (see laplace._volume_rows), the same for far and
+    near pairs: from r = |x - y|, dot = grad ln a . (x - y) and lap ln a at
+    the nodes, -(lap ln a p + dot / (4 pi r^3)) with p = -1/(4 pi r), that
+    is (lap ln a - dot / r^2) / (4 pi r), into out; dot is overwritten, r
+    is not."""
+    np.multiply(r, r, out=out)
+    dot /= out
+    np.subtract(lap_ln, dot, out=dot)
+    np.divide(1.0 / FOUR_PI, r, out=out)
+    out *= dot
+    return out
 
 
 def _R(volmesh: VolumeMesh, field: CoefficientField, targets, u=None,
@@ -253,9 +242,9 @@ def _R(volmesh: VolumeMesh, field: CoefficientField, targets, u=None,
     wts = lp._cell_cache(volmesh).weights
     if u is not None:
         wts = lp._times(wts, lp._node_values(volmesh, u))
-    data = _remainder_data(volmesh, field)
-    return lp._volume_rows(volmesh, targets,
-                           lp._VolumeTerm(wts, _remainder_kernel, data, u is None, R))
+    grad, lap_ln = _remainder_data(volmesh, field)
+    return lp._volume_rows(volmesh, targets, lp._VolumeTerm(
+        wts, _remainder_kernel, grad, lap_ln, u is None, R))
 
 
 def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.ndarray:

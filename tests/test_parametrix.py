@@ -529,6 +529,69 @@ def test_far_pairs_have_no_node_inside_the_exclusion_ball(level_volumes, level):
         assert np.all(d2[far] > excl2[:len(y)][far])
 
 
+@pytest.mark.parametrize("level", [1, 2])
+def test_far_distances_from_the_product_are_within_16_eps(level_volumes, level):
+    """The far blocks' r = |x - y|, from one matrix product of augmented
+    targets and nodes (|y|^2 - 2 x . y + |x|^2), against the direct form
+    at the cell centres and collocation points, far pairs only.  Measured:
+    1.8 eps at level 1, 5.9 at level 2 and 23.4 at level 3 (relative)."""
+    surf, vol = level_volumes[level]
+    cache = lp._cell_cache(vol)
+    targets = np.concatenate([vol.centers, sy.boundary_collocation(surf).points])
+    worst = 0.0
+    for start in range(0, len(targets), 16):
+        y = targets[start:start + 16]
+        with np.errstate(invalid="ignore"):
+            r = lp._far_distances(cache, lp._augmented(y),
+                                  np.empty((len(y),) + cache.weights.far.shape))
+        direct = np.sqrt(sum((cache.nodes.far[k] - y[:, k, None, None]) ** 2 for k in range(3)))
+        far = np.broadcast_to(~lp._near_cells(vol, y)[:, None, :], r.shape)
+        worst = max(worst, (np.abs(r - direct) / direct)[far].max())
+    assert worst <= 16 * np.finfo(float).eps
+
+
+def test_a_one_target_far_block_has_the_bits_of_a_larger_block(level_volumes, gauss_field):
+    # The last far block of a level-2 pass over block + 1 targets holds one
+    # target, whose product numpy would compute by gemv.  op_P, op_R and
+    # op_R_matrix there have the bits of the same targets two at a time.
+    surf, vol = level_volumes[2]
+    block, _, _ = lp._volume_blocks(lp._cell_cache(vol))
+    targets = np.concatenate([vol.centers[::37], sy.boundary_collocation(surf).points[::13]])
+    targets = targets[:block + 1]
+    assert block > 1 and len(targets) == block + 1
+    case = cases.point_source_case(gauss_field)
+    u = lp.DomainDensity(case.exact.u(vol.centers))
+    ops = [lambda t: px.op_P(vol, gauss_field, case.f, t),
+           lambda t: px.op_R(vol, gauss_field, u, t),
+           lambda t: px.op_R_matrix(vol, gauss_field, t)]
+    for op in ops:
+        pairs = np.concatenate([op(targets[k:k + 2]) for k in range(0, len(targets), 2)])
+        assert np.array_equal(op(targets), pairs)
+
+
+def test_remainder_rows_on_a_measured_set_measure_no_distance(level_volumes, gauss_field,
+                                                              monkeypatch):
+    # Far blocks take r from the matrix product and near batches from the
+    # set: after the near set is measured, R rows call _squared_distances
+    # for no near batch and no far block.
+    surf, vol = level_volumes[1]
+    targets = np.concatenate([vol.centers, sy.boundary_collocation(surf).points])
+    volume = px._VolumeTargets(vol, gauss_field, targets)
+    assert len(volume.near.rows) > 0
+    calls = []
+    measure = lp._squared_distances
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_squared_distances", counted)
+    rows = volume.R()
+    assert calls == []
+    monkeypatch.setattr(lp, "_squared_distances", measure)
+    assert np.array_equal(rows, px.op_R_matrix(vol, gauss_field, targets))
+
+
 def test_remainder_far_target_rows_decay(shell14, gauss_field):
     """Far-target rows of R decay like 1/|y|, with a known constant.
 

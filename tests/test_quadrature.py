@@ -268,12 +268,13 @@ def test_integrate_volume_exclusion_ball():
                                radial_order=3, triangle_order=3)
     target = vol.nodes[7, 4][None]
 
-    def kern(comps, data, y, r, scratch):
-        # A unit kernel, with r = |x - y| for targets y (3, ...).
-        r[...] = np.sqrt(sum((comps[k] - y[k]) ** 2 for k in range(3)))
-        return np.ones_like(r)
+    def kern(r, dot, data, out):
+        # A unit kernel, whatever r, g . (x - y) and the data.
+        out[...] = 1.0
+        return out
 
-    term = lp._VolumeTerm(lp._cell_cache(vol).weights, kern)
+    cache = lp._cell_cache(vol)
+    term = lp._VolumeTerm(cache.weights, kern, cache.nodes, cache.weights)
     value = lp._volume_rows(vol, target, term)[0]
     near = lp._near_cells(vol, target)[0]
     r = np.linalg.norm(vol.nodes - target, axis=2)
