@@ -16,13 +16,14 @@ rule (single layer) or skip the flat panels through the collocation point
 
 Every surface operator runs through one engine, ``_surface_rows``, and
 every volume operator through another, ``_volume_rows``; both run over
-blocks of targets.  A surface pass serves a list of terms (several
-outputs), which share one classification and one r.  A volume pass
-evaluates one term at points or at a measured set (``_NearSet``, which
-carries its points), so the passes at one target set (the remainder's rows
-and P f, say) share its near set.  Both split the pairs of a
-target and an element by distance.  The surface engine takes far, near
-(subdivided) and Duffy panels on the one rule of ``quadrature``
+chunks of targets, each a whole number of cache-sized far blocks
+(``_surface_blocks``, ``_volume_blocks``).  A surface pass serves a list
+of terms (several outputs), which share one classification and one r.
+A volume pass evaluates one term at points or at a measured set
+(``_NearSet``, which carries its points), so the passes at one target set
+(the remainder's rows and P f, say) share its near set.  Both split the
+pairs of a target and an element by distance.  The surface engine takes
+far, near (subdivided) and Duffy panels on the one rule of ``quadrature``
 (FAR_ORDER; NEAR_ORDER at the depth ``quad.near_depth`` gives a near
 pair, at most SUBDIVISION_LEVELS; NEAR_THRESHOLD; DUFFY_ORDER), so no
 operator takes a setting: each is a function of the mesh, the
@@ -262,7 +263,7 @@ class Collocation:
 
     @staticmethod
     def free(points) -> "Collocation":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _target_points(points)
         return Collocation(pts, [KIND_FREE] * len(pts), np.full(len(pts), -1))
 
     @staticmethod
@@ -286,6 +287,20 @@ class Collocation:
             sum((p.kinds for p in parts), []),
             np.concatenate([p.indices for p in parts]),
         )
+
+
+def _target_points(points) -> np.ndarray:
+    """Targets given as an array: finite points (m, 3), or one point (3,)
+    as one row.  Any other shape, or a coordinate that is not finite,
+    raises ValueError: no rule gives a value there."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"targets must be 3-vectors, shape (m, 3); got shape {pts.shape}")
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"target {pts[k]} has a coordinate that is not finite")
+    return pts
 
 
 def _as_collocation(targets) -> Collocation:
@@ -412,11 +427,22 @@ class _Scatter(NamedTuple):
 
 # --- the assembly engine -------------------------------------------------------
 
-# Target-node pairs per block of far-field kernel values, and node pairs per
+# Target-node pairs per block of far-field kernel values (and target-panel
+# pairs per classification chunk, see _surface_blocks), and node pairs per
 # batch of near-field corrections.  They bound every temporary of the
 # surface engine, whatever the numbers of targets and panels.
 FAR_BLOCK_PAIRS = 1 << 15
 NEAR_BATCH_NODES = 1 << 14
+
+
+def _surface_blocks(cache: _PanelCache):
+    """(block, chunk): targets per far block, FAR_BLOCK_PAIRS // (far
+    nodes); targets per chunk, a whole number of far blocks with about
+    FAR_BLOCK_PAIRS target-panel pairs, as _volume_blocks.  A chunk is
+    classified, and its near and Duffy pairs added, at once."""
+    n_tri, n_nodes = cache.far.wts.shape
+    block = max(1, FAR_BLOCK_PAIRS // (n_tri * n_nodes))
+    return block, block * max(1, FAR_BLOCK_PAIRS // (block * n_tri))
 
 
 def _singular_pairs(cache: _PanelCache, colloc: Collocation):
@@ -490,11 +516,11 @@ def apply_rows_in_blocks(mesh: SurfaceMesh, targets, rows_of: Callable, coeffici
     returns per entry the values (m,).
 
     A block holds about VALUE_BLOCK_ENTRIES row entries and is a whole
-    number of the surface engine's own target blocks, so the engine meets
-    the same targets together as in one call over all of them, and every
-    value has the bits of that call."""
+    number of the surface engine's chunks (_surface_blocks), so the engine
+    meets the same targets together as in one call over all of them, and
+    every value has the bits of that call."""
     colloc = _as_collocation(targets)
-    step = max(1, FAR_BLOCK_PAIRS // _panel_cache(mesh).far.wts.size)
+    step = _surface_blocks(_panel_cache(mesh))[1]
     width = sum(len(c) for c in coefficients)
     block = step * max(1, VALUE_BLOCK_ENTRIES // (step * width))
     parts = [[apply_rows(rows, c) for rows, c in
@@ -511,27 +537,31 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
     vertex-linear raises ``ValueError``.
 
     The rule is the one of ``quadrature``, in the mesh's one _PanelCache.
-    Targets run in blocks of FAR_BLOCK_PAIRS // (far nodes).  In a block, a
-    target-panel pair is far when a centroid bound (squared distances of
-    the centroids, component-major) already puts the panel
+    Targets run in chunks of about FAR_BLOCK_PAIRS target-panel pairs, each
+    a whole number of far blocks of FAR_BLOCK_PAIRS // (far nodes) targets
+    (_surface_blocks: at level 2, chunks of 102 targets in blocks of 17).
+    In a chunk, a target-panel pair is far when a centroid bound (squared
+    distances of the centroids, component-major) already puts the panel
     quad.NEAR_THRESHOLD diameters away; the exact point-triangle distance is
-    computed for the other pairs only (one paired call per block), once for
-    all terms, and quad.near_depth maps each to its depth, 0 for far.  Far
-    pairs take one block of kernel values at all far nodes (quad.FAR_ORDER),
-    masked to the far pairs and mapped to each term's columns by a sparse
-    node-to-column matrix.  Near pairs are grouped by depth and take the
-    near table of their depth (quad.NEAR_ORDER on that many levels), in
-    batches of about NEAR_BATCH_NODES node pairs; the target's own panels
-    take a Duffy rule of quad.DUFFY_ORDER.  Both add their sums as
-    corrections, a block of targets at a time.  A term's factor is folded
-    into its node weights once per call: into the far weights of every
-    panel up front, into the near weights of a depth and a panel at the
-    panel's first near pair of that depth, and into the Duffy weights when
-    the singular pairs are mapped.  Their kinds are found once per call;
-    their nodes and weights are mapped once, for runs of whole blocks of
-    about NEAR_BATCH_NODES Duffy nodes, with every corner kind on the one
-    rule singular at corner 0 (each panel's corners and vertex columns
-    rolled to put the target there).
+    computed for the other pairs only (paired calls on pieces of at most
+    FAR_BLOCK_PAIRS // 8 pairs), once for all terms, and quad.near_depth
+    maps each to its depth, 0 for far.  Far pairs take, a far block at a
+    time, kernel values at all far nodes (quad.FAR_ORDER), masked to the far
+    pairs and mapped to each term's columns by a sparse node-to-column
+    matrix.  Near pairs are grouped by depth and take the near table of
+    their depth (quad.NEAR_ORDER on that many levels), in batches of about
+    NEAR_BATCH_NODES node pairs; the target's own panels take a Duffy rule
+    of quad.DUFFY_ORDER.  Both add their sums as corrections, a chunk of
+    targets at a time.  A term's factor is folded into its node weights
+    once per call: into the far weights of every panel up front, into the
+    near weights of a depth and a panel at the panel's first near pair of
+    that depth, and into the Duffy weights when the singular pairs are
+    mapped.  Their kinds are found once per call; their nodes and weights
+    are mapped once, for runs of whole chunks of about NEAR_BATCH_NODES
+    Duffy nodes, with every corner kind on the one rule singular at corner
+    0 (each panel's corners and vertex columns rolled to put the target
+    there).  A chunk's rows depend only on its targets, so calls over
+    slices of whole chunks give the rows of one call, bit for bit.
 
     Kernel contract (see _kernel_values): node tables are component-major,
     (3, panels, nodes), and the terms of a block share r = |x - y|, built in
@@ -546,7 +576,7 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
     principal-value double layer (flat panels through the collocation point
     contribute zero exactly).  A target on a panel that is not one of its
     registered panels raises ``ValueError``: no rule here is accurate
-    there.
+    there; so does a free target that is not a finite 3-vector.
     """
     colloc = _as_collocation(targets)
     cache = _panel_cache(mesh)
@@ -585,7 +615,7 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
     duffy = [t for t, term in enumerate(terms) if term.scheme == "duffy"]
 
     # Singular pairs: their kinds, once per call, and their Duffy nodes and
-    # weights (factors included), mapped a run of target blocks at a time
+    # weights (factors included), mapped a run of chunks at a time
     # (see below).  Every corner kind takes the rule singular at corner 0,
     # each panel's corners (and vertex columns) rolled so that the target
     # is corner 0; centroids take their own.
@@ -651,36 +681,41 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
                 plan = _Scatter.plan(columns[t].n, pairs.rows[:, None], pairs.corner_cols)
             plan.add(outs[t], contrib)
 
-    block = max(1, FAR_BLOCK_PAIRS // far.wts.size)
-    # A run of target blocks maps its Duffy pairs at once: whole blocks, as
-    # many as hold about NEAR_BATCH_NODES Duffy nodes (at least one).
-    starts = np.arange(0, colloc.n + block, block)
-    first = np.searchsorted(sing_rows, starts)  # the first pair of each block
+    block, chunk = _surface_blocks(cache)
+    # A paired distance holds about 36 floats of temporaries, so a piece of
+    # FAR_BLOCK_PAIRS // 8 candidate pairs holds about 1.2 MB.
+    piece = FAR_BLOCK_PAIRS // 8
+    # A run of chunks maps its Duffy pairs at once: whole chunks, as many as
+    # hold about NEAR_BATCH_NODES Duffy nodes (at least one).
+    starts = np.arange(0, colloc.n + chunk, chunk)
+    first = np.searchsorted(sing_rows, starts)  # the first pair of each chunk
     if duffy:
         per_pair = np.where(kinds == quad.AT_CENTROID, 3, 1) * quad.DUFFY_ORDER**2
         mapped = np.concatenate(([0], np.cumsum(per_pair)))[first]
     run_end, sing = 0, []
-    for j, start in enumerate(starts[:-1]):
-        y = colloc.points[start:start + block]
-        stop = start + len(y)
-        lo, hi = first[j], first[j + 1]
+    for j, lo in enumerate(starts[:-1]):
+        y = colloc.points[lo:lo + chunk]
+        hi = lo + len(y)
+        p0, p1 = first[j], first[j + 1]
         if duffy and j >= run_end:
             run_end = max(j + 1, np.searchsorted(mapped, mapped[j] + NEAR_BATCH_NODES,
                                                  side="right") - 1)
-            sing = duffy_pairs(lo, first[run_end])
+            sing = duffy_pairs(p0, first[run_end])
         regular = np.ones((len(y), n_tri), dtype=bool)
-        regular[sing_rows[lo:hi] - start, sing_panels[lo:hi]] = False
+        regular[sing_rows[p0:p1] - lo, sing_panels[p0:p1]] = False
 
         # Classification: the centroid bound, component-major, then exact
-        # distances of the candidate pairs it cannot decide and their depths.
+        # distances of the candidate pairs it cannot decide, a piece at a
+        # time, and their depths.
         shape = (len(y), n_tri)
         d2 = _squared_distances(cache.centroids, y.T[:, :, None], np.empty(shape),
                                 np.empty(shape))
         cand_rows, cand_panels = np.nonzero(regular & (d2 < bound2))
-        d = np.empty(0)
-        if len(cand_rows):
-            d = quad.point_triangle_distance(y[cand_rows], corners[cand_panels],
-                                             True)  # paired, one distance per pair
+        d = np.concatenate([np.empty(0)] + [
+            quad.point_triangle_distance(y[cand_rows[k:k + piece]],
+                                         corners[cand_panels[k:k + piece]],
+                                         True)  # paired, one distance per pair
+            for k in range(0, len(cand_rows), piece)])
         on_panel = d <= on_panel_tol[cand_panels]
         if on_panel.any():
             k = int(np.argmax(on_panel))
@@ -688,33 +723,38 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
                 f"target {y[cand_rows[k]]} lies on panel {cand_panels[k]}, which is "
                 "not one of its registered panels; pass it as a Collocation "
                 "centroid or vertex of that panel")
-        if duffy and np.any(kinds[lo:hi] == quad.UNREGISTERED):
-            k = lo + int(np.argmax(kinds[lo:hi] == quad.UNREGISTERED))
+        if duffy and np.any(kinds[p0:p1] == quad.UNREGISTERED):
+            k = p0 + int(np.argmax(kinds[p0:p1] == quad.UNREGISTERED))
             raise ValueError(f"registered target {colloc.points[sing_rows[k]]} is neither "
                              f"a vertex nor the centroid of its panel {sing_panels[k]}")
         depth = quad.near_depth(d, mesh.diameters[cand_panels])
         near = depth > 0
         depth, near_rows, near_panels = depth[near], cand_rows[near], cand_panels[near]
 
-        # Far pairs: kernel values at every far node, masked to far pairs.
-        # Masked nodes may sit on a target; their values are discarded.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = _kernel_values(kernels, far_nodes, y.T[:, :, None, None], *far_panels)
+        # Far pairs, a far block at a time: kernel values at every far node,
+        # masked to far pairs.  Masked nodes may sit on a target; their
+        # values are discarded.
         not_far = ~regular
         not_far[near_rows, near_panels] = True
-        for v in vals.values():
-            v[not_far] = 0.0
-        for t, kernel in enumerate(kernels):
-            outs[t][start:stop] += (far_map[t] @ vals[kernel].reshape(len(y), -1).T).T
+        for start in range(0, len(y), block):
+            stop = min(start + block, len(y))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = _kernel_values(kernels, far_nodes, y[start:stop].T[:, :, None, None],
+                                      *far_panels)
+            for v in vals.values():
+                v[not_far[start:stop]] = 0.0
+            for t, kernel in enumerate(kernels):
+                outs[t][lo + start:lo + stop] += (
+                    far_map[t] @ vals[kernel].reshape(stop - start, -1).T).T
 
-        # Near pairs, grouped by depth; then the singular pairs of the block,
+        # Near pairs, grouped by depth; then the singular pairs of the chunk,
         # on the corner rule and the centroid rule.
         for k in np.unique(depth):
             at = depth == k
-            for pairs in near_pairs(near_rows[at] + start, near_panels[at], k):
+            for pairs in near_pairs(near_rows[at] + lo, near_panels[at], k):
                 add_pairs(range(len(terms)), pairs)
         for pairs in sing:
-            a, b = np.searchsorted(pairs.rows, [start, stop])
+            a, b = np.searchsorted(pairs.rows, [lo, hi])
             if a < b:
                 add_pairs(duffy, pairs.take(slice(a, b)))
     return outs
@@ -809,8 +849,8 @@ def exclusion_radii(volmesh: VolumeMesh) -> np.ndarray:
 
 def _volume_points(targets) -> np.ndarray:
     if isinstance(targets, (Collocation, _NearSet)):
-        targets = targets.points
-    return np.atleast_2d(np.asarray(targets, dtype=float))
+        return targets.points
+    return _target_points(targets)
 
 
 class _Tables(NamedTuple):

@@ -256,8 +256,10 @@ def test_trace_identity_constant_field(unit_field, sphere3, shell_small):
 def test_surface_values_in_blocks_have_the_bits_of_one_call(gauss_field, shell_small,
                                                             source, monkeypatch):
     # Value functions build and apply their rows a block of targets at a
-    # time; with the smallest blocks (one surface-engine block each) every
-    # value has the bits of a call that holds all the rows.
+    # time; with the smallest blocks (one surface-engine chunk each) every
+    # value has the bits of a call that holds all the rows.  Chunks of 18
+    # targets in far blocks of 3, so that a call crosses both.
+    monkeypatch.setattr(lp, "FAR_BLOCK_PAIRS", 3 * 320 * 6)
     sphere2 = geo.build_icosphere(2)
     rng = np.random.default_rng(41)
     d = rng.normal(size=(40, 3))

@@ -585,6 +585,33 @@ def test_multi_term_outputs_equal_one_term_calls(level1_targets, where, monkeypa
         assert np.array_equal(out, lp._surface_rows(mesh, colloc, [term])[0])
 
 
+def test_surface_rows_over_chunk_aligned_slices_have_the_bits_of_one_call():
+    # A chunk of targets is classified and its near and Duffy pairs added at
+    # once, so rows depend on the chunk a target falls in; calls over
+    # slices of whole chunks give the rows of one call, bit for bit, which
+    # apply_rows_in_blocks relies on.  Level 2: far blocks of 17 targets,
+    # chunks of 6 blocks.
+    mesh = geo.partition_boundary(geo.build_icosphere(2))
+    block, chunk = lp._surface_blocks(lp._panel_cache(mesh))
+    assert (block, chunk) == (17, 102)
+    rng = np.random.default_rng(5)
+    d = rng.normal(size=(90, 3))
+    radii = np.concatenate([rng.uniform(1.02, 1.3, 60), rng.uniform(0.5, 0.95, 30)])
+    free = lp.Collocation.free(d / np.linalg.norm(d, axis=1, keepdims=True) * radii[:, None])
+    parts = lp.Collocation.concat([lp.Collocation.centroids(mesh, np.arange(0, 320, 3)),
+                                   lp.Collocation.vertices(mesh, np.arange(0, 162, 2)), free])
+    order = rng.permutation(parts.n)
+    colloc = lp.Collocation(parts.points[order], [parts.kinds[i] for i in order],
+                            parts.indices[order])
+    assert 2 * chunk < colloc.n < 3 * chunk
+    terms = _mixed_terms()
+    whole = lp._surface_rows(mesh, colloc, terms)
+    sliced = [lp._surface_rows(mesh, colloc.take(slice(lo, lo + chunk)), terms)
+              for lo in range(0, colloc.n, chunk)]
+    for t, rows in enumerate(whole):
+        assert np.array_equal(rows, np.concatenate([part[t] for part in sliced]))
+
+
 def test_multi_term_call_refuses_bad_targets(level1_targets):
     mesh, _ = level1_targets
     terms = _mixed_terms()

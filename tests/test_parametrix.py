@@ -771,3 +771,21 @@ def test_unit_coefficient_reduction_sweep(sphere3, shell12, unit_field):
     ]
     for got, want in pairs:
         assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("target, fault", [
+    ([[np.nan, 0.0, 2.0]], "not finite"),
+    ([[np.inf, 0.0, 2.0]], "not finite"),
+    ([[0.0, 2.0]], r"3-vectors, shape \(m, 3\); got shape \(1, 2\)"),
+], ids=["nan", "inf", "shape-1x2"])
+def test_operators_refuse_targets_that_are_not_finite_3_vectors(target, fault, gauss_field,
+                                                                shell12):
+    # Before, a nan target gave a nan row and a (1, 2) target a broadcast error.
+    mesh = geo.build_icosphere(1)
+    density = lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.ones(mesh.n_triangles))
+    f = lambda x: np.ones(len(x))
+    for op in (lambda y: lp.single_layer(mesh, density, y),
+               lambda y: px.op_P(shell12, gauss_field, f, y),
+               lambda y: px.op_R(shell12, gauss_field, f, y)):
+        with pytest.raises(ValueError, match=fault):
+            op(target)

@@ -306,8 +306,8 @@ def test_jump_coefficients_are_the_row_sums_assembly_takes(partition, gauss_fiel
 
 
 def test_boundary_W_block_transient_memory(level2, gauss_field):
-    """The surface engine keeps its temporaries per block of targets: one
-    level-2 boundary W block peaks near 4.2 MB over its 0.3 MB result, where
+    """The surface engine keeps its temporaries per chunk of targets: one
+    level-2 boundary W block peaks near 5.9 MB over its 0.3 MB result, where
     classifying every target-panel pair at once peaks near 11 MB."""
     surf, _ = level2
     colloc = sy.boundary_collocation(surf)
@@ -324,8 +324,9 @@ def test_boundary_W_block_transient_memory(level2, gauss_field):
 
 def test_boundary_surface_pass_transient_memory(level2, gauss_field):
     """One surface pass builds the three boundary blocks of the assembly,
-    V(1/a), W_lap and V(dn ln a), at level 2: it peaks near 5.3 MB over
-    its 1.2 MB of results."""
+    V(1/a), W_lap and V(dn ln a), at level 2: it peaks near 7.2 MB over
+    its 1.2 MB of results (9.7 MB if a chunk's candidate distances were
+    not taken a piece at a time)."""
     surf, _ = level2
     colloc = sy.boundary_collocation(surf)
     px._VW_matrices(surf, gauss_field, lp.Collocation.centroids(surf, [0]))
@@ -339,9 +340,11 @@ def test_boundary_surface_pass_transient_memory(level2, gauss_field):
 
 
 def test_assembly_classifies_each_target_set_once(level2, gauss_field, monkeypatch):
-    """Exact point-triangle distances run once per target block that has
-    pairs the centroid bound cannot decide, whatever the number of terms:
-    15 blocks of cell centres and 14 of boundary points at level 2."""
+    """Exact point-triangle distances run once per piece of at most
+    FAR_BLOCK_PAIRS // 8 candidate pairs of a chunk of targets, the pairs
+    the centroid bound cannot decide, whatever the number of terms: at
+    level 2, 6 calls for the 3 of 5 chunks of cell centres that have
+    candidates and 7 for the 3 chunks of boundary points."""
     surf, vol = level2
     calls = []
     distance = quad.point_triangle_distance
@@ -352,7 +355,7 @@ def test_assembly_classifies_each_target_set_once(level2, gauss_field, monkeypat
 
     monkeypatch.setattr(quad, "point_triangle_distance", counted)
     sy.assemble_M12(vol, surf, gauss_field)
-    assert len(calls) == 29
+    assert len(calls) == 13
 
 
 def test_remainder_block_transient_memory(level2, gauss_field):
