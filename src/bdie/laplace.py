@@ -15,13 +15,14 @@ rule (single layer) or skip the flat panels through the collocation point
 (double layer, exact for flat panels).
 
 Every surface operator runs through one engine, ``_surface_rows``, and
-every volume operator through another, ``_volume_rows``; both run over
-chunks of targets, each a whole number of cache-sized far blocks
-(``_surface_blocks``, ``_volume_blocks``).  A surface pass serves a list
-of terms (several outputs), which share one classification and one r.
-A volume pass evaluates one term at points or at a measured set
+every volume operator through another, ``_volume_rows``.  Both loop over
+chunks of targets, whole numbers of cache-sized far blocks by one rule
+(``_far_blocks``), and a chunk does all of its own work.  A surface pass
+serves a list of terms (several outputs), which share one classification
+and one r.  A volume pass evaluates one term at points or at a measured set
 (``_NearSet``, which carries its points), so the passes at one target set
-(the remainder's rows and P f, say) share its near set.  Both split the
+(the remainder's rows and P f, say) share its near set; a volume value is
+the pairwise sum of its row.  Both split the
 pairs of a target and an element by distance.  The surface engine takes
 far, near (subdivided) and Duffy panels on the one rule of ``quadrature``
 (FAR_ORDER; NEAR_ORDER at the depth ``quad.near_depth`` gives a near
@@ -427,22 +428,27 @@ class _Scatter(NamedTuple):
 
 # --- the assembly engine -------------------------------------------------------
 
-# Target-node pairs per block of far-field kernel values (and target-panel
-# pairs per classification chunk, see _surface_blocks), and node pairs per
-# batch of near-field corrections.  They bound every temporary of the
-# surface engine, whatever the numbers of targets and panels.
+# Target-node pairs per far block and target-element pairs per chunk of
+# both engines (_far_blocks), and node pairs per surface near batch (a
+# volume near batch holds about FAR_BLOCK_PAIRS).  They bound every
+# temporary of the engines, whatever the numbers of targets and elements.
 FAR_BLOCK_PAIRS = 1 << 15
 NEAR_BATCH_NODES = 1 << 14
 
 
+def _far_blocks(elements: int, nodes: int):
+    """The block rule of both engines, over ``elements`` panels or cells of
+    ``nodes`` far nodes each: (block, chunk), targets per far block,
+    FAR_BLOCK_PAIRS // (far nodes), and per chunk, whole far blocks with
+    about FAR_BLOCK_PAIRS target-element pairs."""
+    block = max(1, FAR_BLOCK_PAIRS // (elements * nodes))
+    return block, block * max(1, FAR_BLOCK_PAIRS // (block * elements))
+
+
 def _surface_blocks(cache: _PanelCache):
-    """(block, chunk): targets per far block, FAR_BLOCK_PAIRS // (far
-    nodes); targets per chunk, a whole number of far blocks with about
-    FAR_BLOCK_PAIRS target-panel pairs, as _volume_blocks.  A chunk is
-    classified, and its near and Duffy pairs added, at once."""
-    n_tri, n_nodes = cache.far.wts.shape
-    block = max(1, FAR_BLOCK_PAIRS // (n_tri * n_nodes))
-    return block, block * max(1, FAR_BLOCK_PAIRS // (block * n_tri))
+    """(block, chunk) of the surface engine (_far_blocks): at level 2,
+    chunks of 102 targets in far blocks of 17."""
+    return _far_blocks(*cache.far.wts.shape)
 
 
 def _singular_pairs(cache: _PanelCache, colloc: Collocation):
@@ -469,11 +475,6 @@ class _Pairs(NamedTuple):
     nodes: np.ndarray
     weights: dict
     bary: np.ndarray
-
-    def take(self, index: slice) -> "_Pairs":
-        return _Pairs(self.rows[index], self.panels[index], self.corner_cols[index],
-                      self.nodes[:, index], {t: w[index] for t, w in self.weights.items()},
-                      self.bary)
 
 
 class _Term(NamedTuple):
@@ -540,7 +541,8 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
     Targets run in chunks of about FAR_BLOCK_PAIRS target-panel pairs, each
     a whole number of far blocks of FAR_BLOCK_PAIRS // (far nodes) targets
     (_surface_blocks: at level 2, chunks of 102 targets in blocks of 17).
-    In a chunk, a target-panel pair is far when a centroid bound (squared
+    Each chunk does all of its own work.  In it, a target-panel pair is far
+    when a centroid bound (squared
     distances of the centroids, component-major) already puts the panel
     quad.NEAR_THRESHOLD diameters away; the exact point-triangle distance is
     computed for the other pairs only (paired calls on pieces of at most
@@ -551,17 +553,16 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
     matrix.  Near pairs are grouped by depth and take the near table of
     their depth (quad.NEAR_ORDER on that many levels), in batches of about
     NEAR_BATCH_NODES node pairs; the target's own panels take a Duffy rule
-    of quad.DUFFY_ORDER.  Both add their sums as corrections, a chunk of
-    targets at a time.  A term's factor is folded into its node weights
-    once per call: into the far weights of every panel up front, into the
+    of quad.DUFFY_ORDER.  Both add their sums as corrections.  A chunk
+    finds the kinds of its own singular pairs (corner or centroid), then
+    maps their nodes and weights, every corner kind on the one rule
+    singular at corner 0 (each panel's corners and vertex columns rolled
+    to put the target there).  A term's factor is folded into its node
+    weights: into the far weights of every panel once per call, into the
     near weights of a depth and a panel at the panel's first near pair of
-    that depth, and into the Duffy weights when the singular pairs are
-    mapped.  Their kinds are found once per call; their nodes and weights
-    are mapped once, for runs of whole chunks of about NEAR_BATCH_NODES
-    Duffy nodes, with every corner kind on the one rule singular at corner
-    0 (each panel's corners and vertex columns rolled to put the target
-    there).  A chunk's rows depend only on its targets, so calls over
-    slices of whole chunks give the rows of one call, bit for bit.
+    that depth, and into the Duffy weights when a chunk maps them.  A
+    chunk's rows depend only on its targets, so calls over slices of whole
+    chunks give the rows of one call, bit for bit.
 
     Kernel contract (see _kernel_values): node tables are component-major,
     (3, panels, nodes), and the terms of a block share r = |x - y|, built in
@@ -614,24 +615,23 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
     sing_rows, sing_panels = _singular_pairs(cache, colloc)
     duffy = [t for t, term in enumerate(terms) if term.scheme == "duffy"]
 
-    # Singular pairs: their kinds, once per call, and their Duffy nodes and
-    # weights (factors included), mapped a run of chunks at a time
-    # (see below).  Every corner kind takes the rule singular at corner 0,
-    # each panel's corners (and vertex columns) rolled so that the target
-    # is corner 0; centroids take their own.
-    kinds = (quad.singular_point_kind(corners[sing_panels], colloc.points[sing_rows])
-             if duffy else None)
-
-    def duffy_pairs(lo, hi):
-        # The Duffy pairs sing_rows[lo:hi], one _Pairs per rule.
+    def duffy_pairs(rows, panels):
+        # A chunk's singular pairs, one _Pairs per rule, with Duffy nodes and
+        # weights (factors included): every corner kind on the rule singular
+        # at corner 0, each panel's corners (and vertex columns) rolled to put
+        # the target there; centroids on their own.
+        kinds = quad.singular_point_kind(corners[panels], colloc.points[rows])
+        if np.any(kinds == quad.UNREGISTERED):
+            k = int(np.argmax(kinds == quad.UNREGISTERED))
+            raise ValueError(f"registered target {colloc.points[rows[k]]} is neither "
+                             f"a vertex nor the centroid of its panel {panels[k]}")
         groups = []
         for at_corner in (True, False):
-            k = kinds[lo:hi]
-            pick = (k >= 0) & (k != quad.AT_CENTROID) if at_corner else k == quad.AT_CENTROID
-            r, p = sing_rows[lo:hi][pick], sing_panels[lo:hi][pick]
+            pick = kinds != quad.AT_CENTROID if at_corner else kinds == quad.AT_CENTROID
+            r, p = rows[pick], panels[pick]
             if not len(r):
                 continue
-            order = (k[pick, None] + np.arange(3)) % 3 if at_corner else np.arange(3)[None]
+            order = (kinds[pick, None] + np.arange(3)) % 3 if at_corner else np.arange(3)[None]
             pair = np.arange(len(p))[:, None]
             nodes, w, bary = quad.duffy_panel_nodes(
                 corners[p][pair, order], 0 if at_corner else quad.AT_CENTROID, quad.DUFFY_ORDER)
@@ -685,22 +685,9 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
     # A paired distance holds about 36 floats of temporaries, so a piece of
     # FAR_BLOCK_PAIRS // 8 candidate pairs holds about 1.2 MB.
     piece = FAR_BLOCK_PAIRS // 8
-    # A run of chunks maps its Duffy pairs at once: whole chunks, as many as
-    # hold about NEAR_BATCH_NODES Duffy nodes (at least one).
-    starts = np.arange(0, colloc.n + chunk, chunk)
-    first = np.searchsorted(sing_rows, starts)  # the first pair of each chunk
-    if duffy:
-        per_pair = np.where(kinds == quad.AT_CENTROID, 3, 1) * quad.DUFFY_ORDER**2
-        mapped = np.concatenate(([0], np.cumsum(per_pair)))[first]
-    run_end, sing = 0, []
-    for j, lo in enumerate(starts[:-1]):
+    for lo in range(0, colloc.n, chunk):
         y = colloc.points[lo:lo + chunk]
-        hi = lo + len(y)
-        p0, p1 = first[j], first[j + 1]
-        if duffy and j >= run_end:
-            run_end = max(j + 1, np.searchsorted(mapped, mapped[j] + NEAR_BATCH_NODES,
-                                                 side="right") - 1)
-            sing = duffy_pairs(p0, first[run_end])
+        p0, p1 = np.searchsorted(sing_rows, [lo, lo + len(y)])
         regular = np.ones((len(y), n_tri), dtype=bool)
         regular[sing_rows[p0:p1] - lo, sing_panels[p0:p1]] = False
 
@@ -723,10 +710,7 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
                 f"target {y[cand_rows[k]]} lies on panel {cand_panels[k]}, which is "
                 "not one of its registered panels; pass it as a Collocation "
                 "centroid or vertex of that panel")
-        if duffy and np.any(kinds[p0:p1] == quad.UNREGISTERED):
-            k = p0 + int(np.argmax(kinds[p0:p1] == quad.UNREGISTERED))
-            raise ValueError(f"registered target {colloc.points[sing_rows[k]]} is neither "
-                             f"a vertex nor the centroid of its panel {sing_panels[k]}")
+        sing = duffy_pairs(sing_rows[p0:p1], sing_panels[p0:p1]) if duffy else []
         depth = quad.near_depth(d, mesh.diameters[cand_panels])
         near = depth > 0
         depth, near_rows, near_panels = depth[near], cand_rows[near], cand_panels[near]
@@ -754,9 +738,7 @@ def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:
             for pairs in near_pairs(near_rows[at] + lo, near_panels[at], k):
                 add_pairs(range(len(terms)), pairs)
         for pairs in sing:
-            a, b = np.searchsorted(pairs.rows, [lo, hi])
-            if a < b:
-                add_pairs(duffy, pairs.take(slice(a, b)))
+            add_pairs(duffy, pairs)
     return outs
 
 
@@ -953,19 +935,12 @@ def _near_cells(volmesh: VolumeMesh, targets) -> np.ndarray:
     return _squared_distances(cache.centers, y.T[:, :, None], d2, scratch) <= cache.near_cut2
 
 
-# Target-node pairs per block of far-pair kernel values, and about as many
-# node pairs per batch of near pairs (see FAR_BLOCK_PAIRS).
-VOLUME_BLOCK_PAIRS = 1 << 15
-
-
 def _volume_blocks(cache: _CellCache):
-    """(block, chunk, batch): targets per far block; targets per
-    classification chunk, a whole number of far blocks with about
-    VOLUME_BLOCK_PAIRS target-cell pairs; near pairs per batch, about
-    VOLUME_BLOCK_PAIRS node pairs."""
-    block = max(1, VOLUME_BLOCK_PAIRS // cache.weights.far.size)
-    chunk = block * max(1, VOLUME_BLOCK_PAIRS // (block * cache.n_cells))
-    return block, chunk, max(1, VOLUME_BLOCK_PAIRS // cache.weights.near.shape[0])
+    """(block, chunk, batch) of the volume engine: the block rule's far
+    block and chunk over the cells (_far_blocks), and near pairs per batch,
+    about FAR_BLOCK_PAIRS node pairs."""
+    block, chunk = _far_blocks(cache.n_cells, cache.weights.far.shape[0])
+    return block, chunk, max(1, FAR_BLOCK_PAIRS // cache.weights.near.shape[0])
 
 
 class _NearSet(NamedTuple):
@@ -1081,30 +1056,31 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
     the targets for one term (see _VolumeTerm); returns values (m,) or rows
     (m, cells).  The targets are points, or a _NearSet, which is measured.
 
-    Targets run in chunks of whole far blocks (about VOLUME_BLOCK_PAIRS
-    target-cell pairs).  A chunk's near pairs come from the _NearSet the
-    targets are, or else from _near_set of the chunk's points, the engine's
-    one classification and measurement; the bits are the same.
-    Far pairs integrate with the far table, the shell's default 6-node
-    rule, in blocks of VOLUME_BLOCK_PAIRS // (far nodes) targets over every
-    cell: a block's distances are one matrix product (_far_distances), and
-    a kernel term's g . (x - y) a second, the block's [y, 1] times [-g,
+    Targets run in chunks of whole far blocks (about FAR_BLOCK_PAIRS
+    target-cell pairs, _volume_blocks), and every pass builds each chunk's
+    rows.  A chunk's near pairs come from the _NearSet the targets are, or
+    else from _near_set of the chunk's points, the engine's one
+    classification and measurement; the bits are the same.  Far pairs
+    integrate with the far table, the shell's default 6-node rule, in
+    blocks of FAR_BLOCK_PAIRS // (far nodes) targets over every cell: a
+    block's distances are one matrix product (_far_distances), and a
+    kernel term's g . (x - y) a second, the block's [y, 1] times [-g,
     g . x] at the far nodes, built once per pass.  The weighted kernel is
-    reduced to per-cell sums, of which those of near pairs are then
-    replaced (rows) or zeroed (values).  No far node lies within its cell's
-    exclusion radius of the target (see NEAR_CELL_FACTOR).  Near pairs
-    integrate with the mesh's own rule (18 nodes at levels 1-3) and the
-    exclusion ball, whose nodes the set's distances mark inf, in batches of
-    about VOLUME_BLOCK_PAIRS node pairs after the chunk's far blocks; each
-    pair is reduced to one sum.  A Newton term's is its gathered weights
-    over the set's distances; a kernel term takes r from the set too, and
-    g . (x - y) from the gathered offsets, is zeroed where the distance is
-    inf, and weighted.  No distance is measured twice.
+    reduced to per-cell sums, which fill the rows.  No far node lies within
+    its cell's exclusion radius of the target (see NEAR_CELL_FACTOR).  Near
+    pairs integrate with the mesh's own rule (18 nodes at levels 1-3) and
+    the exclusion ball, whose nodes the set's distances mark inf, in
+    batches of about FAR_BLOCK_PAIRS node pairs after the chunk's far
+    blocks; each pair's sum overwrites its cell in the rows.  A Newton
+    term's is its gathered weights over the set's distances; a kernel term
+    takes r from the set too, and g . (x - y) from the gathered offsets, is
+    zeroed where the distance is inf, and weighted.  No distance is
+    measured twice.
 
     A row holds the far sum of each far cell and the near sum of each near
-    cell.  A value is the pairwise sum of its row's far sums plus the
-    pairwise sum of its near sums, both in cell order, so a target's value
-    does not depend on which targets share its block.
+    cell.  A value is the pairwise sum of its row, so it is the row sum of
+    the rows pass, bit for bit, and does not depend on which targets share
+    its block.
 
     Kernel contract: the tables are node-major within a cell, (..., nodes,
     cells), so that the inner loops run over cells or pairs.  A kernel,
@@ -1131,7 +1107,7 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
     def far_sums(y):
         # Per-cell sums of the weighted kernel at the far table's nodes for
         # augmented targets y (b, 5); those of near pairs may be inf or nan
-        # (a node may sit on a target) and are discarded.
+        # (a node may sit on a target) and are overwritten.
         shape = (len(y),) + cache.weights.far.shape
         with np.errstate(divide="ignore", invalid="ignore"):
             r = _far_distances(cache, y, np.empty(shape))
@@ -1143,12 +1119,11 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
                 vals *= term.weights.far
             return vals.sum(axis=1)
 
-    def near_pass(pairs, dest):
-        # The near pairs of a chunk, sorted by target, into dest, its rows of out.
-        rows, cells = pairs.rows, pairs.cells
-        sums = np.empty(len(rows))
-        for k in range(0, len(rows), batch):
-            t, c = rows[k:k + batch], cells[k:k + batch]
+    def near_sums(pairs, rows):
+        # The near pairs of a chunk, sorted by target, into its rows: each
+        # sum overwrites the far sum of its cell.
+        for k in range(0, len(pairs.rows), batch):
+            t, c = pairs.rows[k:k + batch], pairs.cells[k:k + batch]
             dist = pairs.dist[:, k:k + len(t)]
             w = term.weights.near[..., c]
             # Summed over nodes in a C-ordered buffer, as in the far blocks:
@@ -1161,27 +1136,18 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
                 vals = term.kernel(dist, dot, term.data.near[..., c], np.empty(dist.shape))
                 vals[np.isinf(dist)] = 0.0
                 vals *= w
-            np.sum(vals, axis=0, out=sums[k:k + len(t)])
-        if term.rows:
-            dest[rows, cells] = sums
-        elif len(rows):
-            starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-            dest[rows[starts]] += np.add.reduceat(sums, starts)
+            rows[t, c] = vals.sum(axis=0)
 
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         pairs = _near_set(volmesh, targets[lo:hi]) if near is None else near.chunk(lo, hi)
-        near_chunk = np.zeros((hi - lo, n_c), dtype=bool)
-        near_chunk[pairs.rows, pairs.cells] = True
+        rows = out[lo:hi] if term.rows else np.empty((hi - lo, n_c))
         for start in range(lo, hi, block):
             stop = min(start + block, hi)
-            sums = far_sums(aug[start:stop])
-            if term.rows:
-                out[start:stop] = sums
-            else:
-                sums[near_chunk[start - lo:stop - lo]] = 0.0
-                out[start:stop] = sums.sum(axis=1)
-        near_pass(pairs, out[lo:hi])
+            rows[start - lo:stop - lo] = far_sums(aug[start:stop])
+        near_sums(pairs, rows)
+        if not term.rows:
+            out[lo:hi] = rows.sum(axis=1)
     return out
 
 

@@ -61,6 +61,7 @@ assembly routines.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional, Union
 
@@ -258,7 +259,10 @@ class _MatrixCache:
             return self._kept
         A = self.matrix
         anorm = np.linalg.norm(A, 1)  # before the factor exists: |A| is a copy
-        lu, piv = sla.lu_factor(A)
+        with warnings.catch_warnings():
+            # A zero pivot warns; the rcond check below reports it as the fault.
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv = sla.lu_factor(A)
         rcond = sla.lapack.dgecon(lu, anorm)[0]
         if not np.all(np.isfinite(lu)) or rcond == 0.0:
             raise SolverError(f"singular factorization (reciprocal condition {rcond:.3e})")

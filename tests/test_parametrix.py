@@ -317,7 +317,7 @@ def test_volume_values_on_a_node_are_finite(shell14, gauss_field, monkeypatch):
     cell = 1234 // shell14.n_nodes_per_cell
     block = np.concatenate([shell14.centers[cell:cell + 1], node,
                             shell14.centers[cell + 1:cell + 2]])
-    monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", 3 * shell14.all_weights().size)
+    monkeypatch.setattr(lp, "FAR_BLOCK_PAIRS", 3 * shell14.all_weights().size)
     u = lp.DomainDensity(np.ones(shell14.n_cells))
     ops = [lambda t: px.op_R(shell14, gauss_field, u, t),
            lambda t: px.op_R_matrix(shell14, gauss_field, t),
@@ -337,7 +337,7 @@ def test_volume_values_on_a_node_are_finite(shell14, gauss_field, monkeypatch):
 def test_volume_values_do_not_depend_on_the_block(shell14, gauss_field, monkeypatch):
     # A cell centre's value has the same bits alone and inside a block of
     # three targets: each row is reduced by its own pairwise sum.
-    monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", 3 * shell14.all_weights().size)
+    monkeypatch.setattr(lp, "FAR_BLOCK_PAIRS", 3 * shell14.all_weights().size)
     u = lp.DomainDensity(np.ones(shell14.n_cells))
     block = shell14.centers[40:43]
     ops = [lambda t: px.op_R(shell14, gauss_field, u, t),
@@ -362,7 +362,7 @@ def test_kept_near_set_gives_the_bits_of_a_measured_pass(shell14, sphere3, gauss
     near = lp._near_set(shell14, targets)
     assert np.isinf(near.dist).any()
     if block_pairs is not None:
-        monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", block_pairs * shell14.far_weights.size)
+        monkeypatch.setattr(lp, "FAR_BLOCK_PAIRS", block_pairs * shell14.far_weights.size)
     rng = np.random.default_rng(32)
     cells = lp.DomainDensity(rng.normal(size=shell14.n_cells))
     for f in (cells, lambda x: np.exp(-(x * x).sum(axis=-1))):
@@ -444,7 +444,7 @@ def test_volume_engine_matches_per_target_reference(shell14, gauss_field, sphere
                                                     monkeypatch, kind, output, where):
     # Blocks of three targets: the 20 centres and 16 centroids end in a
     # partial block; most centroids have volume nodes inside their balls.
-    monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", 3 * shell14.far_weights.size + 1)
+    monkeypatch.setattr(lp, "FAR_BLOCK_PAIRS", 3 * shell14.far_weights.size + 1)
     targets = shell14.centers[::128] if where == "centers" else sphere3.centroids[::80]
     v = np.random.default_rng(6).normal(size=shell14.n_cells)
     u = lp.DomainDensity(v)
@@ -503,7 +503,7 @@ def test_split_volume_pass_does_not_depend_on_the_block(level_volumes, gauss_fie
     u = lp.DomainDensity(case.exact.u(vol.centers))
     passes = {}
     for per_block in (3, 1):
-        monkeypatch.setattr(lp, "VOLUME_BLOCK_PAIRS", per_block * vol.far_weights.size)
+        monkeypatch.setattr(lp, "FAR_BLOCK_PAIRS", per_block * vol.far_weights.size)
         passes[per_block] = (px.op_R_matrix(vol, gauss_field, targets),
                              px.op_R(vol, gauss_field, u, targets),
                              px.op_P(vol, gauss_field, case.f, targets))
@@ -590,6 +590,36 @@ def test_remainder_rows_on_a_measured_set_measure_no_distance(level_volumes, gau
     assert calls == []
     monkeypatch.setattr(lp, "_squared_distances", measure)
     assert np.array_equal(rows, px.op_R_matrix(vol, gauss_field, targets))
+
+
+def test_a_volume_value_is_the_sum_of_its_row(level_volumes, gauss_field):
+    # A values pass builds each target's row as the rows pass does, far
+    # sums overwritten by near sums, and stores its pairwise sum: at the
+    # level-2 cell centres and collocation points the values of the unit
+    # density are the row sums of the matrices, bit for bit.
+    surf, vol = level_volumes[2]
+    targets = np.concatenate([vol.centers, sy.boundary_collocation(surf).points])
+    ones = lp.DomainDensity(np.ones(vol.n_cells))
+    assert np.array_equal(lp.newton_potential(vol, ones, targets),
+                          lp.newton_potential_matrix(vol, targets).sum(axis=1))
+    assert np.array_equal(px.op_R(vol, gauss_field, ones, targets),
+                          px.op_R_matrix(vol, gauss_field, targets).sum(axis=1))
+
+
+def test_surface_chunks_add_their_own_duffy_pairs(level_volumes, gauss_field, monkeypatch):
+    # Each chunk maps and adds the Duffy pairs of its own targets: V, W and
+    # the jump coefficients at the level-2 boundary collocation agree with
+    # the default chunks of 102 targets and with chunks of 18 (far blocks
+    # of 3).  A Duffy pair lost or added twice at a chunk boundary would
+    # move its row by O(h).
+    surf, _ = level_volumes[2]
+    colloc = sy.boundary_collocation(surf)
+    default = px._VW_matrices(surf, gauss_field, colloc)
+    monkeypatch.setattr(lp, "FAR_BLOCK_PAIRS", 3 * surf.n_triangles * 6)
+    assert lp._surface_blocks(lp._panel_cache(surf)) == (3, 18)
+    small = px._VW_matrices(surf, gauss_field, colloc)
+    for want, got in zip(default, small):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_remainder_far_target_rows_decay(shell14, gauss_field):

@@ -468,6 +468,7 @@ def test_iterative_agrees_with_direct(psrc_gauss_sys1, monkeypatch):
     assert iterative.conditioning is None
 
 
+@pytest.mark.filterwarnings("error")
 def test_singular_matrix_raises(psrc_a1_sys1):
     broken = np.array(psrc_a1_sys1.matrix)
     broken[:, psrc_a1_sys1.n_cells] = 0.0
@@ -518,6 +519,7 @@ def test_assembled_blocks_are_read_only(psrc_gauss_sys1):
         psrc_gauss_sys1.data_columns[0, 0] = 0.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_replaced_matrix_is_never_served_a_stale_factor(psrc_a1_sys1):
     """A singular replacement raises on every solve, even read-only, and
     leaves the original system's factor as it was; a writable matrix
