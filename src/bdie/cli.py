@@ -293,8 +293,11 @@ def cmd_green_check(config: RunConfig) -> int:
                                    config.n_radial, config.angular_level)
     probes = _probes(config)
 
-    third = gr.third_green_residual(field_obj, case.exact, surf, vol, probes,
-                                    level=config.level)
+    try:
+        third = gr.third_green_residual(field_obj, case.exact, surf, vol, probes,
+                                        level=config.level)
+    except ValueError as exc:  # every probe point excluded
+        raise ConfigError(str(exc)) from exc
     trace = gr.trace_identity_residual(field_obj, case.exact, surf, vol,
                                        level=config.level)
     if case.u_inf:

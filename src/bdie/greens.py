@@ -7,10 +7,11 @@ extra signs, provided the fields decay fast enough for the truncated outer
 boundary to carry negligible flux.  Constants do not decay.  Only
 ``second_green_residual`` guards against such inputs, by sampling the flux
 density at the outer radius.  ``third_green_residual`` and
-``trace_identity_residual`` hold for decaying fields; for a field tending
-to a limit u_inf the sphere at infinity contributes u_inf (the classical
-exterior representation formula), so their residual is u_inf rather than
-zero.  They accept such fields and leave that term to the caller.
+``trace_identity_residual``, u (or (1/2) gamma u) minus the solver's own
+representation formula (``parametrix.represent``), hold for decaying
+fields; for a field tending to a limit u_inf the sphere at infinity
+contributes u_inf, so their residual is u_inf rather than zero.  They
+accept such fields and leave that term to the caller.
 
 Conormal (one-sided) quantities evaluated through offset stencils use the
 exterior side, consistent with ``laplace.normal_derivative``: a one-sided
@@ -219,12 +220,15 @@ def _boundary_data(field, afield, surfmesh):
     return gamma, tplus
 
 
-def _layer_values(surfmesh, field, targets, tplus, gamma):
-    """V(Tu) and W(gamma u) at targets from one surface pass per block of
-    targets (see laplace.apply_rows_in_blocks)."""
-    return lp.apply_rows_in_blocks(
-        surfmesh, targets, lambda block: px._VW_matrices(surfmesh, field, block)[:2],
-        [tplus.values, gamma.values])
+def _represented(field, afield, surfmesh, volmesh, targets):
+    """V(Tu) - W(gamma u) - R u + P(Au) at targets, from the analytic
+    traces and A u at the cell centres: the representation formula of the
+    solver (px.represent), one near set per block of targets."""
+    gamma, tplus = _boundary_data(field, afield, surfmesh)
+    centers = volmesh.centers
+    coefs = (tplus.values, -gamma.values, -afield.u(centers))
+    f = lp.DomainDensity(operator_A(field, afield, centers))
+    return px.represent(surfmesh, volmesh, field, targets, coefs, f)
 
 
 def third_green_residual(field: CoefficientField, afield: AnalyticField,
@@ -232,27 +236,26 @@ def third_green_residual(field: CoefficientField, afield: AnalyticField,
                          test_points, level: Optional[int] = None) -> ResidualReport:
     """Residual of u + Ru - V(Tu) + W(gamma u) - P(Au) at interior points.
 
-    Traces and A u are sampled analytically so the report isolates operator
+    That is u(y) minus the representation formula (px.represent).  Traces
+    and A u are sampled analytically so the report isolates operator
     assembly error.  Points closer to the surface than one panel diameter
-    are excluded and logged.  The residual vanishes for decaying fields; a
-    field tending to u_inf at infinity leaves the residual u_inf.
+    are excluded and logged; when that leaves no point, ValueError says so.
+    The residual vanishes for decaying fields; a field tending to u_inf at
+    infinity leaves the residual u_inf.
     """
     pts = np.atleast_2d(np.asarray(test_points, dtype=float))
     h = surfmesh.max_edge
     keep = np.linalg.norm(pts, axis=1) >= INNER_RADIUS + h
+    if not np.any(keep):
+        raise ValueError(f"third Green residual: every test point ({len(keep)}) lies within "
+                         f"one panel diameter ({h:.3g}) of the surface and is excluded")
     if not np.all(keep):
         logger.info("third Green residual: excluding %d test points within "
                     "one panel diameter of the surface", int((~keep).sum()))
     pts = pts[keep]
-    gamma, tplus = _boundary_data(field, afield, surfmesh)
-    ucells = lp.DomainDensity(afield.u(volmesh.centers))
-    fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
-
-    v, w = _layer_values(surfmesh, field, pts, tplus, gamma)
-    r_u, p_f = px.op_R(volmesh, field, ucells, pts), px.op_P(volmesh, field, fcells, pts)
-    res = afield.u(pts) + r_u - v + w - p_f
-    scale = float(np.abs(afield.u(pts)).max()) if pts.size else 0.0
-    return ResidualReport(res, scale, level=level,
+    u = afield.u(pts)
+    res = u - _represented(field, afield, surfmesh, volmesh, pts)
+    return ResidualReport(res, float(np.abs(u).max()), level=level,
                           label=f"third_green[{afield.name}]")
 
 
@@ -262,23 +265,16 @@ def trace_identity_residual(field: CoefficientField, afield: AnalyticField,
     """Boundary-collocated form of the third Green identity.
 
     (1/2) gamma u + gamma Ru - calV(Tu) + calW(gamma u) - gamma P(Au)
-    at triangle centroids, where calV and calW are op_V and op_W at the
-    registered centroids, with the volume terms evaluated at on-surface
-    targets through their exclusion-ball quadrature.  As for the interior
-    form, a field tending to u_inf at infinity leaves the residual u_inf.
+    at triangle centroids: (1/2) gamma u minus the representation formula
+    (px.represent) at the registered centroids, where V and W are the
+    direct values calV and calW and the volume terms integrate through
+    their exclusion-ball quadrature.  As for the interior form, a field
+    tending to u_inf at infinity leaves the residual u_inf.
     """
     colloc = lp.Collocation.centroids(surfmesh, np.arange(surfmesh.n_triangles))
-    gamma, tplus = _boundary_data(field, afield, surfmesh)
     gamma_c = afield.u(colloc.points)
-    ucells = lp.DomainDensity(afield.u(volmesh.centers))
-    fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
-
-    v, w = _layer_values(surfmesh, field, colloc, tplus, gamma)
-    r_u = px.op_R(volmesh, field, ucells, colloc.points)
-    p_f = px.op_P(volmesh, field, fcells, colloc.points)
-    res = 0.5 * gamma_c + r_u - v + w - p_f
-    scale = float(np.abs(gamma_c).max())
-    return ResidualReport(res, scale, level=level,
+    res = 0.5 * gamma_c - _represented(field, afield, surfmesh, volmesh, colloc)
+    return ResidualReport(res, float(np.abs(gamma_c).max()), level=level,
                           label=f"trace_identity[{afield.name}]")
 
 
@@ -292,28 +288,28 @@ def conormal_identity_residual_offset(field: CoefficientField,
     All conormal actions of potentials are realized as full one-sided
     offset values on the exterior side; the half-jump of the adjoint
     double layer is therefore carried by the offset evaluation rather
-    than written as an explicit (1/2)I term.  Diagnostic only.
+    than written as an explicit (1/2)I term.  R u and P(Au) at the 2m
+    stencil points come from one volume target set.  Diagnostic only.
     """
     if offset <= 0:
         raise ValueError("offset must be positive")
     colloc = lp.Collocation.centroids(surfmesh, np.arange(surfmesh.n_triangles))
-    normals = surfmesh.normals
     gamma, tplus = _boundary_data(field, afield, surfmesh)
     t_exact = tplus.values
     ucells = lp.DomainDensity(afield.u(volmesh.centers))
     fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
     a_c = field.eval_a(colloc.points)
 
-    t_R = a_c * lp.normal_derivative(
-        lambda p: px.op_R(volmesh, field, ucells, p),
-        colloc.points, normals, offset)
-    t_P = a_c * lp.normal_derivative(
-        lambda p: px.op_P(volmesh, field, fcells, p),
-        colloc.points, normals, offset)
+    def volume_terms(points):
+        volume = px._VolumeTargets(volmesh, field, points)
+        r_u = px._R(volmesh, px._remainder_data(volmesh, field), volume.near, ucells)
+        return r_u - volume.P(fcells)
+
+    t_volume = a_c * lp.normal_derivative(volume_terms, colloc.points, surfmesh.normals, offset)
     w_prime = px.op_Wprime_offset(surfmesh, field, tplus, colloc, offset)
     l_hat = px.op_Lhat_offset(surfmesh, field, gamma, colloc, offset)
 
-    res = t_exact + t_R - w_prime + l_hat - t_P
+    res = t_exact + t_volume - w_prime + l_hat
     scale = float(np.abs(t_exact).max())
     return ResidualReport(res, scale, level=level,
                           label=f"conormal_identity[{afield.name}]@{offset:g}")

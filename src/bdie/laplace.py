@@ -516,18 +516,23 @@ def apply_rows_in_blocks(mesh: SurfaceMesh, targets, rows_of: Callable, coeffici
     ``coefficients`` (apply_rows, one coefficient per column of its rows);
     returns per entry the values (m,).
 
-    A block holds about VALUE_BLOCK_ENTRIES row entries and is a whole
-    number of the surface engine's chunks (_surface_blocks), so the engine
-    meets the same targets together as in one call over all of them, and
-    every value has the bits of that call."""
+    The blocks are whole numbers of the surface engine's chunks
+    (_value_block), so the engine meets the same targets together as in one
+    call over all of them, and every value has the bits of that call."""
     colloc = _as_collocation(targets)
-    step = _surface_blocks(_panel_cache(mesh))[1]
-    width = sum(len(c) for c in coefficients)
-    block = step * max(1, VALUE_BLOCK_ENTRIES // (step * width))
+    block = _value_block(mesh, sum(len(c) for c in coefficients))
     parts = [[apply_rows(rows, c) for rows, c in
               zip(rows_of(colloc.take(slice(start, start + block))), coefficients)]
              for start in range(0, max(colloc.n, 1), block)]
     return [np.concatenate(values) for values in zip(*parts)]
+
+
+def _value_block(mesh: SurfaceMesh, width: int) -> int:
+    """Targets per block of values on rows of ``width`` columns: about
+    VALUE_BLOCK_ENTRIES row entries, in whole chunks of the surface engine
+    (_surface_blocks)."""
+    step = _surface_blocks(_panel_cache(mesh))[1]
+    return step * max(1, VALUE_BLOCK_ENTRIES // (step * width))
 
 
 def _surface_rows(mesh: SurfaceMesh, targets, terms) -> list:

@@ -22,7 +22,10 @@ separate operators: op_V and op_W (and their matrices) take them at
 registered targets, a Collocation of panel centroids or mesh vertices, and
 refuse a free target that lies on a panel.  R rows and P f at one target
 set are the methods of one object, _VolumeTargets, which measures its near
-set (laplace._NearSet, which carries its points) once for both.  Every
+set (laplace._NearSet, which carries its points) once for both.  The
+representation formula V c - W t - R u + P f is one function, represent,
+on the rows of _VW_matrices and of a _VolumeTargets: the solver evaluates
+solutions with it and the Green residuals check it.  Every
 surface operator is built as dense rows on the basis of its density
 (triangle-constant or vertex-linear) in one pass of
 ``laplace._surface_rows``; a value is those rows applied to the density's
@@ -172,39 +175,49 @@ def _P(volmesh: VolumeMesh, weights: lp._Tables, density, targets) -> np.ndarray
 class _VolumeTargets:
     """A volume target set: a copy of the points, and the data-free parts
     of R and P f there, which its methods R and P share: the near set
-    (laplace._NearSet), measured once for both, and the weights w_q / a.
-    Each is built when first read, so a set that needs neither R nor P f
-    measures nothing; per density, P pays for f at the nodes, one far pass
-    and the near pairs' weights over the kept distances."""
+    (laplace._NearSet), measured once for both, and the node data of each
+    (the weights w_q / a of P; grad ln a and lap ln a of R).  Each is built
+    when first read, so a set that needs neither R nor P f measures
+    nothing; a set cut from this one by take measures its own near set and
+    shares the node data, so the blocks of one pass build it once.  Per
+    density, P pays for f at the nodes, one far pass and the near pairs'
+    weights over the kept distances."""
 
     def __init__(self, volmesh: VolumeMesh, field: CoefficientField, targets):
         # A copy: the caller's array may change before a part is built.
         self._volmesh, self._field = volmesh, field
         self.points = np.array(lp._volume_points(targets))
+        # build(volmesh, field) of the node data, once per build function.
+        self._nodes = functools.cache(lambda build: build(volmesh, field))
+
+    def take(self, index: slice) -> "_VolumeTargets":
+        """The set of points[index], on the node data of this one."""
+        part = _VolumeTargets(self._volmesh, self._field, self.points[index])
+        part._nodes = self._nodes
+        return part
 
     @functools.cached_property
     def near(self) -> lp._NearSet:
         return lp._near_set(self._volmesh, self.points)
 
-    @functools.cached_property
-    def _weights(self) -> lp._Tables:
-        return _P_weights(self._volmesh, self._field)
-
     def P(self, density) -> np.ndarray:
         """op_P at the points, with its bits."""
-        return _P(self._volmesh, self._weights, density, self.near)
+        return _P(self._volmesh, self._nodes(_P_weights), density, self.near)
 
     def R(self, out=None) -> np.ndarray:
         """op_R_matrix at the points, with its bits, written into ``out``
         when it is given (see _R); a constant coefficient reads no near set."""
         targets = self.points if self._field.is_constant else self.near
-        return _R(self._volmesh, self._field, targets, out=out)
+        return _R(self._volmesh, self._nodes(_remainder_data), targets, out=out)
 
 
-def _remainder_data(volmesh: VolumeMesh, field: CoefficientField) -> tuple:
+def _remainder_data(volmesh: VolumeMesh, field: CoefficientField):
     """The per-node data of R on both volume tables: grad ln a,
     component-major (3, nodes, cells), the g of its g . (x - y), and lap ln
-    a (nodes, cells), the data of _remainder_kernel."""
+    a (nodes, cells), the data of _remainder_kernel; None for a constant
+    coefficient, whose R vanishes."""
+    if field.is_constant:
+        return None
     grad = lp._at_nodes(volmesh, field.eval_grad_ln_a).map(
         lambda g: np.ascontiguousarray(np.moveaxis(g, -1, 0)))
     return grad, lp._at_nodes(volmesh, field.eval_laplacian_ln_a)
@@ -224,27 +237,26 @@ def _remainder_kernel(r, dot, lap_ln, out):
     return out
 
 
-def _R(volmesh: VolumeMesh, field: CoefficientField, targets, u=None,
-       out=None) -> np.ndarray:
+def _R(volmesh: VolumeMesh, data, targets, u=None, out=None) -> np.ndarray:
     """R u at targets for a density u, or with u None the dense rows of R
     on cell-wise constant densities, written into ``out`` when it is given
-    (zeros, such as a block of a new matrix): one volume pass, on the
-    targets' points or on a measured set of them (laplace._NearSet).  For a
-    constant coefficient R vanishes and no pass runs."""
+    (zeros, such as a block of a new matrix): one volume pass on the node
+    data of R (_remainder_data), at the targets' points or on a measured
+    set of them (laplace._NearSet).  For a constant coefficient (data None)
+    R vanishes and no pass runs."""
     m = len(lp._volume_points(targets))
     if u is None:
         check_dense_caps(n_cells=volmesh.n_cells)
         R = np.zeros((m, volmesh.n_cells)) if out is None else out
     else:
         R = np.zeros(m)
-    if field.is_constant:
+    if data is None:
         return R
     wts = lp._cell_cache(volmesh).weights
     if u is not None:
         wts = lp._times(wts, lp._node_values(volmesh, u))
-    grad, lap_ln = _remainder_data(volmesh, field)
     return lp._volume_rows(volmesh, targets, lp._VolumeTerm(
-        wts, _remainder_kernel, grad, lap_ln, u is None, R))
+        wts, _remainder_kernel, *data, u is None, R))
 
 
 def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.ndarray:
@@ -253,12 +265,47 @@ def op_R(volmesh: VolumeMesh, field: CoefficientField, density, targets) -> np.n
     Vanishes identically for constant coefficients.  Uses the same
     exclusion-ball contract as the Newton potential.
     """
-    return _R(volmesh, field, targets, density)
+    return _R(volmesh, _remainder_data(volmesh, field), targets, density)
 
 
 def op_R_matrix(volmesh: VolumeMesh, field: CoefficientField, targets) -> np.ndarray:
     """Dense remainder block on cell-wise constant densities."""
-    return _R(volmesh, field, targets)
+    return _R(volmesh, _remainder_data(volmesh, field), targets)
+
+
+def represent(surfmesh: SurfaceMesh, volmesh: VolumeMesh, field: CoefficientField,
+              targets, coefs, f=None, block=None, keep=None) -> np.ndarray:
+    """The representation formula V c - W t - R u + P f at targets (points
+    or registered boundary points) for coefs = (c, -t, -u) on the
+    triangles, vertices and cells, and a source f (None: no P f).
+
+    Its data-free build is the V and W rows of one surface pass
+    (_VW_matrices), the volume target set (_VolumeTargets) and, unless a
+    is constant, its R rows; its apply is the row products
+    (laplace.apply_rows) plus the set's P f.  Targets run in blocks of
+    ``block`` (by default those of laplace.apply_rows_in_blocks), each
+    built and applied in turn; their volume sets are cut from one, so the
+    node data of R and P is built once.  A single block is built through
+    keep(build) when keep is given, which may return a build it kept."""
+    colloc = lp._as_collocation(targets)
+    if block is None:
+        block = lp._value_block(surfmesh, sum(len(c) for c in coefs))
+
+    def build(y, volume):
+        v, w, _ = _VW_matrices(surfmesh, field, y)
+        return ((v, w) if field.is_constant else (v, w, volume.R())), volume
+
+    def apply(part):
+        rows, volume = part
+        total = sum(lp.apply_rows(r, c) for r, c in zip(rows, coefs))
+        return total if f is None else total + volume.P(f)
+
+    if colloc.n <= block:
+        whole = lambda: build(targets, _VolumeTargets(volmesh, field, targets))
+        return apply(whole() if keep is None else keep(whole))
+    volume = _VolumeTargets(volmesh, field, colloc.points)
+    blocks = (slice(lo, lo + block) for lo in range(0, colloc.n, block))
+    return np.concatenate([apply(build(colloc.take(s), volume.take(s))) for s in blocks])
 
 
 def op_R_divergence_form(volmesh: VolumeMesh, field: CoefficientField, density,

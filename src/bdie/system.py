@@ -38,22 +38,17 @@ extensions, and new boundary data costs one matrix product plus P f.
 The matrix does not depend on the data either, so its LU factor is computed
 once, on the first direct solve, and every system that shares the matrix
 object reuses it: a new right-hand side then costs two triangular solves.
-The representation formula is linear in the data as well: the V, W and R
-rows at a set of points are kept with the LU, so evaluating a solution at
-kept points costs P f plus three row products.  R and P f at a target set
-are the methods of one volume target set, px._VolumeTargets: a copy of
-the points, their near set, which carries the points it was measured at,
-and the weights w_q / a on both volume tables, each built when R or P f
-first reads it.  The near set is the near target-cell pairs, sorted by
-target and cell, and the distances of their near-table nodes (inf inside
-the exclusion ball), q doubles per near pair for a near table of q nodes
-(4.0 MB at level 2, about 14 MB at level 3).  The matrix keeps the target
-set of the cell centres and collocation points from the first with_data
-that has a source, and that of a point set with its evaluation rows.  A
-right-hand side then pays for f at the nodes, one far pass and the near
-pairs' weights over the kept distances, with the bits of px.op_P; R is
-never computed per right-hand side.  Every target set is classified and
-measured once, and only when R or P f needs it.
+The representation formula (px.represent, the one the Green residuals
+check) is linear in the data as well: the V, W and R rows at a set of
+points are kept with the LU, so evaluating a solution at kept points
+costs P f plus three row products.  R and P f at a target set are the
+methods of one volume target set (px._VolumeTargets), which measures its
+near set (4.0 MB at level 2, about 14 MB at level 3) once for both, and
+only when R or P f needs it.  The matrix keeps the target set of the cell
+centres and collocation points from the first with_data that has a
+source, and that of a point set with its evaluation rows, so R is never
+computed per right-hand side and every target set is classified and
+measured once.
 
 Everything is dense; sizes are guarded by the same caps as the operator
 assembly routines.
@@ -127,23 +122,6 @@ def build_extensions(mesh: geo.SurfaceMesh, dirichlet_data, neumann_data) -> Ext
 
 def zero_extensions(mesh: geo.SurfaceMesh) -> ExtensionPair:
     return build_extensions(mesh, 0.0, 0.0)
-
-
-def jump_coefficients(surfmesh: geo.SurfaceMesh, colloc: lp.Collocation) -> np.ndarray:
-    """Interior-cone solid angle fractions at registered boundary points.
-
-    Computed as the direct value of the unit-density Laplace double layer,
-    which on a closed faceted surface equals the solid angle of the inner
-    cone at the point divided by 4 pi.  The exterior trace of W rho at a
-    collocation point is then the principal value minus this fraction times
-    rho; using the measured fraction instead of the smooth-surface 1/2
-    keeps vertex rows consistent with the assembled operators.  The value is
-    the Laplace double-layer vertex rows applied to the unit coefficients,
-    so assembly takes the same bits from the row sums of those rows in its
-    boundary surface pass.
-    """
-    ones = lp.BoundaryDensity(lp.SPACE_VERTEX, np.ones(surfmesh.n_vertices))
-    return lp.double_layer(surfmesh, ones, colloc)
 
 
 def vertex_eval_matrix(mesh: geo.SurfaceMesh, colloc: lp.Collocation) -> np.ndarray:
@@ -224,11 +202,8 @@ class _MatrixCache:
     point set per name) under the same rule as the factor.  Under "rhs" is
     the volume target set (px._VolumeTargets, 4.0 MB at level 2) of the
     system's own targets, the cell centres and the collocation points, made
-    by the first with_data that has a source.  Under "points" are the
-    evaluation rows of the last point set and its volume target set, whose
-    parts are built when R or P f first reads them (see evaluate_solution),
-    which evaluate_solution keeps only when the rows take no more memory
-    than the matrix.
+    by the first with_data that has a source.  Under "points" is the build
+    of px.represent at the last point set that evaluate_solution keeps.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -438,8 +413,8 @@ def assemble_M12(
     del v, w  # before the next pass, which holds its own blocks
     # Exterior trace of W: principal value minus the jump coefficient times
     # the density, with the boundary row's own "+ phi" folded in.  The jump
-    # coefficients are the row sums of W's Laplace term (see
-    # jump_coefficients), from the same pass.
+    # coefficients are the row sums of W's Laplace term, from the same pass
+    # (see px._VW_matrices).
     v, w, jump_c = px._VW_matrices(surfmesh, field, colloc)
     put(rows_b, np.negative(v, out=v), triangle_split)
     w += (1.0 - jump_c)[:, None] * vertex_eval_matrix(surfmesh, colloc)
@@ -530,21 +505,15 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     """Field values at points in the shell via the representation formula.
 
     u(y) = P f(y) + V(Psi0 + psi)(y) - W(Phi0 + phi)(y) - R u(y), which is
-    the domain row rearranged; smooth in y away from the surface.  Only P f
-    depends on the data: V, W and R enter as data-free rows at the points
-    (V on the triangle columns, W on the vertex columns, R on the cell
-    columns), each applied to its coefficients by a row-wise pairwise sum.
-    Every point set takes one build, the volume target set there
-    (px._VolumeTargets) and the rows (one surface pass, and for a variable
-    coefficient the set's R), and one apply: the row products plus the
-    set's P f, with the bits of px.op_P.  The set measures its near set
-    when R or P f first reads it, and builds its weights when P f does, so
-    a constant coefficient without a source does no volume work.  The
-    matrix's cache keeps the build (see _MatrixCache), so a later call at
-    the same points, for this system or any system sharing its matrix
-    (with_data or replace(..., rhs=...)), only applies it, building what
-    its source still needs.  Point sets whose rows would take more memory
-    than the matrix are built and applied in blocks and kept nowhere.
+    the domain row rearranged; smooth in y away from the surface.  This is
+    px.represent, the formula the Green residuals check: a data-free build
+    at the points (V, W and R rows and the volume target set there, which
+    measures its near set when R or P f first reads it) and an apply (the
+    row products plus P f, with the bits of px.op_P).  The matrix's cache
+    keeps the build (see _MatrixCache), so a later call at the same points,
+    for any system sharing the matrix (with_data or replace(..., rhs=...)),
+    only applies it.  Point sets whose rows would take more memory than the
+    matrix are built and applied in blocks and kept nowhere.
 
     A point with |y| <= INNER_RADIUS or a coordinate that is not finite
     lies off the domain, where the formula gives no value of u, and raises
@@ -561,30 +530,9 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
                          f"not a finite number above the inner radius {geo.INNER_RADIUS:g}")
     mesh, vol, field = system.surfmesh, system.volmesh, system.field
     coefs = (solution.recovered_conormal, -solution.recovered_trace, -solution.u.values)
-    dens = _f_density(system.f)
-
-    def build(y):
-        v, w, _ = px._VW_matrices(mesh, field, y)
-        volume = px._VolumeTargets(vol, field, y)
-        return ((v, w) if field.is_constant else (v, w, volume.R())), volume
-
-    def apply(part):
-        rows, volume = part
-        return _represent(coefs, rows, None if dens is None else volume.P(dens))
-
     block = max(1, system.matrix.size // (mesh.n_triangles + mesh.n_vertices + vol.n_cells))
-    if len(pts) > block:
-        blocks = (pts[start:start + block] for start in range(0, len(pts), block))
-        return np.concatenate([apply(build(y)) for y in blocks])
-    return apply(system._cache.part("points", pts, (mesh, vol, field), lambda: build(pts)))
-
-
-def _represent(coefs, rows, pf) -> np.ndarray:
-    """V c - W t - R u (+ P f) from the coefficients (c, -t, -u) and the
-    rows (v, w, r), each row product a row-wise pairwise sum.  A constant
-    coefficient has no R rows: its R vanishes."""
-    total = sum(lp.apply_rows(r, c) for r, c in zip(rows, coefs))
-    return total if pf is None else total + pf
+    keep = lambda build: system._cache.part("points", pts, (mesh, vol, field), build)
+    return px.represent(mesh, vol, field, pts, coefs, _f_density(system.f), block, keep)
 
 
 @dataclass(frozen=True)

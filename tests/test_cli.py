@@ -229,6 +229,19 @@ def test_green_check_constant_case_measures_against_term_at_infinity(tmp_path):
     assert body["checks"]["trace_identity"]["rel_to_scale"] <= 0.05
 
 
+def test_green_check_refuses_probes_that_are_all_excluded(tmp_path, capsys):
+    # A probe inside the shell but within one panel diameter of the sphere
+    # is excluded from the third identity; with no probe left, the check
+    # is a configuration error, not a pass at rel 0.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"probe_points": [[0.0, 0.0, 1.01]]}))
+    code = run(["green-check", "--level", "1", "--config", str(path),
+                "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "excluded" in capsys.readouterr().err
+    assert not (tmp_path / "green_point-source_level1.json").exists()
+
+
 # --- solve -----------------------------------------------------------------------
 
 

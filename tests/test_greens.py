@@ -206,6 +206,14 @@ def test_third_green_excludes_points_near_surface(unit_field, sphere3,
     assert any("excluding" in r.getMessage() for r in caplog.records)
 
 
+def test_third_green_refuses_a_set_with_every_point_excluded(unit_field, sphere3,
+                                                            shell_small, source):
+    # A residual over no point would read rel 0 and pass any gate.
+    with pytest.raises(ValueError, match="excluded"):
+        gr.third_green_residual(unit_field, source, sphere3, shell_small,
+                                [[0.0, 0.0, 1.01]])
+
+
 def test_third_green_constant_field(gauss_field, sphere3, shell14):
     """For u == 1 the residual is the term at infinity, u_inf = 1.
 
@@ -292,6 +300,34 @@ def test_surface_values_in_blocks_have_the_bits_of_one_call(gauss_field, shell_s
     assert values[1, "calls"] > 4 * values[1 << 40, "calls"]
     for blocked, whole in zip(values[1], values[1 << 40]):
         assert np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("residual", ["third", "trace", "conormal"])
+def test_each_green_residual_classifies_and_measures_its_targets_once(
+        gauss_field, shell_small, source, residual, monkeypatch):
+    # R u and P(Au) of a residual share the near set of its targets: the
+    # interior points, the centroids, or the 2m points of the offset
+    # stencil at the m centroids.  A separate R pass and P pass would
+    # classify and measure every target twice.
+    sphere2 = geo.build_icosphere(2)
+    measured = []
+    near_set = lp._near_set
+
+    def counted(volmesh, targets):
+        measured.append(len(lp._volume_points(targets)))
+        return near_set(volmesh, targets)
+
+    monkeypatch.setattr(lp, "_near_set", counted)
+    run, m = {
+        "third": (lambda: gr.third_green_residual(
+            gauss_field, source, sphere2, shell_small, INTERIOR_POINTS), len(INTERIOR_POINTS)),
+        "trace": (lambda: gr.trace_identity_residual(
+            gauss_field, source, sphere2, shell_small), sphere2.n_triangles),
+        "conormal": (lambda: gr.conormal_identity_residual_offset(
+            gauss_field, source, sphere2, shell_small, 0.05), 2 * sphere2.n_triangles),
+    }[residual]
+    run()
+    assert sum(measured) == m
 
 
 # --- conormal identity (offset diagnostic) ------------------------------------

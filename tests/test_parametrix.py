@@ -373,7 +373,7 @@ def test_kept_near_set_gives_the_bits_of_a_measured_pass(shell14, sphere3, gauss
                           lp.newton_potential_matrix(shell14, targets))
     assert np.array_equal(volume.R(), px.op_R_matrix(shell14, gauss_field, targets))
     u = lp.DomainDensity(rng.normal(size=shell14.n_cells))
-    assert np.array_equal(px._R(shell14, gauss_field, volume.near, u),
+    assert np.array_equal(px.op_R(shell14, gauss_field, u, volume.near),
                           px.op_R(shell14, gauss_field, u, targets))
 
 

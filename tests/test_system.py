@@ -216,7 +216,7 @@ def test_f0_matches_density_path(coefficient, partition):
     system = sy.assemble_M12(vol, surf, field, f=case.f, extensions=ext)
     colloc = system.colloc
     phi0_at = sy.vertex_eval_matrix(surf, colloc) @ ext.phi0.values
-    jump = sy.jump_coefficients(surf, colloc)
+    jump = px._VW_matrices(surf, field, colloc)[2]
     cells = (px.op_V(surf, field, ext.psi0, vol.centers)
              - px.op_W(surf, field, ext.phi0, vol.centers))
     bdry = (px.op_V(surf, field, ext.psi0, colloc)
@@ -271,38 +271,28 @@ def test_trace_block_matches_direct_operator_application(psrc_gauss_sys1,
     indicator = np.zeros(surf.n_vertices)
     indicator[system.phi_vertices] = 1.0
     dens = lp.BoundaryDensity(lp.SPACE_VERTEX, indicator)
-    coef = sy.jump_coefficients(surf, system.colloc)
+    coef = px._VW_matrices(surf, gauss_field, system.colloc)[2]
     direct = (px.op_W(surf, gauss_field, dens, system.colloc)
               + (1.0 - coef) * (sy.vertex_eval_matrix(surf, system.colloc) @ indicator))
     assert np.max(np.abs(applied - direct)) < 1e-10
 
 
-def test_jump_coefficient_is_half_at_centroids(level1):
+def test_jump_coefficient_is_half_at_centroids(level1, unit_field):
     surf, _ = level1
     colloc = lp.Collocation.centroids(surf, np.arange(surf.n_triangles))
-    coef = sy.jump_coefficients(surf, colloc)
+    coef = px._VW_matrices(surf, unit_field, colloc)[2]
     assert np.max(np.abs(coef - 0.5)) < 1e-4
 
 
-def test_jump_coefficient_approaches_half_at_vertices():
+def test_jump_coefficient_approaches_half_at_vertices(unit_field):
     worst = []
     for level in (1, 2):
         surf = geo.partition_boundary(geo.build_icosphere(level))
         colloc = lp.Collocation.vertices(surf, np.arange(surf.n_vertices))
-        coef = sy.jump_coefficients(surf, colloc)
+        coef = px._VW_matrices(surf, unit_field, colloc)[2]
         assert np.all(coef > 0.25) and np.all(coef < 0.5)
         worst.append(np.max(np.abs(coef - 0.5)))
     assert worst[1] < worst[0]
-
-
-@pytest.mark.parametrize("partition", ["equator", "polar-cap"])
-def test_jump_coefficients_are_the_row_sums_assembly_takes(partition, gauss_field):
-    # Both are the Laplace double-layer vertex rows at the boundary
-    # collocation summed row by row, so they agree bit for bit.
-    surf, _ = cs.level_meshes(2, partition)
-    colloc = sy.boundary_collocation(surf)
-    assert np.array_equal(sy.jump_coefficients(surf, colloc),
-                          px._VW_matrices(surf, gauss_field, colloc)[2])
 
 
 def test_boundary_W_block_transient_memory(level2, gauss_field):
@@ -690,6 +680,22 @@ def test_large_point_sets_are_evaluated_in_blocks_and_not_kept(level1, gauss_fie
         whole = sy.evaluate_solution(system, solution, pts)
         assert np.abs(whole - parts).max() <= 1e-14 * np.abs(parts).max()
     assert calls == [91, 91, 18] * 2
+
+
+def test_blocks_of_an_evaluation_build_the_node_data_once(level1, gauss_field, monkeypatch):
+    """The blocks of a large point set cut their volume target sets from
+    one, so grad ln a and lap ln a (R) and w_q / a (P) at the nodes are
+    evaluated once per call, not once per block."""
+    system, _, _ = _fresh_level1_system(level1, gauss_field)
+    solution = sy.solve_M12(system)
+    d = np.random.default_rng(13).normal(size=(200, 3))
+    pts = 2.0 * d / np.linalg.norm(d, axis=1, keepdims=True)
+    built = []
+    for name in ("_remainder_data", "_P_weights"):
+        monkeypatch.setattr(px, name, lambda *args, _name=name, _build=getattr(px, name):
+                            built.append(_name) or _build(*args))
+    sy.evaluate_solution(system, solution, pts)
+    assert sorted(built) == ["_P_weights", "_remainder_data"]
 
 
 # --- the data-free half of P, kept with the matrix ----------------------------
