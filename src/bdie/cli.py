@@ -107,7 +107,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     values = {}
     if path is not None:
         try:
-            loaded = json.loads(open(path).read())
+            with open(path) as handle:
+                loaded = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         if not isinstance(loaded, dict):

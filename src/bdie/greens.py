@@ -12,12 +12,6 @@ representation formula (``parametrix.represent``), hold for decaying
 fields; for a field tending to a limit u_inf the sphere at infinity
 contributes u_inf, so their residual is u_inf rather than zero.  They
 accept such fields and leave that term to the caller.
-
-Conormal (one-sided) quantities evaluated through offset stencils use the
-exterior side, consistent with ``laplace.normal_derivative``: a one-sided
-offset value of the adjoint double layer carries the half-jump, so identity
-residuals are formed against full one-sided values rather than principal
-values plus explicit half-jump terms.
 """
 
 import logging
@@ -276,43 +270,6 @@ def trace_identity_residual(field: CoefficientField, afield: AnalyticField,
     res = 0.5 * gamma_c - _represented(field, afield, surfmesh, volmesh, colloc)
     return ResidualReport(res, float(np.abs(gamma_c).max()), level=level,
                           label=f"trace_identity[{afield.name}]")
-
-
-def conormal_identity_residual_offset(field: CoefficientField,
-                                      afield: AnalyticField,
-                                      surfmesh: SurfaceMesh,
-                                      volmesh: VolumeMesh, offset: float,
-                                      level: Optional[int] = None) -> ResidualReport:
-    """Offset-stencil residual of the conormal form of the identity.
-
-    All conormal actions of potentials are realized as full one-sided
-    offset values on the exterior side; the half-jump of the adjoint
-    double layer is therefore carried by the offset evaluation rather
-    than written as an explicit (1/2)I term.  R u and P(Au) at the 2m
-    stencil points come from one volume target set.  Diagnostic only.
-    """
-    if offset <= 0:
-        raise ValueError("offset must be positive")
-    colloc = lp.Collocation.centroids(surfmesh, np.arange(surfmesh.n_triangles))
-    gamma, tplus = _boundary_data(field, afield, surfmesh)
-    t_exact = tplus.values
-    ucells = lp.DomainDensity(afield.u(volmesh.centers))
-    fcells = lp.DomainDensity(operator_A(field, afield, volmesh.centers))
-    a_c = field.eval_a(colloc.points)
-
-    def volume_terms(points):
-        volume = px._VolumeTargets(volmesh, field, points)
-        r_u = px._R(volmesh, px._remainder_data(volmesh, field), volume.near, ucells)
-        return r_u - volume.P(fcells)
-
-    t_volume = a_c * lp.normal_derivative(volume_terms, colloc.points, surfmesh.normals, offset)
-    w_prime = px.op_Wprime_offset(surfmesh, field, tplus, colloc, offset)
-    l_hat = px.op_Lhat_offset(surfmesh, field, gamma, colloc, offset)
-
-    res = t_exact + t_volume - w_prime + l_hat
-    scale = float(np.abs(t_exact).max())
-    return ResidualReport(res, scale, level=level,
-                          label=f"conormal_identity[{afield.name}]@{offset:g}")
 
 
 # --- injectivity and the representation operator -----------------------------------

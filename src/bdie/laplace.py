@@ -143,10 +143,6 @@ class _Offsets(NamedTuple):
     centroids: np.ndarray
     r: np.ndarray
 
-    def component(self, k: int) -> np.ndarray:
-        """x_k - y_k, a new array."""
-        return self.nodes[k] - self.targets[k]
-
     def plane(self) -> np.ndarray:
         """n . (x - y): on a flat panel this is n . (c - y) for every node,
         so it is taken once per target-panel pair."""
@@ -494,9 +490,9 @@ def _single_term(space: str, factor: Optional[Callable] = None) -> _Term:
     return _Term(single_layer_kernel, factor, "duffy", space)
 
 
-def _double_term(space: str, factor: Optional[Callable] = None) -> _Term:
+def _double_term(space: str) -> _Term:
     """Double-layer rows; principal value at registered targets."""
-    return _Term(double_layer_kernel, factor, "skip", space)
+    return _Term(double_layer_kernel, None, "skip", space)
 
 
 def apply_rows(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -790,18 +786,13 @@ def single_layer(
         [density.values])[0]
 
 
-def double_layer(
-    mesh: SurfaceMesh,
-    density: BoundaryDensity,
-    targets,
-    factor: Optional[Callable] = None,
-) -> np.ndarray:
-    """Double layer potential, as single_layer; for registered on-surface
-    targets this is the principal value (panels through the target are
-    skipped, exact for flat panels)."""
+def double_layer(mesh: SurfaceMesh, density: BoundaryDensity, targets) -> np.ndarray:
+    """Double layer potential, as single_layer but with no factor; for
+    registered on-surface targets this is the principal value (panels
+    through the target are skipped, exact for flat panels)."""
     space = _space_of(mesh, density)
     return apply_rows_in_blocks(
-        mesh, targets, lambda block: [double_layer_matrix(mesh, space, block, factor)],
+        mesh, targets, lambda block: [double_layer_matrix(mesh, space, block)],
         [density.values])[0]
 
 
@@ -815,14 +806,9 @@ def single_layer_matrix(
     return _surface_rows(mesh, targets, [_single_term(space_tag, factor)])[0]
 
 
-def double_layer_matrix(
-    mesh: SurfaceMesh,
-    space_tag: str,
-    targets,
-    factor: Optional[Callable] = None,
-) -> np.ndarray:
+def double_layer_matrix(mesh: SurfaceMesh, space_tag: str, targets) -> np.ndarray:
     """Dense double-layer matrix (principal value at registered targets)."""
-    return _surface_rows(mesh, targets, [_double_term(space_tag, factor)])[0]
+    return _surface_rows(mesh, targets, [_double_term(space_tag)])[0]
 
 
 # --- volume potential -----------------------------------------------------------
@@ -1179,36 +1165,3 @@ def newton_potential(
     """
     term = _VolumeTerm(_newton_weights(volmesh, _cell_cache(volmesh).weights, density))
     return _volume_rows(volmesh, targets, term)
-
-
-def newton_potential_matrix(volmesh: VolumeMesh, targets) -> np.ndarray:
-    """Dense matrix of the Newton potential on cell-wise constant densities."""
-    term = _VolumeTerm(_newton_weights(volmesh, _cell_cache(volmesh).weights), rows=True)
-    return _volume_rows(volmesh, targets, term)
-
-
-# --- offset normal derivative -----------------------------------------------
-
-def normal_derivative(potential: Callable, points, normals, offset: float):
-    """Normal derivatives of a potential probed from the exterior side.
-
-    Uses two evaluations at p - k*offset*n (k = 1, 2) for each point p with
-    normal n, which lie inside the exterior domain since n points out of it;
-    second-order accurate at the midpoint of the stencil.  The potential is
-    called once, on all 2m stencil points of m points (m, 3) with normals
-    (m, 3), and the result is (m,); one point (3,) gives a float.
-
-    Parameters
-    ----------
-    potential : callable(points (k, 3)) -> (k,)
-    """
-    if offset <= 10.0 * np.finfo(float).eps:
-        raise ValueError("offset too small for a stable stencil")
-    p = np.asarray(points, dtype=float)
-    n = np.asarray(normals, dtype=float)
-    pts = np.concatenate([np.atleast_2d(p - offset * n), np.atleast_2d(p - 2.0 * offset * n)])
-    v = np.asarray(potential(pts), dtype=float)
-    m = len(pts) // 2
-    # d/d(-n) g = (g(p - 2 eps n) - g(p - eps n)) / eps; flip sign for d/dn.
-    d = -(v[m:] - v[:m]) / offset
-    return float(d[0]) if p.ndim == 1 else d

@@ -16,9 +16,8 @@ nodes, never on basis coefficients):
     P f   = N_lap(f / a)              volume potential
     R u   = volume integral of R(x, y) u(x)
 
-plus two offset diagnostics for the adjoint double layer and the
-hypersingular action.  The on-surface direct values calV and calW are no
-separate operators: op_V and op_W (and their matrices) take them at
+The on-surface direct values calV and calW are no separate operators:
+op_V and op_W and their rows (op_V_matrix, _VW_matrices) take them at
 registered targets, a Collocation of panel centroids or mesh vertices, and
 refuse a free target that lies on a panel.  R rows and P f at one target
 set are the methods of one object, _VolumeTargets, which measures its near
@@ -46,7 +45,7 @@ import numpy as np
 from . import laplace as lp
 from .coefficients import CoefficientField
 from .geometry import SurfaceMesh, VolumeMesh
-from .laplace import FOUR_PI, Collocation
+from .laplace import FOUR_PI
 
 MAX_DENSE_CELLS = 4000
 MAX_DENSE_TRIANGLES = 2500
@@ -135,14 +134,9 @@ def op_V_matrix(mesh, field, space_tag, targets) -> np.ndarray:
     return lp.single_layer_matrix(mesh, space_tag, targets, factor=_inv_a(field))
 
 
-def op_W_matrix(mesh, field, space_tag, targets) -> np.ndarray:
-    check_dense_caps(n_triangles=mesh.n_triangles)
-    return _W_from(*lp._surface_rows(mesh, targets, _W_terms(field, space_tag)))
-
-
 def _VW_matrices(mesh, field, targets):
-    """op_V_matrix (triangle-constant) and op_W_matrix (vertex-linear) at
-    the same targets from one surface pass, and the row sums of W's Laplace
+    """op_V_matrix (triangle-constant) and the rows of op_W (vertex-linear)
+    at the same targets from one surface pass, and the row sums of W's Laplace
     term W_lap.  At registered targets those row sums are the unit-density
     principal values, the jump coefficients of the assembly."""
     check_dense_caps(n_triangles=mesh.n_triangles)
@@ -283,13 +277,14 @@ def represent(surfmesh: SurfaceMesh, volmesh: VolumeMesh, field: CoefficientFiel
     (_VW_matrices), the volume target set (_VolumeTargets) and, unless a
     is constant, its R rows; its apply is the row products
     (laplace.apply_rows) plus the set's P f.  Targets run in blocks of
-    ``block`` (by default those of laplace.apply_rows_in_blocks), each
-    built and applied in turn; their volume sets are cut from one, so the
+    ``block`` (by default whole surface chunks of about
+    laplace.VALUE_BLOCK_ENTRIES entries of V and W rows, laplace._value_block,
+    as for surface values), each built and applied in turn; their volume sets are cut from one, so the
     node data of R and P is built once.  A single block is built through
     keep(build) when keep is given, which may return a build it kept."""
     colloc = lp._as_collocation(targets)
     if block is None:
-        block = lp._value_block(surfmesh, sum(len(c) for c in coefs))
+        block = lp._value_block(surfmesh, len(coefs[0]) + len(coefs[1]))
 
     def build(y, volume):
         v, w, _ = _VW_matrices(surfmesh, field, y)
@@ -401,63 +396,3 @@ def op_P_by_kernel(volmesh: VolumeMesh, field: CoefficientField, density,
                         -1.0 / (FOUR_PI * r[keep]) / field.eval_a(nodes[keep]))
     return out
 
-
-# --- offset diagnostics -------------------------------------------------------------
-
-def _target_normals(mesh: SurfaceMesh, colloc: Collocation) -> np.ndarray:
-    cache = lp._panel_cache(mesh)
-    normals = np.zeros((colloc.n, 3))
-    for i, (kind, idx) in enumerate(zip(colloc.kinds, colloc.indices)):
-        if kind == lp.KIND_CENTROID:
-            normals[i] = mesh.normals[idx]
-        elif kind == lp.KIND_VERTEX:
-            star = cache.vertex_star[int(idx)]
-            n = mesh.normals[star].mean(axis=0)
-            normals[i] = n / np.linalg.norm(n)
-        else:
-            raise ValueError("offset diagnostics need registered boundary points")
-    return normals
-
-
-# (x - y)_k / (4 pi r^3): the components of grad_y of 1/(4 pi r).
-_GRADIENT_KERNELS = [lp._offset_kernel(
-    lambda off, out, k=k: np.divide(off.component(k), lp._four_pi_r3(off.r, out), out=out))
-    for k in range(3)]
-
-
-def op_Wprime_offset(mesh: SurfaceMesh, field: CoefficientField, density,
-                     colloc: Collocation, offset: float) -> np.ndarray:
-    """Adjoint double layer diagnostic at exterior offset points.
-
-    Evaluates a(y) * n(y) . grad_y V_lap(rho / a) at y - offset * n
-    (the exterior side), using the analytic gradient of the single-layer
-    integrand: its three components are the terms of one surface pass.
-    Diagnostic only; not part of the assembled system.
-    """
-    if offset <= 0:
-        raise ValueError("offset must be positive")
-    normals = _target_normals(mesh, colloc)
-    space = lp._space_of(mesh, density)
-    terms = [lp._Term(kernel, _inv_a(field), "duffy", space) for kernel in _GRADIENT_KERNELS]
-    grad = lp.apply_rows_in_blocks(mesh, colloc.points - offset * normals,
-                                   lambda block: lp._surface_rows(mesh, block, terms),
-                                   [density.values] * 3)
-    return field.eval_a(colloc.points) * np.einsum("ij,ij->i", np.stack(grad, axis=1),
-                                                   normals)
-
-
-def op_Lhat_offset(mesh: SurfaceMesh, field: CoefficientField, density,
-                   colloc: Collocation, offset: float) -> np.ndarray:
-    """Hypersingular action probed through offset normal derivatives.
-
-    a(y) * d/dn[W_lap rho - V_lap(rho * dn ln a)], the normal derivative
-    taken with the two-point exterior offset stencil of
-    ``laplace.normal_derivative``; both terms at all 2m stencil points come
-    from one surface pass.  Diagnostic only.
-    """
-    if offset <= 0:
-        raise ValueError("offset must be positive")
-    normals = _target_normals(mesh, colloc)
-    dn_w = lp.normal_derivative(lambda points: op_W(mesh, field, density, points),
-                                colloc.points, normals, offset)
-    return field.eval_a(colloc.points) * dn_w

@@ -39,6 +39,14 @@ def test_load_config_flag_overrides_file(tmp_path):
     assert config.level == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_load_config_closes_its_file(tmp_path):
+    # A file left for the garbage collector to close warns ResourceWarning.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"level": 1}))
+    assert cli.load_config(str(path)).level == 1
+
+
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"wibble": 3}))

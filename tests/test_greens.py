@@ -13,6 +13,7 @@ import logging
 import numpy as np
 import pytest
 
+from bdie import cases
 from bdie import coefficients as co
 from bdie import geometry as geo
 from bdie import greens as gr
@@ -302,12 +303,28 @@ def test_surface_values_in_blocks_have_the_bits_of_one_call(gauss_field, shell_s
         assert np.array_equal(blocked, whole)
 
 
-@pytest.mark.parametrize("residual", ["third", "trace", "conormal"])
+def test_green_residual_blocks_count_only_surface_columns(gauss_field, source, monkeypatch):
+    # The R rows of a residual's block have one column per cell, but only
+    # the V and W rows size the block: the level-2 trace identity (320
+    # centroids) is one surface pass, where counting the cells too made two.
+    surf, vol = cases.level_meshes(2)
+    calls = []
+    surface_rows = lp._surface_rows
+
+    def counted(mesh, targets, terms):
+        calls.append(lp._as_collocation(targets).n)
+        return surface_rows(mesh, targets, terms)
+
+    monkeypatch.setattr(lp, "_surface_rows", counted)
+    gr.trace_identity_residual(gauss_field, source, surf, vol)
+    assert calls == [surf.n_triangles]
+
+
+@pytest.mark.parametrize("residual", ["third", "trace"])
 def test_each_green_residual_classifies_and_measures_its_targets_once(
         gauss_field, shell_small, source, residual, monkeypatch):
     # R u and P(Au) of a residual share the near set of its targets: the
-    # interior points, the centroids, or the 2m points of the offset
-    # stencil at the m centroids.  A separate R pass and P pass would
+    # interior points or the centroids.  A separate R pass and P pass would
     # classify and measure every target twice.
     sphere2 = geo.build_icosphere(2)
     measured = []
@@ -323,31 +340,9 @@ def test_each_green_residual_classifies_and_measures_its_targets_once(
             gauss_field, source, sphere2, shell_small, INTERIOR_POINTS), len(INTERIOR_POINTS)),
         "trace": (lambda: gr.trace_identity_residual(
             gauss_field, source, sphere2, shell_small), sphere2.n_triangles),
-        "conormal": (lambda: gr.conormal_identity_residual_offset(
-            gauss_field, source, sphere2, shell_small, 0.05), 2 * sphere2.n_triangles),
     }[residual]
     run()
     assert sum(measured) == m
-
-
-# --- conormal identity (offset diagnostic) ------------------------------------
-
-def test_conormal_identity_offsets(unit_field, sphere3, shell_small, source):
-    rep10 = gr.conormal_identity_residual_offset(unit_field, source, sphere3,
-                                                 shell_small, 0.1)
-    rep05 = gr.conormal_identity_residual_offset(unit_field, source, sphere3,
-                                                 shell_small, 0.05)
-    assert rep05.rel_to_scale < 0.10
-    assert rep05.rel_to_scale < rep10.rel_to_scale
-
-
-def test_conormal_identity_zero_field(unit_field, sphere3, shell_small):
-    rep = gr.conormal_identity_residual_offset(
-        unit_field, gr.constant_field(0.0), sphere3, shell_small, 0.05)
-    assert rep.max_abs == 0.0
-    with pytest.raises(ValueError):
-        gr.conormal_identity_residual_offset(
-            unit_field, gr.constant_field(0.0), sphere3, shell_small, 0.0)
 
 
 # --- single-layer injectivity ---------------------------------------------------

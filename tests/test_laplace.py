@@ -273,15 +273,6 @@ def test_newton_zero_and_linearity(shell12):
     assert np.allclose(two, 2.0 * one, rtol=1e-14)
 
 
-def test_newton_matrix_matches_value(shell12):
-    rng = np.random.default_rng(9)
-    f = rng.normal(size=shell12.n_cells)
-    targets = np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 0.0, 2.5]])
-    val = lp.newton_potential(shell12, lp.DomainDensity(f.copy()), targets)
-    mat = lp.newton_potential_matrix(shell12, targets)
-    assert np.abs(mat @ f - val).max() < 1e-12
-
-
 def test_newton_exclusion_ball_applies_inside(shell12):
     # A target on a quadrature node would blow up without the exclusion ball.
     node = shell12.all_nodes()[1234]
@@ -289,54 +280,7 @@ def test_newton_exclusion_ball_applies_inside(shell12):
     assert np.isfinite(val[0])
 
 
-# --- normal derivative probe ---------------------------------------------------
-
-def test_normal_derivative_of_single_layer(sphere3, ones3):
-    idx = north_pole_index(sphere3)
-    pole = sphere3.vertices[idx]
-    nrm = -pole  # stored convention: normal toward the origin
-    pot = lambda pts: lp.single_layer(sphere3, ones3, pts)
-    val = lp.normal_derivative(pot, pole, nrm, offset=0.01)
-    # d/dn of 1/r with n = -r_hat is +1 on the unit sphere.
-    assert abs(val - 1.0) < 0.03
-
-
-def test_normal_derivative_constant_field():
-    pot = lambda pts: np.ones(len(pts))
-    assert lp.normal_derivative(pot, np.array([0.0, 0.0, 1.0]),
-                                np.array([0.0, 0.0, -1.0]), 0.05) == 0.0
-
-
-def test_normal_derivative_linear_field_exact():
-    pot = lambda pts: pts[:, 2]
-    val = lp.normal_derivative(pot, np.array([0.0, 0.0, 1.0]),
-                               np.array([0.0, 0.0, -1.0]), 0.05)
-    assert abs(val - (-1.0)) < 1e-6
-
-
-def test_normal_derivative_rejects_tiny_offset():
-    with pytest.raises(ValueError):
-        lp.normal_derivative(lambda p: np.zeros(len(p)),
-                             np.zeros(3), np.array([0.0, 0.0, 1.0]), 1e-18)
-
-
-def test_normal_derivative_of_many_points_is_one_call():
-    rng = np.random.default_rng(5)
-    points = rng.normal(size=(6, 3)) + np.array([0.0, 0.0, 3.0])
-    normals = rng.normal(size=(6, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    calls = []
-
-    def pot(pts):
-        calls.append(len(pts))
-        return 1.0 / np.sqrt((pts * pts).sum(axis=1)) + pts[:, 0] * pts[:, 2]
-
-    many = lp.normal_derivative(pot, points, normals, 0.01)
-    assert calls == [12]
-    one_by_one = [lp.normal_derivative(pot, p, n, 0.01) for p, n in zip(points, normals)]
-    assert all(isinstance(v, float) for v in one_by_one)
-    assert np.array_equal(many, np.array(one_by_one))
-
+# --- one-sided limits ------------------------------------------------------------
 
 def test_continuity_of_single_layer(sphere3, ones3):
     # Exterior values at offsets 0.1h, 0.05h, 0.025h extrapolate to the
@@ -485,23 +429,32 @@ def _engine_matches(engine, reference):
     assert np.max(np.abs(engine - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
-@pytest.mark.parametrize("factor", [None, _surface_factor], ids=["plain", "factor"])
-@pytest.mark.parametrize("where", ["centroid", "vertex", "free"])
-@pytest.mark.parametrize("space", [None, lp.SPACE_TRIANGLE, lp.SPACE_VERTEX],
-                         ids=["values", "triangle", "vertex"])
-@pytest.mark.parametrize("layer", ["single", "double"])
+# Only the single layer takes a factor.
+_ENGINE_CASES = [
+    pytest.param(layer, space, where, factor,
+                 id=f"{layer}-{space_id}-{where}-{'plain' if factor is None else 'factor'}")
+    for factor in (None, _surface_factor)
+    for where in ("centroid", "vertex", "free")
+    for space, space_id in ((None, "values"), (lp.SPACE_TRIANGLE, "triangle"),
+                            (lp.SPACE_VERTEX, "vertex"))
+    for layer in ("single", "double")
+    if layer == "single" or factor is None]
+
+
+@pytest.mark.parametrize("layer, space, where, factor", _ENGINE_CASES)
 def test_engine_matches_per_pair_reference(level1_targets, layer, space, where, factor):
     mesh, targets = level1_targets
     colloc = targets[where]
+    kwargs = {} if factor is None else {"factor": factor}
     if space is None:
         density = lp.BoundaryDensity(lp.SPACE_VERTEX,
                                      np.cos(3.0 * mesh.vertices[:, 0]) + mesh.vertices[:, 2])
         call = lp.single_layer if layer == "single" else lp.double_layer
-        engine = call(mesh, density, colloc, factor=factor)
+        engine = call(mesh, density, colloc, **kwargs)
     else:
         density = None
         call = lp.single_layer_matrix if layer == "single" else lp.double_layer_matrix
-        engine = call(mesh, space, colloc, factor=factor)
+        engine = call(mesh, space, colloc, **kwargs)
     _engine_matches(engine, _reference_rows(mesh, layer, colloc, space, density, factor))
 
 
@@ -564,7 +517,7 @@ def _mixed_terms():
         lp._double_term(lp.SPACE_VERTEX),
         lp._single_term(lp.SPACE_VERTEX, _surface_factor),
         lp._single_term(lp.SPACE_VERTEX),
-        lp._double_term(lp.SPACE_TRIANGLE, _surface_factor),
+        lp._Term(lp.double_layer_kernel, _surface_factor, "skip", lp.SPACE_TRIANGLE),
         lp._single_term(lp.SPACE_TRIANGLE),
         lp._Term(_custom_kernel, None, "duffy", lp.SPACE_VERTEX),
     ]

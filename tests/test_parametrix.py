@@ -18,7 +18,6 @@ from bdie import laplace as lp
 from bdie import parametrix as px
 from bdie import system as sy
 
-FOUR_PI = 4.0 * np.pi
 DN_LN_A_SPHERE = 2.0 * np.exp(-1.0) / (1.0 + np.exp(-1.0))
 
 
@@ -174,8 +173,6 @@ _LENGTH_CHECKED = {
     "op_V": lambda m, f, d, c: px.op_V(m, f, d, c),
     "op_W": lambda m, f, d, c: px.op_W(m, f, d, 2.0 * c.points),
     "op_V_by_kernel": lambda m, f, d, c: px.op_V_by_kernel(m, f, d, c),
-    "op_Wprime_offset": lambda m, f, d, c: px.op_Wprime_offset(m, f, d, c, 0.05),
-    "op_Lhat_offset": lambda m, f, d, c: px.op_Lhat_offset(m, f, d, c, 0.05),
 }
 
 
@@ -321,8 +318,7 @@ def test_volume_values_on_a_node_are_finite(shell14, gauss_field, monkeypatch):
     u = lp.DomainDensity(np.ones(shell14.n_cells))
     ops = [lambda t: px.op_R(shell14, gauss_field, u, t),
            lambda t: px.op_R_matrix(shell14, gauss_field, t),
-           lambda t: lp.newton_potential(shell14, u, t),
-           lambda t: lp.newton_potential_matrix(shell14, t)]
+           lambda t: lp.newton_potential(shell14, u, t)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         on_node = [op(node) for op in ops]
@@ -352,10 +348,10 @@ def test_volume_values_do_not_depend_on_the_block(shell14, gauss_field, monkeypa
 @pytest.mark.parametrize("block_pairs", [None, 3])
 def test_kept_near_set_gives_the_bits_of_a_measured_pass(shell14, sphere3, gauss_field,
                                                          monkeypatch, block_pairs):
-    # P f, Newton rows and the remainder's rows and values on a measured
-    # target set have the bits of a pass that measures its own, also when
-    # the set was measured in other chunks and batches; a node under a
-    # target is dropped either way.
+    # P f and the remainder's rows and values on a measured target set have
+    # the bits of a pass that measures its own, also when the set was
+    # measured in other chunks and batches; a node under a target is
+    # dropped either way.
     node = shell14.all_nodes()[1234][None]
     targets = np.concatenate([shell14.centers[::97], node, sphere3.centroids[::70]])
     volume = px._VolumeTargets(shell14, gauss_field, targets)
@@ -367,10 +363,6 @@ def test_kept_near_set_gives_the_bits_of_a_measured_pass(shell14, sphere3, gauss
     cells = lp.DomainDensity(rng.normal(size=shell14.n_cells))
     for f in (cells, lambda x: np.exp(-(x * x).sum(axis=-1))):
         assert np.array_equal(volume.P(f), px.op_P(shell14, gauss_field, f, targets))
-    weights = lp._cell_cache(shell14).weights
-    rows = lp._VolumeTerm(lp._newton_weights(shell14, weights), rows=True)
-    assert np.array_equal(lp._volume_rows(shell14, near, rows),
-                          lp.newton_potential_matrix(shell14, targets))
     assert np.array_equal(volume.R(), px.op_R_matrix(shell14, gauss_field, targets))
     u = lp.DomainDensity(rng.normal(size=shell14.n_cells))
     assert np.array_equal(px.op_R(shell14, gauss_field, u, volume.near),
@@ -438,8 +430,8 @@ def _volume_reference(volmesh, field, kind, targets, density=None, all_near=Fals
 
 
 @pytest.mark.parametrize("where", ["centers", "boundary"])
-@pytest.mark.parametrize("output", ["values", "matrix"])
-@pytest.mark.parametrize("kind", ["newton", "remainder"])
+@pytest.mark.parametrize("kind, output", [("newton", "values"), ("remainder", "values"),
+                                          ("remainder", "matrix")])
 def test_volume_engine_matches_per_target_reference(shell14, gauss_field, sphere3,
                                                     monkeypatch, kind, output, where):
     # Blocks of three targets: the 20 centres and 16 centroids end in a
@@ -450,7 +442,6 @@ def test_volume_engine_matches_per_target_reference(shell14, gauss_field, sphere
     u = lp.DomainDensity(v)
     got = {
         ("newton", "values"): lambda: lp.newton_potential(shell14, u, targets),
-        ("newton", "matrix"): lambda: lp.newton_potential_matrix(shell14, targets),
         ("remainder", "values"): lambda: px.op_R(shell14, gauss_field, u, targets),
         ("remainder", "matrix"): lambda: px.op_R_matrix(shell14, gauss_field, targets),
     }[kind, output]()
@@ -595,13 +586,11 @@ def test_remainder_rows_on_a_measured_set_measure_no_distance(level_volumes, gau
 def test_a_volume_value_is_the_sum_of_its_row(level_volumes, gauss_field):
     # A values pass builds each target's row as the rows pass does, far
     # sums overwritten by near sums, and stores its pairwise sum: at the
-    # level-2 cell centres and collocation points the values of the unit
-    # density are the row sums of the matrices, bit for bit.
+    # level-2 cell centres and collocation points the remainder's values
+    # of the unit density are the row sums of its matrix, bit for bit.
     surf, vol = level_volumes[2]
     targets = np.concatenate([vol.centers, sy.boundary_collocation(surf).points])
     ones = lp.DomainDensity(np.ones(vol.n_cells))
-    assert np.array_equal(lp.newton_potential(vol, ones, targets),
-                          lp.newton_potential_matrix(vol, targets).sum(axis=1))
     assert np.array_equal(px.op_R(vol, gauss_field, ones, targets),
                           px.op_R_matrix(vol, gauss_field, targets).sum(axis=1))
 
@@ -642,113 +631,6 @@ def test_remainder_far_target_rows_decay(shell14, gauss_field):
     assert np.abs(law / DN_LN_A_SPHERE - 1.0).max() <= 1e-3
 
 
-# --- offset diagnostics ------------------------------------------------------
-
-def test_adjoint_offset_extrapolation_stable(sphere3, unit_field, ones_tc):
-    colloc = lp.Collocation.centroids(sphere3, np.arange(0, sphere3.n_triangles, 40))
-    h = sphere3.diameters.max()
-    v = {c: px.op_Wprime_offset(sphere3, unit_field, ones_tc, colloc, offset=c * h)
-         for c in (0.2, 0.1, 0.05)}
-    e1 = 2.0 * v[0.1] - v[0.2]
-    e2 = 2.0 * v[0.05] - v[0.1]
-    assert np.abs(e1 - 1.0).max() < 0.05
-    assert np.abs(e1 - e2).max() < 0.05
-
-
-def test_adjoint_offset_constant_two_equals_unit(sphere3, unit_field, two_field,
-                                                 ones_tc):
-    colloc = lp.Collocation.centroids(sphere3, np.arange(0, sphere3.n_triangles, 40))
-    one = px.op_Wprime_offset(sphere3, unit_field, ones_tc, colloc, offset=0.05)
-    two = px.op_Wprime_offset(sphere3, two_field, ones_tc, colloc, offset=0.05)
-    assert np.abs(two - one).max() <= 1e-14
-
-
-def test_adjoint_offset_zero_density(sphere3, gauss_field):
-    zero = lp.BoundaryDensity(lp.SPACE_TRIANGLE, np.zeros(sphere3.n_triangles))
-    colloc = lp.Collocation.centroids(sphere3, np.array([0, 5]))
-    vals = px.op_Wprime_offset(sphere3, gauss_field, zero, colloc, offset=0.1)
-    assert np.array_equal(vals, np.zeros(2))
-
-
-def test_adjoint_offset_requires_positive_offset(sphere3, unit_field, ones_tc):
-    colloc = lp.Collocation.centroids(sphere3, np.array([0]))
-    with pytest.raises(ValueError):
-        px.op_Wprime_offset(sphere3, unit_field, ones_tc, colloc, offset=0.0)
-
-
-def test_hypersingular_offset_zero_density(sphere3, gauss_field):
-    zero = lp.BoundaryDensity(lp.SPACE_VERTEX, np.zeros(sphere3.n_vertices))
-    colloc = lp.Collocation.centroids(sphere3, np.array([0, 5]))
-    vals = px.op_Lhat_offset(sphere3, gauss_field, zero, colloc, offset=0.1)
-    assert np.array_equal(vals, np.zeros(2))
-
-
-def test_hypersingular_reduces_for_unit_coefficient(sphere3, unit_field):
-    phi = lp.BoundaryDensity(lp.SPACE_VERTEX, 1.0 + sphere3.vertices[:, 2])
-    idx = np.arange(0, sphere3.n_triangles, 160)
-    colloc = lp.Collocation.centroids(sphere3, idx)
-    vals = px.op_Lhat_offset(sphere3, unit_field, phi, colloc, offset=0.1)
-    ref = np.array([lp.normal_derivative(
-        lambda t: lp.double_layer(sphere3, phi, t),
-        colloc.points[i], sphere3.normals[tri], offset=0.1)
-        for i, tri in enumerate(idx)])
-    assert np.abs(vals - ref).max() <= 1e-14
-
-
-def test_hypersingular_constants_extrapolate_small(sphere3, unit_field, ones_tc):
-    colloc = lp.Collocation.centroids(sphere3, np.arange(0, sphere3.n_triangles, 40))
-    v = {d: px.op_Lhat_offset(sphere3, unit_field, ones_tc, colloc, offset=d)
-         for d in (0.2, 0.1, 0.05)}
-    extrap = (8.0 * v[0.05] - 6.0 * v[0.1] + v[0.2]) / 3.0
-    assert np.abs(extrap).max() < 0.05
-
-
-def _wprime_per_target(mesh, field, density, colloc, offset):
-    # One engine call per target with its own normal-projected kernel.
-    normals = px._target_normals(mesh, colloc)
-    out = np.zeros(colloc.n)
-    for i, (y, n_y) in enumerate(zip(colloc.points, normals)):
-        kern = lambda nodes, panel_normals, ys, n_y=n_y: np.einsum(
-            "j,...j->...", n_y, nodes - ys) / (
-            FOUR_PI * np.linalg.norm(nodes - ys, axis=-1) ** 3)
-        point = lp.Collocation.free((y - offset * n_y)[None])
-        term = lp._Term(kern, px._inv_a(field), "duffy", density.space_tag)
-        value = lp.apply_rows(lp._surface_rows(mesh, point, [term])[0], density.values)[0]
-        out[i] = field.eval_a(y[None])[0] * value
-    return out
-
-
-def _lhat_per_target(mesh, field, density, colloc, offset):
-    # Two-point stencils of the public layers, one target at a time.
-    normals = px._target_normals(mesh, colloc)
-    a_y = field.eval_a(colloc.points)
-    out = np.zeros(colloc.n)
-    for i in range(colloc.n):
-        pot_w = lambda pts: lp.double_layer(mesh, density, pts)
-        pot_v = lambda pts: lp.single_layer(mesh, density, pts, factor=px._dn_ln_a(field))
-        out[i] = a_y[i] * (lp.normal_derivative(pot_w, colloc.points[i], normals[i], offset)
-                           - lp.normal_derivative(pot_v, colloc.points[i], normals[i], offset))
-    return out
-
-
-@pytest.mark.parametrize("offset", [0.02, 0.1])
-def test_offset_diagnostics_match_per_target_loop(sphere3, gauss_field, offset):
-    """Both diagnostics evaluate all their offset points in one surface pass;
-    a target's value does not depend on the others beyond rounding."""
-    colloc = lp.Collocation.concat([
-        lp.Collocation.centroids(sphere3, np.arange(0, sphere3.n_triangles, 97)),
-        lp.Collocation.vertices(sphere3, np.arange(0, sphere3.n_vertices, 61)),
-    ])
-    tc = lp.BoundaryDensity(lp.SPACE_TRIANGLE, 1.0 + 0.5 * sphere3.centroids[:, 0])
-    vl = lp.BoundaryDensity(lp.SPACE_VERTEX, np.cos(2.0 * sphere3.vertices[:, 2]))
-    for got, want in (
-            (px.op_Wprime_offset(sphere3, gauss_field, tc, colloc, offset),
-             _wprime_per_target(sphere3, gauss_field, tc, colloc, offset)),
-            (px.op_Lhat_offset(sphere3, gauss_field, vl, colloc, offset),
-             _lhat_per_target(sphere3, gauss_field, vl, colloc, offset))):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
 # --- resource caps -----------------------------------------------------------
 
 def test_caps_reject_oversized_counts():
@@ -766,7 +648,7 @@ def test_surface_matrix_cap(gauss_field):
     with pytest.raises(px.ResourceLimitError):
         px.op_V_matrix(big, gauss_field, lp.SPACE_TRIANGLE, target)
     with pytest.raises(px.ResourceLimitError):
-        px.op_W_matrix(big, gauss_field, lp.SPACE_VERTEX, target)
+        px._VW_matrices(big, gauss_field, target)
 
 
 def test_volume_matrix_cap(gauss_field):

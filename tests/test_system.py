@@ -295,23 +295,6 @@ def test_jump_coefficient_approaches_half_at_vertices(unit_field):
     assert worst[1] < worst[0]
 
 
-def test_boundary_W_block_transient_memory(level2, gauss_field):
-    """The surface engine keeps its temporaries per chunk of targets: one
-    level-2 boundary W block peaks near 5.9 MB over its 0.3 MB result, where
-    classifying every target-panel pair at once peaks near 11 MB."""
-    surf, _ = level2
-    colloc = sy.boundary_collocation(surf)
-    # Warm the per-mesh node tables, which outlive the call.
-    px.op_W_matrix(surf, gauss_field, lp.SPACE_VERTEX, lp.Collocation.centroids(surf, [0]))
-    tracemalloc.start()
-    try:
-        px.op_W_matrix(surf, gauss_field, lp.SPACE_VERTEX, colloc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
-
-
 def test_boundary_surface_pass_transient_memory(level2, gauss_field):
     """One surface pass builds the three boundary blocks of the assembly,
     V(1/a), W_lap and V(dn ln a), at level 2: it peaks near 7.2 MB over
