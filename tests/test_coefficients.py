@@ -130,3 +130,64 @@ def test_fibonacci_sphere_is_deterministic_and_unit():
 def test_gaussian_tail_is_negligible():
     rep = co.validate_conditions(co.gaussian_coefficient())
     assert rep.tail_samples[-1][1] < 1e-12
+
+
+# --- every catalog coefficient ------------------------------------------------
+
+def _sample_points():
+    # Points around the origin, on and off the unit sphere, and in and
+    # around the inclusion's ball (centre (0, 0, -2), radius 0.8).
+    rng = np.random.default_rng(17)
+    return np.concatenate([1.5 * rng.normal(size=(40, 3)),
+                           np.array([0.0, 0.0, -2.0]) + 0.6 * rng.uniform(-1, 1, size=(40, 3))])
+
+
+def _central_differences(fn, points, h):
+    """Gradient (n, 3) and Laplacian (n,) of fn by central differences."""
+    eye = h * np.eye(3)
+    grad = np.stack([(fn(points + e) - fn(points - e)) / (2 * h) for e in eye], axis=1)
+    lap = sum(fn(points + e) - 2 * fn(points) + fn(points - e) for e in eye) / h**2
+    return grad, lap
+
+
+@pytest.mark.parametrize("name", co.coefficient_names())
+def test_catalog_derivatives_match_finite_differences(name):
+    field = co.coefficient_by_name(name)
+    pts = _sample_points()
+    grad, lap = _central_differences(field.eval_a, pts, 1e-4)
+    assert np.abs(grad - field.grad_a(pts)).max() <= 1e-6
+    assert np.abs(lap - field.laplacian_a(pts)).max() <= 1e-4
+
+
+@pytest.mark.parametrize("name", co.coefficient_names())
+def test_catalog_log_derivatives_match_finite_differences(name):
+    # grad ln a and lap ln a, which the parametrix and its remainder use.
+    field = co.coefficient_by_name(name)
+    pts = _sample_points()
+    grad, lap = _central_differences(lambda x: np.log(field.eval_a(x)), pts, 1e-4)
+    assert np.abs(grad - field.eval_grad_ln_a(pts)).max() <= 1e-6
+    assert np.abs(lap - field.eval_laplacian_ln_a(pts)).max() <= 1e-4
+
+
+@pytest.mark.parametrize("name", co.coefficient_names())
+def test_catalog_coefficient_keeps_its_claimed_bounds(name):
+    field = co.coefficient_by_name(name)
+    sphere = co.fibonacci_sphere(64)
+    pts = np.concatenate([_sample_points()] + [r * sphere for r in co.RADII])
+    a = field.eval_a(pts)
+    assert np.all((field.c_lower < a) & (a < field.c_upper))
+
+
+@pytest.mark.parametrize("name", co.coefficient_names())
+def test_catalog_coefficient_evaluates_batches_pointwise(name):
+    # The engines evaluate a on (cells, nodes, 3) tables: a batch gives the
+    # values, gradients and Laplacians of its points one at a time.
+    field = co.coefficient_by_name(name)
+    pts = _sample_points()
+    batch = pts.reshape(8, 10, 3)
+    for fn, shape in ((field.eval_a, (8, 10)), (field.grad_a, (8, 10, 3)),
+                      (field.laplacian_a, (8, 10))):
+        got = np.asarray(fn(batch))
+        assert got.shape == shape
+        one_by_one = np.array([fn(p) for p in pts]).reshape(shape)
+        assert np.array_equal(got, one_by_one)

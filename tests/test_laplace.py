@@ -273,6 +273,18 @@ def test_newton_zero_and_linearity(shell12):
     assert np.allclose(two, 2.0 * one, rtol=1e-14)
 
 
+def test_newton_matrix_matches_value(shell12):
+    # The volume engine's rows pass with the Newton weights applies to a
+    # density as its values pass does.
+    rng = np.random.default_rng(9)
+    f = rng.normal(size=shell12.n_cells)
+    targets = np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 0.0, 2.5]])
+    val = lp.newton_potential(shell12, lp.DomainDensity(f.copy()), targets)
+    weights = lp._newton_weights(shell12, lp._cell_cache(shell12).weights)
+    mat = lp._volume_rows(shell12, targets, lp._VolumeTerm(weights, rows=True))
+    assert np.abs(mat @ f - val).max() < 1e-12
+
+
 def test_newton_exclusion_ball_applies_inside(shell12):
     # A target on a quadrature node would blow up without the exclusion ball.
     node = shell12.all_nodes()[1234]
@@ -429,32 +441,34 @@ def _engine_matches(engine, reference):
     assert np.max(np.abs(engine - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
-# Only the single layer takes a factor.
-_ENGINE_CASES = [
-    pytest.param(layer, space, where, factor,
-                 id=f"{layer}-{space_id}-{where}-{'plain' if factor is None else 'factor'}")
-    for factor in (None, _surface_factor)
-    for where in ("centroid", "vertex", "free")
-    for space, space_id in ((None, "values"), (lp.SPACE_TRIANGLE, "triangle"),
-                            (lp.SPACE_VERTEX, "vertex"))
-    for layer in ("single", "double")
-    if layer == "single" or factor is None]
+def _double_rows_with_factor(mesh, space, colloc, factor):
+    # The public double layer takes no factor; the engine folds one into
+    # any term at its nodes, also under the double layer's skip rule.
+    term = lp._Term(lp.double_layer_kernel, factor, "skip", space)
+    return lp._surface_rows(mesh, colloc, [term])[0]
 
 
-@pytest.mark.parametrize("layer, space, where, factor", _ENGINE_CASES)
+@pytest.mark.parametrize("factor", [None, _surface_factor], ids=["plain", "factor"])
+@pytest.mark.parametrize("where", ["centroid", "vertex", "free"])
+@pytest.mark.parametrize("space", [None, lp.SPACE_TRIANGLE, lp.SPACE_VERTEX],
+                         ids=["values", "triangle", "vertex"])
+@pytest.mark.parametrize("layer", ["single", "double"])
 def test_engine_matches_per_pair_reference(level1_targets, layer, space, where, factor):
     mesh, targets = level1_targets
     colloc = targets[where]
-    kwargs = {} if factor is None else {"factor": factor}
+    density = None
     if space is None:
         density = lp.BoundaryDensity(lp.SPACE_VERTEX,
                                      np.cos(3.0 * mesh.vertices[:, 0]) + mesh.vertices[:, 2])
-        call = lp.single_layer if layer == "single" else lp.double_layer
-        engine = call(mesh, density, colloc, **kwargs)
+    if layer == "double" and factor is not None:
+        rows = _double_rows_with_factor(mesh, space or density.space_tag, colloc, factor)
+        engine = rows if space is not None else lp.apply_rows(rows, density.values)
+    elif space is None:
+        engine = (lp.single_layer(mesh, density, colloc, factor=factor) if layer == "single"
+                  else lp.double_layer(mesh, density, colloc))
     else:
-        density = None
-        call = lp.single_layer_matrix if layer == "single" else lp.double_layer_matrix
-        engine = call(mesh, space, colloc, **kwargs)
+        engine = (lp.single_layer_matrix(mesh, space, colloc, factor=factor)
+                  if layer == "single" else lp.double_layer_matrix(mesh, space, colloc))
     _engine_matches(engine, _reference_rows(mesh, layer, colloc, space, density, factor))
 
 

@@ -429,9 +429,16 @@ def _volume_reference(volmesh, field, kind, targets, density=None, all_near=Fals
     return np.array(rows)
 
 
+def _newton_rows(volmesh, targets):
+    # The engine's rows pass with the weights of the Newton potential's
+    # values pass; no operator of the package builds Newton rows.
+    weights = lp._newton_weights(volmesh, lp._cell_cache(volmesh).weights)
+    return lp._volume_rows(volmesh, targets, lp._VolumeTerm(weights, rows=True))
+
+
 @pytest.mark.parametrize("where", ["centers", "boundary"])
-@pytest.mark.parametrize("kind, output", [("newton", "values"), ("remainder", "values"),
-                                          ("remainder", "matrix")])
+@pytest.mark.parametrize("kind, output", [("newton", "values"), ("newton", "matrix"),
+                                          ("remainder", "values"), ("remainder", "matrix")])
 def test_volume_engine_matches_per_target_reference(shell14, gauss_field, sphere3,
                                                     monkeypatch, kind, output, where):
     # Blocks of three targets: the 20 centres and 16 centroids end in a
@@ -442,6 +449,7 @@ def test_volume_engine_matches_per_target_reference(shell14, gauss_field, sphere
     u = lp.DomainDensity(v)
     got = {
         ("newton", "values"): lambda: lp.newton_potential(shell14, u, targets),
+        ("newton", "matrix"): lambda: _newton_rows(shell14, targets),
         ("remainder", "values"): lambda: px.op_R(shell14, gauss_field, u, targets),
         ("remainder", "matrix"): lambda: px.op_R_matrix(shell14, gauss_field, targets),
     }[kind, output]()

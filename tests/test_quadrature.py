@@ -76,6 +76,90 @@ def test_duffy_singular_vertex_rotation(k):
     assert abs(val - exact) / exact < 1e-8
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_gauss_legendre_interval_is_exact_to_degree_2n_minus_1(order):
+    a, b = -0.5, 2.0
+    pts, wts = quad.gauss_legendre_interval(order, a, b)
+    assert pts.shape == wts.shape == (order,)
+    assert np.all((pts > a) & (pts < b)) and np.all(wts > 0)
+    for k in range(2 * order):
+        exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+        assert abs(np.dot(wts, pts**k) - exact) <= 1e-14 * max(1.0, abs(exact))
+
+
+def _inverse_distance_integral(y, a, b):
+    """int over the flat triangle (y, a, b) of 1/|x - y|: in polar
+    coordinates about y the integral is h (asinh(s_b/h) - asinh(s_a/h)),
+    with h the distance from y to the line ab and s the signed positions of
+    a and b along it from the foot of the perpendicular."""
+    e = (b - a) / np.linalg.norm(b - a)
+    foot = a + np.dot(y - a, e) * e
+    h = np.linalg.norm(y - foot)
+    return h * (np.arcsinh(np.dot(b - foot, e) / h) - np.arcsinh(np.dot(a - foot, e) / h))
+
+
+_PANEL_KINDS = [pytest.param(k, id=f"corner{k}") for k in range(3)] + [
+    pytest.param(quad.AT_CENTROID, id="centroid")]
+
+
+def _icosphere_panels():
+    mesh = geo.build_icosphere(1)
+    return mesh.corners()[::13]
+
+
+@pytest.mark.parametrize("kind", _PANEL_KINDS)
+def test_duffy_panel_nodes_weigh_each_panel_and_stay_on_it(kind):
+    # A batch of panels: per panel the weights sum to its area, and every
+    # node is the panel's corners weighted by the shared barycentric table.
+    corners = _icosphere_panels()
+    nodes, wts, bary = quad.duffy_panel_nodes(corners, kind, quad.DUFFY_ORDER)
+    q = (3 if kind == quad.AT_CENTROID else 1) * quad.DUFFY_ORDER**2
+    assert nodes.shape == (len(corners), q, 3) and wts.shape == (len(corners), q)
+    assert bary.shape == (q, 3)
+    areas = 0.5 * np.linalg.norm(np.cross(corners[:, 1] - corners[:, 0],
+                                          corners[:, 2] - corners[:, 0]), axis=1)
+    assert np.all(np.abs(wts.sum(axis=1) - areas) <= 1e-13 * areas)
+    assert np.all(wts > 0)
+    assert bary.min() >= 0.0 and np.allclose(bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert np.abs(nodes - np.einsum("qk,pkj->pqj", bary, corners)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kind", _PANEL_KINDS)
+def test_duffy_panel_nodes_integrate_the_inverse_distance(kind):
+    # 1/r from the registered point against its closed form.  A corner's
+    # Duffy rule is accurate to 1e-8 at the default order; the centroid's
+    # three sub-triangles have a 120 degree angle at the target, so its
+    # rule converges more slowly, to 1e-4 at the default order.
+    corners = _icosphere_panels()
+    bound = 2e-4 if kind == quad.AT_CENTROID else 1e-8
+    for order, tol in ((quad.DUFFY_ORDER, bound), (2 * quad.DUFFY_ORDER, 1e-7)):
+        nodes, wts, _ = quad.duffy_panel_nodes(corners, kind, order)
+        for c, x, w in zip(corners, nodes, wts):
+            if kind == quad.AT_CENTROID:
+                y = c.mean(axis=0)
+                exact = sum(_inverse_distance_integral(y, c[k], c[(k + 1) % 3])
+                            for k in range(3))
+            else:
+                y = c[kind]
+                exact = _inverse_distance_integral(y, c[(kind + 1) % 3], c[(kind + 2) % 3])
+            got = np.dot(w, 1.0 / np.linalg.norm(x - y, axis=1))
+            assert abs(got - exact) <= tol * exact
+
+
+def test_singular_point_kind_names_each_registered_point():
+    # Corners win over the centroid; the tolerance is 1e-9 of the first
+    # edge, so a point 1e-7 edges away is no registered point.
+    tri = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    centroid = tri.mean(axis=0)
+    targets = np.array([tri[0], tri[1], tri[2], centroid,
+                        tri[1] + [1e-10, 0.0, 0.0], centroid + [0.0, 2e-7, 0.0],
+                        0.5 * (tri[0] + tri[1]), [0.5, 0.3, 0.4]])
+    corners = np.broadcast_to(tri, (len(targets), 3, 3))
+    assert quad.singular_point_kind(corners, targets).tolist() == [
+        0, 1, 2, quad.AT_CENTROID, 1, quad.UNREGISTERED, quad.UNREGISTERED,
+        quad.UNREGISTERED]
+
+
 def test_subdivided_rule_on_smooth_integrand():
     # int over the reference triangle of cos(x + 2y) = cos 1 - (cos 2 + 1)/2.
     exact = math.cos(1.0) - (math.cos(2.0) + 1.0) / 2.0
