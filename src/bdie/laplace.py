@@ -21,9 +21,11 @@ chunks of targets, whole numbers of cache-sized far blocks by one rule
 serves a list of terms (several outputs), which share one classification
 and one r.  A volume pass evaluates one term at points or at a measured set
 (``_NearSet``, which carries its points), so the passes at one target set
-(the remainder's rows and P f, say) share its near set; a volume value is
-the pairwise sum of its row.  Both split the
-pairs of a target and an element by distance.  The surface engine takes
+(the remainder's rows and P f, say) share its near set.  A remainder value
+is the pairwise sum of its row; a Newton value (P f) is the pairwise sum
+of its far row plus one sparse product on the near pairs (see
+_volume_rows).  Both split the pairs of a target and an element by
+distance.  The surface engine takes
 far, near (subdivided) and Duffy panels on the one rule of ``quadrature``
 (FAR_ORDER; NEAR_ORDER at the depth ``quad.near_depth`` gives a near
 pair, at most SUBDIVISION_LEVELS; NEAR_THRESHOLD; DUFFY_ORDER), so no
@@ -38,11 +40,14 @@ the value functions), so a surface density is always a
 ``BoundaryDensity``, with one coefficient per triangle or vertex of the
 mesh (``_space_of`` checks both).  The Newton potential carries -1/(4 pi),
 a factor (1/a for P) and its density in the node weights, so each of its
-target-node pairs costs one divide, weights / r.  The near pairs of a
-target set and their node distances depend on no term: ``_near_set`` is
-the one place that classifies and measures them, and a pass given the
-``_NearSet`` does neither again, whatever its term (the system's volume
-target sets, ``parametrix._VolumeTargets``, measure one each for R and P f).
+far target-node pairs costs one divide, weights / r, and its near pairs
+one sparse product of their inverse distances with the near table's
+weights (``_NearSet.op``, whose data is a view of the set's).  The near
+pairs of a target set and their nodes' inverse distances 1/r depend on no
+term: ``_near_set`` is the one place that classifies and measures them,
+and a pass given the ``_NearSet`` does neither again, whatever its term
+(the system's volume target sets, ``parametrix._VolumeTargets``, measure
+one each for R and P f).
 
 Kernel contract of both engines: quadrature nodes are stored
 component-major, (3, ...).  A surface block builds r^2 = (dx^2 + dy^2) +
@@ -54,18 +59,20 @@ target-panel pair.  The volume tables are node-major within a cell, (3,
 nodes, cells).  A volume far block measures all its target-node pairs by
 one matrix product, the block's augmented targets [y, 1, |y|^2] times the
 far table's augmented nodes [-2x, |x|^2, 1], which the mesh's _CellCache
-keeps (|x - y|^2 = |y|^2 - 2 x . y + |x|^2); near pairs take r from their
-_NearSet.  A volume kernel (the remainder) is a function of r, g . (x -
-y) for its per-node vector g (grad ln a), and its per-node data (lap ln
-a), whether the pair is far or near: a far block takes g . (x - y) from a
-second product, [y, 1] times [-g, g . x], built once per pass, and a near
-batch from the gathered offsets.  Callbacks of points (factors, kernels
+keeps (|x - y|^2 = |y|^2 - 2 x . y + |x|^2); near pairs take 1/r from
+their _NearSet, where a node in the exclusion ball has 1/r = 0.  A volume
+kernel (the remainder) is a function of 1/r, g . (x - y) for its per-node
+vector g (grad ln a), and its per-node data (lap ln a), whether the pair
+is far or near, and vanishes where 1/r is 0, so it needs no mask: a far
+block takes g . (x - y) from a second product, [y, 1] times [-g, g . x],
+built once per pass, and a near batch from the gathered offsets.  Callbacks of points (factors, kernels
 that are not functions of the offsets, volume densities) still receive
 (..., 3) arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -907,8 +914,12 @@ def _at_nodes(volmesh: VolumeMesh, fn: Callable) -> _Tables:
 
 
 def _node_values(volmesh: VolumeMesh, density) -> _Tables:
-    """A DomainDensity or a callable density at the nodes of both tables;
-    a DomainDensity as (1, cells), which broadcasts against a table."""
+    """A DomainDensity or a callable density at the nodes of both tables,
+    one call of the callable per table; a DomainDensity as (1, cells),
+    which broadcasts against a table.  Node values (a _Tables) are returned
+    as they are, so a density evaluated once serves every pass."""
+    if isinstance(density, _Tables):
+        return density
     if isinstance(density, DomainDensity):
         values = density.values[None, :]
         return _Tables(values, values)
@@ -934,34 +945,54 @@ def _volume_blocks(cache: _CellCache):
     return block, chunk, max(1, FAR_BLOCK_PAIRS // cache.weights.near.shape[0])
 
 
-class _NearSet(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _NearSet:
     """A measured volume target set (see _near_set): a copy of its points
     (m, 3); the target and the cell of each near pair, sorted by target and
-    then by cell; and the distances (near nodes, pairs) of the pairs'
-    near-table nodes from their targets, inf within the cell's exclusion
-    radius, so that a weight over its distance is zero there and a kernel
-    term is zeroed where it is inf.  A pass given the set takes its targets
-    from it.  At levels 2 and 3 the distances of the cell centres and
-    collocation points take 4.0 MB and about 14 MB (27970 and 100340 pairs
-    of 18 nodes)."""
+    then by cell; the number of cells of the mesh; and the inverse
+    distances 1/|x - y| (pairs, near nodes), pair-major, of the pairs'
+    near-table nodes from their targets, 0 within the cell's exclusion
+    radius, so that a weight times it, and a kernel of it, is zero there.
+    A pass given the set takes its targets from it.  At levels 2 and 3 the
+    inverse distances of the cell centres and collocation points take 4.0
+    MB and about 14 MB (27970 and 100340 pairs of 18 nodes)."""
 
     points: np.ndarray
     rows: np.ndarray
     cells: np.ndarray
-    dist: np.ndarray
+    inv: np.ndarray
+    n_cells: int
 
     def chunk(self, lo: int, hi: int) -> "_NearSet":
         """The set of targets lo:hi, with its rows counted from lo."""
         a, b = np.searchsorted(self.rows, [lo, hi])
         return _NearSet(self.points[lo:hi], self.rows[a:b] - lo, self.cells[a:b],
-                        self.dist[:, a:b])
+                        self.inv[a:b], self.n_cells)
+
+    @functools.cached_property
+    def op(self) -> sparse.csr_matrix:
+        """The near half of a Newton value as a sparse (targets, near nodes
+        * cells) operator on the near table's node weights, raveled
+        node-major: one row per target, whose entries are the inverse
+        distances of its pairs, in their order.  Its data is a view of
+        ``inv`` and its int32 columns are node * n_cells + cell, so it adds
+        a third of the inverse distances' memory; a row's product sums its
+        entries in order and does not depend on the other rows."""
+        q = self.inv.shape[1]
+        cols = self.cells.astype(np.int32)[:, None] + np.arange(q, dtype=np.int32) * np.int32(
+            self.n_cells)
+        indptr = np.zeros(len(self.points) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.rows, minlength=len(self.points)) * q, out=indptr[1:])
+        return sparse.csr_matrix((self.inv.reshape(-1), cols.reshape(-1), indptr),
+                                 shape=(len(self.points), q * self.n_cells))
 
 
 def _near_set(volmesh: VolumeMesh, targets) -> _NearSet:
-    """The near pairs of targets and their node distances, classified a
-    chunk of targets at a time and measured a batch of pairs at a time.
-    This is the volume engine's one classification and measurement of near
-    pairs: _volume_rows takes each chunk's from here, or from a given set."""
+    """The near pairs of targets and their nodes' inverse distances,
+    classified a chunk of targets at a time and measured a batch of pairs
+    at a time.  This is the volume engine's one classification and
+    measurement of near pairs: _volume_rows takes each chunk's from here,
+    or from a given set."""
     cache = _cell_cache(volmesh)
     targets = np.array(_volume_points(targets))
     _, chunk, batch = _volume_blocks(cache)
@@ -970,14 +1001,17 @@ def _near_set(volmesh: VolumeMesh, targets) -> _NearSet:
     empty = [np.empty(0, dtype=np.intp)]
     rows = np.concatenate(empty + [t + lo for lo, (t, _) in zip(starts, pairs)])
     cells = np.concatenate(empty + [c for _, c in pairs])
-    dist = np.empty((cache.weights.near.shape[0], len(rows)))
+    inv = np.empty((len(rows), cache.weights.near.shape[0]))
     for k in range(0, len(rows), batch):
         t, c = rows[k:k + batch], cells[k:k + batch]
-        r = dist[:, k:k + len(t)]
-        np.sqrt(_squared_distances(cache.nodes.near[..., c], targets[t].T[:, None, :],
-                                   r, np.empty(r.shape)), out=r)
-        r[r <= cache.excl[c]] = np.inf
-    return _NearSet(targets, rows, cells, dist)
+        r = inv[k:k + len(t)]
+        # The gathered nodes (3, near nodes, pairs), viewed pair-major.
+        np.sqrt(_squared_distances(cache.nodes.near[..., c].transpose(0, 2, 1),
+                                   targets[t].T[:, :, None], r, np.empty(r.shape)), out=r)
+        inside = r <= cache.excl[c, None]
+        np.divide(1.0, r, out=r, where=~inside)
+        r[inside] = 0.0
+    return _NearSet(targets, rows, cells, inv, cache.n_cells)
 
 
 def _dot3(a, b) -> np.ndarray:
@@ -1029,10 +1063,11 @@ class _VolumeTerm(NamedTuple):
     ``weights`` (a _Tables), one sum per target or, with ``rows``, one row
     of per-cell sums per target, written into ``out`` when it is given.
     ``kernel`` None is the Newton kernel, whose -1/(4 pi) and factors the
-    weights carry (see _newton_weights): one divide per target-node pair.
-    A kernel term is a function of r = |x - y|, g . (x - y) for its
-    per-node vector ``grad`` g (_Tables, (3, nodes, cells)) and its
-    per-node ``data`` (_Tables, (nodes, cells)); see _volume_rows."""
+    weights carry (see _newton_weights): per target-node pair, one divide
+    by r on far pairs and one product by 1/r on near pairs.  A kernel term
+    is a function of 1/r, g . (x - y) for its per-node vector ``grad`` g
+    (_Tables, (3, nodes, cells)) and its per-node ``data`` (_Tables,
+    (nodes, cells)); see _volume_rows."""
 
     weights: _Tables
     kernel: Optional[Callable] = None
@@ -1048,39 +1083,42 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
     (m, cells).  The targets are points, or a _NearSet, which is measured.
 
     Targets run in chunks of whole far blocks (about FAR_BLOCK_PAIRS
-    target-cell pairs, _volume_blocks), and every pass builds each chunk's
-    rows.  A chunk's near pairs come from the _NearSet the targets are, or
-    else from _near_set of the chunk's points, the engine's one
-    classification and measurement; the bits are the same.  Far pairs
-    integrate with the far table, the shell's default 6-node rule, in
-    blocks of FAR_BLOCK_PAIRS // (far nodes) targets over every cell: a
-    block's distances are one matrix product (_far_distances), and a
-    kernel term's g . (x - y) a second, the block's [y, 1] times [-g,
-    g . x] at the far nodes, built once per pass.  The weighted kernel is
-    reduced to per-cell sums, which fill the rows.  No far node lies within
-    its cell's exclusion radius of the target (see NEAR_CELL_FACTOR).  Near
-    pairs integrate with the mesh's own rule (18 nodes at levels 1-3) and
-    the exclusion ball, whose nodes the set's distances mark inf, in
-    batches of about FAR_BLOCK_PAIRS node pairs after the chunk's far
-    blocks; each pair's sum overwrites its cell in the rows.  A Newton
-    term's is its gathered weights over the set's distances; a kernel term
-    takes r from the set too, and g . (x - y) from the gathered offsets, is
-    zeroed where the distance is inf, and weighted.  No distance is
-    measured twice.
+    target-cell pairs, _volume_blocks).  A chunk's near pairs come from the
+    _NearSet the targets are, or else from _near_set of the chunk's points,
+    the engine's one classification and measurement; the bits are the
+    same.  Far pairs integrate with the far table, the shell's default
+    6-node rule, in blocks of FAR_BLOCK_PAIRS // (far nodes) targets over
+    every cell: a block's distances are one matrix product
+    (_far_distances), and a kernel term's g . (x - y) a second, the block's
+    [y, 1] times [-g, g . x] at the far nodes, built once per pass.  The
+    weighted kernel is reduced to per-cell sums, which fill the chunk's
+    rows.  No far node lies within its cell's exclusion radius of the
+    target (see NEAR_CELL_FACTOR).  Near pairs integrate with the mesh's
+    own rule (18 nodes at levels 1-3) and the exclusion ball, whose nodes
+    have inverse distance 0 in the set.  No distance is measured twice.
 
-    A row holds the far sum of each far cell and the near sum of each near
-    cell.  A value is the pairwise sum of its row, so it is the row sum of
-    the rows pass, bit for bit, and does not depend on which targets share
-    its block.
+    Rows, and the values of a kernel term, take the near pairs in batches
+    of about FAR_BLOCK_PAIRS node pairs after the chunk's far blocks, and
+    each pair's sum overwrites its cell in the rows: a Newton term's is its
+    gathered weights times the set's inverse distances; a kernel term takes
+    1/r from the set too and g . (x - y) from the gathered offsets, and is
+    weighted.  Such a value is the pairwise sum of its row, so it is the
+    row sum of the rows pass, bit for bit.  A Newton value (P f and the
+    Newton potential) is the pairwise sum of its far row with the near
+    cells zeroed, plus its near half: the near set's sparse operator
+    (_NearSet.op) applied to the near table's weights, once for all the
+    targets of a given set or per chunk of a measured one.  Either way a
+    value does not depend on which targets share its block.
 
     Kernel contract: the tables are node-major within a cell, (..., nodes,
     cells), so that the inner loops run over cells or pairs.  A kernel,
-    ``kernel(r, dot, data, out)``, receives r = |x - y|, which it must not
-    change (a near batch's is the set's), dot = g . (x - y), which it may
-    overwrite, and the term's ``data`` on the same nodes (the far table's,
-    or the near table's gathered per pair), which broadcast against r; it
-    writes its values into ``out``, which is then masked and weighted in
-    place.
+    ``kernel(inv_r, dot, data, out)``, receives inv_r = 1/|x - y|, which it
+    must not change (a near batch's is a view of the set's), dot = g . (x -
+    y), which it may overwrite, and the term's ``data`` on the same nodes
+    (the far table's, or the near table's gathered per pair), which
+    broadcast against inv_r; it writes its values into ``out``, which is
+    then weighted in place.  A kernel must vanish where inv_r is 0: that is
+    how the exclusion ball drops a node, with no mask.
     """
     cache = _cell_cache(volmesh)
     near = targets if isinstance(targets, _NearSet) else None
@@ -1090,6 +1128,10 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
            else np.zeros((m, n_c)) if term.rows else np.zeros(m))
     block, chunk, batch = _volume_blocks(cache)
     aug = _augmented(targets)
+    # Newton values take their near half from a sparse product.
+    sparse_near = term.kernel is None and not term.rows
+    if sparse_near:
+        near_weights = term.weights.near.reshape(-1)
     if term.kernel is not None:
         # [-g, g . x] (4, far nodes), the right factor of g . (x - y).
         g = term.grad.far.reshape(3, -1)
@@ -1105,8 +1147,9 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
             if term.kernel is None:
                 vals = np.divide(term.weights.far, r, out=r)
             else:
+                inv = np.divide(1.0, r, out=r)
                 dot = _product(y[:, :4], g_gram, np.empty((len(y), g_gram.shape[1])))
-                vals = term.kernel(r, dot.reshape(shape), term.data.far, np.empty(shape))
+                vals = term.kernel(inv, dot.reshape(shape), term.data.far, np.empty(shape))
                 vals *= term.weights.far
             return vals.sum(axis=1)
 
@@ -1115,17 +1158,16 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
         # sum overwrites the far sum of its cell.
         for k in range(0, len(pairs.rows), batch):
             t, c = pairs.rows[k:k + batch], pairs.cells[k:k + batch]
-            dist = pairs.dist[:, k:k + len(t)]
+            inv = pairs.inv[k:k + len(t)].T
             w = term.weights.near[..., c]
             # Summed over nodes in a C-ordered buffer, as in the far blocks:
             # the gathered weights are not, and the order of a sum is its bits.
             if term.kernel is None:
-                vals = np.divide(w, dist, out=np.empty(dist.shape))
+                vals = np.multiply(w, inv, out=np.empty(inv.shape))
             else:
                 offsets = cache.nodes.near[..., c] - pairs.points[t].T[:, None, :]
                 dot = _dot3(term.grad.near[..., c], offsets)
-                vals = term.kernel(dist, dot, term.data.near[..., c], np.empty(dist.shape))
-                vals[np.isinf(dist)] = 0.0
+                vals = term.kernel(inv, dot, term.data.near[..., c], np.empty(inv.shape))
                 vals *= w
             rows[t, c] = vals.sum(axis=0)
 
@@ -1136,9 +1178,16 @@ def _volume_rows(volmesh: VolumeMesh, targets, term: _VolumeTerm) -> np.ndarray:
         for start in range(lo, hi, block):
             stop = min(start + block, hi)
             rows[start - lo:stop - lo] = far_sums(aug[start:stop])
-        near_sums(pairs, rows)
+        if sparse_near:
+            rows[pairs.rows, pairs.cells] = 0.0
+        else:
+            near_sums(pairs, rows)
         if not term.rows:
             out[lo:hi] = rows.sum(axis=1)
+        if sparse_near and near is None:
+            out[lo:hi] += pairs.op @ near_weights
+    if sparse_near and near is not None:
+        out += near.op @ near_weights
     return out
 
 
@@ -1161,7 +1210,8 @@ def newton_potential(
 
     Far target-cell pairs take the shell's default rule; on near pairs,
     nodes within the cell's exclusion radius of a target are skipped, and
-    the omitted mass is O(radius^2) for this kernel (see _volume_rows).
+    the omitted mass is O(radius^2) for this kernel.  This is the one
+    Newton values pass of op_P (see _volume_rows).
     """
     term = _VolumeTerm(_newton_weights(volmesh, _cell_cache(volmesh).weights, density))
     return _volume_rows(volmesh, targets, term)

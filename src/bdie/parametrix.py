@@ -161,7 +161,9 @@ def _P_weights(volmesh: VolumeMesh, field: CoefficientField) -> lp._Tables:
 
 
 def _P(volmesh: VolumeMesh, weights: lp._Tables, density, targets) -> np.ndarray:
-    """P f at targets, points or a laplace._NearSet, on the weights w_q / a."""
+    """P f at targets, points or a laplace._NearSet, on the weights w_q / a,
+    for a density f: cell values, a callable or its node values
+    (laplace._node_values)."""
     term = lp._VolumeTerm(lp._newton_weights(volmesh, weights, density))
     return lp._volume_rows(volmesh, targets, term)
 
@@ -169,13 +171,15 @@ def _P(volmesh: VolumeMesh, weights: lp._Tables, density, targets) -> np.ndarray
 class _VolumeTargets:
     """A volume target set: a copy of the points, and the data-free parts
     of R and P f there, which its methods R and P share: the near set
-    (laplace._NearSet), measured once for both, and the node data of each
-    (the weights w_q / a of P; grad ln a and lap ln a of R).  Each is built
-    when first read, so a set that needs neither R nor P f measures
-    nothing; a set cut from this one by take measures its own near set and
-    shares the node data, so the blocks of one pass build it once.  Per
-    density, P pays for f at the nodes, one far pass and the near pairs'
-    weights over the kept distances."""
+    (laplace._NearSet), measured once for both, with the sparse operator
+    of its inverse distances that P's near half applies, and the node data
+    of each (the weights w_q / a of P; grad ln a and lap ln a of R).  Each
+    is built when first read, so a set that needs neither R nor P f
+    measures nothing; a set cut from this one by take measures its own
+    near set and shares the node data, so the blocks of one pass build it
+    once.  Per density, P pays for f at the nodes (nothing when it is given
+    its node values), one far pass and one sparse product on the near
+    pairs' weights."""
 
     def __init__(self, volmesh: VolumeMesh, field: CoefficientField, targets):
         # A copy: the caller's array may change before a part is built.
@@ -195,7 +199,8 @@ class _VolumeTargets:
         return lp._near_set(self._volmesh, self.points)
 
     def P(self, density) -> np.ndarray:
-        """op_P at the points, with its bits."""
+        """op_P at the points, with its bits, for cell values, a callable
+        or its node values (laplace._node_values)."""
         return _P(self._volmesh, self._nodes(_P_weights), density, self.near)
 
     def R(self, out=None) -> np.ndarray:
@@ -217,16 +222,16 @@ def _remainder_data(volmesh: VolumeMesh, field: CoefficientField):
     return grad, lp._at_nodes(volmesh, field.eval_laplacian_ln_a)
 
 
-def _remainder_kernel(r, dot, lap_ln, out):
+def _remainder_kernel(inv_r, dot, lap_ln, out):
     """R as a volume kernel (see laplace._volume_rows), the same for far and
-    near pairs: from r = |x - y|, dot = grad ln a . (x - y) and lap ln a at
-    the nodes, -(lap ln a p + dot / (4 pi r^3)) with p = -1/(4 pi r), that
-    is (lap ln a - dot / r^2) / (4 pi r), into out; dot is overwritten, r
-    is not."""
-    np.multiply(r, r, out=out)
-    dot /= out
+    near pairs: from inv_r = 1/|x - y|, dot = grad ln a . (x - y) and lap ln
+    a at the nodes, -(lap ln a p + dot / (4 pi r^3)) with p = -1/(4 pi r),
+    that is (lap ln a - dot / r^2) / (4 pi r), into out, with no divide;
+    0 where inv_r is 0.  dot is overwritten, inv_r is not."""
+    np.multiply(inv_r, inv_r, out=out)
+    dot *= out
     np.subtract(lap_ln, dot, out=dot)
-    np.divide(1.0 / FOUR_PI, r, out=out)
+    np.multiply(inv_r, 1.0 / FOUR_PI, out=out)
     out *= dot
     return out
 
@@ -279,12 +284,16 @@ def represent(surfmesh: SurfaceMesh, volmesh: VolumeMesh, field: CoefficientFiel
     (laplace.apply_rows) plus the set's P f.  Targets run in blocks of
     ``block`` (by default whole surface chunks of about
     laplace.VALUE_BLOCK_ENTRIES entries of V and W rows, laplace._value_block,
-    as for surface values), each built and applied in turn; their volume sets are cut from one, so the
-    node data of R and P is built once.  A single block is built through
-    keep(build) when keep is given, which may return a build it kept."""
+    as for surface values), each built and applied in turn; their volume
+    sets are cut from one, so the node data of R and P is built once, and f
+    is taken at the nodes once (it may be given as its node values,
+    laplace._node_values).  A single block is built through keep(build)
+    when keep is given, which may return a build it kept."""
     colloc = lp._as_collocation(targets)
     if block is None:
         block = lp._value_block(surfmesh, len(coefs[0]) + len(coefs[1]))
+    if f is not None:
+        f = lp._node_values(volmesh, f)
 
     def build(y, volume):
         v, w, _ = _VW_matrices(surfmesh, field, y)

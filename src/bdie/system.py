@@ -173,10 +173,14 @@ def _data_rhs(system: "M12System", extensions: ExtensionPair, pf=None) -> np.nda
     return -known if pf is None else pf - known
 
 
-def _with_rhs(system: "M12System", f, extensions: ExtensionPair, pf) -> "M12System":
-    """The system with the data f and extensions, and their F0 rows from
-    P f at its targets (pf; see _data_rhs)."""
-    return replace(system, rhs=_data_rhs(system, extensions, pf), extensions=extensions, f=f)
+def _with_rhs(system: "M12System", f, extensions: ExtensionPair, pf,
+              f_nodes=None) -> "M12System":
+    """The system with the data f and extensions, their F0 rows from P f
+    at its targets (pf; see _data_rhs), and f at the volume nodes
+    (f_nodes, laplace._node_values; None without a source)."""
+    kept = None if f_nodes is None else (f, system.volmesh, f_nodes)
+    return replace(system, rhs=_data_rhs(system, extensions, pf), extensions=extensions, f=f,
+                   _f_nodes=kept)
 
 
 def _immutable(a: np.ndarray) -> bool:
@@ -200,7 +204,8 @@ class _MatrixCache:
     returns the one kept under a name, keyed on the bytes of the points
     and on the mesh and field objects, or builds it, and keeps it (one
     point set per name) under the same rule as the factor.  Under "rhs" is
-    the volume target set (px._VolumeTargets, 4.0 MB at level 2) of the
+    the volume target set (px._VolumeTargets: its near set, 4.0 MB at level
+    2, and the sparse operator of P's near half, 2.0 MB more) of the
     system's own targets, the cell centres and the collocation points, made
     by the first with_data that has a source.  Under "points" is the build
     of px.represent at the last point set that evaluate_solution keeps.
@@ -270,6 +275,12 @@ class M12System:
     with_data or dataclasses.replace(..., rhs=...) share them, so each is
     computed once; a system given another matrix gets a cache of its own,
     and one given a writable matrix builds them again on every use.
+
+    A system made by with_data or assemble_M12 with a source also keeps f
+    at the volume nodes, which evaluate_solution reuses, so f is evaluated
+    once per right-hand side.  They are kept with the f and the volume mesh
+    objects they were taken from: a system given another f or volume mesh
+    (dataclasses.replace) drops them.
     """
 
     matrix: np.ndarray
@@ -284,10 +295,20 @@ class M12System:
     extensions: ExtensionPair
     f: Optional[Union[lp.DomainDensity, Callable]] = None
     _cache: Optional[_MatrixCache] = dc_field(default=None, repr=False, compare=False)
+    # (f, volmesh, f at the volume nodes), see _source.
+    _f_nodes: Optional[tuple] = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self._cache is None or self._cache.matrix is not self.matrix:
             object.__setattr__(self, "_cache", _MatrixCache(self.matrix))
+        kept = self._f_nodes
+        if kept is not None and (kept[0] is not self.f or kept[1] is not self.volmesh):
+            object.__setattr__(self, "_f_nodes", None)
+
+    def _source(self):
+        """The source for P: f at the volume nodes when this system keeps
+        them, else f itself (None without a source)."""
+        return _f_density(self.f) if self._f_nodes is None else self._f_nodes[2]
 
     @property
     def n_cells(self) -> int:
@@ -318,22 +339,25 @@ class M12System:
         """Same operator blocks with a right-hand side built from new data.
 
         Only P f needs quadrature, at the cell centres and the collocation
-        points; the layer terms are one matrix product.  P f is the P method
-        of the volume target set there (px._VolumeTargets): the source at
-        the nodes, one far pass and the near pairs' weights over the set's
-        distances, with the bits of px.op_P; the matrix's cache keeps the
-        set (see _MatrixCache).  The new system shares the matrix, and with
-        it the LU factor and the kept parts, so a direct solve after the
-        first costs two triangular solves.
+        points; the layer terms are one matrix product.  f is evaluated once
+        on both volume node tables, and the new system keeps those values
+        for evaluate_solution.  P f is the P method of the volume target set
+        there (px._VolumeTargets): one far pass and one sparse product of
+        the set's inverse distances with the near pairs' weights, with the
+        bits of px.op_P; the matrix's cache keeps the set (see
+        _MatrixCache).  The new system shares the matrix, and with it the
+        LU factor and the kept parts, so a direct solve after the first
+        costs two triangular solves.
         """
         dens = _f_density(f)
-        pf = None
+        pf = nodes = None
         if dens is not None:
             vol, field = self.volmesh, self.field
             targets = np.concatenate([vol.centers, self.colloc.points])
+            nodes = lp._node_values(vol, dens)
             pf = self._cache.part("rhs", targets, (vol, field),
-                                  lambda: px._VolumeTargets(vol, field, targets)).P(dens)
-        return _with_rhs(self, f, extensions, pf)
+                                  lambda: px._VolumeTargets(vol, field, targets)).P(nodes)
+        return _with_rhs(self, f, extensions, pf, nodes)
 
 
 def assemble_M12(
@@ -400,10 +424,11 @@ def assemble_M12(
         K[rows, data_cols] = block[:, known]
 
     pf = None
+    nodes = None if dens is None else lp._node_values(volmesh, dens)
     if dens is not None or not field.is_constant:
         volume = px._VolumeTargets(volmesh, field, np.concatenate([centers, colloc.points]))
         volume.R(out=A[:, su])
-        pf = None if dens is None else volume.P(dens)
+        pf = None if dens is None else volume.P(nodes)
         del volume  # before the surface passes; with_data keeps its own
     diagonal = np.arange(n_c)
     A[diagonal, diagonal] += 1.0
@@ -424,7 +449,7 @@ def assemble_M12(
 
     system = M12System(A, K, np.zeros(n), surfmesh, volmesh, field, sd, nin, colloc,
                        zero_extensions(surfmesh))
-    return system if extensions is None else _with_rhs(system, f, extensions, pf)
+    return system if extensions is None else _with_rhs(system, f, extensions, pf, nodes)
 
 
 @dataclass(frozen=True)
@@ -509,11 +534,14 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     px.represent, the formula the Green residuals check: a data-free build
     at the points (V, W and R rows and the volume target set there, which
     measures its near set when R or P f first reads it) and an apply (the
-    row products plus P f, with the bits of px.op_P).  The matrix's cache
-    keeps the build (see _MatrixCache), so a later call at the same points,
-    for any system sharing the matrix (with_data or replace(..., rhs=...)),
-    only applies it.  Point sets whose rows would take more memory than the
-    matrix are built and applied in blocks and kept nowhere.
+    row products plus P f, with the bits of px.op_P).  P f takes f at the
+    volume nodes that the system keeps from with_data or assemble_M12, so
+    f is not evaluated again; a system that keeps none evaluates it once
+    per call, whatever its blocks.  The matrix's cache keeps the build (see
+    _MatrixCache), so a later call at the same points, for any system
+    sharing the matrix (with_data or replace(..., rhs=...)), only applies
+    it.  Point sets whose rows would take more memory than the matrix are
+    built and applied in blocks and kept nowhere.
 
     A point with |y| <= INNER_RADIUS or a coordinate that is not finite
     lies off the domain, where the formula gives no value of u, and raises
@@ -532,7 +560,7 @@ def evaluate_solution(system: M12System, solution: M12Solution, points) -> np.nd
     coefs = (solution.recovered_conormal, -solution.recovered_trace, -solution.u.values)
     block = max(1, system.matrix.size // (mesh.n_triangles + mesh.n_vertices + vol.n_cells))
     keep = lambda build: system._cache.part("points", pts, (mesh, vol, field), build)
-    return px.represent(mesh, vol, field, pts, coefs, _f_density(system.f), block, keep)
+    return px.represent(mesh, vol, field, pts, coefs, system._source(), block, keep)
 
 
 @dataclass(frozen=True)

@@ -350,13 +350,13 @@ def test_kept_near_set_gives_the_bits_of_a_measured_pass(shell14, sphere3, gauss
                                                          monkeypatch, block_pairs):
     # P f and the remainder's rows and values on a measured target set have
     # the bits of a pass that measures its own, also when the set was
-    # measured in other chunks and batches; a node under a target is
-    # dropped either way.
+    # measured in other chunks and batches; a node under a target (inverse
+    # distance 0 in the set) is dropped either way.
     node = shell14.all_nodes()[1234][None]
     targets = np.concatenate([shell14.centers[::97], node, sphere3.centroids[::70]])
     volume = px._VolumeTargets(shell14, gauss_field, targets)
     near = lp._near_set(shell14, targets)
-    assert np.isinf(near.dist).any()
+    assert (near.inv == 0.0).any()
     if block_pairs is not None:
         monkeypatch.setattr(lp, "FAR_BLOCK_PAIRS", block_pairs * shell14.far_weights.size)
     rng = np.random.default_rng(32)

@@ -352,10 +352,11 @@ def test_integrate_volume_exclusion_ball():
                                radial_order=3, triangle_order=3)
     target = vol.nodes[7, 4][None]
 
-    def kern(r, dot, data, out):
-        # A unit kernel, whatever r, g . (x - y) and the data.
-        out[...] = 1.0
-        return out
+    def kern(inv_r, dot, data, out):
+        # A unit kernel, whatever g . (x - y) and the data, at every node
+        # with 1/r > 0: a kernel vanishes where 1/r is 0, which is how the
+        # exclusion ball drops a node (see lp._volume_rows).
+        return np.sign(inv_r, out=out)
 
     cache = lp._cell_cache(vol)
     term = lp._VolumeTerm(cache.weights, kern, cache.nodes, cache.weights)

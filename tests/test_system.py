@@ -347,6 +347,33 @@ def test_remainder_block_transient_memory(level2, gauss_field):
     assert peak < 8e6
 
 
+def test_kept_near_operator_views_the_inverse_distances(level2, gauss_field):
+    """The sparse operator of P's near half, kept with a system's target
+    set, views the near set's inverse distances and indexes them by int32:
+    at level 2 the kept part grows by at most 2.2 MB beyond its near set
+    (2.0 MB of column indices, and the weights w_q / a of P)."""
+    surf, vol = level2
+    system = sy.assemble_M12(vol, surf, gauss_field)
+    case = cs.point_source_case(gauss_field)
+    ext = sy.build_extensions(surf, case.dirichlet, case.neumann)
+    tracemalloc.start()
+    try:
+        sourced = system.with_data(case.f, ext)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    targets = np.concatenate([vol.centers, system.colloc.points])
+    volume = system._cache.part("rhs", targets, (vol, gauss_field),
+                                lambda: pytest.fail("the target set was not kept"))
+    near = volume.near
+    assert np.shares_memory(near.op.data, near.inv)
+    assert near.op.indices.dtype == np.int32 and near.op.indptr.dtype == np.int32
+    near_bytes = sum(a.nbytes for a in (near.points, near.rows, near.cells, near.inv))
+    # The new system's own arrays: its right-hand side and f at the nodes.
+    own = sourced.rhs.nbytes + sum(a.nbytes for a in sourced._f_nodes[2])
+    assert kept - own - near_bytes <= 2.2e6
+
+
 def test_dense_caps_enforced(gauss_field):
     surf, vol = cs.level_meshes(1)
     big_vol = geo.build_shell_mesh(4.0, n_radial=4, angular_level=3)
@@ -679,6 +706,56 @@ def test_blocks_of_an_evaluation_build_the_node_data_once(level1, gauss_field, m
                             built.append(_name) or _build(*args))
     sy.evaluate_solution(system, solution, pts)
     assert sorted(built) == ["_P_weights", "_remainder_data"]
+
+
+def _counted(f):
+    """f, counting its calls, and the list of the point counts of its calls."""
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    return counted, calls
+
+
+def test_the_source_is_evaluated_once_per_right_hand_side(level1, gauss_field):
+    """with_data and assemble_M12 take a callable f at the volume nodes
+    once, one call per node table, and the systems they make keep those
+    values: solving and evaluating, at kept points and at points evaluated
+    in blocks, call f no more.  A system given another f or volume mesh by
+    dataclasses.replace never serves the old values: it takes its own f,
+    once per evaluation, whatever its blocks."""
+    surf, vol = level1
+    system, case, ext = _fresh_level1_system(level1, gauss_field)
+    per_table = sorted([vol.far_weights.size, vol.node_weights.size])
+    d = np.random.default_rng(14).normal(size=(200, 3))
+    blocked = 2.0 * d / np.linalg.norm(d, axis=1, keepdims=True)  # 91 points a block
+    f, calls = _counted(case.f)
+    sourced = system.with_data(f, ext)
+    solution = sy.solve_M12(sourced)
+    for pts in (cs.PROBE_POINTS, cs.PROBE_POINTS, blocked):
+        sy.evaluate_solution(sourced, solution, pts)
+    assert sorted(calls) == per_table
+    calls.clear()
+    assembled = sy.assemble_M12(vol, surf, gauss_field, f=f, extensions=ext)
+    for pts in (cs.PROBE_POINTS, blocked):
+        sy.evaluate_solution(assembled, sy.solve_M12(assembled), pts)
+    assert sorted(calls) == per_table
+
+    g, g_calls = _counted(lambda x: 2.0 * case.f(x))
+    other = dataclasses.replace(sourced, f=g)
+    without = sy.evaluate_solution(dataclasses.replace(sourced, f=None), solution,
+                                   cs.PROBE_POINTS)
+    assert np.array_equal(sy.evaluate_solution(other, solution, cs.PROBE_POINTS),
+                          without + px.op_P(vol, gauss_field, g, cs.PROBE_POINTS))
+    sy.evaluate_solution(other, solution, blocked)
+    assert sorted(g_calls) == sorted(per_table * 3)  # op_P's own evaluation among them
+    calls.clear()
+    _, other_vol = cs.level_meshes(1)
+    sy.evaluate_solution(dataclasses.replace(sourced, volmesh=other_vol), solution,
+                         cs.PROBE_POINTS)
+    assert sorted(calls) == per_table
 
 
 # --- the data-free half of P, kept with the matrix ----------------------------
